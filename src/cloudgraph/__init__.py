@@ -52,7 +52,7 @@ from .pipeline import (
     squared_distance_matrix,
 )
 from .rng import SplitMix64, derive_seed, seeded_rng
-from .statbox import StatboxVector, statbox, statbox_array, statbox_columns
+from .statbox import statbox_array, statbox_columns
 from .types import (
     ActivityLabel,
     PointGraph,

@@ -83,7 +83,7 @@ def _stage_rows(frames: Sequence[RadarFrame], config: PipelineConfig, q_label: s
 
         def run_features(w=work, d=d2, t=table):
             nf = node_features(w, d, t, config.epsilon)
-            ef = edge_features(w, t, d)
+            ef = edge_features(w, edges_from_table(t))
             ff = frame_features(nf, config.epsilon)
             return nf, ef, ff
 
@@ -91,7 +91,7 @@ def _stage_rows(frames: Sequence[RadarFrame], config: PipelineConfig, q_label: s
         stage_time["features"] += sec
         stage_peak["features"] = max(stage_peak["features"], peak)
         total_points += len(work)
-        total_edges += edges_from_table(table).shape[0]
+        total_edges += table.size
     for stage, seconds in stage_time.items():
         rows.append(
             BenchRow(

@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphs")
     p.add_argument("--weights", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_infer)
 
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--mid-hip-index", type=int, default=0)
     p.add_argument("--per-keypoint", action="store_true")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
 
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", choices=("walk", "static"), default="walk")
     p.add_argument("--noise", type=float, default=0.02)
     p.add_argument("--seed", type=int)
-    p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_synthetic)
 

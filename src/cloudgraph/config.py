@@ -9,13 +9,24 @@ Serialization is canonical (fixed key order, round-trip-exact decimals), so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 from .errors import ConfigError
 
 EDGE_RELU_POLICIES = ("all_but_first", "all_but_last")
 HEADS = ("pose", "activity")
+
+
+def _check_finite(cfg) -> None:
+    """Reject NaN and infinity in every float field, tuples included: every
+    range check below is false for NaN, so it would slip through them."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +45,7 @@ class PipelineConfig:
     epsilon: float = 1e-12
 
     def __post_init__(self):
+        _check_finite(self)
         if self.K < 1:
             raise ConfigError("K must be >= 1")
         if self.F < 1:
@@ -72,6 +84,7 @@ class ModelShape:
     edge_relu_policy: str = "all_but_first"
 
     def __post_init__(self):
+        _check_finite(self)
         if self.head not in HEADS:
             raise ConfigError(f"head must be one of {HEADS}")
         if self.edge_relu_policy not in EDGE_RELU_POLICIES:

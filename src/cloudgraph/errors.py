@@ -26,10 +26,6 @@ class SequenceMismatch(CloudGraphError):
     """Frames in a fusion window belong to different sequences."""
 
 
-class FeatureDisabled(CloudGraphError):
-    """A feature-extraction stage was invoked while disabled by configuration."""
-
-
 class DimensionMismatch(CloudGraphError):
     """Tensor shapes do not chain through a network block."""
 

@@ -7,6 +7,7 @@ are the source of truth and every reader checks the format version.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -14,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import FormatVersionError, IdMismatch, ParseError
-from .types import PointGraph, RadarFrame, RadarPoint, Skeleton
+from .types import PointGraph, RadarFrame, Skeleton
 
 FRAMES_HEADER = "sequence_id,frame_id,x,y,z,v,I"
 SKELETON_HEADER = "sequence_id,frame_id,keypoint,x,y,z"
@@ -22,6 +23,8 @@ SCORES_HEADER_PREFIX = "sequence_id,frame_id"
 
 GRAPH_MAGIC = b"PCGR"
 GRAPH_FORMAT_VERSION = 1
+# magic, version, sequence id, frame id, nodes, edges, node/edge/frame widths
+_GRAPH_HEADER = struct.Struct("<4sIQQQQQQQ")
 MANIFEST_FORMAT_VERSION = 1
 
 
@@ -35,11 +38,9 @@ def _f(x: float) -> str:
 def write_frames(frames: Sequence[RadarFrame], path) -> None:
     lines = [FRAMES_HEADER]
     for fr in frames:
-        for p in fr.points:
-            lines.append(
-                f"{fr.sequence_id},{fr.frame_id},{_f(p.x)},{_f(p.y)},{_f(p.z)},{_f(p.v)},{_f(p.I)}"
-            )
-        if not fr.points:
+        for row in fr.points.tolist():
+            lines.append(f"{fr.sequence_id},{fr.frame_id}," + ",".join(map(_f, row)))
+        if len(fr) == 0:
             # empty frames are legal: marker row with no point payload
             lines.append(f"{fr.sequence_id},{fr.frame_id},,,,,")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -51,7 +52,7 @@ def read_frames(path) -> List[RadarFrame]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != FRAMES_HEADER:
         raise ParseError(1, f"expected header {FRAMES_HEADER!r}")
-    by_id: Dict[Tuple[int, int], List[RadarPoint]] = {}
+    by_id: Dict[Tuple[int, int], List[List[float]]] = {}
     order: List[Tuple[int, int]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -75,9 +76,9 @@ def read_frames(path) -> List[RadarFrame]:
             vals = [float(p) for p in parts[2:]]
         except ValueError:
             raise ParseError(lineno, "bad point value") from None
-        by_id[key].append(RadarPoint(*vals))
+        by_id[key].append(vals)
     return [
-        RadarFrame(frame_id=fid, sequence_id=seq, points=tuple(by_id[(seq, fid)]))
+        RadarFrame(frame_id=fid, sequence_id=seq, points=by_id[(seq, fid)])
         for seq, fid in order
     ]
 
@@ -190,11 +191,10 @@ def write_graph_record(graph: PointGraph, path) -> None:
     """Binary layout: magic, version, ids, dimension header, then node
     matrix, edge pairs (u32), edge matrix, frame vector, all little-endian."""
     with open(path, "wb") as fh:
-        fh.write(GRAPH_MAGIC)
-        fh.write(struct.pack("<I", GRAPH_FORMAT_VERSION))
         fh.write(
-            struct.pack(
-                "<QQQQQQQ",
+            _GRAPH_HEADER.pack(
+                GRAPH_MAGIC,
+                GRAPH_FORMAT_VERSION,
                 graph.sequence_id,
                 graph.frame_id,
                 graph.num_nodes,
@@ -211,13 +211,21 @@ def write_graph_record(graph: PointGraph, path) -> None:
 
 
 def read_graph_record(path) -> PointGraph:
+    """Read one record.  The file must hold exactly the bytes its header
+    implies; a truncated or overlong record raises FormatVersionError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != GRAPH_MAGIC:
+        header = fh.read(_GRAPH_HEADER.size)
+        if header[:4] != GRAPH_MAGIC:
             raise FormatVersionError(f"{path}: not a graph record")
-        (version,) = struct.unpack("<I", fh.read(4))
+        if len(header) != _GRAPH_HEADER.size:
+            raise FormatVersionError(f"{path}: truncated header ({len(header)} bytes)")
+        _, version, seq, fid, n, e, dn, de, df = _GRAPH_HEADER.unpack(header)
         if version != GRAPH_FORMAT_VERSION:
             raise FormatVersionError(f"{path}: unsupported graph version {version}")
-        seq, fid, n, e, dn, de, df = struct.unpack("<QQQQQQQ", fh.read(56))
+        expected = _GRAPH_HEADER.size + 8 * (n * dn + e + e * de + df)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatVersionError(f"{path}: {size} bytes, but its header implies {expected}")
         nodes = np.frombuffer(fh.read(8 * n * dn), dtype="<f8").reshape(n, dn)
         edges = np.frombuffer(fh.read(4 * e * 2), dtype="<u4").reshape(e, 2).astype(np.int64)
         efeat = np.frombuffer(fh.read(8 * e * de), dtype="<f8").reshape(e, de)

@@ -12,8 +12,10 @@ finite differences by ``grad_check``.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -715,22 +717,38 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def read_weights_manifest(path) -> Dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _WEIGHTS_MAGIC:
-            raise ManifestMismatch(f"{path}: not a weights file")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != _WEIGHTS_VERSION:
-            raise ManifestMismatch(f"{path}: unsupported weights version {version}")
-        out: Dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n_vals = int(np.prod(dims)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * n_vals), dtype="<f8").reshape(dims)
-            out[name] = data.astype(np.float64)
-        return out
+    """Parse a weights file.  Every length is checked against the bytes that
+    remain, and the file must end exactly after the last tensor, so a
+    truncated, overlong or garbled file raises ManifestMismatch."""
+    data = Path(path).read_bytes()
+    pos = 0
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if size > len(data) - pos:
+            raise ManifestMismatch(f"{path}: truncated at byte {len(data)}")
+        pos += size
+        return data[pos - size : pos]
+
+    if take(4) != _WEIGHTS_MAGIC:
+        raise ManifestMismatch(f"{path}: not a weights file")
+    version, count = struct.unpack("<II", take(8))
+    if version != _WEIGHTS_VERSION:
+        raise ManifestMismatch(f"{path}: unsupported weights version {version}")
+    out: Dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (nlen,) = struct.unpack("<H", take(2))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ManifestMismatch(f"{path}: tensor name is not UTF-8") from None
+        (ndim,) = struct.unpack("<B", take(1))
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        values = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
+        out[name] = values.reshape(dims).astype(np.float64)
+    if pos != len(data):
+        raise ManifestMismatch(f"{path}: {len(data) - pos} bytes after the last tensor")
+    return out
 
 
 def load_params(path, shape: ModelShape, config: PipelineConfig) -> ModelParams:

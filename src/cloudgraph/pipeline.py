@@ -3,31 +3,29 @@
 Stage order: fuse -> (optional) grid downsample -> shared squared-distance
 matrix -> KNN edges -> node features -> edge features -> frame features.
 The squared-distance matrix is computed once per frame and shared by the
-KNN, node-feature, and edge-feature stages.
+KNN and node-feature stages.
+
+Data stays in array form from end to end: a frame is an n x 5 array, the
+KNN result is an n x k neighbour table, the edge list (built once per
+graph) is its E x 2 flattening, and each statistics stage is one batched
+statbox call.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import (
-    EmptyInput,
-    FeatureDisabled,
-    NonConsecutiveFrames,
-    SequenceMismatch,
-)
+from .errors import EmptyInput, NonConsecutiveFrames, SequenceMismatch
 from .rng import SplitMix64, derive_seed
 from .statbox import statbox_array, statbox_columns
-from .types import Label, PointGraph, RadarFrame, frame_from_matrix, validate_frame
+from .types import Label, PointGraph, RadarFrame, validate_frame
 
 NODE_FEATURE_DIM = 19
 RAW_FEATURE_DIM = 5
 EDGE_FEATURE_DIM = 6
-
-NeighborTable = List[np.ndarray]
 
 
 def fuse_frames(frames: Sequence[RadarFrame]) -> RadarFrame:
@@ -48,7 +46,7 @@ def fuse_frames(frames: Sequence[RadarFrame]) -> RadarFrame:
     for a, b in zip(ids, ids[1:]):
         if b != a + 1:
             raise NonConsecutiveFrames(f"frame ids {a} and {b} are not consecutive")
-    points = tuple(p for f in frames for p in f.points)
+    points = np.concatenate([f.points for f in frames])
     return RadarFrame(frame_id=frames[-1].frame_id, sequence_id=seq, points=points)
 
 
@@ -71,7 +69,7 @@ def downsample(
         raise ValueError("cell_width must be three positive reals")
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    pts = frame.as_matrix()[:, :3]
+    pts = frame.points[:, :3]
     mins = pts.min(axis=0)
     cells = np.floor((pts - mins) / w).astype(np.int64)
     groups: dict[tuple, list[int]] = {}
@@ -88,48 +86,47 @@ def downsample(
     return RadarFrame(
         frame_id=frame.frame_id,
         sequence_id=frame.sequence_id,
-        points=tuple(frame.points[i] for i in keep),
+        points=frame.points[keep],
     )
 
 
 def squared_distance_matrix(frame: RadarFrame) -> np.ndarray:
     """n x n matrix of squared Euclidean distances over (x, y, z) only."""
-    pts = frame.as_matrix()[:, :3]
+    pts = frame.points[:, :3]
     diff = pts[:, None, :] - pts[None, :, :]
     d2 = (diff * diff).sum(axis=-1)
     np.fill_diagonal(d2, 0.0)
     return d2
 
 
-def knn_edges(d2: np.ndarray, K: int) -> NeighborTable:
-    """Per target j, the min(K, n-1) nearest source indices, ascending by
-    distance, ties broken by lower source index."""
+def knn_edges(d2: np.ndarray, K: int) -> np.ndarray:
+    """n x k neighbour table, k = min(K, n-1): row j holds the k nearest
+    source indices of target j, ascending by distance, ties broken by lower
+    source index.
+
+    One stable sort orders every row; removing j from its own row afterwards
+    keeps the tie rule even when other points coincide with j.
+    """
     n = d2.shape[0]
     if K < 1:
         raise ValueError("K must be >= 1")
-    k = min(K, n - 1)
-    table: NeighborTable = []
-    for j in range(n):
-        order = np.argsort(d2[j], kind="stable")
-        order = order[order != j][:k]
-        table.append(order.astype(np.int64))
-    return table
+    order = np.argsort(d2, axis=1, kind="stable")
+    others = order[order != np.arange(n)[:, None]].reshape(n, max(n - 1, 0))
+    return others[:, : min(K, n - 1)].astype(np.int64, copy=False)
 
 
-def edges_from_table(table: NeighborTable) -> np.ndarray:
-    """Flatten a neighbor table into an E x 2 array of (target, source)."""
-    pairs = [
-        (j, int(k)) for j, nbrs in enumerate(table) for k in nbrs
-    ]
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+def edges_from_table(table: np.ndarray) -> np.ndarray:
+    """Flatten an n x k neighbour table into an E x 2 array of (target,
+    source), target-major."""
+    n, k = table.shape
+    return np.column_stack([np.repeat(np.arange(n, dtype=np.int64), k), table.reshape(-1)])
 
 
 def node_features(
     frame: RadarFrame,
     d2: np.ndarray,
-    neighbors: NeighborTable,
+    neighbors: np.ndarray,
     epsilon: float = 1e-12,
-    enabled: bool = True,
 ) -> np.ndarray:
     """Per point: raw (x,y,z,v,I), statistics of the distances to its KNN
     neighbors, distance to the cloud centroid, and the unit direction from
@@ -140,45 +137,36 @@ def node_features(
     fewer than K neighbors exist the statistics run on the shorter distance
     vector rather than padding.
     """
-    if not enabled:
-        raise FeatureDisabled("node feature extraction is disabled by configuration")
-    raw = frame.as_matrix()
+    raw = frame.points
     n = raw.shape[0]
     out = np.zeros((n, NODE_FEATURE_DIM), dtype=np.float64)
     out[:, :5] = raw
     if n == 0:
         return out
-    centroid = raw[:, :3].mean(axis=0)
-    for j in range(n):
-        nbrs = neighbors[j]
-        if nbrs.size:
-            dists = np.sqrt(d2[j, nbrs])
-            out[j, 5:15] = statbox_array(dists, epsilon)
-        diff = centroid - raw[j, :3]
-        dist = float(np.sqrt((diff * diff).sum()))
-        out[j, 15] = dist
-        if dist >= epsilon:
-            out[j, 16:19] = diff / dist
+    if neighbors.shape[1]:
+        dists = np.sqrt(np.take_along_axis(d2, neighbors, axis=1))
+        out[:, 5:15] = statbox_array(dists, epsilon)
+    diff = raw[:, :3].mean(axis=0) - raw[:, :3]
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    out[:, 15] = dist
+    away = dist >= epsilon
+    out[away, 16:19] = diff[away] / dist[away, None]
     return out
 
 
-def edge_features(frame: RadarFrame, neighbors: NeighborTable, d2=None) -> np.ndarray:
-    """Per directed edge (target -> source): the Euclidean distance, the
-    per-axis direction cosines of (source - target) (zero vector when the
-    points coincide), the velocity difference, and the intensity difference.
+def edge_features(frame: RadarFrame, edges: np.ndarray) -> np.ndarray:
+    """Per directed edge (target, source) of an E x 2 edge list: the
+    Euclidean distance, the per-axis direction cosines of (source - target)
+    (zero vector when the points coincide), the velocity difference, and
+    the intensity difference.
     """
-    raw = frame.as_matrix()
-    edges = edges_from_table(neighbors)
+    raw = frame.points
     out = np.zeros((edges.shape[0], EDGE_FEATURE_DIM), dtype=np.float64)
     if edges.size == 0:
         return out
     tgt, src = edges[:, 0], edges[:, 1]
-    if d2 is None:
-        delta = raw[src, :3] - raw[tgt, :3]
-        norm = np.sqrt((delta * delta).sum(axis=1))
-    else:
-        delta = raw[src, :3] - raw[tgt, :3]
-        norm = np.sqrt(d2[tgt, src])
+    delta = raw[src, :3] - raw[tgt, :3]
+    norm = np.sqrt((delta * delta).sum(axis=1))
     out[:, 0] = norm
     nz = norm > 0
     out[nz, 1:4] = delta[nz] / norm[nz, None]
@@ -241,9 +229,9 @@ def build_graph(
     if config.enable_node_features:
         nf = node_features(fused, d2, table, config.epsilon)
     else:
-        nf = fused.as_matrix()
+        nf = fused.points
     if config.enable_edge_features:
-        ef = edge_features(fused, table, d2)
+        ef = edge_features(fused, edges)
     else:
         ef = np.zeros((edges.shape[0], 0))
     if config.enable_frame_features:

@@ -22,7 +22,7 @@ from .pipeline import (
     fuse_frames,
 )
 from .rng import SplitMix64, derive_seed
-from .statbox import statbox_array, statbox_columns
+from .statbox import statbox_array
 from .types import Label, PointGraph, RadarFrame, validate_frame
 
 
@@ -36,7 +36,7 @@ def _sqdist(a, b) -> float:
 
 
 def naive_squared_distance_matrix(frame: RadarFrame) -> np.ndarray:
-    pts = frame.as_matrix()[:, :3]
+    pts = frame.points[:, :3]
     n = pts.shape[0]
     d2 = np.zeros((n, n))
     for j in range(n):
@@ -46,21 +46,22 @@ def naive_squared_distance_matrix(frame: RadarFrame) -> np.ndarray:
     return d2
 
 
-def naive_knn(frame: RadarFrame, K: int) -> list[np.ndarray]:
-    """O(n^2) sort-based neighbor selection, ties by lower source index."""
-    pts = frame.as_matrix()[:, :3]
+def naive_knn(frame: RadarFrame, K: int) -> np.ndarray:
+    """O(n^2) sort-based neighbor selection, ties by lower source index:
+    an n x min(K, n-1) table."""
+    pts = frame.points[:, :3]
     n = pts.shape[0]
-    k = min(K, n - 1)
-    table = []
+    k = max(min(K, n - 1), 0)
+    table = np.zeros((n, k), dtype=np.int64)
     for j in range(n):
         cand = [(_sqdist(pts[j], pts[m]), m) for m in range(n) if m != j]
         cand.sort()  # (distance, index) lexicographic = documented tie-break
-        table.append(np.array([m for _, m in cand[:k]], dtype=np.int64))
+        table[j] = [m for _, m in cand[:k]]
     return table
 
 
 def naive_node_features(frame: RadarFrame, neighbors, epsilon: float) -> np.ndarray:
-    pts = frame.as_matrix()
+    pts = frame.points
     n = pts.shape[0]
     out = np.zeros((n, NODE_FEATURE_DIM))
     out[:, :5] = pts
@@ -81,7 +82,7 @@ def naive_node_features(frame: RadarFrame, neighbors, epsilon: float) -> np.ndar
 
 
 def naive_edge_features(frame: RadarFrame, neighbors) -> np.ndarray:
-    pts = frame.as_matrix()
+    pts = frame.points
     rows = []
     for j, nbrs in enumerate(neighbors):
         for k in nbrs:
@@ -96,13 +97,18 @@ def naive_edge_features(frame: RadarFrame, neighbors) -> np.ndarray:
 
 
 def naive_frame_features(node_feature_matrix: np.ndarray, epsilon: float) -> np.ndarray:
+    """One 1-D statbox call per column: the column statistics, then the
+    statistics of the column's squared deviations from its mean."""
     m = np.asarray(node_feature_matrix, dtype=np.float64)
     if m.shape[0] == 0:
         raise EmptyInput("frame features need at least one point")
-    part1 = statbox_columns(m, epsilon)
-    centroid = part1[::10]
-    sq_dev = (m - centroid) ** 2
-    return np.concatenate([part1, statbox_columns(sq_dev, epsilon)])
+    part1, part2 = [], []
+    for j in range(m.shape[1]):
+        column = m[:, j]
+        stats = statbox_array(column, epsilon)
+        part1.append(stats)
+        part2.append(statbox_array((column - stats[0]) ** 2, epsilon))
+    return np.concatenate(part1 + part2)
 
 
 def naive_build_graph(
@@ -137,7 +143,7 @@ def naive_build_graph(
     nf = (
         naive_node_features(fused, table, config.epsilon)
         if config.enable_node_features
-        else fused.as_matrix()
+        else fused.points
     )
     ef = (
         naive_edge_features(fused, table)

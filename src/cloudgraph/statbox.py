@@ -22,12 +22,16 @@ Conventions (all degenerate-safe):
 
 The input is sorted before anything is computed, which makes every output
 exactly permutation invariant (bit for bit).
+
+There is one kernel, ``statbox_array``: it reduces the last axis of any
+(..., m) array, so the per-point neighbour-distance statistics of a whole
+frame are one call on an n x k array, and ``statbox_columns`` is one call
+on the transposed node-feature matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,81 +50,41 @@ STAT_NAMES = (
     "percentile_75",
 )
 
-NUM_STATS = len(STAT_NAMES)
-
-
-@dataclass(frozen=True)
-class StatboxVector:
-    """The 10 operator outputs for one input vector, in the fixed order."""
-
-    mean: float
-    std: float
-    median: float
-    skewness: float
-    kurtosis: float
-    geometric_mean: float
-    quantile_25: float
-    quantile_75: float
-    percentile_25: float
-    percentile_75: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in STAT_NAMES], dtype=np.float64)
-
-
-def _quantile_linear(sorted_vals: np.ndarray, p: float) -> float:
-    n = sorted_vals.size
-    pos = p * (n - 1)
-    lo = int(math.floor(pos))
-    frac = pos - lo
-    if frac == 0.0 or lo + 1 >= n:
-        return float(sorted_vals[lo])
-    return float(sorted_vals[lo] + frac * (sorted_vals[lo + 1] - sorted_vals[lo]))
-
-
-def _percentile_nearest_rank(sorted_vals: np.ndarray, p: float) -> float:
-    n = sorted_vals.size
-    idx = math.ceil(p * n) - 1
-    return float(sorted_vals[max(idx, 0)])
-
-
-def statbox(values, epsilon: float = 1e-12) -> StatboxVector:
-    """Apply the operator bank to a non-empty vector of finite reals."""
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.size == 0:
-        raise EmptyInput("statbox requires at least one value")
-    s = np.sort(v)
-    mean = float(s.mean())
-    d = s - mean
-    d2 = d * d
-    m2 = float(d2.mean())
-    std = math.sqrt(m2)
-    if m2 < epsilon:
-        skewness = 0.0
-        kurtosis = 0.0
-    else:
-        m3 = float((d2 * d).mean())
-        m4 = float((d2 * d2).mean())
-        skewness = m3 / m2**1.5
-        kurtosis = m4 / (m2 * m2)
-    gmean = math.exp(float(np.log(np.maximum(np.abs(s), epsilon)).mean()))
-    return StatboxVector(
-        mean=mean,
-        std=std,
-        median=_quantile_linear(s, 0.5),
-        skewness=skewness,
-        kurtosis=kurtosis,
-        geometric_mean=gmean,
-        quantile_25=_quantile_linear(s, 0.25),
-        quantile_75=_quantile_linear(s, 0.75),
-        percentile_25=_percentile_nearest_rank(s, 0.25),
-        percentile_75=_percentile_nearest_rank(s, 0.75),
-    )
-
 
 def statbox_array(values, epsilon: float = 1e-12) -> np.ndarray:
-    """statbox() flattened to a length-10 array."""
-    return statbox(values, epsilon).as_array()
+    """Apply the bank along the last axis of a non-empty (..., m) array of
+    finite reals: (..., 10) in the fixed order.
+
+    Every row goes through the same vector operations as a lone 1-D row of
+    the same length, so a batched call equals per-row calls bit for bit.
+    """
+    v = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    m = v.shape[-1]
+    if m == 0:
+        raise EmptyInput("statbox requires at least one value")
+    s = np.sort(v, axis=-1)
+    mean = s.mean(axis=-1, keepdims=True)
+    d = s - mean
+    d2 = d * d
+    m2 = d2.mean(axis=-1)
+    flat = m2 < epsilon
+    safe_m2 = np.where(flat, 1.0, m2)
+    skewness = np.where(flat, 0.0, (d2 * d).mean(axis=-1) / safe_m2**1.5)
+    kurtosis = np.where(flat, 0.0, (d2 * d2).mean(axis=-1) / (safe_m2 * safe_m2))
+    gmean = np.exp(np.log(np.maximum(np.abs(s), epsilon)).mean(axis=-1))
+    linear = []
+    for p in (0.5, 0.25, 0.75):
+        pos = p * (m - 1)
+        lo = math.floor(pos)
+        frac = pos - lo
+        q = s[..., lo]
+        linear.append(q if frac == 0.0 else q + frac * (s[..., lo + 1] - q))
+    median, q25, q75 = linear
+    p25, p75 = (s[..., max(math.ceil(p * m) - 1, 0)] for p in (0.25, 0.75))
+    return np.stack(
+        [mean[..., 0], np.sqrt(m2), median, skewness, kurtosis, gmean, q25, q75, p25, p75],
+        axis=-1,
+    )
 
 
 def statbox_columns(matrix, epsilon: float = 1e-12) -> np.ndarray:
@@ -128,12 +92,13 @@ def statbox_columns(matrix, epsilon: float = 1e-12) -> np.ndarray:
 
     Output layout is column-major by statistic blocks:
     [stats(col_0), stats(col_1), ...], each block in the fixed 10-order,
-    giving a vector of length 10 * d.  Identical, bit for bit, to d
-    independent statbox calls.
+    giving a vector of length 10 * d.  The columns are reduced as the rows
+    of a C-contiguous transpose, so the result equals d independent 1-D
+    statbox_array calls bit for bit.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("statbox_columns expects an n x d matrix")
     if m.shape[0] == 0:
         raise EmptyInput("statbox_columns requires at least one row")
-    return np.concatenate([statbox_array(m[:, j], epsilon) for j in range(m.shape[1])])
+    return statbox_array(np.ascontiguousarray(m.T), epsilon).reshape(-1)

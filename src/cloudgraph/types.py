@@ -7,19 +7,15 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import NonFiniteValue
 
-POINT_FIELDS = ("x", "y", "z", "v", "I")
 
-
-@dataclass(frozen=True)
-class RadarPoint:
+class RadarPoint(NamedTuple):
     """One radar return: 3D position, Doppler velocity, signal intensity."""
 
     x: float
@@ -28,31 +24,40 @@ class RadarPoint:
     v: float
     I: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.v, self.I], dtype=np.float64)
+
+POINT_FIELDS = RadarPoint._fields
 
 
 @dataclass(frozen=True)
 class RadarFrame:
-    """One radar sweep.  Point order is preserved exactly as ingested."""
+    """One radar sweep.  Point order is preserved exactly as ingested.
+
+    ``points`` is a read-only float64 n x 5 array of (x, y, z, v, I) rows,
+    (0, 5) when empty.  Any n x 5 array-like is accepted, including a
+    sequence of RadarPoint; the frame keeps its own copy.
+    """
 
     frame_id: int
     sequence_id: int
-    points: tuple[RadarPoint, ...]
+    points: np.ndarray
 
     def __post_init__(self):
         if self.frame_id < 0 or self.sequence_id < 0:
             raise ValueError("frame_id and sequence_id must be non-negative")
-        object.__setattr__(self, "points", tuple(self.points))
+        pts = np.array(self.points, dtype=np.float64)
+        if pts.size == 0:
+            pts = pts.reshape(0, len(POINT_FIELDS))
+        if pts.ndim != 2 or pts.shape[1] != len(POINT_FIELDS):
+            raise ValueError("points must be an n x 5 array")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.points.shape[0]
 
     def as_matrix(self) -> np.ndarray:
-        """n x 5 matrix of (x, y, z, v, I) rows; (0, 5) when empty."""
-        if not self.points:
-            return np.zeros((0, 5), dtype=np.float64)
-        return np.stack([p.as_array() for p in self.points])
+        """The n x 5 point array (read-only)."""
+        return self.points
 
 
 @dataclass(frozen=True)
@@ -146,15 +151,14 @@ def validate_frame(frame: RadarFrame) -> RadarFrame:
     Empty frames are valid; downstream stages define their own empty
     behavior.
     """
-    for i, p in enumerate(frame.points):
-        for name in POINT_FIELDS:
-            if not math.isfinite(getattr(p, name)):
-                raise NonFiniteValue(i, name)
+    bad = np.argwhere(~np.isfinite(frame.points))
+    if bad.size:
+        i, j = bad[0]
+        raise NonFiniteValue(int(i), POINT_FIELDS[j])
     return frame
 
 
 def frame_from_matrix(sequence_id: int, frame_id: int, mat: Sequence) -> RadarFrame:
     """Build a RadarFrame from an n x 5 array of (x, y, z, v, I) rows."""
-    arr = np.asarray(mat, dtype=np.float64).reshape(-1, 5)
-    pts = tuple(RadarPoint(*row) for row in arr)
-    return RadarFrame(frame_id=frame_id, sequence_id=sequence_id, points=pts)
+    arr = np.asarray(mat, dtype=np.float64).reshape(-1, len(POINT_FIELDS))
+    return RadarFrame(frame_id=frame_id, sequence_id=sequence_id, points=arr)

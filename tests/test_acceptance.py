@@ -116,7 +116,7 @@ def test_acceptance_04_knn_oracle():
         for K in (1, 5, 20):
             got = knn_edges(d2, K)
             expect = naive_knn(frame, K)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+            assert np.array_equal(got, expect)
             checked += 1
     report("knn vs O(n^2) sort oracle", t0, 10.0, f"{checked} tables")
 
@@ -259,7 +259,7 @@ def test_acceptance_09_downsampling_contract():
     assert build_graph([frame], cfg_on).num_edges < build_graph([frame], cfg_off).num_edges
 
     again = downsample(frame, cell, 1, SplitMix64(42))
-    assert down.points == again.points  # seed-reproducible, byte-exact
+    assert np.array_equal(down.points, again.points)  # seed-reproducible, byte-exact
     report("downsampling contract (Q=1, 3.5 cm cells)", t0, 10.0,
            f"{len(frame)} -> {len(down)} points")
 

@@ -18,6 +18,13 @@ from cloudgraph.types import RadarFrame, Skeleton, frame_from_matrix
 from conftest import random_frame
 
 
+def assert_frames_equal(a, b):
+    """Same ids in the same order and bit-identical point arrays."""
+    assert [(f.sequence_id, f.frame_id) for f in a] == [(f.sequence_id, f.frame_id) for f in b]
+    for x, y in zip(a, b):
+        assert np.array_equal(x.points, y.points)
+
+
 def write_config(path, pipe=None, model=None):
     pipe = pipe or PipelineConfig(K=4)
     model = model or ModelShape(head="pose", output_size=5, mid_hip_index=0,
@@ -39,7 +46,7 @@ def test_frames_round_trip_bit_exact(tmp_path, np_rng):
     path = tmp_path / "frames.csv"
     formats.write_frames(frames, path)
     back = formats.read_frames(path)
-    assert back == frames  # repr round trip is exact for float64
+    assert_frames_equal(back, frames)  # repr round trip is exact for float64
 
 
 def test_frames_header_required(tmp_path):
@@ -153,7 +160,7 @@ def test_synthetic_deterministic():
     spec = SyntheticSpec(num_frames=5, points_per_frame=20, seed=7)
     a_frames, a_sk = generate(spec)
     b_frames, b_sk = generate(spec)
-    assert a_frames == b_frames
+    assert_frames_equal(a_frames, b_frames)
     for x, y in zip(a_sk, b_sk):
         assert np.array_equal(x.keypoints, y.keypoints)
 
@@ -162,8 +169,8 @@ def test_synthetic_zero_noise_points_sit_on_joints():
     spec = SyntheticSpec(num_frames=2, points_per_frame=40, noise=0.0, seed=3)
     frames, skeletons = generate(spec)
     for frame, sk in zip(frames, skeletons):
-        for p in frame.points:
-            d = np.linalg.norm(sk.keypoints - np.array([p.x, p.y, p.z]), axis=1)
+        for xyz in frame.points[:, :3]:
+            d = np.linalg.norm(sk.keypoints - xyz, axis=1)
             assert d.min() < 1e-12
 
 
@@ -346,6 +353,51 @@ def test_cli_config_error_exit_6(tmp_path):
     rc = main(["extract", str(tmp_path / "missing.csv"),
                "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 6
+
+
+@pytest.mark.parametrize("line", [
+    "cell_width = nan,0.1,0.1",
+    "cell_width = inf,0.1,0.1",
+    "epsilon = nan",
+    "epsilon = inf",
+    "model_leaky_slope = nan",
+    "model_leaky_slope = -inf",
+])
+def test_cli_non_finite_config_exit_6(tmp_path, line):
+    frames_path, _ = gen_inputs(tmp_path, frames=1, points=20)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(line + "\n", encoding="utf-8")
+    rc = main(["extract", str(frames_path), "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 6
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_truncated_or_overlong_binaries_exit_4(tmp_path):
+    frames_path, _ = gen_inputs(tmp_path, frames=1, points=20)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path)
+    graphs = tmp_path / "graphs"
+    assert main(["extract", str(frames_path), "--config", str(cfg_path),
+                 "--out", str(graphs)]) == 0
+    weights = tmp_path / "w.bin"
+    assert main(["init-weights", "--config", str(cfg_path), "--out", str(weights)]) == 0
+    (record,) = graphs.glob("graph_*.bin")
+
+    def infer():
+        return main(["infer", str(graphs), "--weights", str(weights),
+                     "--config", str(cfg_path), "--out", str(tmp_path / "p.csv")])
+
+    assert infer() == 0
+    for path in (record, weights):
+        data = path.read_bytes()
+        # cut inside the magic, the fixed header, the first tensor or array,
+        # and at the last byte; then one byte too many
+        cut = [data[:size] for size in (0, 3, 6, 10, 63, 64, 200, len(data) - 1)]
+        for bad in cut + [data + b"\x00"]:
+            path.write_bytes(bad)
+            assert infer() == 4, (path.name, len(bad))
+        path.write_bytes(data)
 
 
 def test_cli_bench_q_grid(tmp_path, capsys):

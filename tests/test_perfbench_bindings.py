@@ -1,0 +1,66 @@
+"""The benchmark in perfbench/ traces the library by rebinding module-level
+names.  These checks make a refactor that drops or reshapes one of those
+bindings fail here, not only in a traced benchmark run."""
+
+import importlib
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+from cloudgraph.config import PipelineConfig, serialize_config
+from cloudgraph.formats import write_frames
+from cloudgraph.types import frame_from_matrix
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(monkeypatch):
+    """perfbench's span module and the module namespace its runner builds.
+
+    Importing the runner pins thread-count variables in os.environ; they
+    are restored afterwards.  No bytecode is written under perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    with mock.patch.dict(os.environ):
+        run = importlib.import_module("run")
+        cg = run.import_cloudgraph()
+    return importlib.import_module("spans"), cg
+
+
+def test_install_wraps_and_uninstall_restores_every_binding(monkeypatch):
+    spans, cg = load_perfbench(monkeypatch)
+    tracer = spans.Tracer()
+    spans.install(tracer, cg)
+    patched = list(tracer._patches)
+    try:
+        wrapped = [getattr(owner, attr) is not original for owner, attr, original in patched]
+    finally:
+        tracer.uninstall()
+    assert patched and all(wrapped)
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_extract_counts_one_edge_list_and_three_statbox_calls_per_graph(
+    monkeypatch, tmp_path, np_rng
+):
+    spans, cg = load_perfbench(monkeypatch)
+    frames = [frame_from_matrix(0, i, np_rng.normal(size=(12, 5))) for i in range(4)]
+    write_frames(frames, tmp_path / "frames.csv")
+    (tmp_path / "run.cfg").write_text(serialize_config(PipelineConfig(K=5, F=2)), encoding="utf-8")
+    tracer = spans.Tracer()
+    spans.install(tracer, cg)
+    try:
+        rc = cg.cli.main(["extract", str(tmp_path / "frames.csv"), "--config",
+                          str(tmp_path / "run.cfg"), "--out", str(tmp_path / "graphs")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    _, _, calls = spans.span_totals(tracer.spans)
+    graphs = calls["pipeline.build_graph"]
+    assert graphs == 3
+    assert calls["pipeline.edges_from_table"] == graphs
+    assert calls["statbox.statbox_array"] == 3 * graphs
+    assert calls["statbox.statbox_columns"] == 2 * graphs
+    assert tracer.counts["pipeline.points_kept"] == 3 * 24

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudgraph.errors import EmptyInput
-from cloudgraph.statbox import STAT_NAMES, statbox, statbox_array, statbox_columns
+from cloudgraph.statbox import STAT_NAMES, statbox_array, statbox_columns
 
 EPS = 1e-12
 
@@ -51,42 +51,47 @@ def rel_close(a, b, tol=1e-9):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def named(values, epsilon=EPS):
+    """statbox_array output keyed by statistic name."""
+    return dict(zip(STAT_NAMES, statbox_array(values, epsilon)))
+
+
 def test_constant_vector():
-    sb = statbox([2, 2, 2, 2])
-    assert sb.mean == 2
-    assert sb.std == 0
-    assert sb.median == 2
-    assert sb.skewness == 0
-    assert sb.kurtosis == 0
-    assert sb.geometric_mean == pytest.approx(2)
-    assert sb.quantile_25 == 2 and sb.quantile_75 == 2
-    assert sb.percentile_25 == 2 and sb.percentile_75 == 2
+    sb = named([2, 2, 2, 2])
+    assert sb["mean"] == 2
+    assert sb["std"] == 0
+    assert sb["median"] == 2
+    assert sb["skewness"] == 0
+    assert sb["kurtosis"] == 0
+    assert sb["geometric_mean"] == pytest.approx(2)
+    assert sb["quantile_25"] == 2 and sb["quantile_75"] == 2
+    assert sb["percentile_25"] == 2 and sb["percentile_75"] == 2
 
 
 def test_one_to_four():
-    sb = statbox([1, 2, 3, 4])
-    assert sb.mean == 2.5
-    assert sb.median == 2.5
-    assert sb.skewness == 0.0  # symmetric
+    sb = named([1, 2, 3, 4])
+    assert sb["mean"] == 2.5
+    assert sb["median"] == 2.5
+    assert sb["skewness"] == 0.0  # symmetric
     # remaining entries frozen from the independent oracle
     expect = oracle_stats([1, 2, 3, 4])
-    got = sb.as_array()
+    got = statbox_array([1, 2, 3, 4])
     assert np.allclose(got, expect, rtol=1e-12, atol=0)
-    assert sb.std == pytest.approx(math.sqrt(1.25), rel=1e-15)
-    assert sb.kurtosis == pytest.approx(1.64, rel=1e-15)
-    assert sb.geometric_mean == pytest.approx(24 ** 0.25, rel=1e-12)
-    assert sb.quantile_25 == 1.75 and sb.quantile_75 == 3.25
-    assert sb.percentile_25 == 1.0 and sb.percentile_75 == 3.0
+    assert sb["std"] == pytest.approx(math.sqrt(1.25), rel=1e-15)
+    assert sb["kurtosis"] == pytest.approx(1.64, rel=1e-15)
+    assert sb["geometric_mean"] == pytest.approx(24 ** 0.25, rel=1e-12)
+    assert sb["quantile_25"] == 1.75 and sb["quantile_75"] == 3.25
+    assert sb["percentile_25"] == 1.0 and sb["percentile_75"] == 3.0
 
 
 def test_empty_raises():
     with pytest.raises(EmptyInput):
-        statbox([])
+        statbox_array([])
 
 
 def test_geometric_mean_signed_clamped():
-    sb = statbox([-1, 2], epsilon=1e-12)
-    assert sb.geometric_mean == pytest.approx(math.sqrt(2), rel=1e-12)
+    sb = named([-1, 2], epsilon=1e-12)
+    assert sb["geometric_mean"] == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
 def test_order_is_the_wire_contract():
@@ -125,28 +130,28 @@ def test_permutation_invariance_exact(v, shuffler):
 @given(finite_vectors, st.floats(min_value=-100, max_value=100))
 @settings(max_examples=100, deadline=None)
 def test_translation_property(v, c):
-    base = statbox(v)
-    shifted = statbox(np.asarray(v) + c)
+    base = named(v)
+    shifted = named(np.asarray(v) + c)
     for name in ("mean", "median", "quantile_25", "quantile_75",
                  "percentile_25", "percentile_75"):
-        assert rel_close(getattr(shifted, name), getattr(base, name) + c)
-    assert rel_close(shifted.std, base.std)
-    if base.std > 1e-3:  # moment ratios only stable away from degeneracy
-        assert rel_close(shifted.skewness, base.skewness, 1e-6)
-        assert rel_close(shifted.kurtosis, base.kurtosis, 1e-6)
+        assert rel_close(shifted[name], base[name] + c)
+    assert rel_close(shifted["std"], base["std"])
+    if base["std"] > 1e-3:  # moment ratios only stable away from degeneracy
+        assert rel_close(shifted["skewness"], base["skewness"], 1e-6)
+        assert rel_close(shifted["kurtosis"], base["kurtosis"], 1e-6)
 
 
 @given(finite_vectors, st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=100, deadline=None)
 def test_scale_property(v, s):
-    base = statbox(v)
-    scaled = statbox(np.asarray(v) * s)
+    base = named(v)
+    scaled = named(np.asarray(v) * s)
     for name in ("mean", "std", "median", "quantile_25", "quantile_75",
                  "percentile_25", "percentile_75"):
-        assert rel_close(getattr(scaled, name), getattr(base, name) * s)
-    if base.std > 1e-3:
-        assert rel_close(scaled.skewness, base.skewness, 1e-6)
-        assert rel_close(scaled.kurtosis, base.kurtosis, 1e-6)
+        assert rel_close(scaled[name], base[name] * s)
+    if base["std"] > 1e-3:
+        assert rel_close(scaled["skewness"], base["skewness"], 1e-6)
+        assert rel_close(scaled["kurtosis"], base["kurtosis"], 1e-6)
 
 
 def test_columns_single_row_degenerates_to_constant_case():

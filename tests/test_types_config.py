@@ -35,6 +35,23 @@ def test_validate_frame_names_offending_point_and_field():
     assert exc.value.field == "v"
 
 
+def test_frame_points_are_a_read_only_n_by_5_copy():
+    mat = np.arange(10.0).reshape(2, 5)
+    frame = RadarFrame(frame_id=0, sequence_id=0, points=mat)
+    from_points = RadarFrame(frame_id=0, sequence_id=0,
+                             points=[RadarPoint(*row) for row in mat])
+    assert frame.points.dtype == np.float64
+    assert np.array_equal(frame.points, mat)
+    assert np.array_equal(from_points.points, mat)
+    assert frame.as_matrix() is frame.points
+    assert not frame.points.flags.writeable
+    mat[0, 0] = 99.0  # the frame holds its own copy
+    assert frame.points[0, 0] == 0.0
+    assert RadarFrame(frame_id=0, sequence_id=0, points=()).points.shape == (0, 5)
+    with pytest.raises(ValueError):
+        RadarFrame(frame_id=0, sequence_id=0, points=np.zeros((3, 4)))
+
+
 def test_validate_empty_frame_is_valid():
     frame = RadarFrame(frame_id=0, sequence_id=0, points=())
     assert validate_frame(frame) is frame
