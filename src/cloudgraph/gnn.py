@@ -16,7 +16,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -133,7 +133,7 @@ def zero_grads(params: ModelParams) -> Dict[str, np.ndarray]:
 
 def _uniform_matrix(rng: SplitMix64, shape: Tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
-    flat = np.array([rng.next_double() for _ in range(int(np.prod(shape)))])
+    flat = rng.doubles(math.prod(shape))
     return ((flat * 2.0 - 1.0) * bound).reshape(shape)
 
 
@@ -269,10 +269,43 @@ def fcn_forward(block: FcnBlock, x) -> np.ndarray:
 # -- attention layer ---------------------------------------------------------
 
 
+class NeighbourTable(NamedTuple):
+    """In-neighbours of every target as an n x k table, k the largest
+    in-degree.  Slots past a target's degree are padding: ``valid`` marks
+    the real ones, or is None when every target has degree k.  ``pos[e]``
+    is the flat slot of input edge e."""
+
+    src: np.ndarray  # n x k source node per slot, 0 in padding
+    pos: np.ndarray  # E
+    valid: Optional[np.ndarray]  # n x k, or None
+
+
+def neighbour_table(edges: np.ndarray, n: int) -> NeighbourTable:
+    """Group a (target, source) edge list by target, keeping input order
+    within each target.  A target-major list of equal degrees, as
+    ``build_graph`` makes, maps to the identity reshape."""
+    tgt = edges[:, 0]
+    E = tgt.shape[0]
+    deg = np.bincount(tgt, minlength=n)
+    k = int(deg.max(initial=0))
+    order = np.argsort(tgt, kind="stable")
+    ordered = tgt[order]
+    pos = np.empty(E, dtype=np.int64)
+    pos[order] = ordered * k + np.arange(E) - (np.cumsum(deg) - deg)[ordered]
+    src = np.zeros(n * k, dtype=np.int64)
+    src[pos] = edges[:, 1]
+    valid = None
+    if E != n * k:
+        valid = np.zeros(n * k, dtype=bool)
+        valid[pos] = True
+        valid = valid.reshape(n, k)
+    return NeighbourTable(src.reshape(n, k), pos, valid)
+
+
 def _gat_forward(
     layer: GatLayer,
     X: np.ndarray,
-    edges: np.ndarray,
+    table: NeighbourTable,
     Xe: Optional[np.ndarray],
     cache=None,
     signs=None,
@@ -292,54 +325,40 @@ def _gat_forward(
     qw1 = Q @ w1
     qw2 = Q @ w2
     z_self = qw1 + qw2  # self logit uses the zero edge-feature vector
-    E = edges.shape[0]
-    if E:
-        tgt = edges[:, 0]
-        src = edges[:, 1]
-        if layer.theta_e is not None:
-            if Xe is None or Xe.shape[1] != layer.theta_e.shape[0]:
-                raise DimensionMismatch("processed edge features do not match theta_e")
-            U = Xe @ layer.theta_e
-            z_e = qw1[tgt] + qw2[src] + U @ w3
-        else:
-            U = None
-            z_e = qw1[tgt] + qw2[src]
-    else:
-        tgt = src = np.zeros(0, dtype=np.int64)
-        U = None
-        z_e = np.zeros(0)
+    E = table.pos.shape[0]
+    Qs = Q[table.src]  # n x k x d source states
+    z_e = qw1[:, None] + qw2[table.src]
+    if layer.theta_e is not None and E:
+        if Xe is None or Xe.shape[1] != layer.theta_e.shape[0]:
+            raise DimensionMismatch("processed edge features do not match theta_e")
+        # w3 . (theta_e^T xe) per edge, without forming the E x d transform
+        z_e.reshape(-1)[table.pos] += Xe @ (layer.theta_e @ w3)
     slope = layer.leaky_slope
     l_self = np.where(z_self > 0, z_self, slope * z_self)
     l_e = np.where(z_e > 0, z_e, slope * z_e)
+    if table.valid is not None:
+        l_e[~table.valid] = -np.inf
     if signs is not None:
         signs.append(z_self > 0)
-        signs.append(z_e > 0)
+        signs.append(z_e > 0 if table.valid is None else (z_e > 0) & table.valid)
     # softmax per target over {self} + neighbors, max-subtracted
-    mx = l_self.copy()
-    if E:
-        np.maximum.at(mx, tgt, l_e)
+    mx = np.maximum(l_self, l_e.max(axis=1, initial=-np.inf))
     exp_self = np.exp(l_self - mx)
-    exp_e = np.exp(l_e - mx[tgt]) if E else np.zeros(0)
-    denom = exp_self.copy()
-    if E:
-        np.add.at(denom, tgt, exp_e)
+    exp_e = np.exp(l_e - mx[:, None])
+    denom = exp_self + exp_e.sum(axis=1)
     a_self = exp_self / denom
-    a_e = exp_e / denom[tgt] if E else np.zeros(0)
+    a_e = exp_e / denom[:, None]
     if training and layer.dropout_rate > 0:
         if rng is None:
             raise ValueError("training-mode dropout requires an rng")
         keep = 1.0 - layer.dropout_rate
-        mask_s = np.array([rng.next_double() < keep for _ in range(n)]) / keep
-        mask_e = np.array([rng.next_double() < keep for _ in range(E)]) / keep
-        a_self = a_self * mask_s
-        a_e = a_e * mask_e
-    out = a_self[:, None] * Q
-    if E:
-        np.add.at(out, tgt, a_e[:, None] * Q[src])
+        a_self = a_self * ((rng.doubles(n) < keep) / keep)
+        a_e.reshape(-1)[table.pos] *= (rng.doubles(E) < keep) / keep
+    out = a_self[:, None] * Q + np.einsum("nk,nkd->nd", a_e, Qs)
     if cache is not None:
         cache.append(
-            dict(X=X, Xe=Xe, Q=Q, U=U, z_self=z_self, z_e=z_e, a_self=a_self, a_e=a_e,
-                 tgt=tgt, src=src)
+            dict(X=X, Xe=Xe, Q=Q, Qs=Qs, z_self=z_self, z_e=z_e, a_self=a_self, a_e=a_e,
+                 table=table)
         )
     return out
 
@@ -349,43 +368,32 @@ def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
     w1 = layer.attn[:d]
     w2 = layer.attn[d : 2 * d]
     w3 = layer.attn[2 * d :]
-    Q, U = c["Q"], c["U"]
-    tgt, src = c["tgt"], c["src"]
+    Q, Qs, table = c["Q"], c["Qs"], c["table"]
     a_self, a_e = c["a_self"], c["a_e"]
-    E = tgt.shape[0]
     slope = layer.leaky_slope
 
-    dQ = a_self[:, None] * G
     da_self = (G * Q).sum(axis=1)
-    if E:
-        Gt = G[tgt]
-        da_e = (Gt * Q[src]).sum(axis=1)
-        np.add.at(dQ, src, a_e[:, None] * Gt)
-    else:
-        da_e = np.zeros(0)
-    dot = a_self * da_self
-    if E:
-        np.add.at(dot, tgt, a_e * da_e)
+    da_e = np.einsum("nd,nkd->nk", G, Qs)
+    dot = a_self * da_self + (a_e * da_e).sum(axis=1)
     dl_self = a_self * (da_self - dot)
-    dl_e = a_e * (da_e - dot[tgt]) if E else np.zeros(0)
+    dl_e = a_e * (da_e - dot[:, None])  # 0 in padding, where a_e is 0
     dz_self = dl_self * np.where(c["z_self"] > 0, 1.0, slope)
-    dz_e = dl_e * np.where(c["z_e"] > 0, 1.0, slope) if E else np.zeros(0)
+    dz_e = dl_e * np.where(c["z_e"] > 0, 1.0, slope)
+    dz_tgt = dz_self + dz_e.sum(axis=1)
 
-    dw1 = dz_self @ Q
-    dw2 = dz_self @ Q
+    dw1 = dz_tgt @ Q
+    dw2 = dz_self @ Q + np.einsum("nk,nkd->d", dz_e, Qs)
     dw3 = np.zeros(d)
-    dQ += dz_self[:, None] * (w1 + w2)
+    dQ = a_self[:, None] * G + dz_self[:, None] * w2 + dz_tgt[:, None] * w1
+    # source side: each slot sends its share back to its source node
+    np.add.at(dQ, table.src, a_e[:, :, None] * G[:, None, :] + dz_e[:, :, None] * w2)
     dXe = None
-    if E:
-        dw1 = dw1 + dz_e @ Q[tgt]
-        dw2 = dw2 + dz_e @ Q[src]
-        np.add.at(dQ, tgt, dz_e[:, None] * w1)
-        np.add.at(dQ, src, dz_e[:, None] * w2)
-        if U is not None:
-            dw3 = dz_e @ U
-            dU = dz_e[:, None] * w3
-            grads[f"{prefix}.theta_e"] += c["Xe"].T @ dU
-            dXe = dU @ layer.theta_e.T
+    if layer.theta_e is not None and table.pos.shape[0]:
+        dz_edge = dz_e.reshape(-1)[table.pos]
+        xe_dz = dz_edge @ c["Xe"]
+        dw3 = xe_dz @ layer.theta_e
+        grads[f"{prefix}.theta_e"] += np.outer(xe_dz, w3)
+        dXe = np.outer(dz_edge, layer.theta_e @ w3)
     grads[f"{prefix}.attn"] += np.concatenate([dw1, dw2, dw3])
     grads[f"{prefix}.theta"] += c["X"].T @ dQ
     dX = dQ @ layer.theta.T
@@ -402,7 +410,7 @@ def gat_forward(layer: GatLayer, node_feats, edges, processed_edge_feats=None) -
         if processed_edge_feats is not None
         else None
     )
-    return _gat_forward(layer, X, ed, Xe)
+    return _gat_forward(layer, X, neighbour_table(ed, X.shape[0]), Xe)
 
 
 # -- frame representation ----------------------------------------------------
@@ -441,7 +449,7 @@ def _rep_forward_batch(
     edges = np.concatenate(
         [g.edges + off for g, off in zip(graphs, offsets)]
     ) if any(g.num_edges for g in graphs) else np.zeros((0, 2), dtype=np.int64)
-    member = np.repeat(np.arange(len(graphs)), counts)
+    table = neighbour_table(edges, node_feats.shape[0])
 
     Xe = None
     if params.h_edge is not None:
@@ -459,7 +467,7 @@ def _rep_forward_batch(
     n_layers = len(params.gat_layers)
     for i, layer in enumerate(params.gat_layers):
         gc = cache["gat"] if cache is not None else None
-        X = _gat_forward(layer, X, edges, Xe, gc, signs, training, rng)
+        X = _gat_forward(layer, X, table, Xe, gc, signs, training, rng)
         if i < n_layers - 1:  # rectifier after every attention layer except the last
             if cache is not None:
                 cache["relu_z"].append(X)
@@ -467,13 +475,9 @@ def _rep_forward_batch(
                 signs.append(X > 0)
             X = np.maximum(X, 0.0)
     # mean pool per graph
-    m = np.zeros((len(graphs), X.shape[1]))
-    np.add.at(m, member, X)
-    m /= counts[:, None]
+    m = np.add.reduceat(X, offsets, axis=0) / counts[:, None]
     if cache is not None:
-        cache["member"] = member
         cache["counts"] = counts
-        cache["pool_in"] = X
     if params.h_frame is not None:
         frame_mat = np.stack([g.frame_features for g in graphs])
         fc = [] if cache is not None else None
@@ -494,9 +498,8 @@ def _rep_backward_batch(params: ModelParams, cache, dRep, grads):
     if params.h_frame is not None:
         dXf = dRep[:, pool_dim:]
         _fcn_backward(params.h_frame, cache["h_frame"], dXf, grads, "h_frame")
-    member = cache["member"]
     counts = cache["counts"]
-    dX = dm[member] / counts[member][:, None]
+    dX = np.repeat(dm / counts[:, None], counts, axis=0)
     dXe_total = None
     n_layers = len(params.gat_layers)
     for i in reversed(range(n_layers)):

@@ -91,10 +91,19 @@ def downsample(
 
 
 def squared_distance_matrix(frame: RadarFrame) -> np.ndarray:
-    """n x n matrix of squared Euclidean distances over (x, y, z) only."""
-    pts = frame.points[:, :3]
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
+    """n x n matrix of squared Euclidean distances over (x, y, z) only.
+
+    Accumulated one coordinate at a time in x, y, z order, so no n x n x 3
+    temporary exists; the sums round exactly as a sum over the last axis of
+    the squared differences would."""
+    pts = frame.points
+    d2 = pts[:, 0, None] - pts[None, :, 0]
+    d2 *= d2
+    d = np.empty_like(d2)
+    for c in (1, 2):
+        np.subtract(pts[:, c, None], pts[None, :, c], out=d)
+        d *= d
+        d2 += d
     np.fill_diagonal(d2, 0.0)
     return d2
 

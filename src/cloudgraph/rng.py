@@ -12,9 +12,18 @@ written out in full here so any port can reproduce the exact streams:
 
 Uniform doubles take the top 53 bits; bounded integers use rejection
 sampling so every value in [0, n) is exactly equally likely.
+
+The state after i steps is seed + i * gamma, so draw i never depends on
+draw i - 1.  ``SplitMix64.doubles`` uses this to compute a run of
+``next_double`` draws as one numpy ``uint64`` expression: the same stream,
+bit for bit, ending in the same state.  Weight initialization and dropout
+masks draw through it; downsampling and the synthetic generator keep the
+scalar calls.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -40,6 +49,17 @@ class SplitMix64:
     def next_double(self) -> float:
         """Uniform in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def doubles(self, count: int) -> np.ndarray:
+        """The next ``count`` draws of ``next_double`` as one float64 array."""
+        with np.errstate(over="ignore"):
+            steps = np.arange(1, count + 1, dtype=np.uint64)
+            z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""

@@ -1,7 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cloudgraph.config import ModelShape, PipelineConfig, mars_sequential_shape
+from cloudgraph.cli import main
+from cloudgraph.config import ModelShape, PipelineConfig, mars_sequential_shape, serialize_config
 from cloudgraph.errors import (
     DimensionMismatch,
     EmptyGraph,
@@ -12,6 +19,9 @@ from cloudgraph.gnn import (
     AffineLayer,
     FcnBlock,
     GatLayer,
+    _gat_backward,
+    _gat_forward,
+    _rep_forward_batch,
     fcn_forward,
     frame_representation,
     frame_representation_batch,
@@ -20,6 +30,7 @@ from cloudgraph.gnn import (
     init_params,
     load_params,
     named_tensors,
+    neighbour_table,
     network_loss,
     predict_framewise,
     predict_sequential,
@@ -178,6 +189,154 @@ def test_gat_attention_rows_sum_to_one(np_rng):
     assert np.allclose(out, 1.0, atol=1e-12)
 
 
+def mixed_degree_edges(rng, n, isolated=()):
+    """Shuffled (target, source) list: random in-degrees from 1 to n - 1,
+    none for the targets in ``isolated``."""
+    edges = []
+    for t in range(n):
+        if t in isolated:
+            continue
+        others = [s for s in range(n) if s != t]
+        deg = int(rng.integers(1, n))
+        edges += [(t, s) for s in rng.choice(others, size=deg, replace=False)]
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return edges[rng.permutation(len(edges))]
+
+
+def test_neighbour_table_of_target_major_list_is_identity(np_rng):
+    g = random_graph(np_rng, n=9, K=4)
+    table = neighbour_table(g.edges, g.num_nodes)
+    assert table.valid is None
+    assert np.array_equal(table.pos, np.arange(g.num_edges))
+    assert np.array_equal(table.src, g.edges[:, 1].reshape(9, 4))
+
+
+def test_gat_shuffled_edges_match_target_major(np_rng):
+    layer = make_gat(np_rng, 5, 4, 3)
+    g = random_graph(np_rng, n=12, K=4)
+    X = np_rng.normal(size=(12, 5))
+    Xe = np_rng.normal(size=(g.num_edges, 3))
+    perm = np_rng.permutation(g.num_edges)
+    ordered = gat_forward(layer, X, g.edges, Xe)
+    shuffled = gat_forward(layer, X, g.edges[perm], Xe[perm])
+    assert np.allclose(shuffled, ordered, atol=1e-12, rtol=0)
+
+
+def test_gat_isolated_targets_and_mixed_degrees_match_reference(np_rng):
+    for _ in range(10):
+        n = 9
+        layer = make_gat(np_rng, 5, 4, 3)
+        X = np_rng.normal(size=(n, 5))
+        edges = mixed_degree_edges(np_rng, n, isolated=(0, 5))
+        table = neighbour_table(edges, n)
+        assert table.valid is not None and not table.valid[[0, 5]].any()
+        Xe = np_rng.normal(size=(len(edges), 3))
+        got = gat_forward(layer, X, edges, Xe)
+        expect = gat_forward_reference(layer, X, edges, Xe)
+        assert np.allclose(got, expect, atol=1e-12, rtol=0)
+        # an isolated target attends only to itself
+        assert np.allclose(got[[0, 5]], (X @ layer.theta)[[0, 5]], atol=1e-14, rtol=0)
+
+
+def test_gat_backward_on_padded_table_matches_finite_differences(np_rng):
+    n, step = 7, 1e-6
+    layer = make_gat(np_rng, 4, 3, 2)
+    X = np_rng.normal(size=(n, 4))
+    edges = mixed_degree_edges(np_rng, n, isolated=(2,))
+    Xe = np_rng.normal(size=(len(edges), 2))
+    table = neighbour_table(edges, n)
+    R = np_rng.normal(size=(n, 3))  # loss = sum(R * out)
+    cache = []
+    _gat_forward(layer, X, table, Xe, cache=cache)
+    grads = {"g.theta": np.zeros_like(layer.theta), "g.theta_e": np.zeros_like(layer.theta_e),
+             "g.attn": np.zeros_like(layer.attn)}
+    dX, dXe = _gat_backward(layer, cache[0], R, grads, "g")
+    analytic = {"theta": grads["g.theta"], "theta_e": grads["g.theta_e"],
+                "attn": grads["g.attn"], "X": dX, "Xe": dXe}
+    tensors = {"theta": layer.theta, "theta_e": layer.theta_e, "attn": layer.attn,
+               "X": X, "Xe": Xe}
+    for name, tensor in tensors.items():
+        flat = tensor.reshape(-1)
+        numeric = np.zeros(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = float((R * _gat_forward(layer, X, table, Xe)).sum())
+            flat[i] = orig - step
+            down = float((R * _gat_forward(layer, X, table, Xe)).sum())
+            flat[i] = orig
+            numeric[i] = (up - down) / (2 * step)
+        assert np.allclose(analytic[name].reshape(-1), numeric, rtol=1e-5, atol=1e-7), name
+
+
+def test_training_dropout_masks_follow_the_scalar_stream(np_rng):
+    n = 8
+    layer = make_gat(np_rng, 5, 4, 3)
+    layer.dropout_rate = 0.4
+    keep = 1.0 - layer.dropout_rate
+    X = np_rng.normal(size=(n, 5))
+    edges = mixed_degree_edges(np_rng, n, isolated=(3,))
+    E = len(edges)
+    Xe = np_rng.normal(size=(E, 3))
+    table = neighbour_table(edges, n)
+    plain, dropped = [], []
+    _gat_forward(layer, X, table, Xe, cache=plain)
+    rng = SplitMix64(99)
+    _gat_forward(layer, X, table, Xe, cache=dropped, training=True, rng=rng)
+    # n self draws, then E edge draws in input edge order
+    scalar = SplitMix64(99)
+    mask_self = np.array([scalar.next_double() < keep for _ in range(n)]) / keep
+    mask_edge = np.array([scalar.next_double() < keep for _ in range(E)]) / keep
+    assert 0 < np.count_nonzero(mask_edge) < E
+    assert np.array_equal(dropped[0]["a_self"], plain[0]["a_self"] * mask_self)
+    in_edge_order = [c[0]["a_e"].reshape(-1)[table.pos] for c in (plain, dropped)]
+    assert np.array_equal(in_edge_order[1], in_edge_order[0] * mask_edge)
+    assert rng.next_u64() == scalar.next_u64()
+    with pytest.raises(ValueError):
+        _gat_forward(layer, X, table, Xe, training=True, rng=None)
+
+
+def test_training_batch_draws_n_plus_e_per_attention_layer(np_rng):
+    params, cfg = small_params()
+    graphs = [random_graph(np_rng, n=n, cfg=cfg) for n in (3, 9)]
+    rng = SplitMix64(5)
+    _rep_forward_batch(params, graphs, training=True, rng=rng)
+    draws = sum(g.num_nodes + g.num_edges for g in graphs) * len(params.gat_layers)
+    scalar = SplitMix64(5)
+    for _ in range(draws):
+        scalar.next_double()
+    assert rng.next_u64() == scalar.next_u64()
+
+
+def test_attention_output_identical_across_blas_threads():
+    script = (
+        "import hashlib, numpy as np\n"
+        "from cloudgraph.config import PipelineConfig, mars_sequential_shape\n"
+        "from cloudgraph.gnn import init_params, _rep_forward_batch, predict_sequential\n"
+        "from cloudgraph.pipeline import build_graph\n"
+        "from cloudgraph.rng import SplitMix64\n"
+        "from cloudgraph.types import frame_from_matrix\n"
+        "cfg = PipelineConfig(K=20)\n"
+        "params = init_params(mars_sequential_shape(13, 0), cfg, SplitMix64(0))\n"
+        "r = np.random.default_rng(3)\n"
+        "graphs = [build_graph([frame_from_matrix(0, i, r.normal(size=(n, 5)))], cfg)\n"
+        "          for i, n in enumerate((96, 12, 64))]\n"
+        "rep = _rep_forward_batch(params, graphs)\n"
+        "out = predict_sequential(params, graphs).keypoints\n"
+        "print(hashlib.sha256(rep.tobytes() + out.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
 # -- frame representation ----------------------------------------------------
 
 
@@ -196,6 +355,19 @@ def test_representation_batched_equals_unbatched(np_rng):
     for i, g in enumerate(graphs):
         single = frame_representation(params, g)
         assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
+
+
+def test_representation_batch_mixes_degrees(np_rng):
+    # n = 1 and n = 3 graphs have k = 0 and 2 < K, so the batch table is padded
+    params, cfg = small_params()
+    sizes = (3, 12, 1, 7)
+    graphs = [random_graph(np_rng, n=n, cfg=cfg) for n in sizes]
+    offsets = np.cumsum((0,) + sizes[:-1])
+    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
+    assert neighbour_table(edges, sum(sizes)).valid is not None
+    batch = frame_representation_batch(params, graphs)
+    for i, g in enumerate(graphs):
+        assert np.allclose(batch[i], frame_representation(params, g), atol=1e-12, rtol=0)
 
 
 def test_representation_rejects_empty(np_rng):
@@ -410,6 +582,26 @@ def test_init_deterministic():
         assert np.array_equal(a[k], b[k])
     c = named_tensors(init_params(SMALL_SHAPE, cfg, SplitMix64(78)))
     assert any(not np.array_equal(a[k], c[k]) for k in a)
+
+
+@pytest.mark.parametrize(
+    "shape, digest",
+    [
+        (ModelShape(), "ea4d9a19efdaf8a301593e0beda5dcc967d0b2b8f52e3fa27d65723e6023f35e"),
+        (mars_sequential_shape(13, 0),
+         "48361777a4ea3d8b686ba747f40c3e6a25af735fbbbbd76a547e54967eb7d3c3"),
+    ],
+    ids=["default", "mars_sequential"],
+)
+def test_init_weights_file_is_pinned(tmp_path, shape, digest):
+    # the weights written for seed 0 are fixed: any change to the RNG
+    # stream or the draw order of init_params changes this digest
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(PipelineConfig(), shape), encoding="utf-8")
+    out = tmp_path / "w.bin"
+    assert main(["init-weights", "--config", str(cfg_path), "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_init_respects_feature_flags():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,19 @@ def test_distance_matrix_3_4_5():
 def test_distance_matrix_matches_naive_bit_exact(np_rng):
     frame = random_frame(np_rng, 10)
     assert np.array_equal(squared_distance_matrix(frame), naive_squared_distance_matrix(frame))
+
+
+def test_distance_matrix_peak_memory_below_three_n_by_n(np_rng):
+    # the result and one n x n coordinate buffer; no n x n x 3 difference array
+    n = 512
+    frame = random_frame(np_rng, n)
+    tracemalloc.start()
+    try:
+        squared_distance_matrix(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
 
 
 def test_knn_colinear():

@@ -1,5 +1,7 @@
 import numpy as np
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudgraph.rng import SplitMix64, derive_seed, seeded_rng
 
@@ -57,3 +59,29 @@ def test_derive_seed_distinguishes_frames():
     assert len(seeds) == 100
     assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+
+
+def test_known_answer_vectors():
+    # the reference outputs of splitmix64.c (Vigna) for seed 1234567
+    rng = SplitMix64(1234567)
+    assert [rng.next_u64() for _ in range(5)] == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    count=st.integers(0, 2000),
+)
+def test_doubles_equal_next_double_stream(seed, count):
+    vector, scalar = SplitMix64(seed), SplitMix64(seed)
+    draws = vector.doubles(count)
+    assert draws.dtype == np.float64 and draws.shape == (count,)
+    assert np.array_equal(draws, [scalar.next_double() for _ in range(count)])
+    # the state advanced by exactly count steps
+    assert vector.next_u64() == scalar.next_u64()
