@@ -28,6 +28,7 @@ from .errors import (
     IdMismatch,
     ManifestMismatch,
     ParseError,
+    ShapeMismatch,
 )
 from .gnn import init_params, load_params, predict_framewise, predict_sequential, save_params
 from .metrics import ActivityLabel, PoseBatch, activity_report, pose_report
@@ -145,23 +146,23 @@ def cmd_eval(args) -> int:
     if args.task == "pose":
         preds = formats.read_skeletons(args.predictions, mid_hip)
         gts = formats.read_skeletons(args.ground_truth, mid_hip)
-        keys = sorted(preds)
-        missing = [k for k in keys if k not in gts]
-        if missing:
-            raise IdMismatch(f"no ground truth for ids {missing[:5]}")
-        batch = PoseBatch([preds[k] for k in keys], [gts[k] for k in keys])
-        report = pose_report(batch, per_keypoint=args.per_keypoint)
     else:
         preds = formats.read_scores(args.predictions)
         gts = formats.read_labels(args.ground_truth)
-        keys = sorted(preds)
-        missing = [k for k in keys if k not in gts]
-        if missing:
-            raise IdMismatch(f"no ground truth for ids {missing[:5]}")
-        num_classes = len(next(iter(preds.values())))
-        rows = [preds[k] for k in keys]
+    keys = sorted(preds)
+    if not keys:
+        raise ShapeMismatch(f"{args.predictions}: no predictions")
+    missing = [k for k in keys if k not in gts]
+    if missing:
+        raise IdMismatch(f"no ground truth for ids {missing[:5]}")
+    coverage = len(keys) / len(gts)
+    if args.task == "pose":
+        batch = PoseBatch([preds[k] for k in keys], [gts[k] for k in keys])
+        report = pose_report(batch, per_keypoint=args.per_keypoint, coverage=coverage)
+    else:
+        num_classes = len(preds[keys[0]])
         labels = [ActivityLabel(gts[k], num_classes) for k in keys]
-        report = activity_report(rows, labels)
+        report = activity_report([preds[k] for k in keys], labels, coverage=coverage)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
     sys.stdout.write(report)

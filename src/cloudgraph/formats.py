@@ -2,7 +2,10 @@
 
 Text files carry round-trip-exact decimal floats (``repr``); the binary
 graph records (little-endian 64-bit floats, row-major, dimension header)
-are the source of truth and every reader checks the format version.
+are the source of truth and every reader checks the format version.  The
+``.txt`` debug dump next to each record stays ``repr``-exact: it is
+formatted with ``%r`` one section at a time, and every value reads back bit
+for bit with ``float``.
 """
 
 from __future__ import annotations
@@ -97,11 +100,15 @@ def write_skeletons(
 
 
 def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
+    """Skeletons by (sequence, frame) id.  Every id must list keypoint
+    indices 0..M-1, each once and in any order, with one M for the whole
+    file; otherwise ParseError names the id."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0].strip() != SKELETON_HEADER:
         raise ParseError(1, f"expected header {SKELETON_HEADER!r}")
     acc: Dict[Tuple[int, int], List[Tuple[int, List[float]]]] = {}
+    first_line: Dict[Tuple[int, int], int] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -115,11 +122,20 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
         except ValueError:
             raise ParseError(lineno, "bad skeleton value") from None
         acc.setdefault((seq, fid), []).append((k, xyz))
+        first_line.setdefault((seq, fid), lineno)
     out: Dict[Tuple[int, int], Skeleton] = {}
+    num_keypoints = None
     for key, rows in acc.items():
-        rows.sort()
-        kp = np.array([xyz for _, xyz in rows])
-        out[key] = Skeleton(kp, mid_hip_index)
+        rows.sort(key=lambda row: row[0])
+        m = len(rows)
+        name = f"sequence {key[0]} frame {key[1]}"
+        if [k for k, _ in rows] != list(range(m)):
+            raise ParseError(first_line[key], f"{name}: keypoint indices are not 0..{m - 1}, each once")
+        if num_keypoints is None:
+            num_keypoints = m
+        elif m != num_keypoints:
+            raise ParseError(first_line[key], f"{name}: {m} keypoints, expected {num_keypoints}")
+        out[key] = Skeleton(np.array([xyz for _, xyz in rows]), mid_hip_index)
     return out
 
 
@@ -136,15 +152,20 @@ def write_scores(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
 
 
 def read_scores(path) -> Dict[Tuple[int, int], np.ndarray]:
+    """Score vectors by (sequence, frame) id; every row must have as many
+    fields as the header."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith(SCORES_HEADER_PREFIX):
         raise ParseError(1, "expected a scores header")
+    width = len(lines[0].split(","))
     out: Dict[Tuple[int, int], np.ndarray] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
             continue
         parts = line.split(",")
+        if len(parts) != width:
+            raise ParseError(lineno, f"expected {width} fields, got {len(parts)}")
         try:
             seq, fid = int(parts[0]), int(parts[1])
             vals = np.array([float(p) for p in parts[2:]])
@@ -240,24 +261,32 @@ def read_graph_record(path) -> PointGraph:
         )
 
 
+def _write_rows(fh, matrix: np.ndarray, spec: str) -> None:
+    """One ``"  v v ...\n"`` line per row of a 2-D array, each value
+    formatted by ``spec``: one ``%`` call over the whole matrix."""
+    row = "  " + " ".join([spec] * matrix.shape[1]) + "\n"
+    fh.write((row * matrix.shape[0]) % tuple(matrix.ravel().tolist()))
+
+
 def write_graph_debug_dump(graph: PointGraph, path) -> None:
-    """Human-readable equivalent of the binary record."""
+    """Human-readable equivalent of the binary record, ``repr``-exact.
+
+    Each section is one ``%`` call and one write, so no string of the whole
+    file is built.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"sequence_id = {graph.sequence_id}\n")
         fh.write(f"frame_id = {graph.frame_id}\n")
         fh.write(f"nodes = {graph.num_nodes}\n")
         fh.write(f"edges = {graph.num_edges}\n")
         fh.write("node_features:\n")
-        for row in graph.node_features:
-            fh.write("  " + " ".join(_f(v) for v in row) + "\n")
+        _write_rows(fh, graph.node_features, "%r")
         fh.write("edge_list:\n")
-        for t, s in graph.edges:
-            fh.write(f"  {t} {s}\n")
+        _write_rows(fh, graph.edges, "%d")
         fh.write("edge_features:\n")
-        for row in graph.edge_features:
-            fh.write("  " + " ".join(_f(v) for v in row) + "\n")
+        _write_rows(fh, graph.edge_features, "%r")
         fh.write("frame_features:\n")
-        fh.write("  " + " ".join(_f(v) for v in graph.frame_features) + "\n")
+        _write_rows(fh, graph.frame_features[None, :], "%r")
 
 
 # -- manifest ----------------------------------------------------------------

@@ -9,7 +9,7 @@ mirrored skeletons are never rewarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -184,15 +184,22 @@ def accuracy(score_rows: Sequence, labels: Sequence[ActivityLabel]) -> float:
     return hits / len(labels)
 
 
-def pose_report(batch: PoseBatch, per_keypoint: bool = False) -> str:
-    """Text table: MPJPE / PA-MPJPE in mm, RMSE / MAE in cm."""
+def _coverage_lines(coverage: Optional[float]) -> List[str]:
+    return [] if coverage is None else [f"coverage        {coverage:.6f}"]
+
+
+def pose_report(
+    batch: PoseBatch, per_keypoint: bool = False, coverage: Optional[float] = None
+) -> str:
+    """Text table: MPJPE / PA-MPJPE in mm, RMSE / MAE in cm, and, when
+    given, the share of ground-truth ids that have a prediction."""
     lines = [
         "metric          value",
         f"mpjpe_mm        {mpjpe(batch) * 1000.0:.6f}",
         f"pa_mpjpe_mm     {pa_mpjpe(batch) * 1000.0:.6f}",
         f"rmse_cm         {rmse(batch) * 100.0:.6f}",
         f"mae_cm          {mae(batch) * 100.0:.6f}",
-    ]
+    ] + _coverage_lines(coverage)
     if per_keypoint:
         pk = per_keypoint_errors(batch)
         lines.append("keypoint  mae_cm  rmse_cm")
@@ -201,9 +208,11 @@ def pose_report(batch: PoseBatch, per_keypoint: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def activity_report(score_rows: Sequence, labels: Sequence[ActivityLabel]) -> str:
+def activity_report(
+    score_rows: Sequence, labels: Sequence[ActivityLabel], coverage: Optional[float] = None
+) -> str:
     lines = [
         "metric          value",
         f"accuracy        {accuracy(score_rows, labels):.6f}",
-    ]
+    ] + _coverage_lines(coverage)
     return "\n".join(lines) + "\n"

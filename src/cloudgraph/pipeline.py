@@ -113,15 +113,31 @@ def knn_edges(d2: np.ndarray, K: int) -> np.ndarray:
     source indices of target j, ascending by distance, ties broken by lower
     source index.
 
-    One stable sort orders every row; removing j from its own row afterwards
-    keeps the tie rule even when other points coincide with j.
+    Partial selection, not a full sort: ``argpartition`` picks the k+1
+    smallest entries of each row, which are then ordered by (distance,
+    index).  Where the (k+1)-th value ties an entry left out, the selection
+    is not unique, so those rows alone take a full stable sort.  Self is
+    then removed from each row, or the last candidate when k+1 points
+    coincide with j at lower indices; the tie rule is the one a stable sort
+    of every row would give.
     """
     n = d2.shape[0]
     if K < 1:
         raise ValueError("K must be >= 1")
-    order = np.argsort(d2, axis=1, kind="stable")
-    others = order[order != np.arange(n)[:, None]].reshape(n, max(n - 1, 0))
-    return others[:, : min(K, n - 1)].astype(np.int64, copy=False)
+    if n == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    k = min(K, n - 1)
+    cand = np.argpartition(d2, k, axis=1)[:, : k + 1].copy()  # frees the n x n result
+    bound = np.take_along_axis(d2, cand[:, k:], axis=1)  # the (k+1)-th smallest
+    ties = np.count_nonzero(d2 <= bound, axis=1) > k + 1
+    if ties.any():
+        cand[ties] = np.argsort(d2[ties], axis=1, kind="stable")[:, : k + 1]
+    cand.sort(axis=1)
+    vals = np.take_along_axis(d2, cand, axis=1)
+    cand = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    drop = cand == np.arange(n)[:, None]
+    drop[~drop.any(axis=1), -1] = True
+    return cand[~drop].reshape(n, k).astype(np.int64, copy=False)
 
 
 def edges_from_table(table: np.ndarray) -> np.ndarray:

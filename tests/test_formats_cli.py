@@ -13,7 +13,7 @@ from cloudgraph.synthetic import (
     generate,
     joint_positions,
 )
-from cloudgraph.types import RadarFrame, Skeleton, frame_from_matrix
+from cloudgraph.types import PointGraph, RadarFrame, Skeleton, frame_from_matrix
 
 from conftest import random_frame
 
@@ -141,6 +141,72 @@ def test_graph_record_bad_version(tmp_path, np_rng):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatVersionError):
         formats.read_graph_record(path)
+
+
+def repr_dump(g):
+    """The debug dump written value by value with ``repr``."""
+    def rows(matrix):
+        return "".join("  " + " ".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+
+    return (
+        f"sequence_id = {g.sequence_id}\nframe_id = {g.frame_id}\n"
+        f"nodes = {g.num_nodes}\nedges = {g.num_edges}\n"
+        "node_features:\n" + rows(g.node_features)
+        + "edge_list:\n" + "".join(f"  {t} {s}\n" for t, s in g.edges.tolist())
+        + "edge_features:\n" + rows(g.edge_features)
+        + "frame_features:\n" + rows([g.frame_features])
+    )
+
+
+def parse_dump(text):
+    """Header ints and the value rows of each section of a debug dump."""
+    lines = text.split("\n")
+    assert lines[-1] == ""
+    header = {key: int(value) for key, value in (line.split(" = ") for line in lines[:4])}
+    sections = {}
+    for line in lines[4:-1]:
+        if line.endswith(":"):
+            rows = sections[line[:-1]] = []
+        else:
+            assert line.startswith("  ")
+            rows.append(line[2:].split())
+    return header, sections
+
+
+def assert_bits_equal(rows, matrix, width):
+    parsed = np.array([[float(v) for v in row] for row in rows], dtype=np.float64).reshape(-1, width)
+    assert parsed.shape == matrix.shape
+    assert np.array_equal(parsed.view(np.uint64), matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 60])
+def test_graph_debug_dump_reads_back_bit_exact(tmp_path, np_rng, n):
+    g = build_graph([random_frame(np_rng, n, sequence_id=2, frame_id=5, scale=1e3)],
+                    PipelineConfig(K=6))
+    assert g.num_edges == n * min(6, n - 1)
+    formats.write_graph_record(g, tmp_path / "g.bin")
+    formats.write_graph_debug_dump(g, tmp_path / "g.txt")
+    record = formats.read_graph_record(tmp_path / "g.bin")
+    text = (tmp_path / "g.txt").read_text(encoding="utf-8")
+    assert text == repr_dump(record)
+    header, sections = parse_dump(text)
+    assert header == {"sequence_id": 2, "frame_id": 5, "nodes": n, "edges": g.num_edges}
+    assert_bits_equal(sections["node_features"], record.node_features, 19)
+    assert_bits_equal(sections["edge_features"], record.edge_features, 6)
+    assert_bits_equal(sections["frame_features"], record.frame_features[None, :], 380)
+    edges = np.array([[int(v) for v in row] for row in sections["edge_list"]], dtype=np.int64)
+    assert np.array_equal(edges.reshape(-1, 2), record.edges)
+
+
+def test_graph_debug_dump_extreme_values_and_empty_widths(tmp_path):
+    # signed zero, subnormals, huge and non-finite values, zero-width sections
+    values = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, np.inf, -np.inf, np.nan]
+    g = PointGraph(sequence_id=0, frame_id=1, node_features=np.array([values, values[::-1]]),
+                   edges=[[0, 1], [1, 0]], edge_features=np.zeros((2, 0)), frame_features=[])
+    formats.write_graph_debug_dump(g, tmp_path / "g.txt")
+    text = (tmp_path / "g.txt").read_text(encoding="utf-8")
+    assert text == repr_dump(g)
+    assert text.endswith("edge_list:\n  0 1\n  1 0\nedge_features:\n  \n  \nframe_features:\n  \n")
 
 
 def test_manifest_round_trip_and_version(tmp_path):
@@ -335,6 +401,69 @@ def test_cli_eval_activity(tmp_path, capsys):
     assert main(["eval", str(s_path), str(l_path), "--task", "activity"]) == 0
     out = capsys.readouterr().out
     assert "accuracy        0.500000" in out
+
+
+def test_cli_eval_reports_coverage(tmp_path, capsys, np_rng):
+    gts = [(0, f, Skeleton(np_rng.normal(size=(4, 3)), 0)) for f in range(4)]
+    p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
+    formats.write_skeletons(gts[:3], p_path)
+    formats.write_skeletons(gts, g_path)
+    assert main(["eval", str(p_path), str(g_path), "--task", "pose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "metric          value"
+    assert lines[1].startswith("mpjpe_mm        ")
+    assert lines[5] == "coverage        0.750000"
+
+    scores = [(0, 0, np.array([3.0, 0.0])), (0, 1, np.array([0.0, 3.0]))]
+    formats.write_scores(scores, p_path)
+    formats.write_labels([(0, 0, 0), (0, 1, 0), (0, 2, 1), (1, 0, 1), (1, 1, 0)], g_path)
+    assert main(["eval", str(p_path), str(g_path), "--task", "activity"]) == 0
+    assert capsys.readouterr().out == (
+        "metric          value\naccuracy        0.500000\ncoverage        0.400000\n"
+    )
+
+
+def test_cli_eval_no_predictions_exit_7(tmp_path, caplog):
+    p_path, g_path = tmp_path / "s.csv", tmp_path / "l.csv"
+    formats.write_scores([], p_path)
+    formats.write_labels([(0, 0, 1)], g_path)
+    assert main(["eval", str(p_path), str(g_path), "--task", "activity"]) == 7
+    assert "no predictions" in caplog.text
+
+
+@pytest.mark.parametrize("row", ["1,3", "0,1,0.5,0.5", "0,1,0.1,0.2,0.3,0.4"])
+def test_cli_eval_score_row_width_exit_2(tmp_path, caplog, row):
+    p_path, g_path = tmp_path / "s.csv", tmp_path / "l.csv"
+    p_path.write_text("sequence_id,frame_id,score_0,score_1,score_2\n"
+                      f"0,0,0.1,0.2,0.7\n{row}\n", encoding="utf-8")
+    formats.write_labels([(0, 0, 2), (0, 1, 0), (1, 3, 0)], g_path)
+    assert main(["eval", str(p_path), str(g_path), "--task", "activity"]) == 2
+    assert f"line 3: expected 5 fields, got {row.count(',') + 1}" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "keypoints, message",
+    [
+        ((0, 1, 1), "line 5: sequence 0 frame 1: keypoint indices are not 0..2, each once"),
+        ((0, 2, 3), "line 5: sequence 0 frame 1: keypoint indices are not 0..2, each once"),
+        ((1, 2, 0), None),
+        ((0, 1), "line 5: sequence 0 frame 1: 2 keypoints, expected 3"),
+        ((0, 1, 2, 3), "line 5: sequence 0 frame 1: 4 keypoints, expected 3"),
+    ],
+)
+def test_cli_eval_skeleton_keypoint_indices_exit_2(tmp_path, caplog, keypoints, message):
+    rows = [(0, 0, k) for k in range(3)] + [(0, 1, k) for k in keypoints]
+    text = "".join(f"{s},{f},{k},{k}.0,{k * k}.0,{k % 2}.0\n" for s, f, k in rows)
+    p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
+    p_path.write_text(formats.SKELETON_HEADER + "\n" + text, encoding="utf-8")
+    g_path.write_text(formats.SKELETON_HEADER + "\n" + text, encoding="utf-8")
+    rc = main(["eval", str(p_path), str(g_path), "--task", "pose"])
+    if message is None:  # any order of 0..M-1 is accepted
+        assert rc == 0
+        assert np.array_equal(formats.read_skeletons(p_path, 0)[(0, 1)].keypoints[:, 0], [0, 1, 2])
+    else:
+        assert rc == 2
+        assert message in caplog.text
 
 
 def test_cli_parse_error_exit_2(tmp_path):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudgraph.config import PipelineConfig
 from cloudgraph.errors import EmptyInput, NonConsecutiveFrames, SequenceMismatch
@@ -188,6 +190,32 @@ def test_knn_matches_sort_oracle(np_rng):
             got = knn_edges(d2, K)
             expect = naive_knn(frame, K)
             assert np.array_equal(got, expect)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_knn_matches_oracle_on_grid_clouds_with_ties(data, n):
+    # coordinates on a small integer grid: coincident points and many equal
+    # distances, so the (k+1)-th distance often ties an entry left out
+    coords = data.draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * 3), min_size=n, max_size=n))
+    K = data.draw(st.integers(1, n + 2))
+    frame = frame_of(coords)
+    assert np.array_equal(knn_edges(squared_distance_matrix(frame), K), naive_knn(frame, K))
+
+
+def test_knn_peak_memory_below_one_and_a_half_n_by_n(np_rng):
+    # one n x n index array from argpartition, freed before the tie check;
+    # a full argsort with a self mask peaks above 2 n x n x 8 bytes
+    n = 512
+    d2 = squared_distance_matrix(random_frame(np_rng, n))
+    tracemalloc.start()
+    try:
+        knn_edges(d2, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 def test_edge_count_invariant(np_rng):
