@@ -1,4 +1,4 @@
-"""Command-line surface: extract, infer, eval, gen-synthetic, bench.
+"""Command-line surface: extract, infer, eval, gen-synthetic, init-weights.
 
 Exit codes: 0 success, 2 parse error, 3 I/O error, 4 weights/format
 mismatch, 5 id mismatch, 6 config error, 7 other pipeline/model error.
@@ -16,10 +16,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import formats
-from .bench import bench_report, run_bench
 from .config import load_config, serialize_config
 from .errors import (
     CloudGraphError,
@@ -41,14 +38,24 @@ log = logging.getLogger("cloudgraph")
 
 
 def _windows(frames, F):
-    """Full fusion windows per sequence: frame i consumes frames i-F+1..i."""
+    """Full fusion windows per sequence: frame i consumes frames i-F+1..i.
+
+    A window whose frame ids are not consecutive spans a gap and is
+    dropped, so the windows start again after each gap.  Returns the
+    windows kept and the number dropped.
+    """
     by_seq: dict = {}
     for f in frames:
         by_seq.setdefault(f.sequence_id, []).append(f)
+    kept, dropped = [], 0
     for seq_frames in by_seq.values():
         for i in range(F - 1, len(seq_frames)):
             window = seq_frames[i - F + 1 : i + 1]
-            yield window
+            if all(b.frame_id == a.frame_id + 1 for a, b in zip(window, window[1:])):
+                kept.append(window)
+            else:
+                dropped += 1
+    return kept, dropped
 
 
 def cmd_extract(args) -> int:
@@ -64,7 +71,8 @@ def cmd_extract(args) -> int:
     n_points_out = 0
     n_edges = 0
     skipped = 0
-    for window in _windows(frames, pipeline_cfg.F):
+    windows, dropped_gap = _windows(frames, pipeline_cfg.F)
+    for window in windows:
         graph = build_graph(window, pipeline_cfg)
         if graph.num_nodes == 0:
             log.info(
@@ -86,6 +94,7 @@ def cmd_extract(args) -> int:
         "frames_in": len(frames),
         "graphs_out": n_graphs,
         "frames_skipped_empty": skipped,
+        "windows_dropped_gap": dropped_gap,
         "points_in": n_points_in,
         "points_out": n_points_out,
         "edges": n_edges,
@@ -189,19 +198,6 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    pipeline_cfg, _ = load_config(args.config)
-    if args.seed is not None:
-        pipeline_cfg = replace(pipeline_cfg, seed=args.seed)
-    frames = formats.read_frames(args.input)
-    rows = run_bench(frames, pipeline_cfg)
-    report = bench_report(rows)
-    if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
-    sys.stdout.write(report)
-    return 0
-
-
 def cmd_init_weights(args) -> int:
     """Convenience: seeded random weights for the configured model shape."""
     pipeline_cfg, shape = load_config(args.config)
@@ -251,13 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_synthetic)
-
-    p = sub.add_parser("bench", help="stage timings and shared-vs-naive speedup")
-    p.add_argument("input")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("init-weights", help="seeded random weights for the config's model shape")
     p.add_argument("--config", required=True)

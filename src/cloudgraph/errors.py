@@ -42,6 +42,10 @@ class HeadShapeMismatch(CloudGraphError):
     """Prediction head output width does not match the requested head type."""
 
 
+class NonFiniteOutput(CloudGraphError):
+    """The forward pass produced a NaN or infinite prediction."""
+
+
 class ManifestMismatch(CloudGraphError):
     """A weights file does not match the expected named-tensor manifest."""
 

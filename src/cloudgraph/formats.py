@@ -10,6 +10,7 @@ for bit with ``float``.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -102,7 +103,8 @@ def write_skeletons(
 def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
     """Skeletons by (sequence, frame) id.  Every id must list keypoint
     indices 0..M-1, each once and in any order, with one M for the whole
-    file; otherwise ParseError names the id."""
+    file; otherwise ParseError names the id.  A NaN or infinite coordinate
+    is a ParseError naming its line."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0].strip() != SKELETON_HEADER:
@@ -121,6 +123,8 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
             xyz = [float(p) for p in parts[3:]]
         except ValueError:
             raise ParseError(lineno, "bad skeleton value") from None
+        if not all(map(math.isfinite, xyz)):
+            raise ParseError(lineno, "non-finite skeleton value")
         acc.setdefault((seq, fid), []).append((k, xyz))
         first_line.setdefault((seq, fid), lineno)
     out: Dict[Tuple[int, int], Skeleton] = {}
@@ -153,7 +157,7 @@ def write_scores(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
 
 def read_scores(path) -> Dict[Tuple[int, int], np.ndarray]:
     """Score vectors by (sequence, frame) id; every row must have as many
-    fields as the header."""
+    fields as the header, all of them finite."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith(SCORES_HEADER_PREFIX):
         raise ParseError(1, "expected a scores header")
@@ -171,6 +175,8 @@ def read_scores(path) -> Dict[Tuple[int, int], np.ndarray]:
             vals = np.array([float(p) for p in parts[2:]])
         except ValueError:
             raise ParseError(lineno, "bad score value") from None
+        if not np.isfinite(vals).all():
+            raise ParseError(lineno, "non-finite score value")
         out[(seq, fid)] = vals
     return out
 
@@ -233,7 +239,9 @@ def write_graph_record(graph: PointGraph, path) -> None:
 
 def read_graph_record(path) -> PointGraph:
     """Read one record.  The file must hold exactly the bytes its header
-    implies; a truncated or overlong record raises FormatVersionError."""
+    implies, every feature value must be finite, and every edge must join
+    two distinct nodes of the graph; otherwise FormatVersionError names the
+    file."""
     with open(path, "rb") as fh:
         header = fh.read(_GRAPH_HEADER.size)
         if header[:4] != GRAPH_MAGIC:
@@ -251,6 +259,10 @@ def read_graph_record(path) -> PointGraph:
         edges = np.frombuffer(fh.read(4 * e * 2), dtype="<u4").reshape(e, 2).astype(np.int64)
         efeat = np.frombuffer(fh.read(8 * e * de), dtype="<f8").reshape(e, de)
         ffeat = np.frombuffer(fh.read(8 * df), dtype="<f8")
+    for section, values in (("node", nodes), ("edge", efeat), ("frame", ffeat)):
+        if not np.isfinite(values).all():
+            raise FormatVersionError(f"{path}: non-finite value in the {section} features")
+    try:
         return PointGraph(
             sequence_id=seq,
             frame_id=fid,
@@ -259,6 +271,8 @@ def read_graph_record(path) -> PointGraph:
             edge_features=efeat.astype(np.float64),
             frame_features=ffeat.astype(np.float64),
         )
+    except ValueError as err:
+        raise FormatVersionError(f"{path}: {err}") from None
 
 
 def _write_rows(fh, matrix: np.ndarray, spec: str) -> None:

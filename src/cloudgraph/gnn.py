@@ -27,6 +27,7 @@ from .errors import (
     HeadShapeMismatch,
     ManifestMismatch,
     MissingRecurrentParams,
+    NonFiniteOutput,
 )
 from .rng import SplitMix64
 from .types import PointGraph, Skeleton
@@ -528,12 +529,20 @@ def frame_representation_batch(params: ModelParams, graphs: Sequence[PointGraph]
 # -- prediction heads --------------------------------------------------------
 
 
-def _head_output(params: ModelParams, vec: np.ndarray) -> Union[Skeleton, np.ndarray]:
+def _head_output(
+    params: ModelParams, vec: np.ndarray, graph: PointGraph
+) -> Union[Skeleton, np.ndarray]:
+    """Shape the h_pred output for the head; ``graph`` is the frame the
+    prediction is reported under."""
     shape = params.shape
     expected = head_output_dim(shape)
     if vec.shape[-1] != expected:
         raise HeadShapeMismatch(
             f"prediction width {vec.shape[-1]}, head expects {expected}"
+        )
+    if not np.isfinite(vec).all():
+        raise NonFiniteOutput(
+            f"non-finite prediction for sequence {graph.sequence_id} frame {graph.frame_id}"
         )
     if shape.head == "pose":
         return Skeleton(vec.reshape(shape.output_size, 3), shape.mid_hip_index)
@@ -545,7 +554,7 @@ def predict_framewise(params: ModelParams, graph: PointGraph) -> Union[Skeleton,
     Pose output is an M x 3 skeleton; activity output is raw class scores."""
     rep = frame_representation(params, graph)
     out = _fcn_forward(params.h_pred, rep[None, :])[0]
-    return _head_output(params, out)
+    return _head_output(params, out, graph)
 
 
 def _sigmoid(x):
@@ -585,7 +594,7 @@ def predict_sequential(
     # L-1 (the backward recursion's first step)
     last = np.concatenate([hf[-1], hb[0]])
     out = _fcn_forward(params.h_pred, last[None, :])[0]
-    return _head_output(params, out)
+    return _head_output(params, out, graphs[-1])
 
 
 # -- losses and gradients ----------------------------------------------------
@@ -722,7 +731,8 @@ def save_params(params: ModelParams, path) -> None:
 def read_weights_manifest(path) -> Dict[str, np.ndarray]:
     """Parse a weights file.  Every length is checked against the bytes that
     remain, and the file must end exactly after the last tensor, so a
-    truncated, overlong or garbled file raises ManifestMismatch."""
+    truncated, overlong or garbled file, or a NaN or infinite value, raises
+    ManifestMismatch."""
     data = Path(path).read_bytes()
     pos = 0
 
@@ -748,6 +758,8 @@ def read_weights_manifest(path) -> Dict[str, np.ndarray]:
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         values = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
+        if not np.isfinite(values).all():
+            raise ManifestMismatch(f"{path}: tensor {name} has a non-finite value")
         out[name] = values.reshape(dims).astype(np.float64)
     if pos != len(data):
         raise ManifestMismatch(f"{path}: {len(data) - pos} bytes after the last tensor")

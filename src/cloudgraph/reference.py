@@ -1,9 +1,8 @@
-"""Slow, independent reimplementations used as oracles and benchmarks.
+"""Slow, independent reimplementations used as oracles.
 
 Everything here recomputes pairwise distances from scratch at every stage
 (no shared squared-distance matrix) with explicit loops.  The optimized
-pipeline must agree with these bit for bit; the benchmark harness measures
-the speedup of the shared-matrix path against them.
+pipeline must agree with these bit for bit.
 """
 
 from __future__ import annotations

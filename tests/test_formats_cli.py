@@ -1,8 +1,16 @@
+import shutil
+import struct
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudgraph import formats
-from cloudgraph.cli import main
+from cloudgraph.cli import build_parser, main
 from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
 from cloudgraph.errors import FormatVersionError, ParseError
 from cloudgraph.pipeline import build_graph
@@ -25,11 +33,15 @@ def assert_frames_equal(a, b):
         assert np.array_equal(x.points, y.points)
 
 
+SMALL_MODEL = ModelShape(head="pose", output_size=5, mid_hip_index=0,
+                         edge_units=(6,), node_units=(8,), gat_units=(6,),
+                         frame_units=(8,), pred_units=(8,))
+SMALL_MODELS = {"pose": SMALL_MODEL, "activity": replace(SMALL_MODEL, head="activity", output_size=3)}
+
+
 def write_config(path, pipe=None, model=None):
     pipe = pipe or PipelineConfig(K=4)
-    model = model or ModelShape(head="pose", output_size=5, mid_hip_index=0,
-                                edge_units=(6,), node_units=(8,), gat_units=(6,),
-                                frame_units=(8,), pred_units=(8,))
+    model = model or SMALL_MODEL
     path.write_text(serialize_config(pipe, model), encoding="utf-8")
     return pipe, model
 
@@ -268,6 +280,31 @@ def gen_inputs(tmp_path, frames=6, points=30, seed=11):
     return frames_path, tmp_path / "frames_gt.csv"
 
 
+def extract_and_init(tmp_path, head, frames=2, points=12):
+    """Graph records and seeded weights for the small model with ``head``:
+    returns (graphs dir, weights file, config file)."""
+    frames_path, _ = gen_inputs(tmp_path, frames=frames, points=points)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, model=SMALL_MODELS[head])
+    graphs = tmp_path / "graphs"
+    assert main(["extract", str(frames_path), "--config", str(cfg_path),
+                 "--out", str(graphs)]) == 0
+    weights = tmp_path / "w.bin"
+    assert main(["init-weights", "--config", str(cfg_path), "--out", str(weights)]) == 0
+    return graphs, weights, cfg_path
+
+
+def infer(graphs, weights, cfg_path, out):
+    return main(["infer", str(graphs), "--weights", str(weights),
+                 "--config", str(cfg_path), "--out", str(out)])
+
+
+def patch_bytes(path, offset, fmt, value):
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+
+
 def test_cli_gen_synthetic_writes_frames_and_gt(tmp_path):
     frames_path, gt_path = gen_inputs(tmp_path)
     frames = formats.read_frames(frames_path)
@@ -503,21 +540,10 @@ def test_cli_non_finite_config_exit_6(tmp_path, line):
 
 
 def test_cli_truncated_or_overlong_binaries_exit_4(tmp_path):
-    frames_path, _ = gen_inputs(tmp_path, frames=1, points=20)
-    cfg_path = tmp_path / "run.cfg"
-    write_config(cfg_path)
-    graphs = tmp_path / "graphs"
-    assert main(["extract", str(frames_path), "--config", str(cfg_path),
-                 "--out", str(graphs)]) == 0
-    weights = tmp_path / "w.bin"
-    assert main(["init-weights", "--config", str(cfg_path), "--out", str(weights)]) == 0
+    graphs, weights, cfg_path = extract_and_init(tmp_path, "pose", frames=1, points=20)
     (record,) = graphs.glob("graph_*.bin")
-
-    def infer():
-        return main(["infer", str(graphs), "--weights", str(weights),
-                     "--config", str(cfg_path), "--out", str(tmp_path / "p.csv")])
-
-    assert infer() == 0
+    out = tmp_path / "p.csv"
+    assert infer(graphs, weights, cfg_path, out) == 0
     for path in (record, weights):
         data = path.read_bytes()
         # cut inside the magic, the fixed header, the first tensor or array,
@@ -525,23 +551,8 @@ def test_cli_truncated_or_overlong_binaries_exit_4(tmp_path):
         cut = [data[:size] for size in (0, 3, 6, 10, 63, 64, 200, len(data) - 1)]
         for bad in cut + [data + b"\x00"]:
             path.write_bytes(bad)
-            assert infer() == 4, (path.name, len(bad))
+            assert infer(graphs, weights, cfg_path, out) == 4, (path.name, len(bad))
         path.write_bytes(data)
-
-
-def test_cli_bench_q_grid(tmp_path, capsys):
-    frames_path, _ = gen_inputs(tmp_path, frames=3, points=40)
-    cfg_path = tmp_path / "run.cfg"
-    write_config(cfg_path)
-    report_path = tmp_path / "bench.txt"
-    assert main(["bench", str(frames_path), "--config", str(cfg_path),
-                 "--out", str(report_path)]) == 0
-    text = report_path.read_text(encoding="utf-8")
-    q_values = {line.split(",")[0] for line in text.strip().splitlines()[1:]
-                if not line.startswith("#")}
-    assert {"1", "5", "off"} <= q_values
-    assert "shared_vs_naive_speedup" in text
-    capsys.readouterr()
 
 
 def test_cli_sequential_infer_window(tmp_path):
@@ -564,3 +575,145 @@ def test_cli_sequential_infer_window(tmp_path):
     preds = formats.read_skeletons(preds_path, 0)
     # windows end at frames 3, 5, 7 with stride 2
     assert sorted(f for _, f in preds) == [3, 5, 7]
+
+
+# -- corrupt inputs and non-finite values --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def infer_inputs(tmp_path_factory):
+    """Per head, the inputs of one small infer run, built once."""
+    return {head: extract_and_init(tmp_path_factory.mktemp(head), head) for head in SMALL_MODELS}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass
+@pytest.mark.parametrize("head", sorted(SMALL_MODELS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_infer_survives_any_cut_or_bit_flip(infer_inputs, head, data):
+    """Cut a graph record or the weights file at any offset, or flip any one
+    of its bits: infer exits 0, 4 or 7, and on 0 every prediction is finite."""
+    graphs, weights, cfg_path = infer_inputs[head]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "graphs").mkdir()
+        for record in graphs.glob("graph_*.bin"):
+            shutil.copy(record, tmp / "graphs")
+        shutil.copy(weights, tmp / "w.bin")
+        files = sorted((tmp / "graphs").glob("graph_*.bin")) + [tmp / "w.bin"]
+        target = data.draw(st.sampled_from(files), label="file")
+        blob = bytearray(target.read_bytes())
+        if data.draw(st.booleans(), label="cut"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        target.write_bytes(bytes(blob))
+        out = tmp / "p.csv"
+        rc = infer(tmp / "graphs", tmp / "w.bin", cfg_path, out)
+        assert rc in (0, 4, 7)
+        if rc == 0:
+            values = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+            assert values.size and np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("head", sorted(SMALL_MODELS))
+@pytest.mark.parametrize("section, message", [
+    ("node", "non-finite value in the node features"),
+    ("edge_features", "non-finite value in the edge features"),
+    ("frame", "non-finite value in the frame features"),
+    ("edge_index", "edge index out of range"),
+    ("self_edge", "explicit self-edges are not stored"),
+    ("weights", "has a non-finite value"),
+])
+def test_cli_infer_corrupt_payload_exit_4(tmp_path, caplog, head, section, message):
+    graphs, weights, cfg_path = extract_and_init(tmp_path, head)
+    record = sorted(graphs.glob("graph_*.bin"))[-1]
+    g = formats.read_graph_record(record)
+    n, dn = g.node_features.shape
+    edges_at = formats._GRAPH_HEADER.size + 8 * n * dn
+    efeat_at = edges_at + 8 * g.num_edges
+    bad = record
+    if section == "node":
+        patch_bytes(record, formats._GRAPH_HEADER.size + 8 * 7, "<d", np.nan)
+    elif section == "edge_features":
+        patch_bytes(record, efeat_at + 8 * 3, "<d", np.inf)
+    elif section == "frame":
+        patch_bytes(record, len(record.read_bytes()) - 8, "<d", -np.inf)
+    elif section == "edge_index":  # source of edge 2
+        patch_bytes(record, edges_at + 8 * 2 + 4, "<I", 10**6)
+    elif section == "self_edge":  # source of edge 0, whose target is node 0
+        assert g.edges[0, 0] == 0
+        patch_bytes(record, edges_at + 4, "<I", 0)
+    else:  # the last value of the last tensor
+        bad = weights
+        patch_bytes(weights, len(weights.read_bytes()) - 8, "<d", np.nan)
+    assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
+    assert f"{bad}: " in caplog.text and message in caplog.text
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass
+@pytest.mark.parametrize("head", sorted(SMALL_MODELS))
+def test_cli_infer_non_finite_prediction_exit_7(tmp_path, caplog, head):
+    """Finite but huge weights overflow in the prediction block."""
+    from cloudgraph.gnn import load_params, named_tensors, save_params
+
+    graphs, weights, cfg_path = extract_and_init(tmp_path, head)
+    params = load_params(weights, SMALL_MODELS[head], PipelineConfig(K=4))
+    for name, arr in named_tensors(params).items():
+        if name.startswith("h_pred.") and name.endswith(".W"):
+            arr[...] = 1e300
+    save_params(params, weights)
+    out = tmp_path / "p.csv"
+    assert infer(graphs, weights, cfg_path, out) == 7
+    assert "non-finite prediction for sequence 0 frame 0" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_eval_non_finite_text_values_exit_2(tmp_path, caplog, value):
+    p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
+    p_path.write_text(f"{formats.SKELETON_HEADER}\n0,0,0,0.0,0.0,0.0\n0,0,1,1.0,{value},0.0\n",
+                      encoding="utf-8")
+    formats.write_skeletons([(0, 0, Skeleton(np.eye(2, 3), 0))], g_path)
+    assert main(["eval", str(p_path), str(g_path), "--task", "pose"]) == 2
+    assert "line 3: non-finite skeleton value" in caplog.text
+
+    # a NaN used to win the argmax and score a hit
+    p_path.write_text(f"sequence_id,frame_id,score_0,score_1\n0,0,{value},1.0\n", encoding="utf-8")
+    formats.write_labels([(0, 0, 0)], g_path)
+    assert main(["eval", str(p_path), str(g_path), "--task", "activity"]) == 2
+    assert "line 2: non-finite score value" in caplog.text
+
+
+@pytest.mark.parametrize("F, kept, dropped", [(1, [0, 1, 3, 4, 5], 0),
+                                              (2, [1, 4, 5], 1),
+                                              (3, [5], 2)])
+def test_cli_extract_restarts_windows_after_frame_gap(tmp_path, F, kept, dropped):
+    frames_path, _ = gen_inputs(tmp_path)
+    frames = [f for f in formats.read_frames(frames_path) if f.frame_id != 2]
+    formats.write_frames(frames, frames_path)
+    cfg_path = tmp_path / "run.cfg"
+    pipe, _ = write_config(cfg_path, pipe=PipelineConfig(K=4, F=F))
+    out = tmp_path / "out"
+    assert main(["extract", str(frames_path), "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    records = sorted(out.glob("graph_*.bin"))
+    assert [formats.read_graph_record(p).frame_id for p in records] == kept
+    by_id = {f.frame_id: f for f in frames}
+    for path, fid in zip(records, kept):
+        window = [by_id[i] for i in range(fid - F + 1, fid + 1)]
+        expected = tmp_path / "expected.bin"
+        formats.write_graph_record(build_graph(window, pipe), expected)
+        assert path.read_bytes() == expected.read_bytes()
+    manifest = formats.read_manifest(out / "manifest.txt")
+    assert manifest["windows_dropped_gap"] == str(dropped)
+    assert manifest["graphs_out"] == str(len(kept))
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.strip().splitlines()]
+    (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    assert sorted(listed) == sorted(subparsers.choices)
