@@ -20,7 +20,6 @@ from .gnn import (
     ModelParams,
     fcn_forward,
     frame_representation,
-    frame_representation_batch,
     gat_forward,
     grad_check,
     init_params,
@@ -51,7 +50,7 @@ from .pipeline import (
     node_features,
     squared_distance_matrix,
 )
-from .rng import SplitMix64, derive_seed, seeded_rng
+from .rng import SplitMix64, derive_seed
 from .statbox import statbox_array, statbox_columns
 from .types import (
     ActivityLabel,

@@ -32,7 +32,6 @@ from .metrics import ActivityLabel, PoseBatch, activity_report, pose_report
 from .pipeline import build_graph
 from .rng import SplitMix64
 from .synthetic import MID_HIP_INDEX, SyntheticSpec, generate
-from .types import Skeleton
 
 log = logging.getLogger("cloudgraph")
 
@@ -118,8 +117,7 @@ def cmd_infer(args) -> int:
     pipeline_cfg, shape = load_config(args.config)
     params = load_params(args.weights, shape, pipeline_cfg)
     graphs = _load_graphs(args.graphs)
-    pose_rows = []
-    score_rows = []
+    rows = []
     if shape.sequential:
         by_seq: dict = {}
         for g in graphs:
@@ -128,24 +126,13 @@ def cmd_infer(args) -> int:
             L = shape.window
             for start in range(0, len(seq_graphs) - L + 1, shape.stride):
                 chunk = seq_graphs[start : start + L]
-                out = predict_sequential(params, chunk)
-                fid = chunk[-1].frame_id
-                if isinstance(out, Skeleton):
-                    pose_rows.append((seq, fid, out))
-                else:
-                    score_rows.append((seq, fid, out))
+                rows.append((seq, chunk[-1].frame_id, predict_sequential(params, chunk)))
     else:
         for g in graphs:
-            out = predict_framewise(params, g)
-            if isinstance(out, Skeleton):
-                pose_rows.append((g.sequence_id, g.frame_id, out))
-            else:
-                score_rows.append((g.sequence_id, g.frame_id, out))
-    if shape.head == "pose":
-        formats.write_skeletons(pose_rows, args.out)
-    else:
-        formats.write_scores(score_rows, args.out)
-    log.info("wrote %d predictions to %s", len(pose_rows) + len(score_rows), args.out)
+            rows.append((g.sequence_id, g.frame_id, predict_framewise(params, g)))
+    write = formats.write_skeletons if shape.head == "pose" else formats.write_scores
+    write(rows, args.out)
+    log.info("wrote %d predictions to %s", len(rows), args.out)
     return 0
 
 

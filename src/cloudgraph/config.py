@@ -80,7 +80,6 @@ class ModelShape:
     window: int = 1
     stride: int = 1
     leaky_slope: float = 0.2
-    dropout_rate: float = 0.5
     edge_relu_policy: str = "all_but_first"
 
     def __post_init__(self):
@@ -93,8 +92,6 @@ class ModelShape:
             raise ConfigError("output_size must be >= 1")
         if self.sequential and self.lstm_hidden < 1:
             raise ConfigError("lstm_hidden must be >= 1 for sequential models")
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
 
 
 def mars_sequential_shape(num_keypoints: int, mid_hip_index: int) -> ModelShape:

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatVersionError, IdMismatch, ParseError
+from .errors import FormatVersionError, ParseError
 from .types import PointGraph, RadarFrame, Skeleton
 
 FRAMES_HEADER = "sequence_id,frame_id,x,y,z,v,I"
@@ -51,7 +51,8 @@ def write_frames(frames: Sequence[RadarFrame], path) -> None:
 
 
 def read_frames(path) -> List[RadarFrame]:
-    """Parse a frames file into frames ordered as encountered."""
+    """Parse a frames file into frames ordered as encountered.  A NaN or
+    infinite point value is a ParseError naming its line."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0].strip() != FRAMES_HEADER:
@@ -80,6 +81,8 @@ def read_frames(path) -> List[RadarFrame]:
             vals = [float(p) for p in parts[2:]]
         except ValueError:
             raise ParseError(lineno, "bad point value") from None
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(lineno, f"non-finite point value in sequence {seq} frame {fid}")
         by_id[key].append(vals)
     return [
         RadarFrame(frame_id=fid, sequence_id=seq, points=by_id[(seq, fid)])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -57,7 +57,6 @@ class GatLayer:
     theta_e: Optional[np.ndarray]  # d_edge x d_out edge transform
     attn: np.ndarray  # length 3 * d_out attention vector
     leaky_slope: float = 0.2
-    dropout_rate: float = 0.5
 
 
 @dataclass
@@ -182,15 +181,7 @@ def init_params(shape: ModelShape, config: PipelineConfig, rng: SplitMix64) -> M
             else None
         )
         attn = _uniform_matrix(rng, (3 * d_out,), d_out)
-        gat_layers.append(
-            GatLayer(
-                theta=theta,
-                theta_e=theta_e,
-                attn=attn,
-                leaky_slope=shape.leaky_slope,
-                dropout_rate=shape.dropout_rate,
-            )
-        )
+        gat_layers.append(GatLayer(theta, theta_e, attn, shape.leaky_slope))
         d_in = d_out
     h_frame = None
     if config.enable_frame_features:
@@ -232,7 +223,7 @@ def init_params(shape: ModelShape, config: PipelineConfig, rng: SplitMix64) -> M
 # -- feed-forward blocks -----------------------------------------------------
 
 
-def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None, signs=None) -> np.ndarray:
+def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None) -> np.ndarray:
     total = len(block.layers)
     for i, layer in enumerate(block.layers):
         if X.shape[1] != layer.W.shape[0]:
@@ -241,8 +232,6 @@ def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None, signs=None) -> np.n
             )
         Z = X @ layer.W + layer.b
         use_relu = _act_at(block.policy, i, total)
-        if signs is not None and use_relu:
-            signs.append(Z > 0)
         if cache is not None:
             cache.append((X, Z, use_relu))
         X = np.maximum(Z, 0.0) if use_relu else Z
@@ -309,15 +298,11 @@ def _gat_forward(
     table: NeighbourTable,
     Xe: Optional[np.ndarray],
     cache=None,
-    signs=None,
-    training: bool = False,
-    rng: Optional[SplitMix64] = None,
 ):
     if X.shape[1] != layer.theta.shape[0]:
         raise DimensionMismatch(
             f"node state width {X.shape[1]} does not match theta {layer.theta.shape}"
         )
-    n = X.shape[0]
     d = layer.theta.shape[1]
     Q = X @ layer.theta
     w1 = layer.attn[:d]
@@ -339,9 +324,6 @@ def _gat_forward(
     l_e = np.where(z_e > 0, z_e, slope * z_e)
     if table.valid is not None:
         l_e[~table.valid] = -np.inf
-    if signs is not None:
-        signs.append(z_self > 0)
-        signs.append(z_e > 0 if table.valid is None else (z_e > 0) & table.valid)
     # softmax per target over {self} + neighbors, max-subtracted
     mx = np.maximum(l_self, l_e.max(axis=1, initial=-np.inf))
     exp_self = np.exp(l_self - mx)
@@ -349,12 +331,6 @@ def _gat_forward(
     denom = exp_self + exp_e.sum(axis=1)
     a_self = exp_self / denom
     a_e = exp_e / denom[:, None]
-    if training and layer.dropout_rate > 0:
-        if rng is None:
-            raise ValueError("training-mode dropout requires an rng")
-        keep = 1.0 - layer.dropout_rate
-        a_self = a_self * ((rng.doubles(n) < keep) / keep)
-        a_e.reshape(-1)[table.pos] *= (rng.doubles(E) < keep) / keep
     out = a_self[:, None] * Q + np.einsum("nk,nkd->nd", a_e, Qs)
     if cache is not None:
         cache.append(
@@ -432,9 +408,6 @@ def _rep_forward_batch(
     params: ModelParams,
     graphs: Sequence[PointGraph],
     cache=None,
-    signs=None,
-    training: bool = False,
-    rng: Optional[SplitMix64] = None,
 ) -> np.ndarray:
     """Mini-batched evaluation: node/edge arrays of all graphs concatenated
     with a frame-membership index; equals per-graph evaluation."""
@@ -456,11 +429,11 @@ def _rep_forward_batch(
     if params.h_edge is not None:
         edge_feats = np.concatenate([g.edge_features for g in graphs]) if edges.size else np.zeros((0, params.h_edge.layers[0].W.shape[0]))
         ec = [] if cache is not None else None
-        Xe = _fcn_forward(params.h_edge, edge_feats, ec, signs)
+        Xe = _fcn_forward(params.h_edge, edge_feats, ec)
         if cache is not None:
             cache["h_edge"] = ec
     nc = [] if cache is not None else None
-    X = _fcn_forward(params.h_node, node_feats, nc, signs)
+    X = _fcn_forward(params.h_node, node_feats, nc)
     if cache is not None:
         cache["h_node"] = nc
         cache["gat"] = []
@@ -468,12 +441,10 @@ def _rep_forward_batch(
     n_layers = len(params.gat_layers)
     for i, layer in enumerate(params.gat_layers):
         gc = cache["gat"] if cache is not None else None
-        X = _gat_forward(layer, X, table, Xe, gc, signs, training, rng)
+        X = _gat_forward(layer, X, table, Xe, gc)
         if i < n_layers - 1:  # rectifier after every attention layer except the last
             if cache is not None:
                 cache["relu_z"].append(X)
-            if signs is not None:
-                signs.append(X > 0)
             X = np.maximum(X, 0.0)
     # mean pool per graph
     m = np.add.reduceat(X, offsets, axis=0) / counts[:, None]
@@ -482,7 +453,7 @@ def _rep_forward_batch(
     if params.h_frame is not None:
         frame_mat = np.stack([g.frame_features for g in graphs])
         fc = [] if cache is not None else None
-        Xf = _fcn_forward(params.h_frame, frame_mat, fc, signs)
+        Xf = _fcn_forward(params.h_frame, frame_mat, fc)
         if cache is not None:
             cache["h_frame"] = fc
         rep = np.concatenate([m, Xf], axis=1)
@@ -520,10 +491,6 @@ def frame_representation(params: ModelParams, graph: PointGraph) -> np.ndarray:
     """Single-frame representation: pooled node states, concatenated with
     the processed frame-feature vector when the frame branch exists."""
     return _rep_forward_batch(params, [graph])[0]
-
-
-def frame_representation_batch(params: ModelParams, graphs: Sequence[PointGraph]) -> np.ndarray:
-    return _rep_forward_batch(params, graphs)
 
 
 # -- prediction heads --------------------------------------------------------
@@ -600,6 +567,19 @@ def predict_sequential(
 # -- losses and gradients ----------------------------------------------------
 
 
+def _sign_pattern(cache: dict) -> np.ndarray:
+    """The sign of every rectifier input of one forward pass, read from its
+    gradient cache: rectified FCN layers, the rectifier after each inner
+    attention layer, and the leaky logits of each attention layer."""
+    fcn = [c for key in ("h_edge", "h_node", "h_frame", "h_pred") for c in cache.get(key, ())]
+    parts = [Z > 0 for _, Z, use_relu in fcn if use_relu]
+    parts += [Z > 0 for Z in cache["relu_z"]]
+    for c in cache["gat"]:
+        valid = c["table"].valid
+        parts += [c["z_self"] > 0, c["z_e"] > 0 if valid is None else (c["z_e"] > 0) & valid]
+    return np.concatenate([p.ravel() for p in parts] or [np.zeros(0, bool)])
+
+
 def network_loss(
     params: ModelParams,
     graph: PointGraph,
@@ -613,11 +593,9 @@ def network_loss(
     "cross_entropy" (target: integer class index).  Returns
     (loss, grads_or_None, activation_sign_pattern).
     """
-    cache: dict = {}
-    signs: list = []
-    rep = _rep_forward_batch(params, [graph], cache, signs)
-    pc: list = []
-    pred = _fcn_forward(params.h_pred, rep, pc, signs)[0]
+    cache: dict = {"h_pred": []}
+    rep = _rep_forward_batch(params, [graph], cache)
+    pred = _fcn_forward(params.h_pred, rep, cache["h_pred"])[0]
     if loss_kind == "mse":
         target = np.asarray(target, dtype=np.float64).reshape(-1)
         if target.shape != pred.shape:
@@ -635,11 +613,11 @@ def network_loss(
         dpred[label] -= 1.0
     else:
         raise ValueError(f"unknown loss {loss_kind!r}")
-    pattern = np.concatenate([s.ravel() for s in signs]) if signs else np.zeros(0, bool)
+    pattern = _sign_pattern(cache)
     if not compute_grads:
         return loss, None, pattern
     grads = zero_grads(params)
-    dRep = _fcn_backward(params.h_pred, pc, dpred[None, :], grads, "h_pred")
+    dRep = _fcn_backward(params.h_pred, cache["h_pred"], dpred[None, :], grads, "h_pred")
     _rep_backward_batch(params, cache, dRep, grads)
     return loss, grads, pattern
 

@@ -16,9 +16,9 @@ sampling so every value in [0, n) is exactly equally likely.
 The state after i steps is seed + i * gamma, so draw i never depends on
 draw i - 1.  ``SplitMix64.doubles`` uses this to compute a run of
 ``next_double`` draws as one numpy ``uint64`` expression: the same stream,
-bit for bit, ending in the same state.  Weight initialization and dropout
-masks draw through it; downsampling and the synthetic generator keep the
-scalar calls.
+bit for bit, ending in the same state.  Weight initialization draws
+through it; downsampling and the synthetic generator keep the scalar
+calls.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ class SplitMix64:
             j = i + self.randbelow(m - i)
             idx[i], idx[j] = idx[j], idx[i]
         return sorted(idx[:q])
-
-
-def seeded_rng(seed: int) -> SplitMix64:
-    """Deterministic pseudo-random stream for a 64-bit seed."""
-    return SplitMix64(seed)
 
 
 def derive_seed(seed: int, *keys: int) -> int:

@@ -7,7 +7,8 @@ For one input vector the bank produces, in this fixed, normative order:
 
 Conventions (all degenerate-safe):
 
-* std is the population standard deviation sqrt(m2).
+* std is the population standard deviation sqrt(m2).  A constant vector
+  has its value as the exact mean, so its std is exactly 0.
 * skewness = m3 / m2^(3/2) and kurtosis = m4 / m2^2 (Pearson, non-excess);
   both are defined as 0 when m2 < epsilon.
 * geometric_mean = exp(mean(log(max(|v|, epsilon)))).  Inputs here are
@@ -63,7 +64,8 @@ def statbox_array(values, epsilon: float = 1e-12) -> np.ndarray:
     if m == 0:
         raise EmptyInput("statbox requires at least one value")
     s = np.sort(v, axis=-1)
-    mean = s.mean(axis=-1, keepdims=True)
+    # a constant row's float mean can round off its value; take it exactly
+    mean = np.where(s[..., :1] == s[..., -1:], s[..., :1], s.mean(axis=-1, keepdims=True))
     d = s - mean
     d2 = d * d
     m2 = d2.mean(axis=-1)

@@ -513,6 +513,23 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_point_exit_2_naming_line(tmp_path, caplog, value):
+    frames_path = tmp_path / "frames.csv"
+    frames_path.write_text(
+        formats.FRAMES_HEADER + "\n0,4,1.0,2.0,3.0,0.0,1.0\n"
+        f"0,4,{value},2.0,3.0,0.0,1.0\n0,4,0.5,2.5,3.0,0.0,1.0\n",
+        encoding="utf-8",
+    )
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path)
+    rc = main(["extract", str(frames_path), "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "line 3: non-finite point value in sequence 0 frame 4" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_error_exit_6(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("K = 0\n", encoding="utf-8")

@@ -24,7 +24,6 @@ from cloudgraph.gnn import (
     _rep_forward_batch,
     fcn_forward,
     frame_representation,
-    frame_representation_batch,
     gat_forward,
     grad_check,
     init_params,
@@ -269,45 +268,6 @@ def test_gat_backward_on_padded_table_matches_finite_differences(np_rng):
         assert np.allclose(analytic[name].reshape(-1), numeric, rtol=1e-5, atol=1e-7), name
 
 
-def test_training_dropout_masks_follow_the_scalar_stream(np_rng):
-    n = 8
-    layer = make_gat(np_rng, 5, 4, 3)
-    layer.dropout_rate = 0.4
-    keep = 1.0 - layer.dropout_rate
-    X = np_rng.normal(size=(n, 5))
-    edges = mixed_degree_edges(np_rng, n, isolated=(3,))
-    E = len(edges)
-    Xe = np_rng.normal(size=(E, 3))
-    table = neighbour_table(edges, n)
-    plain, dropped = [], []
-    _gat_forward(layer, X, table, Xe, cache=plain)
-    rng = SplitMix64(99)
-    _gat_forward(layer, X, table, Xe, cache=dropped, training=True, rng=rng)
-    # n self draws, then E edge draws in input edge order
-    scalar = SplitMix64(99)
-    mask_self = np.array([scalar.next_double() < keep for _ in range(n)]) / keep
-    mask_edge = np.array([scalar.next_double() < keep for _ in range(E)]) / keep
-    assert 0 < np.count_nonzero(mask_edge) < E
-    assert np.array_equal(dropped[0]["a_self"], plain[0]["a_self"] * mask_self)
-    in_edge_order = [c[0]["a_e"].reshape(-1)[table.pos] for c in (plain, dropped)]
-    assert np.array_equal(in_edge_order[1], in_edge_order[0] * mask_edge)
-    assert rng.next_u64() == scalar.next_u64()
-    with pytest.raises(ValueError):
-        _gat_forward(layer, X, table, Xe, training=True, rng=None)
-
-
-def test_training_batch_draws_n_plus_e_per_attention_layer(np_rng):
-    params, cfg = small_params()
-    graphs = [random_graph(np_rng, n=n, cfg=cfg) for n in (3, 9)]
-    rng = SplitMix64(5)
-    _rep_forward_batch(params, graphs, training=True, rng=rng)
-    draws = sum(g.num_nodes + g.num_edges for g in graphs) * len(params.gat_layers)
-    scalar = SplitMix64(5)
-    for _ in range(draws):
-        scalar.next_double()
-    assert rng.next_u64() == scalar.next_u64()
-
-
 def test_attention_output_identical_across_blas_threads():
     script = (
         "import hashlib, numpy as np\n"
@@ -351,7 +311,7 @@ def test_representation_single_node_graph(np_rng):
 def test_representation_batched_equals_unbatched(np_rng):
     params, cfg = small_params()
     graphs = [random_graph(np_rng, cfg=cfg) for _ in range(5)]
-    batch = frame_representation_batch(params, graphs)
+    batch = _rep_forward_batch(params, graphs)
     for i, g in enumerate(graphs):
         single = frame_representation(params, g)
         assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
@@ -365,7 +325,7 @@ def test_representation_batch_mixes_degrees(np_rng):
     offsets = np.cumsum((0,) + sizes[:-1])
     edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
     assert neighbour_table(edges, sum(sizes)).valid is not None
-    batch = frame_representation_batch(params, graphs)
+    batch = _rep_forward_batch(params, graphs)
     for i, g in enumerate(graphs):
         assert np.allclose(batch[i], frame_representation(params, g), atol=1e-12, rtol=0)
 
@@ -373,7 +333,7 @@ def test_representation_batch_mixes_degrees(np_rng):
 def test_representation_rejects_empty(np_rng):
     params, cfg = small_params()
     with pytest.raises(EmptyGraph):
-        frame_representation_batch(params, [])
+        _rep_forward_batch(params, [])
 
 
 def test_representation_permutation_invariant(np_rng):
@@ -540,6 +500,25 @@ def test_grad_check_full_network_both_losses(np_rng):
     rep2 = grad_check(params_act, g, "cross_entropy", 3,
                       max_entries_per_tensor=20, rng=SplitMix64(2))
     assert rep2["overall_max_rel_err"] < 1e-4
+
+
+@pytest.mark.parametrize("policy, edge_units", [
+    ("all_but_last", (6, 5)),
+    ("all_but_first", (6, 6, 5)),
+    ("all_but_last", (6, 6, 5)),
+])
+def test_grad_check_edge_relu_policies(np_rng, policy, edge_units):
+    # all_but_last leaves the edge layer that attention reads unrectified
+    shape = ModelShape(
+        head="pose", output_size=4, edge_units=edge_units, node_units=(8, 7),
+        gat_units=(6, 5), frame_units=(9,), pred_units=(8,), edge_relu_policy=policy,
+    )
+    params, cfg = small_params(rng_seed=5, shape=shape)
+    g = random_graph(np_rng, n=9, cfg=cfg)
+    rep = grad_check(params, g, "mse", np_rng.normal(size=12), max_entries_per_tensor=20,
+                     rng=SplitMix64(3))
+    assert rep["overall_max_rel_err"] < 1e-4
+    assert all(rep[f"h_edge.{i}.W"]["checked"] > 0 for i in range(len(edge_units)))
 
 
 def test_network_loss_values(np_rng):

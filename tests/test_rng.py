@@ -3,24 +3,24 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudgraph.rng import SplitMix64, derive_seed, seeded_rng
+from cloudgraph.rng import SplitMix64, derive_seed
 
 
 def test_same_seed_same_stream():
-    a = seeded_rng(7)
-    b = seeded_rng(7)
+    a = SplitMix64(7)
+    b = SplitMix64(7)
     assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
 
 def test_different_seeds_diverge_quickly():
-    a = seeded_rng(7)
-    b = seeded_rng(8)
+    a = SplitMix64(7)
+    b = SplitMix64(8)
     assert [a.next_u64() for _ in range(10)] != [b.next_u64() for _ in range(10)]
 
 
 def test_randbelow_uniform_chi_square():
     # 1e5 draws over 16 bins; chi-square goodness of fit at alpha = 0.01
-    rng = seeded_rng(12345)
+    rng = SplitMix64(12345)
     bins = 16
     draws = 100_000
     counts = np.zeros(bins)
@@ -33,19 +33,19 @@ def test_randbelow_uniform_chi_square():
 
 
 def test_next_double_range():
-    rng = seeded_rng(1)
+    rng = SplitMix64(1)
     vals = [rng.next_double() for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in vals)
 
 
 def test_randbelow_bounds_and_coverage():
-    rng = seeded_rng(2)
+    rng = SplitMix64(2)
     seen = {rng.randbelow(3) for _ in range(200)}
     assert seen == {0, 1, 2}
 
 
 def test_partial_shuffle_pick_sorted_distinct():
-    rng = seeded_rng(3)
+    rng = SplitMix64(3)
     picked = rng.partial_shuffle_pick(10, 4)
     assert picked == sorted(picked)
     assert len(set(picked)) == 4

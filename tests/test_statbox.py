@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudgraph.errors import EmptyInput
@@ -129,6 +129,7 @@ def test_permutation_invariance_exact(v, shuffler):
 
 @given(finite_vectors, st.floats(min_value=-100, max_value=100))
 @settings(max_examples=100, deadline=None)
+@example(v=[375485.0] * 3, c=0.1)
 def test_translation_property(v, c):
     base = named(v)
     shifted = named(np.asarray(v) + c)
@@ -143,6 +144,7 @@ def test_translation_property(v, c):
 
 @given(finite_vectors, st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=100, deadline=None)
+@example(v=[375485.0] * 3, s=238.4450255590151)
 def test_scale_property(v, s):
     base = named(v)
     scaled = named(np.asarray(v) * s)

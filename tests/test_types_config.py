@@ -98,6 +98,8 @@ def test_config_round_trip_bit_exact():
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("K = 20\nbogus = 1\n")
+    with pytest.raises(ConfigError):  # the network has no dropout
+        parse_config("model_dropout_rate = 0.5\n")
 
 
 def test_config_comments_and_blanks_ignored():
