@@ -1,4 +1,4 @@
-"""Command-line surface: extract, infer, eval, gen-synthetic, init-weights.
+"""Command-line surface: extract, show, infer, eval, gen-synthetic, init-weights.
 
 Exit codes: 0 success, 2 parse error, 3 I/O error, 4 weights/format
 mismatch, 5 id mismatch, 6 config error, 7 other pipeline/model error.
@@ -67,7 +67,9 @@ def cmd_extract(args) -> int:
     t0 = time.perf_counter()
     n_graphs = 0
     n_points_in = sum(len(f) for f in frames)
-    n_points_out = 0
+    n_nodes_out = 0
+    n_dropped_downsample = 0
+    n_below_k = 0
     n_edges = 0
     skipped = 0
     windows, dropped_gap = _windows(frames, pipeline_cfg.F)
@@ -83,9 +85,10 @@ def cmd_extract(args) -> int:
             continue
         name = formats.graph_record_name(graph)
         formats.write_graph_record(graph, out_dir / name)
-        formats.write_graph_debug_dump(graph, out_dir / (name[:-4] + ".txt"))
         n_graphs += 1
-        n_points_out += graph.num_nodes
+        n_nodes_out += graph.num_nodes
+        n_dropped_downsample += sum(len(f) for f in window) - graph.num_nodes
+        n_below_k += graph.num_nodes <= pipeline_cfg.K
         n_edges += graph.num_edges
     elapsed = time.perf_counter() - t0
     entries = {
@@ -95,7 +98,9 @@ def cmd_extract(args) -> int:
         "frames_skipped_empty": skipped,
         "windows_dropped_gap": dropped_gap,
         "points_in": n_points_in,
-        "points_out": n_points_out,
+        "nodes_out": n_nodes_out,
+        "points_dropped_downsample": n_dropped_downsample,
+        "graphs_below_k": n_below_k,
         "edges": n_edges,
         "timing_extract_seconds": f"{elapsed:.6f}",
     }
@@ -105,6 +110,13 @@ def cmd_extract(args) -> int:
             entries[f"config_{key}"] = value
     formats.write_manifest(entries, out_dir / "manifest.txt")
     log.info("wrote %d graph records to %s", n_graphs, out_dir)
+    return 0
+
+
+def cmd_show(args) -> int:
+    """Print one graph record as the text dump, built from what ``infer``
+    reads back."""
+    formats.write_graph_debug_dump(formats.read_graph_record(args.record), sys.stdout)
     return 0
 
 
@@ -208,6 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_extract)
+
+    p = sub.add_parser("show", help="graph record -> text dump on stdout")
+    p.add_argument("record")
+    p.set_defaults(fn=cmd_show)
 
     p = sub.add_parser("infer", help="graph records + weights -> predictions")
     p.add_argument("graphs")

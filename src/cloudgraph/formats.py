@@ -3,7 +3,7 @@
 Text files carry round-trip-exact decimal floats (``repr``); the binary
 graph records (little-endian 64-bit floats, row-major, dimension header)
 are the source of truth and every reader checks the format version.  The
-``.txt`` debug dump next to each record stays ``repr``-exact: it is
+debug dump of a record (``cloudgraph show``) is ``repr``-exact: it is
 formatted with ``%r`` one section at a time, and every value reads back bit
 for bit with ``float``.
 """
@@ -285,25 +285,25 @@ def _write_rows(fh, matrix: np.ndarray, spec: str) -> None:
     fh.write((row * matrix.shape[0]) % tuple(matrix.ravel().tolist()))
 
 
-def write_graph_debug_dump(graph: PointGraph, path) -> None:
-    """Human-readable equivalent of the binary record, ``repr``-exact.
+def write_graph_debug_dump(graph: PointGraph, fh) -> None:
+    """Write the human-readable equivalent of the binary record, ``repr``-exact,
+    to the text stream ``fh``.
 
     Each section is one ``%`` call and one write, so no string of the whole
-    file is built.
+    dump is built.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"sequence_id = {graph.sequence_id}\n")
-        fh.write(f"frame_id = {graph.frame_id}\n")
-        fh.write(f"nodes = {graph.num_nodes}\n")
-        fh.write(f"edges = {graph.num_edges}\n")
-        fh.write("node_features:\n")
-        _write_rows(fh, graph.node_features, "%r")
-        fh.write("edge_list:\n")
-        _write_rows(fh, graph.edges, "%d")
-        fh.write("edge_features:\n")
-        _write_rows(fh, graph.edge_features, "%r")
-        fh.write("frame_features:\n")
-        _write_rows(fh, graph.frame_features[None, :], "%r")
+    fh.write(f"sequence_id = {graph.sequence_id}\n")
+    fh.write(f"frame_id = {graph.frame_id}\n")
+    fh.write(f"nodes = {graph.num_nodes}\n")
+    fh.write(f"edges = {graph.num_edges}\n")
+    fh.write("node_features:\n")
+    _write_rows(fh, graph.node_features, "%r")
+    fh.write("edge_list:\n")
+    _write_rows(fh, graph.edges, "%d")
+    fh.write("edge_features:\n")
+    _write_rows(fh, graph.edge_features, "%r")
+    fh.write("frame_features:\n")
+    _write_rows(fh, graph.frame_features[None, :], "%r")
 
 
 # -- manifest ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import shutil
 import struct
 import tempfile
@@ -197,9 +198,10 @@ def test_graph_debug_dump_reads_back_bit_exact(tmp_path, np_rng, n):
                     PipelineConfig(K=6))
     assert g.num_edges == n * min(6, n - 1)
     formats.write_graph_record(g, tmp_path / "g.bin")
-    formats.write_graph_debug_dump(g, tmp_path / "g.txt")
     record = formats.read_graph_record(tmp_path / "g.bin")
-    text = (tmp_path / "g.txt").read_text(encoding="utf-8")
+    fh = io.StringIO()
+    formats.write_graph_debug_dump(record, fh)
+    text = fh.getvalue()
     assert text == repr_dump(record)
     header, sections = parse_dump(text)
     assert header == {"sequence_id": 2, "frame_id": 5, "nodes": n, "edges": g.num_edges}
@@ -210,13 +212,14 @@ def test_graph_debug_dump_reads_back_bit_exact(tmp_path, np_rng, n):
     assert np.array_equal(edges.reshape(-1, 2), record.edges)
 
 
-def test_graph_debug_dump_extreme_values_and_empty_widths(tmp_path):
+def test_graph_debug_dump_extreme_values_and_empty_widths():
     # signed zero, subnormals, huge and non-finite values, zero-width sections
     values = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, np.inf, -np.inf, np.nan]
     g = PointGraph(sequence_id=0, frame_id=1, node_features=np.array([values, values[::-1]]),
                    edges=[[0, 1], [1, 0]], edge_features=np.zeros((2, 0)), frame_features=[])
-    formats.write_graph_debug_dump(g, tmp_path / "g.txt")
-    text = (tmp_path / "g.txt").read_text(encoding="utf-8")
+    fh = io.StringIO()
+    formats.write_graph_debug_dump(g, fh)
+    text = fh.getvalue()
     assert text == repr_dump(g)
     assert text.endswith("edge_list:\n  0 1\n  1 0\nedge_features:\n  \n  \nframe_features:\n  \n")
 
@@ -326,6 +329,9 @@ def test_cli_extract_deterministic_rerun(tmp_path):
     names = sorted(p.name for p in out_a.glob("graph_*.bin"))
     assert names == sorted(p.name for p in out_b.glob("graph_*.bin"))
     assert len(names) == 6
+    # the records counted in the manifest and the manifest, nothing else
+    assert formats.read_manifest(out_a / "manifest.txt")["graphs_out"] == "6"
+    assert sorted(p.name for p in out_a.iterdir()) == names + ["manifest.txt"]
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     # manifests match once wall-clock entries are dropped
@@ -334,6 +340,63 @@ def test_cli_extract_deterministic_rerun(tmp_path):
     mb = {k: v for k, v in formats.read_manifest(out_b / "manifest.txt").items()
           if not k.startswith("timing_")}
     assert ma == mb
+
+
+def test_cli_show_prints_each_record_as_read(tmp_path, capsys):
+    frames_path, _ = gen_inputs(tmp_path, frames=3)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    assert main(["extract", str(frames_path), "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    records = sorted(out.glob("graph_*.bin"))
+    assert len(records) == 3
+    capsys.readouterr()
+    for path in records:
+        assert main(["show", str(path)]) == 0
+        assert capsys.readouterr().out == repr_dump(formats.read_graph_record(path))
+
+
+def test_cli_show_truncated_exit_4_missing_exit_3(tmp_path, capsys, caplog):
+    graphs, _, _ = extract_and_init(tmp_path, "pose", frames=1, points=20)
+    (record,) = graphs.glob("graph_*.bin")
+    record.write_bytes(record.read_bytes()[:-1])
+    capsys.readouterr()
+    assert main(["show", str(record)]) == 4
+    assert f"{record}: " in caplog.text
+    assert main(["show", str(tmp_path / "absent.bin")]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_extract_counts_points_dropped_by_downsampling(tmp_path):
+    frames_path, _ = gen_inputs(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, pipe=PipelineConfig(K=4, F=1, downsample_enabled=True,
+                                               cell_width=(0.2, 0.2, 0.2), Q=1))
+    out = tmp_path / "out"
+    assert main(["extract", str(frames_path), "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    manifest = {k: int(v) for k, v in formats.read_manifest(out / "manifest.txt").items()
+                if not k.startswith(("timing_", "config_"))}
+    assert manifest["points_in"] == 6 * 30
+    assert manifest["points_dropped_downsample"] > 0
+    assert manifest["nodes_out"] + manifest["points_dropped_downsample"] == manifest["points_in"]
+    assert "points_out" not in manifest
+
+
+@pytest.mark.parametrize("sizes", [(3, 12), (5, 6)])  # K nodes is below K, K + 1 is not
+def test_cli_extract_counts_graphs_below_k(tmp_path, np_rng, sizes):
+    frames = [frame_from_matrix(0, i, np_rng.normal(size=(n, 5))) for i, n in enumerate(sizes)]
+    frames_path = tmp_path / "frames.csv"
+    formats.write_frames(frames, frames_path)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, pipe=PipelineConfig(K=5))
+    out = tmp_path / "out"
+    assert main(["extract", str(frames_path), "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    manifest = formats.read_manifest(out / "manifest.txt")
+    assert manifest["graphs_out"] == "2"
+    assert manifest["graphs_below_k"] == "1"
 
 
 def test_cli_extract_skips_empty_frames(tmp_path):
