@@ -90,6 +90,14 @@ class ModelShape:
             raise ConfigError(f"edge_relu_policy must be one of {EDGE_RELU_POLICIES}")
         if self.output_size < 1:
             raise ConfigError("output_size must be >= 1")
+        for name in ("edge_units", "node_units", "frame_units"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must name at least one layer")
+        for name in ("edge_units", "node_units", "gat_units", "frame_units", "pred_units"):
+            if any(w < 1 for w in getattr(self, name)):
+                raise ConfigError(f"{name} must be widths >= 1, got {getattr(self, name)}")
+        if self.window < 1 or self.stride < 1:
+            raise ConfigError("window and stride must be >= 1")
         if self.sequential and self.lstm_hidden < 1:
             raise ConfigError("lstm_hidden must be >= 1 for sequential models")
 

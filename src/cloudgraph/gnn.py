@@ -224,27 +224,57 @@ def init_params(shape: ModelShape, config: PipelineConfig, rng: SplitMix64) -> M
 
 
 def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None) -> np.ndarray:
-    total = len(block.layers)
-    for i, layer in enumerate(block.layers):
-        if X.shape[1] != layer.W.shape[0]:
+    """Apply the block row-wise.  An unrectified layer 0 followed by a layer 1
+    is one affine map, evaluated as ``X @ (W0 @ W1) + (b0 @ W1 + b1)``, so
+    the product over the rows of X runs over X's width (6 for edges), not
+    layer 0's.  ``cache`` receives (input, rectified output, rectified?)
+    per evaluated layer."""
+    layers = block.layers
+    total = len(layers)
+    width = X.shape[1]
+    for layer in layers:
+        if width != layer.W.shape[0]:
             raise DimensionMismatch(
-                f"input width {X.shape[1]} does not match layer weight {layer.W.shape}"
+                f"input width {width} does not match layer weight {layer.W.shape}"
             )
-        Z = X @ layer.W + layer.b
+        width = layer.W.shape[1]
+    steps = [(layer.W, layer.b, i) for i, layer in enumerate(layers)]
+    if total > 1 and not _act_at(block.policy, 0, total):
+        W1, b1 = layers[1].W, layers[1].b
+        steps[:2] = [(layers[0].W @ W1, layers[0].b @ W1 + b1, 1)]
+    for W, b, i in steps:
+        Y = X @ W
+        Y += b
         use_relu = _act_at(block.policy, i, total)
+        if use_relu:
+            np.maximum(Y, 0.0, out=Y)
         if cache is not None:
-            cache.append((X, Z, use_relu))
-        X = np.maximum(Z, 0.0) if use_relu else Z
+            cache.append((X, Y, use_relu))
+        X = Y
     return X
 
 
 def _fcn_backward(block: FcnBlock, cache, dY, grads, prefix) -> np.ndarray:
-    for i in reversed(range(len(block.layers))):
-        Xin, Z, use_relu = cache[i]
-        dZ = dY * (Z > 0) if use_relu else dY
-        grads[f"{prefix}.{i}.W"] += Xin.T @ dZ
-        grads[f"{prefix}.{i}.b"] += dZ.sum(axis=0)
-        dY = dZ @ block.layers[i].W.T
+    layers = block.layers
+    folded = len(layers) - len(cache)  # 1 when cache[0] is layers 0 and 1
+    for j in reversed(range(len(cache))):
+        Xin, Y, use_relu = cache[j]
+        dZ = dY * (Y > 0) if use_relu else dY
+        G = Xin.T @ dZ
+        s = dZ.sum(axis=0)
+        if j == 0 and folded:
+            # every gradient of the pair from the narrow G, no E x d product
+            W0, W1 = layers[0].W, layers[1].W
+            grads[f"{prefix}.1.W"] += W0.T @ G + np.outer(layers[0].b, s)
+            grads[f"{prefix}.1.b"] += s
+            grads[f"{prefix}.0.W"] += G @ W1.T
+            grads[f"{prefix}.0.b"] += s @ W1.T
+            dY = dZ @ (W0 @ W1).T
+        else:
+            i = j + folded
+            grads[f"{prefix}.{i}.W"] += G
+            grads[f"{prefix}.{i}.b"] += s
+            dY = dZ @ layers[i].W.T
     return dY
 
 
@@ -443,9 +473,9 @@ def _rep_forward_batch(
         gc = cache["gat"] if cache is not None else None
         X = _gat_forward(layer, X, table, Xe, gc)
         if i < n_layers - 1:  # rectifier after every attention layer except the last
+            np.maximum(X, 0.0, out=X)
             if cache is not None:
                 cache["relu_z"].append(X)
-            X = np.maximum(X, 0.0)
     # mean pool per graph
     m = np.add.reduceat(X, offsets, axis=0) / counts[:, None]
     if cache is not None:
@@ -570,10 +600,12 @@ def predict_sequential(
 def _sign_pattern(cache: dict) -> np.ndarray:
     """The sign of every rectifier input of one forward pass, read from its
     gradient cache: rectified FCN layers, the rectifier after each inner
-    attention layer, and the leaky logits of each attention layer."""
+    attention layer, and the leaky logits of each attention layer.  The
+    cache keeps rectified outputs, and ``max(z, 0) > 0`` exactly where
+    ``z > 0``."""
     fcn = [c for key in ("h_edge", "h_node", "h_frame", "h_pred") for c in cache.get(key, ())]
-    parts = [Z > 0 for _, Z, use_relu in fcn if use_relu]
-    parts += [Z > 0 for Z in cache["relu_z"]]
+    parts = [Y > 0 for _, Y, use_relu in fcn if use_relu]
+    parts += [Y > 0 for Y in cache["relu_z"]]
     for c in cache["gat"]:
         valid = c["table"].valid
         parts += [c["z_self"] > 0, c["z_e"] > 0 if valid is None else (c["z_e"] > 0) & valid]
@@ -734,6 +766,8 @@ def read_weights_manifest(path) -> Dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise ManifestMismatch(f"{path}: tensor name is not UTF-8") from None
         (ndim,) = struct.unpack("<B", take(1))
+        if ndim not in (1, 2):  # every model tensor is a vector or a matrix
+            raise ManifestMismatch(f"{path}: tensor {name} has {ndim} dimensions")
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         values = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
         if not np.isfinite(values).all():

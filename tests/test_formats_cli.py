@@ -619,6 +619,26 @@ def test_cli_non_finite_config_exit_6(tmp_path, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines, field", [
+    (["model_edge_units ="], "edge_units"),
+    (["model_frame_units = -2"], "frame_units"),
+    (["model_edge_units = 16,0"], "edge_units"),
+    (["model_sequential = true", "model_stride = 0"], "stride"),
+    (["model_sequential = true", "model_window = 0"], "window"),
+    (["model_sequential = true", "model_stride = -1"], "stride"),
+], ids=["empty_edge_units", "negative_frame_width", "zero_edge_width",
+        "zero_stride", "zero_window", "negative_stride"])
+def test_cli_degenerate_model_shape_exit_6(tmp_path, caplog, lines, field):
+    graphs, weights, cfg_path = extract_and_init(tmp_path, "pose", frames=1, points=12)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg_path.read_text(encoding="utf-8") + "\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "p.csv"
+    assert infer(graphs, weights, bad, out) == 6
+    assert main(["init-weights", "--config", str(bad), "--out", str(tmp_path / "w2.bin")]) == 6
+    assert not out.exists() and not (tmp_path / "w2.bin").exists()
+    assert field in caplog.text
+
+
 def test_cli_truncated_or_overlong_binaries_exit_4(tmp_path):
     graphs, weights, cfg_path = extract_and_init(tmp_path, "pose", frames=1, points=20)
     (record,) = graphs.glob("graph_*.bin")

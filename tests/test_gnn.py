@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,8 @@ from cloudgraph.gnn import (
     AffineLayer,
     FcnBlock,
     GatLayer,
+    _fcn_backward,
+    _fcn_forward,
     _gat_backward,
     _gat_forward,
     _rep_forward_batch,
@@ -33,6 +36,7 @@ from cloudgraph.gnn import (
     network_loss,
     predict_framewise,
     predict_sequential,
+    read_weights_manifest,
     save_params,
 )
 from cloudgraph.pipeline import build_graph
@@ -120,6 +124,70 @@ def test_fcn_width_mismatch(np_rng):
     blk = FcnBlock([AffineLayer(np.eye(3), np.zeros(3))], policy="all")
     with pytest.raises(DimensionMismatch):
         fcn_forward(blk, np.zeros(4))
+
+
+def rectified(policy, i, total):
+    return {"all": True, "all_but_first": i > 0, "all_but_last": i < total - 1}[policy]
+
+
+def plain_fcn(block, X):
+    """Every layer on its own as ``X @ W + b``, rectified where the policy
+    says, with the pre-activations kept for a backward pass."""
+    total = len(block.layers)
+    steps = []
+    for i, layer in enumerate(block.layers):
+        Z = X @ layer.W + layer.b
+        steps.append((X, Z))
+        X = np.maximum(Z, 0.0) if rectified(block.policy, i, total) else Z
+    return X, steps
+
+
+def random_block(rng, policy, n_layers):
+    widths = (6, 9, 7, 5)[: n_layers + 1]
+    layers = [AffineLayer(rng.normal(size=(a, b)), rng.normal(size=b))
+              for a, b in zip(widths, widths[1:])]
+    return FcnBlock(layers, policy)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 37])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("policy", ["all", "all_but_first", "all_but_last"])
+def test_fcn_forward_matches_plain_layer_loop(np_rng, policy, n_layers, rows):
+    block = random_block(np_rng, policy, n_layers)
+    X = np_rng.normal(size=(rows, 6))
+    pairs = [(fcn_forward(block, X), plain_fcn(block, X)[0])]
+    if rows:  # the one-vector path
+        pairs.append((fcn_forward(block, X[0]), plain_fcn(block, X[:1])[0][0]))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        if policy == "all_but_first" and n_layers > 1:
+            # layers 0 and 1 run as one folded affine map: rounding differs
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+        else:
+            # in-place bias and rectifier round exactly as the plain expressions
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("policy", ["all", "all_but_first", "all_but_last"])
+def test_fcn_backward_matches_plain_chain_rule(np_rng, policy, n_layers):
+    block = random_block(np_rng, policy, n_layers)
+    X = np_rng.normal(size=(23, 6))
+    dY = np_rng.normal(size=(23, block.layers[-1].W.shape[1]))
+    cache = []
+    _fcn_forward(block, X, cache)
+    grads = {f"b.{i}.{t}": np.zeros_like(getattr(layer, t))
+             for i, layer in enumerate(block.layers) for t in "Wb"}
+    dX = _fcn_backward(block, cache, dY, grads, "b")
+    _, steps = plain_fcn(block, X)
+    d = dY
+    for i in reversed(range(n_layers)):
+        Xin, Z = steps[i]
+        dZ = d * (Z > 0) if rectified(policy, i, n_layers) else d
+        for name, want in ((f"b.{i}.W", Xin.T @ dZ), (f"b.{i}.b", dZ.sum(axis=0))):
+            assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+        d = dZ @ block.layers[i].W.T
+    assert np.abs(dX - d).max() <= 1e-12 * np.abs(d).max()
 
 
 # -- attention layer ---------------------------------------------------------
@@ -626,3 +694,14 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ManifestMismatch):
         load_params(path, SMALL_SHAPE, PipelineConfig(K=4))
+
+
+@pytest.mark.parametrize("ndim", [0, 3, 65, 255])
+def test_weights_manifest_rejects_tensor_rank(tmp_path, ndim):
+    # all-zero dims hold no values, so only the rank check stops a tensor
+    # of a rank numpy cannot build (above 64) from reaching reshape
+    path = tmp_path / "w.bin"
+    path.write_bytes(b"PCGW" + struct.pack("<IIH", 1, 1, 1) + b"t"
+                     + struct.pack("<B", ndim) + b"\x00" * 4 * ndim)
+    with pytest.raises(ManifestMismatch, match="dimensions"):
+        read_weights_manifest(path)

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-from cloudgraph.config import PipelineConfig, serialize_config
+from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
 from cloudgraph.formats import write_frames
 from cloudgraph.types import frame_from_matrix
 
@@ -64,3 +64,32 @@ def test_traced_extract_counts_one_edge_list_and_three_statbox_calls_per_graph(
     assert calls["statbox.statbox_array"] == 3 * graphs
     assert calls["statbox.statbox_columns"] == 2 * graphs
     assert tracer.counts["pipeline.points_kept"] == 3 * 24
+
+
+def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, np_rng):
+    """Each MLP block's span is named by the block object that load_params
+    returned, so a forward pass that evaluated some other block object would
+    record an anonymous ``gnn.fcn`` span and leave that block's metric at 0."""
+    spans, cg = load_perfbench(monkeypatch)
+    frames = [frame_from_matrix(0, i, np_rng.normal(size=(12, 5))) for i in range(3)]
+    write_frames(frames, tmp_path / "frames.csv")
+    shape = ModelShape(head="pose", output_size=4, edge_units=(6, 5), node_units=(7,),
+                       gat_units=(5,), frame_units=(6,), pred_units=(6,), sequential=True,
+                       lstm_hidden=4, window=2)
+    cfg = str(tmp_path / "run.cfg")
+    (tmp_path / "run.cfg").write_text(serialize_config(PipelineConfig(K=4), shape), encoding="utf-8")
+    graphs, weights = str(tmp_path / "graphs"), str(tmp_path / "w.bin")
+    assert cg.cli.main(["extract", str(tmp_path / "frames.csv"), "--config", cfg, "--out", graphs]) == 0
+    assert cg.cli.main(["init-weights", "--config", cfg, "--out", weights]) == 0
+    tracer = spans.Tracer()
+    spans.install(tracer, cg)
+    try:
+        rc = cg.cli.main(["infer", graphs, "--weights", weights, "--config", cfg,
+                          "--out", str(tmp_path / "preds.csv")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    _, _, calls = spans.span_totals(tracer.spans)
+    for block in ("h_edge", "h_node", "h_frame", "h_pred"):
+        assert calls["gnn." + block] > 0, block
+    assert calls["gnn.fcn"] == 0
