@@ -32,10 +32,6 @@ _GRAPH_HEADER = struct.Struct("<4sIQQQQQQQ")
 MANIFEST_FORMAT_VERSION = 1
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
-
-
 # -- frames ------------------------------------------------------------------
 
 
@@ -43,7 +39,7 @@ def write_frames(frames: Sequence[RadarFrame], path) -> None:
     lines = [FRAMES_HEADER]
     for fr in frames:
         for row in fr.points.tolist():
-            lines.append(f"{fr.sequence_id},{fr.frame_id}," + ",".join(map(_f, row)))
+            lines.append(f"{fr.sequence_id},{fr.frame_id}," + ",".join(map(repr, row)))
         if len(fr) == 0:
             # empty frames are legal: marker row with no point payload
             lines.append(f"{fr.sequence_id},{fr.frame_id},,,,,")
@@ -98,8 +94,8 @@ def write_skeletons(
 ) -> None:
     lines = [SKELETON_HEADER]
     for seq, fid, sk in rows:
-        for k, (x, y, z) in enumerate(sk.keypoints):
-            lines.append(f"{seq},{fid},{k},{_f(x)},{_f(y)},{_f(z)}")
+        for k, (x, y, z) in enumerate(sk.keypoints.tolist()):
+            lines.append(f"{seq},{fid},{k},{x!r},{y!r},{z!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -154,7 +150,8 @@ def write_scores(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
     header = SCORES_HEADER_PREFIX + "," + ",".join(f"score_{i}" for i in range(width))
     lines = [header]
     for seq, fid, scores in rows:
-        lines.append(f"{seq},{fid}," + ",".join(_f(s) for s in scores))
+        values = np.asarray(scores, dtype=np.float64).tolist()
+        lines.append(f"{seq},{fid}," + ",".join(map(repr, values)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -322,33 +322,75 @@ def neighbour_table(edges: np.ndarray, n: int) -> NeighbourTable:
     return NeighbourTable(src.reshape(n, k), pos, valid)
 
 
+# Bytes of the largest temporary in one row block of the streamed edge pass
+# and of the blocked attention sum; about a cache's worth, set by timing.
+_BLOCK_BYTES = 1 << 20
+# Every block but the last is a multiple of this many rows, and the last is
+# at least this long.  OpenBLAS's gemv takes rows in groups of four and
+# rounds a leftover row differently, so blocks aligned to the groups of the
+# whole product, with no short tail, keep every row's rounding: no block
+# size changes a bit.
+_MIN_BLOCK_ROWS = 8
+
+
+def _row_blocks(total: int, row_bytes: int) -> List[slice]:
+    """Slices covering ``range(total)`` in blocks of about ``_BLOCK_BYTES``;
+    a tail shorter than ``_MIN_BLOCK_ROWS`` joins the block before it."""
+    rows = _BLOCK_BYTES // max(row_bytes, 1) // _MIN_BLOCK_ROWS * _MIN_BLOCK_ROWS
+    rows = max(rows, _MIN_BLOCK_ROWS)
+    starts = range(0, max(total - _MIN_BLOCK_ROWS + 1, 1), rows)
+    return [slice(a, a + rows) for a in starts[:-1]] + [slice(starts[-1], total)]
+
+
+def _edge_directions(gat_layers: Sequence[GatLayer]) -> np.ndarray:
+    """d_edge x L: layer l reads a processed edge feature xe only through
+    ``xe @ V[:, l] = w3 . (theta_e^T xe)``."""
+    return np.column_stack([g.theta_e @ g.attn[2 * g.theta.shape[1] :] for g in gat_layers])
+
+
+def _edge_logits(params: ModelParams, edge_feats: np.ndarray, cache=None) -> np.ndarray:
+    """Every attention layer's edge logit term as an L x E array, row l for
+    layer l.  Without a cache the edge block runs one row block at a time
+    and no E x d array is held; with one, the block is the whole edge set
+    and the cache keeps its output ``Xe`` for the backward pass.  Each
+    block is projected as ``V.T @ Xe.T``, with ``V.T`` a transposed view,
+    which rounds an edge alike in any aligned block; ``Xe @ V``, or ``V.T``
+    copied to C order, does not for 2 to 4 layers."""
+    VT = _edge_directions(params.gat_layers).T
+    if cache is not None:
+        ec: list = []
+        Xe = _fcn_forward(params.h_edge, edge_feats, ec)
+        cache.update(h_edge=ec, Xe=Xe)
+        return VT @ Xe.T
+    out = np.empty((VT.shape[0], edge_feats.shape[0]))
+    width = max(layer.W.shape[1] for layer in params.h_edge.layers)
+    for rows in _row_blocks(edge_feats.shape[0], 8 * width):
+        out[:, rows] = VT @ _fcn_forward(params.h_edge, edge_feats[rows]).T
+    return out
+
+
 def _gat_forward(
     layer: GatLayer,
     X: np.ndarray,
     table: NeighbourTable,
-    Xe: Optional[np.ndarray],
+    e_logit: Optional[np.ndarray],
     cache=None,
 ):
+    """One attention layer on a neighbour table.  ``e_logit[e]`` is input
+    edge e's term of its logit, ``w3 . (theta_e^T xe)``, or None without
+    edge features."""
     if X.shape[1] != layer.theta.shape[0]:
         raise DimensionMismatch(
             f"node state width {X.shape[1]} does not match theta {layer.theta.shape}"
         )
     d = layer.theta.shape[1]
     Q = X @ layer.theta
-    w1 = layer.attn[:d]
-    w2 = layer.attn[d : 2 * d]
-    w3 = layer.attn[2 * d :]
-    qw1 = Q @ w1
-    qw2 = Q @ w2
+    qw1 = Q @ layer.attn[:d]
+    qw2 = Q @ layer.attn[d : 2 * d]
     z_self = qw1 + qw2  # self logit uses the zero edge-feature vector
-    E = table.pos.shape[0]
-    Qs = Q[table.src]  # n x k x d source states
     z_e = qw1[:, None] + qw2[table.src]
-    if layer.theta_e is not None and E:
-        if Xe is None or Xe.shape[1] != layer.theta_e.shape[0]:
-            raise DimensionMismatch("processed edge features do not match theta_e")
-        # w3 . (theta_e^T xe) per edge, without forming the E x d transform
-        z_e.reshape(-1)[table.pos] += Xe @ (layer.theta_e @ w3)
+    if e_logit is not None:
+        z_e.reshape(-1)[table.pos] += e_logit
     slope = layer.leaky_slope
     l_self = np.where(z_self > 0, z_self, slope * z_self)
     l_e = np.where(z_e > 0, z_e, slope * z_e)
@@ -361,21 +403,27 @@ def _gat_forward(
     denom = exp_self + exp_e.sum(axis=1)
     a_self = exp_self / denom
     a_e = exp_e / denom[:, None]
-    out = a_self[:, None] * Q + np.einsum("nk,nkd->nd", a_e, Qs)
+    out = a_self[:, None] * Q
+    # source states gathered one block of targets at a time, never n x k x d
+    for rows in _row_blocks(X.shape[0], 8 * d * table.src.shape[1]):
+        out[rows] += np.einsum("nk,nkd->nd", a_e[rows], Q[table.src[rows]])
     if cache is not None:
         cache.append(
-            dict(X=X, Xe=Xe, Q=Q, Qs=Qs, z_self=z_self, z_e=z_e, a_self=a_self, a_e=a_e,
-                 table=table)
+            dict(X=X, Q=Q, z_self=z_self, z_e=z_e, a_self=a_self, a_e=a_e, table=table)
         )
     return out
 
 
 def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
+    """Gradients of theta and ``attn[:2d]``; returns the gradients of the
+    node states and of the edge logit terms.  ``theta_e`` and ``attn[2d:]``
+    reach the loss only through the edge logits, so ``_rep_backward_batch``
+    takes their gradients for all layers at once."""
     d = layer.theta.shape[1]
     w1 = layer.attn[:d]
     w2 = layer.attn[d : 2 * d]
-    w3 = layer.attn[2 * d :]
-    Q, Qs, table = c["Q"], c["Qs"], c["table"]
+    Q, table = c["Q"], c["table"]
+    Qs = Q[table.src]
     a_self, a_e = c["a_self"], c["a_e"]
     slope = layer.leaky_slope
 
@@ -388,23 +436,15 @@ def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
     dz_e = dl_e * np.where(c["z_e"] > 0, 1.0, slope)
     dz_tgt = dz_self + dz_e.sum(axis=1)
 
-    dw1 = dz_tgt @ Q
-    dw2 = dz_self @ Q + np.einsum("nk,nkd->d", dz_e, Qs)
-    dw3 = np.zeros(d)
+    dattn = grads[f"{prefix}.attn"]
+    dattn[:d] += dz_tgt @ Q
+    dattn[d : 2 * d] += dz_self @ Q + np.einsum("nk,nkd->d", dz_e, Qs)
     dQ = a_self[:, None] * G + dz_self[:, None] * w2 + dz_tgt[:, None] * w1
     # source side: each slot sends its share back to its source node
     np.add.at(dQ, table.src, a_e[:, :, None] * G[:, None, :] + dz_e[:, :, None] * w2)
-    dXe = None
-    if layer.theta_e is not None and table.pos.shape[0]:
-        dz_edge = dz_e.reshape(-1)[table.pos]
-        xe_dz = dz_edge @ c["Xe"]
-        dw3 = xe_dz @ layer.theta_e
-        grads[f"{prefix}.theta_e"] += np.outer(xe_dz, w3)
-        dXe = np.outer(dz_edge, layer.theta_e @ w3)
-    grads[f"{prefix}.attn"] += np.concatenate([dw1, dw2, dw3])
     grads[f"{prefix}.theta"] += c["X"].T @ dQ
     dX = dQ @ layer.theta.T
-    return dX, dXe
+    return dX, dz_e.reshape(-1)[table.pos]
 
 
 def gat_forward(layer: GatLayer, node_feats, edges, processed_edge_feats=None) -> np.ndarray:
@@ -412,12 +452,13 @@ def gat_forward(layer: GatLayer, node_feats, edges, processed_edge_feats=None) -
     self term (zero edge-feature vector) included in the softmax."""
     X = np.asarray(node_feats, dtype=np.float64)
     ed = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    Xe = (
-        np.asarray(processed_edge_feats, dtype=np.float64)
-        if processed_edge_feats is not None
-        else None
-    )
-    return _gat_forward(layer, X, neighbour_table(ed, X.shape[0]), Xe)
+    e_logit = None
+    if layer.theta_e is not None and ed.shape[0]:
+        Xe = np.asarray(processed_edge_feats, dtype=np.float64)
+        if Xe.ndim != 2 or Xe.shape[1] != layer.theta_e.shape[0]:
+            raise DimensionMismatch("processed edge features do not match theta_e")
+        e_logit = Xe @ _edge_directions([layer])[:, 0]
+    return _gat_forward(layer, X, neighbour_table(ed, X.shape[0]), e_logit)
 
 
 # -- frame representation ----------------------------------------------------
@@ -455,13 +496,10 @@ def _rep_forward_batch(
     ) if any(g.num_edges for g in graphs) else np.zeros((0, 2), dtype=np.int64)
     table = neighbour_table(edges, node_feats.shape[0])
 
-    Xe = None
-    if params.h_edge is not None:
+    e_logits = None
+    if params.h_edge is not None and params.gat_layers:
         edge_feats = np.concatenate([g.edge_features for g in graphs]) if edges.size else np.zeros((0, params.h_edge.layers[0].W.shape[0]))
-        ec = [] if cache is not None else None
-        Xe = _fcn_forward(params.h_edge, edge_feats, ec)
-        if cache is not None:
-            cache["h_edge"] = ec
+        e_logits = _edge_logits(params, edge_feats, cache)
     nc = [] if cache is not None else None
     X = _fcn_forward(params.h_node, node_feats, nc)
     if cache is not None:
@@ -471,7 +509,7 @@ def _rep_forward_batch(
     n_layers = len(params.gat_layers)
     for i, layer in enumerate(params.gat_layers):
         gc = cache["gat"] if cache is not None else None
-        X = _gat_forward(layer, X, table, Xe, gc)
+        X = _gat_forward(layer, X, table, None if e_logits is None else e_logits[i], gc)
         if i < n_layers - 1:  # rectifier after every attention layer except the last
             np.maximum(X, 0.0, out=X)
             if cache is not None:
@@ -502,19 +540,26 @@ def _rep_backward_batch(params: ModelParams, cache, dRep, grads):
         _fcn_backward(params.h_frame, cache["h_frame"], dXf, grads, "h_frame")
     counts = cache["counts"]
     dX = np.repeat(dm / counts[:, None], counts, axis=0)
-    dXe_total = None
+    de_logits = []
     n_layers = len(params.gat_layers)
     for i in reversed(range(n_layers)):
         if i < n_layers - 1:
             dX = dX * (cache["relu_z"][i] > 0)
-        dX, dXe = _gat_backward(
+        dX, de_logit = _gat_backward(
             params.gat_layers[i], cache["gat"][i], dX, grads, f"gat.{i}"
         )
-        if dXe is not None:
-            dXe_total = dXe if dXe_total is None else dXe_total + dXe
+        de_logits.insert(0, de_logit)
     _fcn_backward(params.h_node, cache["h_node"], dX, grads, "h_node")
-    if params.h_edge is not None and dXe_total is not None:
-        _fcn_backward(params.h_edge, cache["h_edge"], dXe_total, grads, "h_edge")
+    if "Xe" in cache:
+        # layer l's edge logits are Xe @ V[:, l], V[:, l] = theta_e_l @ w3_l
+        D = np.stack(de_logits)  # L x E
+        XeD = cache["Xe"].T @ D.T  # d_edge x L
+        for i, layer in enumerate(params.gat_layers):
+            d = layer.theta.shape[1]
+            grads[f"gat.{i}.theta_e"] += np.outer(XeD[:, i], layer.attn[2 * d :])
+            grads[f"gat.{i}.attn"][2 * d :] += XeD[:, i] @ layer.theta_e
+        dXe = D.T @ _edge_directions(params.gat_layers).T
+        _fcn_backward(params.h_edge, cache["h_edge"], dXe, grads, "h_edge")
 
 
 def frame_representation(params: ModelParams, graph: PointGraph) -> np.ndarray:

@@ -115,6 +115,27 @@ def test_scores_round_trip(tmp_path, np_rng):
         assert np.array_equal(back[(seq, fid)], s)
 
 
+def test_prediction_writers_render_each_value_as_its_repr(tmp_path, np_rng):
+    # signed zero, a subnormal, a huge value and integral values keep the
+    # exact text of repr(float(v)) for every single value
+    special = [-0.0, 5e-324, 1e300, 2.0, -3.0, 0.1]
+    kp = np.concatenate([np.array(special).reshape(2, 3), np_rng.normal(size=(2, 3))])
+    rows = [(0, 4, Skeleton(kp, 0)), (2, 9, Skeleton(kp[::-1], 1))]
+    formats.write_skeletons(rows, tmp_path / "sk.csv")
+    want = [formats.SKELETON_HEADER] + [
+        f"{seq},{fid},{k}," + ",".join(repr(float(v)) for v in point)
+        for seq, fid, sk in rows for k, point in enumerate(sk.keypoints)
+    ]
+    assert (tmp_path / "sk.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+
+    scores = [(0, 4, np.array(special)), (1, 5, np_rng.normal(size=6))]
+    formats.write_scores(scores, tmp_path / "scores.csv")
+    want = [formats.SCORES_HEADER_PREFIX + "," + ",".join(f"score_{i}" for i in range(6))] + [
+        f"{seq},{fid}," + ",".join(repr(float(v)) for v in s) for seq, fid, s in scores
+    ]
+    assert (tmp_path / "scores.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+
+
 def test_labels_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     formats.write_labels([(0, 0, 2), (0, 1, 4)], path)

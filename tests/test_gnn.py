@@ -3,11 +3,13 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cloudgraph import gnn
 from cloudgraph.cli import main
 from cloudgraph.config import ModelShape, PipelineConfig, mars_sequential_shape, serialize_config
 from cloudgraph.errors import (
@@ -25,6 +27,7 @@ from cloudgraph.gnn import (
     _gat_backward,
     _gat_forward,
     _rep_forward_batch,
+    _row_blocks,
     fcn_forward,
     frame_representation,
     gat_forward,
@@ -208,6 +211,15 @@ def test_gat_isolated_node_is_theta_transform(np_rng):
     assert np.allclose(out, x @ layer.theta, atol=1e-14)
 
 
+def test_gat_forward_rejects_mismatched_inputs(np_rng):
+    layer = make_gat(np_rng, 4, 3, 2)
+    x = np_rng.normal(size=(3, 4))
+    edges = np.array([[0, 1], [1, 2], [2, 0]])
+    for bad_x, ef in ((x, None), (x, np.zeros((3, 5))), (x[:, :3], np.zeros((3, 2)))):
+        with pytest.raises(DimensionMismatch):
+            gat_forward(layer, bad_x, edges, ef)
+
+
 def test_gat_identical_neighbors_average(np_rng):
     # two coincident node states: all logits equal, attention = 1/2 each,
     # output equals the (identical) transformed state
@@ -306,31 +318,33 @@ def test_gat_isolated_targets_and_mixed_degrees_match_reference(np_rng):
 
 
 def test_gat_backward_on_padded_table_matches_finite_differences(np_rng):
-    n, step = 7, 1e-6
-    layer = make_gat(np_rng, 4, 3, 2)
+    # theta_e and attn[2d:] reach a layer only through its edge logits; their
+    # gradients are checked through the whole network by the grad_check tests
+    n, d, step = 7, 3, 1e-6
+    layer = make_gat(np_rng, 4, d, 2)
     X = np_rng.normal(size=(n, 4))
     edges = mixed_degree_edges(np_rng, n, isolated=(2,))
-    Xe = np_rng.normal(size=(len(edges), 2))
+    e_logit = np_rng.normal(size=len(edges))
     table = neighbour_table(edges, n)
-    R = np_rng.normal(size=(n, 3))  # loss = sum(R * out)
+    R = np_rng.normal(size=(n, d))  # loss = sum(R * out)
     cache = []
-    _gat_forward(layer, X, table, Xe, cache=cache)
-    grads = {"g.theta": np.zeros_like(layer.theta), "g.theta_e": np.zeros_like(layer.theta_e),
-             "g.attn": np.zeros_like(layer.attn)}
-    dX, dXe = _gat_backward(layer, cache[0], R, grads, "g")
-    analytic = {"theta": grads["g.theta"], "theta_e": grads["g.theta_e"],
-                "attn": grads["g.attn"], "X": dX, "Xe": dXe}
-    tensors = {"theta": layer.theta, "theta_e": layer.theta_e, "attn": layer.attn,
-               "X": X, "Xe": Xe}
+    _gat_forward(layer, X, table, e_logit, cache=cache)
+    grads = {"g.theta": np.zeros_like(layer.theta), "g.attn": np.zeros_like(layer.attn)}
+    dX, de_logit = _gat_backward(layer, cache[0], R, grads, "g")
+    assert not grads["g.attn"][2 * d :].any()
+    analytic = {"theta": grads["g.theta"], "attn[:2d]": grads["g.attn"][: 2 * d],
+                "X": dX, "e_logit": de_logit}
+    tensors = {"theta": layer.theta, "attn[:2d]": layer.attn[: 2 * d], "X": X,
+               "e_logit": e_logit}
     for name, tensor in tensors.items():
         flat = tensor.reshape(-1)
         numeric = np.zeros(flat.size)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = float((R * _gat_forward(layer, X, table, Xe)).sum())
+            up = float((R * _gat_forward(layer, X, table, e_logit)).sum())
             flat[i] = orig - step
-            down = float((R * _gat_forward(layer, X, table, Xe)).sum())
+            down = float((R * _gat_forward(layer, X, table, e_logit)).sum())
             flat[i] = orig
             numeric[i] = (up - down) / (2 * step)
         assert np.allclose(analytic[name].reshape(-1), numeric, rtol=1e-5, atol=1e-7), name
@@ -402,6 +416,85 @@ def test_representation_rejects_empty(np_rng):
     params, cfg = small_params()
     with pytest.raises(EmptyGraph):
         _rep_forward_batch(params, [])
+
+
+def random_biases(params, rng, scale=0.3):
+    """Non-zero biases in every block, so a gradient term proportional to
+    a bias can show."""
+    for name, arr in named_tensors(params).items():
+        if name.endswith(".b"):
+            arr[...] = rng.normal(scale=scale, size=arr.shape)
+    return params
+
+
+def random_batch(rng, shape, sizes, seed=0):
+    cfg = PipelineConfig(K=20)
+    params = random_biases(init_params(shape, cfg, SplitMix64(seed)), rng)
+    graphs = [build_graph([random_frame(rng, n)], cfg) for n in sizes]
+    return params, graphs
+
+
+@pytest.mark.parametrize("total", [0, 5, 23, 1003])
+@pytest.mark.parametrize("row_bytes", [1, 40000, 1 << 40])  # 40000: 26 rows, cut to 24
+def test_row_blocks_are_aligned_and_leave_no_short_tail(total, row_bytes):
+    blocks = _row_blocks(total, row_bytes)
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(total))
+    lengths = [b.stop - b.start for b in blocks]
+    assert len(set(lengths[:-1])) <= 1
+    assert all(n % gnn._MIN_BLOCK_ROWS == 0 for n in lengths[:-1])
+    assert len(blocks) <= 1 or lengths[-1] >= gnn._MIN_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("block_rows", [1, 13, 1 << 40])
+@pytest.mark.parametrize("shape, sizes", [
+    # 205 nodes at K = 20 and 64-wide edge states, three layers: 4,100
+    # edges, 4 past a multiple of both 8 and the default's 2,048 rows
+    (mars_sequential_shape(13, 0), (96, 64, 45)),
+    # one 16-wide layer: 24,580 edges, 4 past a multiple of 8,192 rows
+    (ModelShape(), (512, 512, 205)),
+], ids=["mars_sequential", "default"])
+def test_representation_does_not_depend_on_the_block_size(np_rng, monkeypatch, block_rows,
+                                                          shape, sizes):
+    # a budget of 1 or 13 edge rows makes blocks of 8: the rows a block
+    # starts at stay aligned to BLAS's row groups
+    params, graphs = random_batch(np_rng, shape, sizes)
+    E = sum(g.num_edges for g in graphs)
+    row_bytes = 8 * max(shape.edge_units)
+    default_rows = gnn._BLOCK_BYTES // row_bytes
+    assert 0 < E % gnn._MIN_BLOCK_ROWS == E % default_rows < gnn._MIN_BLOCK_ROWS
+    want = _rep_forward_batch(params, graphs)
+    # the cached path runs the edge block as one block
+    assert np.array_equal(_rep_forward_batch(params, graphs, {}), want)
+    monkeypatch.setattr(gnn, "_BLOCK_BYTES", block_rows * row_bytes)
+    assert np.array_equal(_rep_forward_batch(params, graphs), want)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 40])
+def test_gat_on_padded_table_does_not_depend_on_the_block_size(np_rng, monkeypatch, block_bytes):
+    n = 29  # 8-row blocks leave a tail of 5, folded into the block before it
+    layer = make_gat(np_rng, 5, 4, 3)
+    X = np_rng.normal(size=(n, 5))
+    table = neighbour_table(mixed_degree_edges(np_rng, n, isolated=(3,)), n)
+    assert table.valid is not None
+    e_logit = np_rng.normal(size=table.pos.shape[0])
+    want = _gat_forward(layer, X, table, e_logit)
+    monkeypatch.setattr(gnn, "_BLOCK_BYTES", block_bytes)
+    assert np.array_equal(_gat_forward(layer, X, table, e_logit), want)
+
+
+def test_representation_peak_memory_below_one_edge_state_array(np_rng):
+    # the edge block and the attention sum run in row blocks: no E x 64
+    # edge state and no n x k x 64 gathered source states
+    params, graphs = random_batch(np_rng, mars_sequential_shape(13, 0), (128,) * 16)
+    E = sum(g.num_edges for g in graphs)
+    assert E >= 40960
+    tracemalloc.start()
+    try:
+        _rep_forward_batch(params, graphs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E * 64 * 8
 
 
 def test_representation_permutation_invariant(np_rng):
@@ -587,6 +680,32 @@ def test_grad_check_edge_relu_policies(np_rng, policy, edge_units):
                      rng=SplitMix64(3))
     assert rep["overall_max_rel_err"] < 1e-4
     assert all(rep[f"h_edge.{i}.W"]["checked"] > 0 for i in range(len(edge_units)))
+
+
+@pytest.mark.parametrize("policy, edge_units", [
+    ("all_but_first", (6, 5)),
+    ("all_but_first", (6, 6, 5)),
+    ("all_but_last", (6, 5)),
+    ("all_but_last", (6, 6, 5)),
+])
+def test_grad_check_with_nonzero_biases(np_rng, policy, edge_units):
+    # init_params biases are all zero; these make every bias-proportional
+    # term of the folded edge layers and every attention layer's edge path
+    # count
+    for head, loss, target, seed in (("pose", "mse", np_rng.normal(size=12), 5),
+                                     ("activity", "cross_entropy", 2, 6)):
+        shape = ModelShape(
+            head=head, output_size=4, edge_units=edge_units, node_units=(8, 7),
+            gat_units=(6, 6, 5), frame_units=(9,), pred_units=(8,), edge_relu_policy=policy,
+        )
+        params, cfg = small_params(rng_seed=seed, shape=shape)
+        random_biases(params, np_rng)
+        g = random_graph(np_rng, n=9, cfg=cfg)
+        rep = grad_check(params, g, loss, target, max_entries_per_tensor=20, rng=SplitMix64(seed))
+        assert rep["overall_max_rel_err"] < 1e-4, head
+        checked = [k for k, v in rep.items() if isinstance(v, dict) and v["checked"]]
+        assert {f"h_edge.{i}.{t}" for i in range(len(edge_units)) for t in "Wb"} <= set(checked)
+        assert {f"gat.{i}.theta_e" for i in range(3)} <= set(checked)
 
 
 def test_network_loss_values(np_rng):

@@ -69,13 +69,15 @@ def test_traced_extract_counts_one_edge_list_and_three_statbox_calls_per_graph(
 def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, np_rng):
     """Each MLP block's span is named by the block object that load_params
     returned, so a forward pass that evaluated some other block object would
-    record an anonymous ``gnn.fcn`` span and leave that block's metric at 0."""
+    record an anonymous ``gnn.fcn`` span and leave that block's metric at 0.
+    The edge block runs in row blocks, each its own ``gnn.h_edge`` span,
+    but attention stays one ``gnn.gat`` span per layer and window."""
     spans, cg = load_perfbench(monkeypatch)
     frames = [frame_from_matrix(0, i, np_rng.normal(size=(12, 5))) for i in range(3)]
     write_frames(frames, tmp_path / "frames.csv")
     shape = ModelShape(head="pose", output_size=4, edge_units=(6, 5), node_units=(7,),
-                       gat_units=(5,), frame_units=(6,), pred_units=(6,), sequential=True,
-                       lstm_hidden=4, window=2)
+                       gat_units=(5, 5, 5), frame_units=(6,), pred_units=(6,), sequential=True,
+                       lstm_hidden=4, window=3)
     cfg = str(tmp_path / "run.cfg")
     (tmp_path / "run.cfg").write_text(serialize_config(PipelineConfig(K=4), shape), encoding="utf-8")
     graphs, weights = str(tmp_path / "graphs"), str(tmp_path / "w.bin")
@@ -93,3 +95,5 @@ def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, n
     for block in ("h_edge", "h_node", "h_frame", "h_pred"):
         assert calls["gnn." + block] > 0, block
     assert calls["gnn.fcn"] == 0
+    assert calls["gnn.frame_representation"] == 1
+    assert calls["gnn.gat"] == 3
