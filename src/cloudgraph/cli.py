@@ -16,6 +16,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import formats
 from .config import load_config, serialize_config
 from .errors import (
@@ -71,6 +73,8 @@ def cmd_extract(args) -> int:
     n_dropped_downsample = 0
     n_below_k = 0
     n_edges = 0
+    n_edges_coincident = 0
+    n_nodes_at_centroid = 0
     skipped = 0
     windows, dropped_gap = _windows(frames, pipeline_cfg.F)
     for window in windows:
@@ -90,6 +94,14 @@ def cmd_extract(args) -> int:
         n_dropped_downsample += sum(len(f) for f in window) - graph.num_nodes
         n_below_k += graph.num_nodes <= pipeline_cfg.K
         n_edges += graph.num_edges
+        # the zero-direction cases, read off the features already computed:
+        # edge length (column 0) 0, and node distance to the centroid
+        # (column 15) below epsilon
+        if pipeline_cfg.enable_edge_features:
+            n_edges_coincident += np.count_nonzero(graph.edge_features[:, 0] == 0)
+        if pipeline_cfg.enable_node_features:
+            to_centroid = graph.node_features[:, 15]
+            n_nodes_at_centroid += np.count_nonzero(to_centroid < pipeline_cfg.epsilon)
     elapsed = time.perf_counter() - t0
     entries = {
         "seed": pipeline_cfg.seed,
@@ -102,8 +114,12 @@ def cmd_extract(args) -> int:
         "points_dropped_downsample": n_dropped_downsample,
         "graphs_below_k": n_below_k,
         "edges": n_edges,
-        "timing_extract_seconds": f"{elapsed:.6f}",
     }
+    if pipeline_cfg.enable_edge_features:
+        entries["edges_coincident"] = n_edges_coincident
+    if pipeline_cfg.enable_node_features:
+        entries["nodes_at_centroid"] = n_nodes_at_centroid
+    entries["timing_extract_seconds"] = f"{elapsed:.6f}"
     for line in serialize_config(pipeline_cfg).strip().splitlines():
         if "=" in line:
             key, value = (p.strip() for p in line.split("=", 1))

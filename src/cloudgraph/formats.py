@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from itertools import count, repeat
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -47,43 +48,80 @@ def write_frames(frames: Sequence[RadarFrame], path) -> None:
 
 
 def read_frames(path) -> List[RadarFrame]:
-    """Parse a frames file into frames ordered as encountered.  A NaN or
-    infinite point value is a ParseError naming its line."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    """Parse a frames file into frames in the order their ids first occur.
+
+    The body is parsed column by column: one split of all rows into fields,
+    ``int`` and ``float`` mapped over whole columns, and one stable sort of
+    the rows by frame.  Blank lines are skipped and each line is stripped;
+    rows of one id need not be contiguous.  A row whose five values are all
+    empty marks an empty frame.  A malformed line, or a NaN or infinite
+    point value, is a ParseError naming the first such line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != FRAMES_HEADER:
         raise ParseError(1, f"expected header {FRAMES_HEADER!r}")
-    by_id: Dict[Tuple[int, int], List[List[float]]] = {}
-    order: List[Tuple[int, int]] = []
+    rows = list(filter(None, map(str.strip, lines[1:])))
+    if not rows:
+        return []
+    if set(map(str.count, rows, repeat(","))) != {6}:
+        raise _first_bad_frame_line(lines)
+    fields = ",".join(rows).split(",")
+    del rows
+    try:
+        seqs, fids = list(map(int, fields[0::7])), list(map(int, fields[1::7]))
+    except ValueError:
+        raise _first_bad_frame_line(lines) from None
+    del fields[0::7]
+    del fields[0::6]  # left: the x, y, z, v, I fields, row-major
+    marker = None
+    if "" in fields:
+        # drop the empty-frame markers; an empty field left fails ``float``
+        values = np.array(fields, dtype=object).reshape(-1, 5)
+        marker = (values == "").all(axis=1)
+        fields = values[~marker].ravel().tolist()
+        del values
+    try:
+        points = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 5)
+    except ValueError:
+        raise _first_bad_frame_line(lines) from None
+    del fields
+    if not np.isfinite(points).all():
+        raise _first_bad_frame_line(lines)
+    # the (sequence, frame) pairs are zipped on the fly, never held as a
+    # list, so they leave no thousands of tuples in the interpreter's free list
+    rank = dict(zip(dict.fromkeys(zip(seqs, fids)), count()))
+    ranks = np.fromiter(map(rank.__getitem__, zip(seqs, fids)), np.intp, len(seqs))
+    if marker is not None:
+        ranks = ranks[~marker]
+    ends = np.cumsum(np.bincount(ranks, minlength=len(rank)))[:-1]
+    groups = np.split(points[np.argsort(ranks, kind="stable")], ends)
+    return [
+        RadarFrame(frame_id=fid, sequence_id=seq, points=pts)
+        for (seq, fid), pts in zip(rank, groups)
+    ]
+
+
+def _first_bad_frame_line(lines: List[str]) -> ParseError:
+    """The ParseError for the first malformed data line of a frames file."""
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 7:
-            raise ParseError(lineno, f"expected 7 fields, got {len(parts)}")
+            return ParseError(lineno, f"expected 7 fields, got {len(parts)}")
         try:
-            seq = int(parts[0])
-            fid = int(parts[1])
+            seq, fid = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(lineno, "bad sequence or frame id") from None
-        key = (seq, fid)
-        if key not in by_id:
-            by_id[key] = []
-            order.append(key)
+            return ParseError(lineno, "bad sequence or frame id")
         if all(p == "" for p in parts[2:]):
             continue  # empty-frame marker
         try:
             vals = [float(p) for p in parts[2:]]
         except ValueError:
-            raise ParseError(lineno, "bad point value") from None
+            return ParseError(lineno, "bad point value")
         if not all(map(math.isfinite, vals)):
-            raise ParseError(lineno, f"non-finite point value in sequence {seq} frame {fid}")
-        by_id[key].append(vals)
-    return [
-        RadarFrame(frame_id=fid, sequence_id=seq, points=by_id[(seq, fid)])
-        for seq, fid in order
-    ]
+            return ParseError(lineno, f"non-finite point value in sequence {seq} frame {fid}")
+    raise AssertionError("no malformed line in a frames file the reader rejected")
 
 
 # -- skeletons / predictions -------------------------------------------------
@@ -231,10 +269,12 @@ def write_graph_record(graph: PointGraph, path) -> None:
                 graph.frame_features.shape[0],
             )
         )
-        fh.write(graph.node_features.astype("<f8").tobytes(order="C"))
-        fh.write(graph.edges.astype("<u4").tobytes(order="C"))
-        fh.write(graph.edge_features.astype("<f8").tobytes(order="C"))
-        fh.write(graph.frame_features.astype("<f8").tobytes(order="C"))
+        # each section's buffer is written as it is, copied only to narrow
+        # the edge list to u4
+        fh.write(np.ascontiguousarray(graph.node_features, "<f8"))
+        fh.write(np.ascontiguousarray(graph.edges, "<u4"))
+        fh.write(np.ascontiguousarray(graph.edge_features, "<f8"))
+        fh.write(np.ascontiguousarray(graph.frame_features, "<f8"))
 
 
 def read_graph_record(path) -> PointGraph:

@@ -16,7 +16,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -137,16 +137,6 @@ def _uniform_matrix(rng: SplitMix64, shape: Tuple[int, ...], fan_in: int) -> np.
     return ((flat * 2.0 - 1.0) * bound).reshape(shape)
 
 
-def _init_block(rng, widths: Sequence[int], policy: str) -> FcnBlock:
-    layers = [
-        AffineLayer(
-            W=_uniform_matrix(rng, (din, dout), din), b=np.zeros(dout)
-        )
-        for din, dout in zip(widths, widths[1:])
-    ]
-    return FcnBlock(layers=layers, policy=policy)
-
-
 def representation_dim(shape: ModelShape, config: PipelineConfig) -> int:
     # an empty attention stack pools the processed node features directly
     d = shape.gat_units[-1] if shape.gat_units else shape.node_units[-1]
@@ -159,56 +149,67 @@ def head_output_dim(shape: ModelShape) -> int:
     return 3 * shape.output_size if shape.head == "pose" else shape.output_size
 
 
-def init_params(shape: ModelShape, config: PipelineConfig, rng: SplitMix64) -> ModelParams:
-    """Seeded symmetric-uniform, fan-in-scaled initialization.
+# ``tensor(name, dims, fan_in)`` supplies one named tensor to the builder;
+# ``fan_in`` is None for a bias
+_TensorSource = Callable[[str, Tuple[int, ...], Optional[int]], np.ndarray]
+
+
+def _build_params(shape: ModelShape, config: PipelineConfig, tensor: _TensorSource) -> ModelParams:
+    """The model that (shape, config) implies, each tensor from ``tensor``
+    in ``named_tensors`` order.
 
     The mode flags of ``config`` decide which blocks exist and the input
     widths (19D vs raw 5D node features, presence of edge and frame
     branches).
     """
+
+    def block(prefix: str, widths: Sequence[int], policy: str) -> FcnBlock:
+        layers = [
+            AffineLayer(
+                W=tensor(f"{prefix}.{i}.W", (din, dout), din),
+                b=tensor(f"{prefix}.{i}.b", (dout,), None),
+            )
+            for i, (din, dout) in enumerate(zip(widths, widths[1:]))
+        ]
+        return FcnBlock(layers=layers, policy=policy)
+
+    def lstm_direction(tag: str, D: int, H: int) -> LstmDirection:
+        return LstmDirection(
+            Wx=tensor(f"lstm.{tag}.Wx", (D, 4 * H), D),
+            Wh=tensor(f"lstm.{tag}.Wh", (H, 4 * H), H),
+            b=tensor(f"lstm.{tag}.b", (4 * H,), None),
+        )
+
     d_node_in = 19 if config.enable_node_features else 5
     h_edge = None
     if config.enable_edge_features:
-        h_edge = _init_block(rng, (6, *shape.edge_units), shape.edge_relu_policy)
-    h_node = _init_block(rng, (d_node_in, *shape.node_units), "all")
+        h_edge = block("h_edge", (6, *shape.edge_units), shape.edge_relu_policy)
+    h_node = block("h_node", (d_node_in, *shape.node_units), "all")
     gat_layers = []
     d_in = shape.node_units[-1]
-    for d_out in shape.gat_units:
-        theta = _uniform_matrix(rng, (d_in, d_out), d_in)
+    d_edge = shape.edge_units[-1]
+    for l, d_out in enumerate(shape.gat_units):
+        theta = tensor(f"gat.{l}.theta", (d_in, d_out), d_in)
         theta_e = (
-            _uniform_matrix(rng, (shape.edge_units[-1], d_out), shape.edge_units[-1])
+            tensor(f"gat.{l}.theta_e", (d_edge, d_out), d_edge)
             if config.enable_edge_features
             else None
         )
-        attn = _uniform_matrix(rng, (3 * d_out,), d_out)
+        attn = tensor(f"gat.{l}.attn", (3 * d_out,), d_out)
         gat_layers.append(GatLayer(theta, theta_e, attn, shape.leaky_slope))
         d_in = d_out
     h_frame = None
     if config.enable_frame_features:
-        d_frame_in = 10 * 2 * d_node_in
-        h_frame = _init_block(rng, (d_frame_in, *shape.frame_units), "all")
+        h_frame = block("h_frame", (10 * 2 * d_node_in, *shape.frame_units), "all")
     pred_in = (
         2 * shape.lstm_hidden if shape.sequential else representation_dim(shape, config)
     )
-    h_pred = _init_block(
-        rng, (pred_in, *shape.pred_units, head_output_dim(shape)), "all_but_last"
-    )
+    h_pred = block("h_pred", (pred_in, *shape.pred_units, head_output_dim(shape)), "all_but_last")
     lstm = None
     if shape.sequential:
         D = representation_dim(shape, config)
         H = shape.lstm_hidden
-        lstm = LstmParams(
-            fwd=LstmDirection(
-                Wx=_uniform_matrix(rng, (D, 4 * H), D),
-                Wh=_uniform_matrix(rng, (H, 4 * H), H),
-                b=np.zeros(4 * H),
-            ),
-            bwd=LstmDirection(
-                Wx=_uniform_matrix(rng, (D, 4 * H), D),
-                Wh=_uniform_matrix(rng, (H, 4 * H), H),
-                b=np.zeros(4 * H),
-            ),
-        )
+        lstm = LstmParams(fwd=lstm_direction("fwd", D, H), bwd=lstm_direction("bwd", D, H))
     return ModelParams(
         shape=shape,
         h_edge=h_edge,
@@ -218,6 +219,16 @@ def init_params(shape: ModelShape, config: PipelineConfig, rng: SplitMix64) -> M
         h_pred=h_pred,
         lstm=lstm,
     )
+
+
+def init_params(shape: ModelShape, config: PipelineConfig, rng: SplitMix64) -> ModelParams:
+    """Seeded symmetric-uniform, fan-in-scaled weights and zero biases,
+    drawn in ``named_tensors`` order."""
+
+    def draw(name: str, dims: Tuple[int, ...], fan_in: Optional[int]) -> np.ndarray:
+        return np.zeros(dims) if fan_in is None else _uniform_matrix(rng, dims, fan_in)
+
+    return _build_params(shape, config, draw)
 
 
 # -- feed-forward blocks -----------------------------------------------------
@@ -826,19 +837,23 @@ def read_weights_manifest(path) -> Dict[str, np.ndarray]:
 def load_params(path, shape: ModelShape, config: PipelineConfig) -> ModelParams:
     """Rebuild ModelParams from a weights file; names and shapes must match
     the manifest implied by (shape, config) exactly."""
-    params = init_params(shape, config, SplitMix64(0))
     stored = read_weights_manifest(path)
-    expected = named_tensors(params)
+    expected: Dict[str, Tuple[int, ...]] = {}
+
+    def take(name: str, dims: Tuple[int, ...], fan_in: Optional[int]) -> Optional[np.ndarray]:
+        expected[name] = dims
+        return stored.get(name)
+
+    params = _build_params(shape, config, take)
     if set(stored) != set(expected):
         missing = set(expected) - set(stored)
         extra = set(stored) - set(expected)
         raise ManifestMismatch(
             f"{path}: tensor names differ (missing={sorted(missing)}, extra={sorted(extra)})"
         )
-    for name, arr in expected.items():
-        if stored[name].shape != arr.shape:
+    for name, dims in expected.items():
+        if stored[name].shape != dims:
             raise ManifestMismatch(
-                f"{path}: tensor {name} has shape {stored[name].shape}, expected {arr.shape}"
+                f"{path}: tensor {name} has shape {stored[name].shape}, expected {dims}"
             )
-        arr[...] = stored[name]
     return params

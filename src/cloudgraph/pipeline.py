@@ -185,18 +185,18 @@ def edge_features(frame: RadarFrame, edges: np.ndarray) -> np.ndarray:
     (zero vector when the points coincide), the velocity difference, and
     the intensity difference.
     """
-    raw = frame.points
     out = np.zeros((edges.shape[0], EDGE_FEATURE_DIM), dtype=np.float64)
     if edges.size == 0:
         return out
-    tgt, src = edges[:, 0], edges[:, 1]
-    delta = raw[src, :3] - raw[tgt, :3]
-    norm = np.sqrt((delta * delta).sum(axis=1))
+    # both endpoints of every edge in one gather from a 5 x n copy, so each
+    # coordinate is a contiguous row: ends[:, 0] targets, ends[:, 1] sources
+    ends = np.take(np.ascontiguousarray(frame.points.T), edges.T, axis=1)
+    delta = ends[:, 1] - ends[:, 0]
+    dx, dy, dz = delta[:3]
+    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
     out[:, 0] = norm
-    nz = norm > 0
-    out[nz, 1:4] = delta[nz] / norm[nz, None]
-    out[:, 4] = raw[src, 3] - raw[tgt, 3]
-    out[:, 5] = raw[src, 4] - raw[tgt, 4]
+    np.divide(delta[:3], norm, out=out[:, 1:4].T, where=norm > 0)
+    out[:, 4:] = delta[3:].T
     return out
 
 

@@ -89,6 +89,77 @@ def test_frames_wrong_field_count(tmp_path):
     assert exc.value.line_number == 2
 
 
+_EXTREME_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0])
+_POINT_VALUES = st.one_of(_EXTREME_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50)), unique=True, max_size=6),
+    data=st.data(),
+)
+def test_frames_round_trip_any_values_and_empty_frames(ids, data):
+    # several sequences, empty frames, signed zeros, subnormals and
+    # extremes all come back bit for bit, in the order written
+    frames = [
+        frame_from_matrix(seq, fid, data.draw(
+            st.lists(st.lists(_POINT_VALUES, min_size=5, max_size=5), max_size=4)
+        ))
+        for seq, fid in ids
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frames.csv"
+        formats.write_frames(frames, path)
+        back = formats.read_frames(path)
+    assert_frames_equal(back, frames)
+    for x, y in zip(back, frames):
+        assert np.array_equal(np.signbit(x.points), np.signbit(y.points))
+
+
+def test_frames_skip_blank_lines_and_strip_whitespace(tmp_path):
+    clean = tmp_path / "clean.csv"
+    clean.write_text(formats.FRAMES_HEADER + "\n0,1,1.5,2.0,3.0,0.0,1.0\n"
+                     "0,2,,,,,\n0,3,-0.0,5e-324,1e308,2.0,3.0\n", encoding="utf-8")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("  " + formats.FRAMES_HEADER + " \n\n 0,1, 1.5 ,2.0,3.0,0.0,1.0\t\n"
+                      "   \n\t0,2,,,,,  \n\n0, 3,-0.0,5e-324,1e308 ,2.0,3.0\n\n", encoding="utf-8")
+    assert_frames_equal(formats.read_frames(spaced), formats.read_frames(clean))
+    assert [len(f) for f in formats.read_frames(spaced)] == [1, 0, 1]
+
+
+def test_frames_rows_of_one_id_merge_in_first_occurrence_order(tmp_path):
+    path = tmp_path / "frames.csv"
+    path.write_text(formats.FRAMES_HEADER + "\n"
+                    "1,5,1.0,0,0,0,0\n0,2,2.0,0,0,0,0\n1,5,3.0,0,0,0,0\n"
+                    "0,9,,,,,\n0,2,4.0,0,0,0,0\n1,5,5.0,0,0,0,0\n", encoding="utf-8")
+    frames = formats.read_frames(path)
+    assert [(f.sequence_id, f.frame_id) for f in frames] == [(1, 5), (0, 2), (0, 9)]
+    assert [f.points[:, 0].tolist() for f in frames] == [[1.0, 3.0, 5.0], [2.0, 4.0], []]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,1,1.0,2.0,3.0,0.0", "expected 7 fields, got 6"),
+    ("0,1,1.0,2.0,3.0,0.0,1.0,2.0", "expected 7 fields, got 8"),
+    ("0,x,1.0,2.0,3.0,0.0,1.0", "bad sequence or frame id"),
+    ("0,1.5,1.0,2.0,3.0,0.0,1.0", "bad sequence or frame id"),
+    ("0,1,1.0,2.0,oops,0.0,1.0", "bad point value"),
+    ("0,1,,,,0.0,", "bad point value"),  # a marker row with some values set
+    ("0,1,1.0,nan,3.0,0.0,1.0", "non-finite point value in sequence 0 frame 1"),
+    ("0,1,1.0,2.0,3.0,0.0,-inf", "non-finite point value in sequence 0 frame 1"),
+])
+def test_frames_malformed_row_names_its_line(tmp_path, row, message):
+    # the bad row is the fifth line, after a blank line and a marker row;
+    # the 8-field row after it does not take its place, nor make up for
+    # a row one field short
+    path = tmp_path / "bad.csv"
+    path.write_text(formats.FRAMES_HEADER + "\n0,0,1.0,2.0,3.0,0.0,1.0\n\n0,7,,,,,\n"
+                    f"{row}\n0,3,1,2,3,4,5,6\n0,2,1.0,2.0,3.0,0.0,1.0\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        formats.read_frames(path)
+    assert exc.value.line_number == 5
+    assert str(exc.value) == f"line 5: {message}"
+
+
 # -- skeleton / score / label csv --------------------------------------------
 
 
@@ -361,6 +432,7 @@ def test_cli_extract_deterministic_rerun(tmp_path):
     mb = {k: v for k, v in formats.read_manifest(out_b / "manifest.txt").items()
           if not k.startswith("timing_")}
     assert ma == mb
+    assert ma["edges_coincident"] == ma["nodes_at_centroid"] == "0"
 
 
 def test_cli_show_prints_each_record_as_read(tmp_path, capsys):
@@ -418,6 +490,44 @@ def test_cli_extract_counts_graphs_below_k(tmp_path, np_rng, sizes):
     manifest = formats.read_manifest(out / "manifest.txt")
     assert manifest["graphs_out"] == "2"
     assert manifest["graphs_below_k"] == "1"
+
+
+def extract_manifest(tmp_path, frames, pipe):
+    tmp_path.mkdir(exist_ok=True)
+    frames_path = tmp_path / "frames.csv"
+    formats.write_frames(frames, frames_path)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, pipe=pipe)
+    out = tmp_path / "out"
+    assert main(["extract", str(frames_path), "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    return formats.read_manifest(out / "manifest.txt")
+
+
+def test_cli_extract_counts_edges_between_coincident_points(tmp_path, np_rng):
+    # points 1 and 4 of the first frame share a position (not v or I), so
+    # each is the other's nearest neighbour: two edges of zero direction
+    pts = np_rng.normal(size=(8, 5))
+    pts[4, :3] = pts[1, :3]
+    frames = [frame_from_matrix(0, 0, pts), frame_from_matrix(0, 1, np_rng.normal(size=(8, 5)))]
+    manifest = extract_manifest(tmp_path, frames, PipelineConfig(K=3))
+    assert manifest["edges_coincident"] == "2"
+    assert manifest["nodes_at_centroid"] == "0"
+    off = extract_manifest(tmp_path / "off", frames, PipelineConfig(K=3, enable_edge_features=False))
+    assert "edges_coincident" not in off and off["nodes_at_centroid"] == "0"
+
+
+def test_cli_extract_counts_nodes_at_the_centroid(tmp_path, np_rng):
+    # a cloud symmetric about its last point, which is then its centroid
+    # up to rounding, so within epsilon of it
+    half = np_rng.normal(size=(4, 5))
+    frames = [frame_from_matrix(0, 0, np.vstack([half, -half, np.zeros((1, 5))])),
+              frame_from_matrix(0, 1, np_rng.normal(size=(9, 5)))]
+    manifest = extract_manifest(tmp_path, frames, PipelineConfig(K=4))
+    assert manifest["nodes_at_centroid"] == "1"
+    assert manifest["edges_coincident"] == "0"
+    off = extract_manifest(tmp_path / "off", frames, PipelineConfig(K=4, enable_node_features=False))
+    assert "nodes_at_centroid" not in off and off["edges_coincident"] == "0"
 
 
 def test_cli_extract_skips_empty_frames(tmp_path):

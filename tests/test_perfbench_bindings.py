@@ -64,6 +64,11 @@ def test_traced_extract_counts_one_edge_list_and_three_statbox_calls_per_graph(
     assert calls["statbox.statbox_array"] == 3 * graphs
     assert calls["statbox.statbox_columns"] == 2 * graphs
     assert tracer.counts["pipeline.points_kept"] == 3 * 24
+    # each stage a per-layer metric times keeps its own call, so folding
+    # one into its caller cannot leave that metric at 0 unnoticed
+    assert calls["formats.read_frames"] == 1
+    assert calls["pipeline.edge_features"] == graphs
+    assert calls["formats.write_graph_record"] == graphs
 
 
 def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, np_rng):
