@@ -1,7 +1,7 @@
 """Build a point-cloud graph step by step and compare against the naive path.
 
 Shows the stage outputs of the extraction pipeline: fusion, grid
-downsampling, the shared squared-distance matrix, KNN edges, and the three
+downsampling, squared distances, KNN edges, and the three
 feature families (19D node, 6D edge, 380D frame).
 
 Run: python3 demos/graph_extraction.py

@@ -26,6 +26,7 @@ from .errors import (
     FormatVersionError,
     IdMismatch,
     ManifestMismatch,
+    NumericOverflow,
     ParseError,
     ShapeMismatch,
 )
@@ -87,6 +88,13 @@ def cmd_extract(args) -> int:
             )
             skipped += 1
             continue
+        section = formats.non_finite_section(
+            graph.node_features, graph.edge_features, graph.frame_features
+        )
+        if section:
+            raise NumericOverflow(
+                graph.sequence_id, graph.frame_id, f"non-finite {section} features"
+            )
         name = formats.graph_record_name(graph)
         formats.write_graph_record(graph, out_dir / name)
         n_graphs += 1

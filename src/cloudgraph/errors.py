@@ -14,6 +14,16 @@ class NonFiniteValue(CloudGraphError):
         super().__init__(f"non-finite value in point {point_index}, field '{field}'")
 
 
+class NumericOverflow(CloudGraphError):
+    """Finite input overflows a computed value: a non-finite feature, or a
+    grid cell index beyond int64."""
+
+    def __init__(self, sequence_id: int, frame_id: int, what: str):
+        self.sequence_id = sequence_id
+        self.frame_id = frame_id
+        super().__init__(f"{what} in sequence {sequence_id} frame {frame_id}")
+
+
 class EmptyInput(CloudGraphError):
     """An operation that requires at least one sample received none."""
 

@@ -15,7 +15,7 @@ import os
 import struct
 from itertools import count, repeat
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,6 +277,16 @@ def write_graph_record(graph: PointGraph, path) -> None:
         fh.write(np.ascontiguousarray(graph.frame_features, "<f8"))
 
 
+def non_finite_section(node_features, edge_features, frame_features) -> Optional[str]:
+    """The name of the first feature section holding a NaN or an infinity
+    ("node", "edge" or "frame"), or None when every value is finite."""
+    for section, values in (("node", node_features), ("edge", edge_features),
+                            ("frame", frame_features)):
+        if not np.isfinite(values).all():
+            return section
+    return None
+
+
 def read_graph_record(path) -> PointGraph:
     """Read one record.  The file must hold exactly the bytes its header
     implies, every feature value must be finite, and every edge must join
@@ -299,17 +309,17 @@ def read_graph_record(path) -> PointGraph:
         edges = np.frombuffer(fh.read(4 * e * 2), dtype="<u4").reshape(e, 2).astype(np.int64)
         efeat = np.frombuffer(fh.read(8 * e * de), dtype="<f8").reshape(e, de)
         ffeat = np.frombuffer(fh.read(8 * df), dtype="<f8")
-    for section, values in (("node", nodes), ("edge", efeat), ("frame", ffeat)):
-        if not np.isfinite(values).all():
-            raise FormatVersionError(f"{path}: non-finite value in the {section} features")
+    section = non_finite_section(nodes, efeat, ffeat)
+    if section:
+        raise FormatVersionError(f"{path}: non-finite value in the {section} features")
     try:
         return PointGraph(
             sequence_id=seq,
             frame_id=fid,
-            node_features=nodes.astype(np.float64),
+            node_features=nodes.astype(np.float64, copy=False),
             edges=edges,
-            edge_features=efeat.astype(np.float64),
-            frame_features=ffeat.astype(np.float64),
+            edge_features=efeat.astype(np.float64, copy=False),
+            frame_features=ffeat.astype(np.float64, copy=False),
         )
     except ValueError as err:
         raise FormatVersionError(f"{path}: {err}") from None

@@ -334,8 +334,11 @@ def neighbour_table(edges: np.ndarray, n: int) -> NeighbourTable:
 
 
 # Bytes of the largest temporary in one row block of the streamed edge pass
-# and of the blocked attention sum; about a cache's worth, set by timing.
-_BLOCK_BYTES = 1 << 20
+# and of the blocked attention sum.  In a fresh process the edge pass of a
+# 16-graph, 128-point mars_sequential batch took a median of 23-37 ms at
+# 256-512 KB and 44-47 ms at 1 MB (2-vCPU x86_64, one BLAS thread), with the
+# same bits at each size.
+_BLOCK_BYTES = 1 << 18
 # Every block but the last is a multiple of this many rows, and the last is
 # at least this long.  OpenBLAS's gemv takes rows in groups of four and
 # rounds a leftover row differently, so blocks aligned to the groups of the
@@ -486,6 +489,12 @@ def _check_graph_matches(params: ModelParams, graph: PointGraph):
         raise DimensionMismatch("graph frame features do not match the frame block")
 
 
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows of ``arrays`` as one array; a single array is used as it is,
+    not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def _rep_forward_batch(
     params: ModelParams,
     graphs: Sequence[PointGraph],
@@ -499,17 +508,15 @@ def _rep_forward_batch(
         if g.num_nodes == 0:
             raise EmptyGraph("cannot represent a graph with zero nodes")
         _check_graph_matches(params, g)
-    node_feats = np.concatenate([g.node_features for g in graphs])
+    node_feats = _stack([g.node_features for g in graphs])
     counts = np.array([g.num_nodes for g in graphs])
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    edges = np.concatenate(
-        [g.edges + off for g, off in zip(graphs, offsets)]
-    ) if any(g.num_edges for g in graphs) else np.zeros((0, 2), dtype=np.int64)
+    edges = _stack([g.edges + off if off else g.edges for g, off in zip(graphs, offsets)])
     table = neighbour_table(edges, node_feats.shape[0])
 
     e_logits = None
     if params.h_edge is not None and params.gat_layers:
-        edge_feats = np.concatenate([g.edge_features for g in graphs]) if edges.size else np.zeros((0, params.h_edge.layers[0].W.shape[0]))
+        edge_feats = _stack([g.edge_features for g in graphs])
         e_logits = _edge_logits(params, edge_feats, cache)
     nc = [] if cache is not None else None
     X = _fcn_forward(params.h_node, node_feats, nc)

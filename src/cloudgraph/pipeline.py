@@ -1,14 +1,15 @@
 """Raw radar frames -> directed KNN graphs with node/edge/frame features.
 
-Stage order: fuse -> (optional) grid downsample -> shared squared-distance
-matrix -> KNN edges -> node features -> edge features -> frame features.
-The squared-distance matrix is computed once per frame and shared by the
-KNN and node-feature stages.
+Stage order: fuse -> (optional) grid downsample -> squared distances and
+KNN edges, one block of target rows at a time -> node features -> edge
+features -> frame features.  A block of squared distances feeds both the
+KNN selection of its rows and their neighbour distances, which are all the
+node-feature stage reads, so no n x n array is held.
 
 Data stays in array form from end to end: a frame is an n x 5 array, the
-KNN result is an n x k neighbour table, the edge list (built once per
-graph) is its E x 2 flattening, and each statistics stage is one batched
-statbox call.
+KNN result is an n x k neighbour table with its n x k neighbour squared
+distances, the edge list (built once per graph) is the table's E x 2
+flattening, and each statistics stage is one batched statbox call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import EmptyInput, NonConsecutiveFrames, SequenceMismatch
+from .errors import EmptyInput, NonConsecutiveFrames, NumericOverflow, SequenceMismatch
 from .rng import SplitMix64, derive_seed
 from .statbox import statbox_array, statbox_columns
 from .types import Label, PointGraph, RadarFrame, validate_frame
@@ -26,6 +27,10 @@ from .types import Label, PointGraph, RadarFrame, validate_frame
 NODE_FEATURE_DIM = 19
 RAW_FEATURE_DIM = 5
 EDGE_FEATURE_DIM = 6
+
+# Bytes of one block of squared distances in build_graph: 64 target rows at
+# n = 1,024, and one block for clouds of up to 256 points.
+_D2_BLOCK_BYTES = 1 << 19
 
 
 def fuse_frames(frames: Sequence[RadarFrame]) -> RadarFrame:
@@ -71,6 +76,9 @@ def downsample(
         raise ValueError("Q must be >= 1")
     pts = frame.points[:, :3]
     mins = pts.min(axis=0)
+    # past int64 the cell index wraps and distinct cells merge
+    if not np.all((pts.max(axis=0) - mins) / w < 2.0**63):
+        raise NumericOverflow(frame.sequence_id, frame.frame_id, "grid cell index beyond int64")
     cells = np.floor((pts - mins) / w).astype(np.int64)
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(map(tuple, cells)):
@@ -90,54 +98,77 @@ def downsample(
     )
 
 
-def squared_distance_matrix(frame: RadarFrame) -> np.ndarray:
-    """n x n matrix of squared Euclidean distances over (x, y, z) only.
+def squared_distance_matrix(frame: RadarFrame, rows: slice = slice(None)) -> np.ndarray:
+    """Squared Euclidean distances over (x, y, z) only, from each target
+    point in ``rows`` to every point: an m x n block, 0 at each target's own
+    column.  Without ``rows`` it is the whole n x n matrix.
 
-    Accumulated one coordinate at a time in x, y, z order, so no n x n x 3
+    Accumulated one coordinate at a time in x, y, z order, so no m x n x 3
     temporary exists; the sums round exactly as a sum over the last axis of
-    the squared differences would."""
+    the squared differences would, whatever the block."""
     pts = frame.points
-    d2 = pts[:, 0, None] - pts[None, :, 0]
+    tgt = pts[rows]
+    d2 = tgt[:, 0, None] - pts[None, :, 0]
     d2 *= d2
     d = np.empty_like(d2)
     for c in (1, 2):
-        np.subtract(pts[:, c, None], pts[None, :, c], out=d)
+        np.subtract(tgt[:, c, None], pts[None, :, c], out=d)
         d *= d
         d2 += d
-    np.fill_diagonal(d2, 0.0)
+    d2[np.arange(d2.shape[0]), np.arange(pts.shape[0])[rows]] = 0.0
     return d2
 
 
-def knn_edges(d2: np.ndarray, K: int) -> np.ndarray:
-    """n x k neighbour table, k = min(K, n-1): row j holds the k nearest
-    source indices of target j, ascending by distance, ties broken by lower
+def knn_edges(d2: np.ndarray, K: int, first: int = 0) -> np.ndarray:
+    """m x k neighbour table of an m x n block of squared distances, k =
+    min(K, n-1): row i, target ``first + i``, holds the k nearest source
+    indices of that target, ascending by distance, ties broken by lower
     source index.
 
-    Partial selection, not a full sort: ``argpartition`` picks the k+1
-    smallest entries of each row, which are then ordered by (distance,
-    index).  Where the (k+1)-th value ties an entry left out, the selection
-    is not unique, so those rows alone take a full stable sort.  Self is
-    then removed from each row, or the last candidate when k+1 points
-    coincide with j at lower indices; the tie rule is the one a stable sort
-    of every row would give.
+    Partial selection, not a full sort: ``partition`` finds each row's
+    (k+1)-th smallest value, and the entries at or below it are the k+1
+    nearest candidates, which are then ordered by (distance, index).  Where
+    that value ties an entry left out, more than k+1 entries qualify and the
+    selection is not unique, so those rows alone take a full stable sort.
+    Self is then removed from each row, or the last candidate when k+1
+    points coincide with the target at lower indices; the tie rule is the
+    one a stable sort of every row would give.
     """
-    n = d2.shape[0]
+    m, n = d2.shape
     if K < 1:
         raise ValueError("K must be >= 1")
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     k = min(K, n - 1)
-    cand = np.argpartition(d2, k, axis=1)[:, : k + 1].copy()  # frees the n x n result
-    bound = np.take_along_axis(d2, cand[:, k:], axis=1)  # the (k+1)-th smallest
-    ties = np.count_nonzero(d2 <= bound, axis=1) > k + 1
-    if ties.any():
-        cand[ties] = np.argsort(d2[ties], axis=1, kind="stable")[:, : k + 1]
-    cand.sort(axis=1)
+    inside = d2 <= np.partition(d2, k, axis=1)[:, [k]]
+    ties = np.flatnonzero(np.count_nonzero(inside, axis=1) > k + 1)
+    if ties.size:
+        inside[ties] = False
+        inside[ties[:, None], np.argsort(d2[ties], axis=1, kind="stable")[:, : k + 1]] = True
+    cand = (np.flatnonzero(inside) % n).reshape(m, k + 1)  # ascending index per row
     vals = np.take_along_axis(d2, cand, axis=1)
     cand = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    drop = cand == np.arange(n)[:, None]
+    drop = cand == np.arange(first, first + m)[:, None]
     drop[~drop.any(axis=1), -1] = True
-    return cand[~drop].reshape(n, k).astype(np.int64, copy=False)
+    return cand[~drop].reshape(m, k)
+
+
+def _neighbours(frame: RadarFrame, K: int):
+    """The n x k neighbour table of a non-empty frame and the n x k squared
+    distances to those neighbours, from squared distances computed one block
+    of about ``_D2_BLOCK_BYTES`` of target rows at a time, so no n x n array
+    is held.  A row's distances and selection do not depend on its block."""
+    n = len(frame)
+    k = min(K, n - 1)
+    table = np.empty((n, k), dtype=np.int64)
+    neighbor_d2 = np.empty((n, k))
+    step = max(1, _D2_BLOCK_BYTES // (8 * n))
+    for first in range(0, n, step):
+        rows = slice(first, first + step)
+        d2 = squared_distance_matrix(frame, rows)
+        table[rows] = knn_edges(d2, K, first)
+        neighbor_d2[rows] = np.take_along_axis(d2, table[rows], axis=1)
+    return table, neighbor_d2
 
 
 def edges_from_table(table: np.ndarray) -> np.ndarray:
@@ -149,13 +180,13 @@ def edges_from_table(table: np.ndarray) -> np.ndarray:
 
 def node_features(
     frame: RadarFrame,
-    d2: np.ndarray,
-    neighbors: np.ndarray,
+    neighbor_d2: np.ndarray,
     epsilon: float = 1e-12,
 ) -> np.ndarray:
     """Per point: raw (x,y,z,v,I), statistics of the distances to its KNN
     neighbors, distance to the cloud centroid, and the unit direction from
-    the point toward the centroid: 19 values per point.
+    the point toward the centroid: 19 values per point.  ``neighbor_d2`` is
+    the n x k table of squared distances to each point's neighbours.
 
     With a single point the neighbor-distance block is all zeros.  When the
     point coincides with the centroid the direction is (0, 0, 0).  When
@@ -168,9 +199,8 @@ def node_features(
     out[:, :5] = raw
     if n == 0:
         return out
-    if neighbors.shape[1]:
-        dists = np.sqrt(np.take_along_axis(d2, neighbors, axis=1))
-        out[:, 5:15] = statbox_array(dists, epsilon)
+    if neighbor_d2.shape[1]:
+        out[:, 5:15] = statbox_array(np.sqrt(neighbor_d2), epsilon)
     diff = raw[:, :3].mean(axis=0) - raw[:, :3]
     dist = np.sqrt((diff * diff).sum(axis=1))
     out[:, 15] = dist
@@ -248,11 +278,10 @@ def build_graph(
             frame_features=np.zeros(0),
             label=label,
         )
-    d2 = squared_distance_matrix(fused)
-    table = knn_edges(d2, config.K)
+    table, neighbor_d2 = _neighbours(fused, config.K)
     edges = edges_from_table(table)
     if config.enable_node_features:
-        nf = node_features(fused, d2, table, config.epsilon)
+        nf = node_features(fused, neighbor_d2, config.epsilon)
     else:
         nf = fused.points
     if config.enable_edge_features:

@@ -2,6 +2,7 @@ import io
 import shutil
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -707,6 +708,26 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("field, section", [(0, "node"), (3, "frame")], ids=["x", "v"])
+def test_cli_extract_rejects_finite_points_whose_features_overflow_exit_7(
+    tmp_path, caplog, np_rng, field, section
+):
+    """x = 1e200 overflows the squared distances and v = 1e200 the frame
+    features' squared deviations; the record would hold inf or NaN."""
+    pts = np_rng.normal(size=(8, 5))
+    pts[5, field] = 1e200
+    frames = [frame_from_matrix(0, 0, np_rng.normal(size=(8, 5))), frame_from_matrix(0, 1, pts)]
+    formats.write_frames(frames, tmp_path / "frames.csv")
+    write_config(tmp_path / "run.cfg")
+    out = tmp_path / "out"
+    rc = main(["extract", str(tmp_path / "frames.csv"), "--config", str(tmp_path / "run.cfg"),
+               "--out", str(out)])
+    assert rc == 7
+    assert f"non-finite {section} features in sequence 0 frame 1" in caplog.text
+    assert [p.name for p in out.glob("graph_*.bin")] == ["graph_00000_000000.bin"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cli_non_finite_point_exit_2_naming_line(tmp_path, caplog, value):
     frames_path = tmp_path / "frames.csv"
@@ -881,6 +902,27 @@ def test_cli_infer_corrupt_payload_exit_4(tmp_path, caplog, head, section, messa
         patch_bytes(weights, len(weights.read_bytes()) - 8, "<d", np.nan)
     assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
     assert f"{bad}: " in caplog.text and message in caplog.text
+
+
+def test_cli_infer_peak_memory_below_three_records(tmp_path, np_rng):
+    """The record's sections reach the model as read, without copies: one
+    1,024-point default-shape record, 1.3 MB, peaks below 3x its size."""
+    formats.write_frames([frame_from_matrix(0, 0, np_rng.normal(size=(1024, 5)))],
+                         tmp_path / "frames.csv")
+    cfg = tmp_path / "run.cfg"
+    write_config(cfg, pipe=PipelineConfig(K=20), model=ModelShape())
+    graphs, weights = tmp_path / "graphs", tmp_path / "w.bin"
+    assert main(["extract", str(tmp_path / "frames.csv"), "--config", str(cfg),
+                 "--out", str(graphs)]) == 0
+    assert main(["init-weights", "--config", str(cfg), "--out", str(weights)]) == 0
+    (record,) = graphs.glob("graph_*.bin")
+    tracemalloc.start()
+    try:
+        assert infer(graphs, weights, cfg, tmp_path / "p.csv") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * record.stat().st_size
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass

@@ -448,9 +448,9 @@ def test_row_blocks_are_aligned_and_leave_no_short_tail(total, row_bytes):
 @pytest.mark.parametrize("block_rows", [1, 13, 1 << 40])
 @pytest.mark.parametrize("shape, sizes", [
     # 205 nodes at K = 20 and 64-wide edge states, three layers: 4,100
-    # edges, 4 past a multiple of both 8 and the default's 2,048 rows
+    # edges, 4 past a multiple of both 8 and the default's 512 rows
     (mars_sequential_shape(13, 0), (96, 64, 45)),
-    # one 16-wide layer: 24,580 edges, 4 past a multiple of 8,192 rows
+    # one 16-wide layer: 24,580 edges, 4 past a multiple of 2,048 rows
     (ModelShape(), (512, 512, 205)),
 ], ids=["mars_sequential", "default"])
 def test_representation_does_not_depend_on_the_block_size(np_rng, monkeypatch, block_rows,

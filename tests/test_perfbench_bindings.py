@@ -61,6 +61,10 @@ def test_traced_extract_counts_one_edge_list_and_three_statbox_calls_per_graph(
     graphs = calls["pipeline.build_graph"]
     assert graphs == 3
     assert calls["pipeline.edges_from_table"] == graphs
+    # distances and KNN run once per block of target rows, at least once
+    # per graph, through the names the spans wrap
+    assert calls["pipeline.squared_distance_matrix"] >= graphs
+    assert calls["pipeline.knn_edges"] >= graphs
     assert calls["statbox.statbox_array"] == 3 * graphs
     assert calls["statbox.statbox_columns"] == 2 * graphs
     assert tracer.counts["pipeline.points_kept"] == 3 * 24

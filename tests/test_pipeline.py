@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudgraph.config import PipelineConfig
-from cloudgraph.errors import EmptyInput, NonConsecutiveFrames, SequenceMismatch
+from cloudgraph import pipeline
+from cloudgraph.errors import EmptyInput, NonConsecutiveFrames, NumericOverflow, SequenceMismatch
 from cloudgraph.pipeline import (
     build_graph,
     downsample,
@@ -129,6 +130,16 @@ def test_downsample_empty_frame():
     assert downsample(frame, (0.035,) * 3, 1, SplitMix64(0)) is frame
 
 
+def test_downsample_rejects_a_span_whose_cell_index_overflows_int64():
+    # 3e19 / 0.1 cells is past 2**63: wrapped indices used to merge two of
+    # these four far-apart points, leaving 2 of 4 with only a RuntimeWarning
+    far = frame_of([[0, 0, 0], [1e19, 0, 0], [2e19, 0, 0], [3e19, 0, 0]], 4, 9)
+    with pytest.raises(NumericOverflow, match="cell index beyond int64 in sequence 4 frame 9"):
+        downsample(far, (0.1,) * 3, 1, SplitMix64(0))
+    near = frame_of([[0, 0, 0], [1e17, 0, 0], [2e17, 0, 0], [3e17, 0, 0]])
+    assert len(downsample(near, (0.1,) * 3, 1, SplitMix64(0))) == 4
+
+
 # -- distances and KNN -------------------------------------------------------
 
 
@@ -218,6 +229,59 @@ def test_knn_peak_memory_below_one_and_a_half_n_by_n(np_rng):
     assert peak < 1.5 * n * n * 8
 
 
+def graphs_equal(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("node_features", "edges", "edge_features", "frame_features"))
+
+
+def grid_frame(side):
+    axis = np.arange(side, dtype=np.float64)
+    return frame_of(np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3))
+
+
+BLOCKING_CLOUDS = {
+    "random_1024": lambda rng: random_frame(rng, 1024),
+    # every distance an integer: rows tie across their (k+1)-th distance
+    "grid_8x8x8": lambda rng: grid_frame(8),
+    # 40 points on 4 distinct positions
+    "coincident": lambda rng: frame_of(rng.integers(0, 2, size=(40, 3)) * [1.0, 2.0, 0.0]),
+    # the 7-row budget's last block holds 6, 7 or 1 rows; the default
+    # budget is one block at n = 256 and two at n = 257
+    **{f"n{n}": (lambda rng, n=n: random_frame(rng, n)) for n in (1, 2, 6, 7, 8, 256, 257)},
+}
+
+
+@pytest.mark.parametrize("cloud", list(BLOCKING_CLOUDS))
+def test_build_graph_does_not_depend_on_the_block_size(np_rng, monkeypatch, cloud):
+    """Budgets of 1 row, 7 rows and the whole matrix give the same bits as
+    the default budget and as the naive pipeline."""
+    frame = BLOCKING_CLOUDS[cloud](np_rng)
+    n = len(frame)
+    cfg = PipelineConfig(K=20)
+    default_rows = pipeline._D2_BLOCK_BYTES // (8 * n)
+    if cloud in ("n256", "n257"):
+        assert (default_rows >= n) == (cloud == "n256")
+    want = build_graph([frame], cfg)
+    assert graphs_equal(want, naive_build_graph([frame], cfg))
+    for rows in (1, 7, n):
+        monkeypatch.setattr(pipeline, "_D2_BLOCK_BYTES", 8 * n * rows)
+        assert graphs_equal(build_graph([frame], cfg), want), rows
+
+
+def test_build_graph_peak_memory_below_one_n_by_n(np_rng):
+    # distances and KNN run in row blocks: no n x n float64 array (8.4 MB)
+    n = 1024
+    frames = [random_frame(np_rng, n)]
+    cfg = PipelineConfig(K=20)
+    tracemalloc.start()
+    try:
+        build_graph(frames, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
 def test_edge_count_invariant(np_rng):
     for n in (1, 2, 5, 30):
         frame = random_frame(np_rng, n)
@@ -228,11 +292,14 @@ def test_edge_count_invariant(np_rng):
 # -- node features -----------------------------------------------------------
 
 
+def node_features_of(frame, K):
+    d2 = squared_distance_matrix(frame)
+    return node_features(frame, np.take_along_axis(d2, knn_edges(d2, K), axis=1))
+
+
 def test_node_features_single_point():
     frame = frame_from_matrix(0, 0, [[1, 2, 3, 4, 5]])
-    d2 = squared_distance_matrix(frame)
-    table = knn_edges(d2, 20)
-    nf = node_features(frame, d2, table)
+    nf = node_features_of(frame, 20)
     assert nf.shape == (1, 19)
     assert np.array_equal(nf[0, :5], [1, 2, 3, 4, 5])
     assert np.array_equal(nf[0, 5:], np.zeros(14))
@@ -240,9 +307,7 @@ def test_node_features_single_point():
 
 def test_node_features_two_points_hand_case():
     frame = frame_from_matrix(0, 0, [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]])
-    d2 = squared_distance_matrix(frame)
-    table = knn_edges(d2, 1)
-    nf = node_features(frame, d2, table)
+    nf = node_features_of(frame, 1)
     # each point's single neighbor distance is 1 -> constant-vector stats
     assert np.allclose(nf[0, 5:15], statbox_array([1.0]))
     assert np.allclose(nf[1, 5:15], statbox_array([1.0]))
@@ -255,17 +320,13 @@ def test_node_features_two_points_hand_case():
 
 def test_node_features_width_is_19(np_rng):
     for n in (1, 2, 7, 40):
-        frame = random_frame(np_rng, n)
-        d2 = squared_distance_matrix(frame)
-        nf = node_features(frame, d2, knn_edges(d2, 20))
+        nf = node_features_of(random_frame(np_rng, n), 20)
         assert nf.shape == (n, 19)
 
 
 def test_node_features_direction_zero_at_centroid():
     # symmetric pair around a third point placed exactly at the centroid
-    frame = frame_of([[-1, 0, 0], [1, 0, 0], [0, 0, 0]])
-    d2 = squared_distance_matrix(frame)
-    nf = node_features(frame, d2, knn_edges(d2, 2))
+    nf = node_features_of(frame_of([[-1, 0, 0], [1, 0, 0], [0, 0, 0]]), 2)
     assert nf[2, 15] == 0.0
     assert np.array_equal(nf[2, 16:19], np.zeros(3))
 
