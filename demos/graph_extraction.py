@@ -35,6 +35,7 @@ print("distance matrix", d2.shape, "- first point's neighbors:", list(table[0]))
 
 cfg = PipelineConfig(K=8, F=3, downsample_enabled=True, Q=2)
 graph = build_graph(frames, cfg)
+print("neighbour table:", graph.neighbours.shape, "- one row of k sources per node")
 print("node features:", graph.node_features.shape)
 print("edge features:", graph.edge_features.shape)
 print("frame features:", graph.frame_features.shape)
@@ -42,6 +43,6 @@ print("frame features:", graph.frame_features.shape)
 # the optimized pipeline is bit-identical to a loop-based recomputation
 reference = naive_build_graph(frames, cfg)
 assert np.array_equal(graph.node_features, reference.node_features)
-assert np.array_equal(graph.edges, reference.edges)
+assert np.array_equal(graph.neighbours, reference.neighbours)
 assert np.array_equal(graph.frame_features, reference.frame_features)
 print("naive-path check: bit-exact match")

@@ -68,16 +68,24 @@ def cmd_extract(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    n_graphs = 0
-    n_points_in = sum(len(f) for f in frames)
-    n_nodes_out = 0
-    n_dropped_downsample = 0
-    n_below_k = 0
-    n_edges = 0
-    n_edges_coincident = 0
-    n_nodes_at_centroid = 0
-    skipped = 0
     windows, dropped_gap = _windows(frames, pipeline_cfg.F)
+    # the manifest's counters, in manifest order, tallied under their keys
+    entries = {
+        "seed": pipeline_cfg.seed,
+        "frames_in": len(frames),
+        "graphs_out": 0,
+        "frames_skipped_empty": 0,
+        "windows_dropped_gap": dropped_gap,
+        "points_in": sum(len(f) for f in frames),
+        "nodes_out": 0,
+        "points_dropped_downsample": 0,
+        "graphs_below_k": 0,
+        "edges": 0,
+    }
+    if pipeline_cfg.enable_edge_features:
+        entries["edges_coincident"] = 0
+    if pipeline_cfg.enable_node_features:
+        entries["nodes_at_centroid"] = 0
     for window in windows:
         graph = build_graph(window, pipeline_cfg)
         if graph.num_nodes == 0:
@@ -86,7 +94,7 @@ def cmd_extract(args) -> int:
                 graph.frame_id,
                 graph.sequence_id,
             )
-            skipped += 1
+            entries["frames_skipped_empty"] += 1
             continue
         section = formats.non_finite_section(
             graph.node_features, graph.edge_features, graph.frame_features
@@ -97,43 +105,27 @@ def cmd_extract(args) -> int:
             )
         name = formats.graph_record_name(graph)
         formats.write_graph_record(graph, out_dir / name)
-        n_graphs += 1
-        n_nodes_out += graph.num_nodes
-        n_dropped_downsample += sum(len(f) for f in window) - graph.num_nodes
-        n_below_k += graph.num_nodes <= pipeline_cfg.K
-        n_edges += graph.num_edges
+        entries["graphs_out"] += 1
+        entries["nodes_out"] += graph.num_nodes
+        entries["points_dropped_downsample"] += sum(len(f) for f in window) - graph.num_nodes
+        entries["graphs_below_k"] += graph.num_nodes <= pipeline_cfg.K
+        entries["edges"] += graph.num_edges
         # the zero-direction cases, read off the features already computed:
         # edge length (column 0) 0, and node distance to the centroid
         # (column 15) below epsilon
         if pipeline_cfg.enable_edge_features:
-            n_edges_coincident += np.count_nonzero(graph.edge_features[:, 0] == 0)
+            entries["edges_coincident"] += np.count_nonzero(graph.edge_features[:, 0] == 0)
         if pipeline_cfg.enable_node_features:
             to_centroid = graph.node_features[:, 15]
-            n_nodes_at_centroid += np.count_nonzero(to_centroid < pipeline_cfg.epsilon)
+            entries["nodes_at_centroid"] += np.count_nonzero(to_centroid < pipeline_cfg.epsilon)
     elapsed = time.perf_counter() - t0
-    entries = {
-        "seed": pipeline_cfg.seed,
-        "frames_in": len(frames),
-        "graphs_out": n_graphs,
-        "frames_skipped_empty": skipped,
-        "windows_dropped_gap": dropped_gap,
-        "points_in": n_points_in,
-        "nodes_out": n_nodes_out,
-        "points_dropped_downsample": n_dropped_downsample,
-        "graphs_below_k": n_below_k,
-        "edges": n_edges,
-    }
-    if pipeline_cfg.enable_edge_features:
-        entries["edges_coincident"] = n_edges_coincident
-    if pipeline_cfg.enable_node_features:
-        entries["nodes_at_centroid"] = n_nodes_at_centroid
     entries["timing_extract_seconds"] = f"{elapsed:.6f}"
     for line in serialize_config(pipeline_cfg).strip().splitlines():
         if "=" in line:
             key, value = (p.strip() for p in line.split("=", 1))
             entries[f"config_{key}"] = value
     formats.write_manifest(entries, out_dir / "manifest.txt")
-    log.info("wrote %d graph records to %s", n_graphs, out_dir)
+    log.info("wrote %d graph records to %s", entries["graphs_out"], out_dir)
     return 0
 
 

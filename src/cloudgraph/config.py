@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
+from .formats import read_text
 
 EDGE_RELU_POLICIES = ("all_but_first", "all_but_last")
 HEADS = ("pose", "activity")
@@ -213,5 +214,7 @@ def parse_config(text: str) -> tuple[PipelineConfig, ModelShape]:
 
 
 def load_config(path) -> tuple[PipelineConfig, ModelShape]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        return parse_config(read_text(path))
+    except ParseError as err:  # bytes that are not UTF-8
+        raise ConfigError(str(err)) from None

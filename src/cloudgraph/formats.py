@@ -27,10 +27,23 @@ SKELETON_HEADER = "sequence_id,frame_id,keypoint,x,y,z"
 SCORES_HEADER_PREFIX = "sequence_id,frame_id"
 
 GRAPH_MAGIC = b"PCGR"
-GRAPH_FORMAT_VERSION = 1
-# magic, version, sequence id, frame id, nodes, edges, node/edge/frame widths
+GRAPH_FORMAT_VERSION = 2
+# magic, version, sequence id, frame id, nodes, k, node/edge/frame widths
 _GRAPH_HEADER = struct.Struct("<4sIQQQQQQQ")
+_ID_LIMIT = 1 << 64  # sequence and frame ids are u8 in the record header
 MANIFEST_FORMAT_VERSION = 1
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file.  Bytes that are not UTF-8 are a ParseError
+    naming the file and the line, numbered as ``splitlines`` splits, of the
+    first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"{path} is not UTF-8 (byte {data[err.start]:#04x})") from None
 
 
 # -- frames ------------------------------------------------------------------
@@ -56,7 +69,7 @@ def read_frames(path) -> List[RadarFrame]:
     rows of one id need not be contiguous.  A row whose five values are all
     empty marks an empty frame.  A malformed line, or a NaN or infinite
     point value, is a ParseError naming the first such line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != FRAMES_HEADER:
         raise ParseError(1, f"expected header {FRAMES_HEADER!r}")
     rows = list(filter(None, map(str.strip, lines[1:])))
@@ -89,6 +102,8 @@ def read_frames(path) -> List[RadarFrame]:
     # the (sequence, frame) pairs are zipped on the fly, never held as a
     # list, so they leave no thousands of tuples in the interpreter's free list
     rank = dict(zip(dict.fromkeys(zip(seqs, fids)), count()))
+    if not all(0 <= seq < _ID_LIMIT and 0 <= fid < _ID_LIMIT for seq, fid in rank):
+        raise _first_bad_frame_line(lines)
     ranks = np.fromiter(map(rank.__getitem__, zip(seqs, fids)), np.intp, len(seqs))
     if marker is not None:
         ranks = ranks[~marker]
@@ -113,6 +128,8 @@ def _first_bad_frame_line(lines: List[str]) -> ParseError:
             seq, fid = int(parts[0]), int(parts[1])
         except ValueError:
             return ParseError(lineno, "bad sequence or frame id")
+        if not (0 <= seq < _ID_LIMIT and 0 <= fid < _ID_LIMIT):
+            return ParseError(lineno, "sequence or frame id outside [0, 2^64)")
         if all(p == "" for p in parts[2:]):
             continue  # empty-frame marker
         try:
@@ -142,8 +159,7 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
     indices 0..M-1, each once and in any order, with one M for the whole
     file; otherwise ParseError names the id.  A NaN or infinite coordinate
     is a ParseError naming its line."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != SKELETON_HEADER:
         raise ParseError(1, f"expected header {SKELETON_HEADER!r}")
     acc: Dict[Tuple[int, int], List[Tuple[int, List[float]]]] = {}
@@ -196,7 +212,7 @@ def write_scores(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
 def read_scores(path) -> Dict[Tuple[int, int], np.ndarray]:
     """Score vectors by (sequence, frame) id; every row must have as many
     fields as the header, all of them finite."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith(SCORES_HEADER_PREFIX):
         raise ParseError(1, "expected a scores header")
     width = len(lines[0].split(","))
@@ -221,7 +237,7 @@ def read_scores(path) -> Dict[Tuple[int, int], np.ndarray]:
 
 def read_labels(path) -> Dict[Tuple[int, int], int]:
     """Ground-truth activity labels: sequence_id,frame_id,class_index rows."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != "sequence_id,frame_id,class_index":
         raise ParseError(1, "expected header 'sequence_id,frame_id,class_index'")
     out: Dict[Tuple[int, int], int] = {}
@@ -254,7 +270,8 @@ def graph_record_name(graph: PointGraph) -> str:
 
 def write_graph_record(graph: PointGraph, path) -> None:
     """Binary layout: magic, version, ids, dimension header, then node
-    matrix, edge pairs (u32), edge matrix, frame vector, all little-endian."""
+    matrix, n x k neighbour table (u32), edge matrix, frame vector, all
+    little-endian."""
     with open(path, "wb") as fh:
         fh.write(
             _GRAPH_HEADER.pack(
@@ -263,16 +280,16 @@ def write_graph_record(graph: PointGraph, path) -> None:
                 graph.sequence_id,
                 graph.frame_id,
                 graph.num_nodes,
-                graph.num_edges,
+                graph.neighbours.shape[1],
                 graph.node_features.shape[1],
                 graph.edge_features.shape[1],
                 graph.frame_features.shape[0],
             )
         )
         # each section's buffer is written as it is, copied only to narrow
-        # the edge list to u4
+        # the neighbour table to u4
         fh.write(np.ascontiguousarray(graph.node_features, "<f8"))
-        fh.write(np.ascontiguousarray(graph.edges, "<u4"))
+        fh.write(np.ascontiguousarray(graph.neighbours, "<u4"))
         fh.write(np.ascontiguousarray(graph.edge_features, "<f8"))
         fh.write(np.ascontiguousarray(graph.frame_features, "<f8"))
 
@@ -289,8 +306,8 @@ def non_finite_section(node_features, edge_features, frame_features) -> Optional
 
 def read_graph_record(path) -> PointGraph:
     """Read one record.  The file must hold exactly the bytes its header
-    implies, every feature value must be finite, and every edge must join
-    two distinct nodes of the graph; otherwise FormatVersionError names the
+    implies, every feature value must be finite, and every neighbour must
+    be another node of the graph; otherwise FormatVersionError names the
     file."""
     with open(path, "rb") as fh:
         header = fh.read(_GRAPH_HEADER.size)
@@ -298,15 +315,16 @@ def read_graph_record(path) -> PointGraph:
             raise FormatVersionError(f"{path}: not a graph record")
         if len(header) != _GRAPH_HEADER.size:
             raise FormatVersionError(f"{path}: truncated header ({len(header)} bytes)")
-        _, version, seq, fid, n, e, dn, de, df = _GRAPH_HEADER.unpack(header)
+        _, version, seq, fid, n, k, dn, de, df = _GRAPH_HEADER.unpack(header)
         if version != GRAPH_FORMAT_VERSION:
             raise FormatVersionError(f"{path}: unsupported graph version {version}")
-        expected = _GRAPH_HEADER.size + 8 * (n * dn + e + e * de + df)
+        e = n * k
+        expected = _GRAPH_HEADER.size + 8 * (n * dn + e * de + df) + 4 * e
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise FormatVersionError(f"{path}: {size} bytes, but its header implies {expected}")
         nodes = np.frombuffer(fh.read(8 * n * dn), dtype="<f8").reshape(n, dn)
-        edges = np.frombuffer(fh.read(4 * e * 2), dtype="<u4").reshape(e, 2).astype(np.int64)
+        table = np.frombuffer(fh.read(4 * e), dtype="<u4").reshape(n, k).astype(np.int64)
         efeat = np.frombuffer(fh.read(8 * e * de), dtype="<f8").reshape(e, de)
         ffeat = np.frombuffer(fh.read(8 * df), dtype="<f8")
     section = non_finite_section(nodes, efeat, ffeat)
@@ -317,7 +335,7 @@ def read_graph_record(path) -> PointGraph:
             sequence_id=seq,
             frame_id=fid,
             node_features=nodes.astype(np.float64, copy=False),
-            edges=edges,
+            neighbours=table,
             edge_features=efeat.astype(np.float64, copy=False),
             frame_features=ffeat.astype(np.float64, copy=False),
         )
@@ -367,7 +385,7 @@ def write_manifest(entries: dict, path) -> None:
 
 def read_manifest(path) -> dict:
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -311,26 +311,26 @@ class NeighbourTable(NamedTuple):
     valid: Optional[np.ndarray]  # n x k, or None
 
 
+def _padded_table(degrees: np.ndarray, sources: np.ndarray) -> NeighbourTable:
+    """Row i holds the next ``degrees[i]`` entries of ``sources``, padded on
+    the right to the largest degree; ``pos`` lists the real slots in order."""
+    valid = np.arange(degrees.max(initial=0)) < degrees[:, None]
+    src = np.zeros(valid.shape, dtype=np.int64)
+    src[valid] = sources
+    if valid.all():
+        return NeighbourTable(src, np.arange(src.size), None)
+    return NeighbourTable(src, np.flatnonzero(valid), valid)
+
+
 def neighbour_table(edges: np.ndarray, n: int) -> NeighbourTable:
     """Group a (target, source) edge list by target, keeping input order
-    within each target.  A target-major list of equal degrees, as
-    ``build_graph`` makes, maps to the identity reshape."""
-    tgt = edges[:, 0]
-    E = tgt.shape[0]
-    deg = np.bincount(tgt, minlength=n)
-    k = int(deg.max(initial=0))
-    order = np.argsort(tgt, kind="stable")
-    ordered = tgt[order]
-    pos = np.empty(E, dtype=np.int64)
-    pos[order] = ordered * k + np.arange(E) - (np.cumsum(deg) - deg)[ordered]
-    src = np.zeros(n * k, dtype=np.int64)
-    src[pos] = edges[:, 1]
-    valid = None
-    if E != n * k:
-        valid = np.zeros(n * k, dtype=bool)
-        valid[pos] = True
-        valid = valid.reshape(n, k)
-    return NeighbourTable(src.reshape(n, k), pos, valid)
+    within each target.  A target-major list of equal degrees maps to the
+    identity reshape."""
+    order = np.argsort(edges[:, 0], kind="stable")
+    table = _padded_table(np.bincount(edges[:, 0], minlength=n), edges[order, 1])
+    pos = np.empty_like(table.pos)
+    pos[order] = table.pos
+    return table._replace(pos=pos)
 
 
 # Bytes of the largest temporary in one row block of the streamed edge pass
@@ -495,13 +495,24 @@ def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+def _batch_table(graphs: Sequence[PointGraph], counts, offsets) -> NeighbourTable:
+    """The graphs' neighbour tables stacked, each shifted by its graph's
+    node offset; the tables of graphs of at most K nodes are narrower and
+    are padded."""
+    widths = np.array([g.neighbours.shape[1] for g in graphs])
+    tables = [(g.neighbours + off if off else g.neighbours).ravel()
+              for g, off in zip(graphs, offsets)]
+    return _padded_table(np.repeat(widths, counts), _stack(tables))
+
+
 def _rep_forward_batch(
     params: ModelParams,
     graphs: Sequence[PointGraph],
     cache=None,
 ) -> np.ndarray:
-    """Mini-batched evaluation: node/edge arrays of all graphs concatenated
-    with a frame-membership index; equals per-graph evaluation."""
+    """Mini-batched evaluation: node and edge arrays of all graphs
+    concatenated, and their neighbour tables stacked; equals per-graph
+    evaluation."""
     if not graphs:
         raise EmptyGraph("no graphs to represent")
     for g in graphs:
@@ -511,8 +522,7 @@ def _rep_forward_batch(
     node_feats = _stack([g.node_features for g in graphs])
     counts = np.array([g.num_nodes for g in graphs])
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    edges = _stack([g.edges + off if off else g.edges for g, off in zip(graphs, offsets)])
-    table = neighbour_table(edges, node_feats.shape[0])
+    table = _batch_table(graphs, counts, offsets)
 
     e_logits = None
     if params.h_edge is not None and params.gat_layers:

@@ -8,8 +8,9 @@ node-feature stage reads, so no n x n array is held.
 
 Data stays in array form from end to end: a frame is an n x 5 array, the
 KNN result is an n x k neighbour table with its n x k neighbour squared
-distances, the edge list (built once per graph) is the table's E x 2
-flattening, and each statistics stage is one batched statbox call.
+distances, the graph keeps that table as its edges (row i the sources of
+the edges into target i), and each statistics stage is one batched statbox
+call.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .config import PipelineConfig
 from .errors import EmptyInput, NonConsecutiveFrames, NumericOverflow, SequenceMismatch
 from .rng import SplitMix64, derive_seed
 from .statbox import statbox_array, statbox_columns
-from .types import Label, PointGraph, RadarFrame, validate_frame
+from .types import PointGraph, RadarFrame, validate_frame
+# re-exported: the benchmark's spans wrap ``pipeline.edges_from_table``
+from .types import edges_from_table  # noqa: F401
 
 NODE_FEATURE_DIM = 19
-RAW_FEATURE_DIM = 5
 EDGE_FEATURE_DIM = 6
 
 # Bytes of one block of squared distances in build_graph: 64 target rows at
@@ -154,28 +156,21 @@ def knn_edges(d2: np.ndarray, K: int, first: int = 0) -> np.ndarray:
 
 
 def _neighbours(frame: RadarFrame, K: int):
-    """The n x k neighbour table of a non-empty frame and the n x k squared
-    distances to those neighbours, from squared distances computed one block
-    of about ``_D2_BLOCK_BYTES`` of target rows at a time, so no n x n array
-    is held.  A row's distances and selection do not depend on its block."""
+    """The n x k neighbour table of a frame and the n x k squared distances
+    to those neighbours, from squared distances computed one block of about
+    ``_D2_BLOCK_BYTES`` of target rows at a time, so no n x n array is
+    held.  A row's distances and selection do not depend on its block."""
     n = len(frame)
-    k = min(K, n - 1)
+    k = max(min(K, n - 1), 0)
     table = np.empty((n, k), dtype=np.int64)
     neighbor_d2 = np.empty((n, k))
-    step = max(1, _D2_BLOCK_BYTES // (8 * n))
+    step = max(1, _D2_BLOCK_BYTES // max(8 * n, 1))
     for first in range(0, n, step):
         rows = slice(first, first + step)
         d2 = squared_distance_matrix(frame, rows)
         table[rows] = knn_edges(d2, K, first)
         neighbor_d2[rows] = np.take_along_axis(d2, table[rows], axis=1)
     return table, neighbor_d2
-
-
-def edges_from_table(table: np.ndarray) -> np.ndarray:
-    """Flatten an n x k neighbour table into an E x 2 array of (target,
-    source), target-major."""
-    n, k = table.shape
-    return np.column_stack([np.repeat(np.arange(n, dtype=np.int64), k), table.reshape(-1)])
 
 
 def node_features(
@@ -209,19 +204,20 @@ def node_features(
     return out
 
 
-def edge_features(frame: RadarFrame, edges: np.ndarray) -> np.ndarray:
-    """Per directed edge (target, source) of an E x 2 edge list: the
+def edge_features(frame: RadarFrame, table: np.ndarray) -> np.ndarray:
+    """Per directed edge of an n x k neighbour table, in table order (edge
+    i * k + j runs from source ``table[i, j]`` into target i): the
     Euclidean distance, the per-axis direction cosines of (source - target)
     (zero vector when the points coincide), the velocity difference, and
     the intensity difference.
     """
-    out = np.zeros((edges.shape[0], EDGE_FEATURE_DIM), dtype=np.float64)
-    if edges.size == 0:
+    out = np.zeros((table.size, EDGE_FEATURE_DIM), dtype=np.float64)
+    if table.size == 0:
         return out
-    # both endpoints of every edge in one gather from a 5 x n copy, so each
-    # coordinate is a contiguous row: ends[:, 0] targets, ends[:, 1] sources
-    ends = np.take(np.ascontiguousarray(frame.points.T), edges.T, axis=1)
-    delta = ends[:, 1] - ends[:, 0]
+    # the target of a row is the row itself, so only the sources are
+    # gathered, from a 5 x n copy in which each coordinate is a contiguous row
+    P = np.ascontiguousarray(frame.points.T)
+    delta = (P[:, table] - P[:, :, None]).reshape(len(P), -1)
     dx, dy, dz = delta[:3]
     norm = np.sqrt(dx * dx + dy * dy + dz * dz)
     out[:, 0] = norm
@@ -245,50 +241,43 @@ def frame_features(node_feature_matrix: np.ndarray, epsilon: float = 1e-12) -> n
     return np.concatenate([part1, part2])
 
 
+def _fuse_window(
+    frames: Sequence[RadarFrame], config: PipelineConfig, rng: Optional[SplitMix64]
+) -> RadarFrame:
+    """One fusion window's frames validated and fused, then grid
+    downsampled when enabled, with ``rng`` or else the stream derived from
+    the seed and the fused frame's ids."""
+    for f in frames:
+        validate_frame(f)
+    fused = fuse_frames(frames)
+    if config.downsample_enabled and len(fused) > 0:
+        if rng is None:
+            rng = SplitMix64(derive_seed(config.seed, fused.sequence_id, fused.frame_id))
+        fused = downsample(fused, config.cell_width, config.Q, rng)
+    return fused
+
+
 def build_graph(
     frames: Sequence[RadarFrame],
     config: PipelineConfig,
     rng: Optional[SplitMix64] = None,
-    label: Optional[Label] = None,
 ) -> PointGraph:
     """Run the full pipeline on one fusion window of consecutive frames.
 
     An empty fused frame yields a graph with zero nodes, zero edges, and a
     length-0 frame-feature vector (callers decide whether to skip it).
     """
-    for f in frames:
-        validate_frame(f)
-    fused = fuse_frames(frames)
-    if config.downsample_enabled and len(fused) > 0:
-        if rng is None:
-            rng = SplitMix64(
-                derive_seed(config.seed, fused.sequence_id, fused.frame_id)
-            )
-        fused = downsample(fused, config.cell_width, config.Q, rng)
-    n = len(fused)
-    if n == 0:
-        return PointGraph(
-            sequence_id=fused.sequence_id,
-            frame_id=fused.frame_id,
-            node_features=np.zeros(
-                (0, NODE_FEATURE_DIM if config.enable_node_features else RAW_FEATURE_DIM)
-            ),
-            edges=np.zeros((0, 2), dtype=np.int64),
-            edge_features=np.zeros((0, EDGE_FEATURE_DIM if config.enable_edge_features else 0)),
-            frame_features=np.zeros(0),
-            label=label,
-        )
+    fused = _fuse_window(frames, config, rng)
     table, neighbor_d2 = _neighbours(fused, config.K)
-    edges = edges_from_table(table)
     if config.enable_node_features:
         nf = node_features(fused, neighbor_d2, config.epsilon)
     else:
         nf = fused.points
     if config.enable_edge_features:
-        ef = edge_features(fused, edges)
+        ef = edge_features(fused, table)
     else:
-        ef = np.zeros((edges.shape[0], 0))
-    if config.enable_frame_features:
+        ef = np.zeros((table.size, 0))
+    if config.enable_frame_features and len(fused):
         ff = frame_features(nf, config.epsilon)
     else:
         ff = np.zeros(0)
@@ -296,8 +285,7 @@ def build_graph(
         sequence_id=fused.sequence_id,
         frame_id=fused.frame_id,
         node_features=nf,
-        edges=edges,
+        neighbours=table,
         edge_features=ef,
         frame_features=ff,
-        label=label,
     )

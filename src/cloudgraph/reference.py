@@ -14,15 +14,10 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import EmptyInput
-from .pipeline import (
-    EDGE_FEATURE_DIM,
-    NODE_FEATURE_DIM,
-    downsample,
-    fuse_frames,
-)
-from .rng import SplitMix64, derive_seed
+from .pipeline import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, _fuse_window
+from .rng import SplitMix64
 from .statbox import statbox_array
-from .types import Label, PointGraph, RadarFrame, validate_frame
+from .types import PointGraph, RadarFrame
 
 
 def _sqdist(a, b) -> float:
@@ -114,50 +109,29 @@ def naive_build_graph(
     frames: Sequence[RadarFrame],
     config: PipelineConfig,
     rng: Optional[SplitMix64] = None,
-    label: Optional[Label] = None,
 ) -> PointGraph:
     """Full pipeline with per-stage distance recomputation."""
-    for f in frames:
-        validate_frame(f)
-    fused = fuse_frames(frames)
-    if config.downsample_enabled and len(fused) > 0:
-        if rng is None:
-            rng = SplitMix64(derive_seed(config.seed, fused.sequence_id, fused.frame_id))
-        fused = downsample(fused, config.cell_width, config.Q, rng)
-    n = len(fused)
-    if n == 0:
-        return PointGraph(
-            sequence_id=fused.sequence_id,
-            frame_id=fused.frame_id,
-            node_features=np.zeros((0, NODE_FEATURE_DIM if config.enable_node_features else 5)),
-            edges=np.zeros((0, 2), dtype=np.int64),
-            edge_features=np.zeros((0, EDGE_FEATURE_DIM if config.enable_edge_features else 0)),
-            frame_features=np.zeros(0),
-            label=label,
-        )
+    fused = _fuse_window(frames, config, rng)
     table = naive_knn(fused, config.K)
-    edges = np.array(
-        [(j, int(k)) for j, nbrs in enumerate(table) for k in nbrs], dtype=np.int64
-    ).reshape(-1, 2)
-    nf = (
-        naive_node_features(fused, table, config.epsilon)
-        if config.enable_node_features
-        else fused.points
-    )
-    ef = (
-        naive_edge_features(fused, table)
-        if config.enable_edge_features
-        else np.zeros((edges.shape[0], 0))
-    )
-    ff = naive_frame_features(nf, config.epsilon) if config.enable_frame_features else np.zeros(0)
+    if config.enable_node_features:
+        nf = naive_node_features(fused, table, config.epsilon)
+    else:
+        nf = fused.points
+    if config.enable_edge_features:
+        ef = naive_edge_features(fused, table)
+    else:
+        ef = np.zeros((table.size, 0))
+    if config.enable_frame_features and len(fused):
+        ff = naive_frame_features(nf, config.epsilon)
+    else:
+        ff = np.zeros(0)
     return PointGraph(
         sequence_id=fused.sequence_id,
         frame_id=fused.frame_id,
         node_features=nf,
-        edges=edges,
+        neighbours=table,
         edge_features=ef,
         frame_features=ff,
-        label=label,
     )
 
 

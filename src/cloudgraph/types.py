@@ -8,7 +8,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,43 +95,50 @@ class ActivityLabel:
             raise ValueError("class_index must lie in [0, num_classes)")
 
 
-Label = Union[Skeleton, ActivityLabel]
+def edges_from_table(table: np.ndarray) -> np.ndarray:
+    """Flatten an n x k neighbour table into an E x 2 array of (target,
+    source), target-major."""
+    n, k = table.shape
+    return np.column_stack([np.repeat(np.arange(n, dtype=np.int64), k), table.reshape(-1)])
 
 
 @dataclass(frozen=True)
 class PointGraph:
     """Directed KNN graph over one (fused, optionally downsampled) frame.
 
-    node_features is n x 19 when node feature extraction is enabled, n x 5
-    otherwise.  edge_features is E x 6 when enabled, E x 0 otherwise.
-    frame_features has length 10 * 2 * D_node when enabled (380 for the 19D
-    node features), length 0 otherwise.
+    ``neighbours`` is the n x k int64 KNN table, k = min(K, n - 1): edge
+    i * k + j runs from ``neighbours[i, j]`` into target i.  node_features
+    is n x 19 when node feature extraction is enabled, n x 5 otherwise.
+    edge_features is E x 6 when enabled, E x 0 otherwise, E = n * k, in
+    edge order.  frame_features has length 10 * 2 * D_node when enabled
+    (380 for the 19D node features), length 0 otherwise.
     """
 
     sequence_id: int
     frame_id: int
     node_features: np.ndarray
-    edges: np.ndarray  # E x 2 of (target_index, source_index)
+    neighbours: np.ndarray
     edge_features: np.ndarray
     frame_features: np.ndarray
-    label: Optional[Label] = None
 
     def __post_init__(self):
         nf = np.asarray(self.node_features, dtype=np.float64)
-        ed = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        nb = np.asarray(self.neighbours, dtype=np.int64)
         ef = np.asarray(self.edge_features, dtype=np.float64)
         ff = np.asarray(self.frame_features, dtype=np.float64).reshape(-1)
         n = nf.shape[0]
-        if ed.size and (ed.min() < 0 or ed.max() >= n):
+        if nb.ndim != 2 or nb.shape[0] != n:
+            raise ValueError("neighbours must have one row per node")
+        if nb.size and (nb.min() < 0 or nb.max() >= n):
             raise ValueError("edge index out of range")
-        if np.any(ed[:, 0] == ed[:, 1]):
+        if np.any(nb == np.arange(n)[:, None]):
             raise ValueError("explicit self-edges are not stored")
-        if ef.shape[0] != ed.shape[0]:
+        if ef.shape[0] != nb.size:
             raise ValueError("edge_features row count must match edge count")
-        for a in (nf, ed, ef, ff):
+        for a in (nf, nb, ef, ff):
             a.setflags(write=False)
         object.__setattr__(self, "node_features", nf)
-        object.__setattr__(self, "edges", ed)
+        object.__setattr__(self, "neighbours", nb)
         object.__setattr__(self, "edge_features", ef)
         object.__setattr__(self, "frame_features", ff)
 
@@ -141,7 +148,12 @@ class PointGraph:
 
     @property
     def num_edges(self) -> int:
-        return self.edges.shape[0]
+        return self.neighbours.size
+
+    @property
+    def edges(self) -> np.ndarray:
+        """E x 2 (target, source) pairs in edge order, built on each call."""
+        return edges_from_table(self.neighbours)
 
 
 def validate_frame(frame: RadarFrame) -> RadarFrame:

@@ -309,7 +309,7 @@ def test_graph_debug_dump_extreme_values_and_empty_widths():
     # signed zero, subnormals, huge and non-finite values, zero-width sections
     values = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, np.inf, -np.inf, np.nan]
     g = PointGraph(sequence_id=0, frame_id=1, node_features=np.array([values, values[::-1]]),
-                   edges=[[0, 1], [1, 0]], edge_features=np.zeros((2, 0)), frame_features=[])
+                   neighbours=[[1], [0]], edge_features=np.zeros((2, 0)), frame_features=[])
     fh = io.StringIO()
     formats.write_graph_debug_dump(g, fh)
     text = fh.getvalue()
@@ -753,6 +753,41 @@ def test_cli_config_error_exit_6(tmp_path):
     assert rc == 6
 
 
+@pytest.mark.parametrize("kind, code", [("frames", 2), ("config", 6), ("skeletons", 2)])
+def test_cli_non_utf8_input_names_file_and_line(tmp_path, caplog, kind, code):
+    """A byte that is not UTF-8, here 0xff on line 3, ends in a ParseError
+    (exit 2), or a ConfigError (exit 6) for the config, naming the file and
+    the line; the lines before it count CR and CR LF breaks as the
+    readers do."""
+    frames_path, gt_path = gen_inputs(tmp_path, frames=2, points=6)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path)
+    bad = {"frames": frames_path, "config": cfg_path, "skeletons": gt_path}[kind]
+    first, second, rest = bad.read_bytes().split(b"\n", 2)
+    bad.write_bytes(first + b"\r\n" + second + b"\r" + rest[:3] + b"\xff" + rest[3:])
+    if kind == "skeletons":
+        rc = main(["eval", str(gt_path), str(gt_path), "--task", "pose"])
+    else:
+        rc = main(["extract", str(frames_path), "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == code
+    assert f"line 3: {bad} is not UTF-8 (byte 0xff)" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seq, fid", [(0, -5), (-1, 0), (2**64, 0), (0, 2**64)])
+def test_cli_extract_id_outside_u8_exit_2(tmp_path, caplog, seq, fid):
+    """Records store ids as u8, and a frame id below 0 is no frame."""
+    frames_path = tmp_path / "frames.csv"
+    frames_path.write_text(formats.FRAMES_HEADER + "\n0,0,1.0,2.0,3.0,0.0,1.0\n"
+                           f"{seq},{fid},0.5,2.5,3.0,0.0,1.0\n", encoding="utf-8")
+    write_config(tmp_path / "run.cfg")
+    rc = main(["extract", str(frames_path), "--config", str(tmp_path / "run.cfg"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "line 3: sequence or frame id outside [0, 2^64)" in caplog.text
+
+
 @pytest.mark.parametrize("line", [
     "cell_width = nan,0.1,0.1",
     "cell_width = inf,0.1,0.1",
@@ -869,6 +904,53 @@ def test_cli_infer_survives_any_cut_or_bit_flip(infer_inputs, head, data):
             assert values.size and np.isfinite(values).all()
 
 
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory):
+    """A frames CSV, its skeleton CSV and a run config, built once."""
+    tmp = tmp_path_factory.mktemp("text")
+    frames_path, gt_path = gen_inputs(tmp, frames=3, points=8)
+    cfg_path = tmp / "run.cfg"
+    write_config(cfg_path, pipe=PipelineConfig(K=3, F=2))
+    return {"frames": frames_path.read_bytes(), "skeletons": gt_path.read_bytes(),
+            "config": cfg_path.read_bytes()}
+
+
+# bytes a mutation writes: the CSV and config syntax, a non-UTF-8 byte,
+# NUL, and the CR and CR LF line breaks
+MUTATION_BYTES = [bytes([b]) for b in b"0123456789-+.,=eEinaf \n\r\x00\xff"] + [b"\r\n"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing features
+@pytest.mark.parametrize("kind", ["frames", "config", "skeletons"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_survives_any_byte_mutation_of_a_text_input(text_inputs, kind, data):
+    """Overwrite, insert or delete a few bytes of a frames CSV or a run
+    config, then extract, or of a skeleton CSV, then eval it against the
+    original: the command exits 0, 2, 3, 5, 6 or 7, and after an extract
+    that exits 0 every record reads back."""
+    blob = bytearray(text_inputs[kind])
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        at = data.draw(st.integers(0, len(blob)), label="at")
+        op = data.draw(st.sampled_from(["overwrite", "insert", "delete"]), label="op")
+        new = data.draw(st.sampled_from(MUTATION_BYTES), label="byte")
+        blob[at : at + (op != "insert")] = b"" if op == "delete" else new
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, original in text_inputs.items():
+            (tmp / name).write_bytes(bytes(blob) if name == kind else original)
+        if kind == "skeletons":
+            (tmp / "truth").write_bytes(text_inputs["skeletons"])
+            rc = main(["eval", str(tmp / "skeletons"), str(tmp / "truth"), "--task", "pose"])
+        else:
+            rc = main(["extract", str(tmp / "frames"), "--config", str(tmp / "config"),
+                       "--out", str(tmp / "out")])
+        assert rc in (0, 2, 3, 5, 6, 7)
+        if rc == 0 and kind != "skeletons":
+            for record in (tmp / "out").glob("graph_*.bin"):
+                formats.read_graph_record(record)
+
+
 @pytest.mark.parametrize("head", sorted(SMALL_MODELS))
 @pytest.mark.parametrize("section, message", [
     ("node", "non-finite value in the node features"),
@@ -883,8 +965,8 @@ def test_cli_infer_corrupt_payload_exit_4(tmp_path, caplog, head, section, messa
     record = sorted(graphs.glob("graph_*.bin"))[-1]
     g = formats.read_graph_record(record)
     n, dn = g.node_features.shape
-    edges_at = formats._GRAPH_HEADER.size + 8 * n * dn
-    efeat_at = edges_at + 8 * g.num_edges
+    table_at = formats._GRAPH_HEADER.size + 8 * n * dn
+    efeat_at = table_at + 4 * g.num_edges
     bad = record
     if section == "node":
         patch_bytes(record, formats._GRAPH_HEADER.size + 8 * 7, "<d", np.nan)
@@ -893,10 +975,10 @@ def test_cli_infer_corrupt_payload_exit_4(tmp_path, caplog, head, section, messa
     elif section == "frame":
         patch_bytes(record, len(record.read_bytes()) - 8, "<d", -np.inf)
     elif section == "edge_index":  # source of edge 2
-        patch_bytes(record, edges_at + 8 * 2 + 4, "<I", 10**6)
+        patch_bytes(record, table_at + 4 * 2, "<I", 10**6)
     elif section == "self_edge":  # source of edge 0, whose target is node 0
         assert g.edges[0, 0] == 0
-        patch_bytes(record, edges_at + 4, "<I", 0)
+        patch_bytes(record, table_at, "<I", 0)
     else:  # the last value of the last tensor
         bad = weights
         patch_bytes(weights, len(weights.read_bytes()) - 8, "<d", np.nan)
@@ -904,9 +986,27 @@ def test_cli_infer_corrupt_payload_exit_4(tmp_path, caplog, head, section, messa
     assert f"{bad}: " in caplog.text and message in caplog.text
 
 
+def test_cli_v1_record_exit_4(tmp_path, caplog, capsys):
+    """A version 1 record, which stored E x 2 u4 (target, source) pairs where
+    version 2 stores the n x k table, is refused by infer and show."""
+    graphs, weights, cfg_path = extract_and_init(tmp_path, "pose", frames=1)
+    (record,) = graphs.glob("graph_*.bin")
+    g = formats.read_graph_record(record)
+    header = formats._GRAPH_HEADER.pack(
+        formats.GRAPH_MAGIC, 1, g.sequence_id, g.frame_id, g.num_nodes, g.num_edges,
+        g.node_features.shape[1], g.edge_features.shape[1], g.frame_features.shape[0])
+    record.write_bytes(header + g.node_features.tobytes() + g.edges.astype("<u4").tobytes()
+                       + g.edge_features.tobytes() + g.frame_features.tobytes())
+    assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
+    capsys.readouterr()
+    assert main(["show", str(record)]) == 4
+    assert capsys.readouterr().out == ""
+    assert caplog.text.count(f"{record}: unsupported graph version 1") == 2
+
+
 def test_cli_infer_peak_memory_below_three_records(tmp_path, np_rng):
     """The record's sections reach the model as read, without copies: one
-    1,024-point default-shape record, 1.3 MB, peaks below 3x its size."""
+    1,024-point default-shape record, 1.2 MB, peaks below 3x its size."""
     formats.write_frames([frame_from_matrix(0, 0, np_rng.normal(size=(1024, 5)))],
                          tmp_path / "frames.csv")
     cfg = tmp_path / "run.cfg"
@@ -916,6 +1016,9 @@ def test_cli_infer_peak_memory_below_three_records(tmp_path, np_rng):
                  "--out", str(graphs)]) == 0
     assert main(["init-weights", "--config", str(cfg), "--out", str(weights)]) == 0
     (record,) = graphs.glob("graph_*.bin")
+    # header, 1,024 x 19 node values, the 1,024 x 20 u4 table, 20,480 x 6
+    # edge values and 380 frame values
+    assert record.stat().st_size == 64 + 8 * 19456 + 4 * 20480 + 8 * 122880 + 8 * 380 == 1223712
     tracemalloc.start()
     try:
         assert infer(graphs, weights, cfg, tmp_path / "p.csv") == 0

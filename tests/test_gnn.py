@@ -399,14 +399,26 @@ def test_representation_batched_equals_unbatched(np_rng):
         assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
 
 
-def test_representation_batch_mixes_degrees(np_rng):
-    # n = 1 and n = 3 graphs have k = 0 and 2 < K, so the batch table is padded
+@pytest.mark.parametrize("sizes", [(3, 12, 1, 7), (9, 12, 5)])
+def test_batch_table_equals_the_regrouped_edge_list(np_rng, sizes):
+    # n = 1 and n = 3 graphs have k = 0 and 2 < K, so that batch is padded
+    graphs = [random_graph(np_rng, n=n, K=4) for n in sizes]
+    counts = np.array(sizes)
+    offsets = np.cumsum((0,) + sizes[:-1])
+    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
+    want = neighbour_table(edges, sum(sizes))
+    got = gnn._batch_table(graphs, counts, offsets)
+    assert (got.valid is None) == (min(sizes) > 4) == (want.valid is None)
+    for field in ("src", "pos", "valid"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_representation_batch_mixes_degrees(np_rng, monkeypatch):
     params, cfg = small_params()
     sizes = (3, 12, 1, 7)
     graphs = [random_graph(np_rng, n=n, cfg=cfg) for n in sizes]
-    offsets = np.cumsum((0,) + sizes[:-1])
-    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
-    assert neighbour_table(edges, sum(sizes)).valid is not None
+    # the graphs' tables are stacked as they are, never regrouped from pairs
+    monkeypatch.setattr(gnn, "neighbour_table", None)
     batch = _rep_forward_batch(params, graphs)
     for i, g in enumerate(graphs):
         assert np.allclose(batch[i], frame_representation(params, g), atol=1e-12, rtol=0)

@@ -9,7 +9,9 @@ from pathlib import Path
 from unittest import mock
 
 from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
-from cloudgraph.formats import write_frames
+from cloudgraph.formats import read_graph_record, write_frames, write_graph_record
+from cloudgraph.pipeline import build_graph
+from cloudgraph.reference import naive_build_graph
 from cloudgraph.types import frame_from_matrix
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -42,7 +44,24 @@ def test_install_wraps_and_uninstall_restores_every_binding(monkeypatch):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
 
 
-def test_traced_extract_counts_one_edge_list_and_three_statbox_calls_per_graph(
+def test_gate_fingerprints_agree_for_shared_naive_and_read_back_graphs(monkeypatch, tmp_path,
+                                                                     np_rng):
+    """The benchmark's correctness gate fingerprints the arrays a graph
+    exposes; a graph change that breaks those fingerprints fails here."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gate = importlib.import_module("gate")
+    frames = [frame_from_matrix(3, i, np_rng.normal(size=(9, 5))) for i in range(2)]
+    cfg = PipelineConfig(K=4, F=2)
+    shared = build_graph(frames, cfg)
+    write_graph_record(shared, tmp_path / "g.bin")
+    want = gate.fingerprint(shared)
+    assert want[:2] == (3, 1)
+    assert gate.fingerprint(naive_build_graph(frames, cfg)) == want
+    assert gate.fingerprint(read_graph_record(tmp_path / "g.bin")) == want
+
+
+def test_traced_extract_builds_no_edge_list_and_counts_statbox_calls(
     monkeypatch, tmp_path, np_rng
 ):
     spans, cg = load_perfbench(monkeypatch)
@@ -60,7 +79,8 @@ def test_traced_extract_counts_one_edge_list_and_three_statbox_calls_per_graph(
     _, _, calls = spans.span_totals(tracer.spans)
     graphs = calls["pipeline.build_graph"]
     assert graphs == 3
-    assert calls["pipeline.edges_from_table"] == graphs
+    # graphs keep the KNN table; nothing flattens it into pairs
+    assert calls["pipeline.edges_from_table"] == 0
     # distances and KNN run once per block of target rows, at least once
     # per graph, through the names the spans wrap
     assert calls["pipeline.squared_distance_matrix"] >= graphs

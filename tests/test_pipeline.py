@@ -337,7 +337,7 @@ def test_node_features_direction_zero_at_centroid():
 def test_edge_features_unit_displacement():
     frame = frame_from_matrix(0, 0, [[0, 0, 0, 0, 0], [1, 0, 0, 2, 3]])
     table = knn_edges(squared_distance_matrix(frame), 1)
-    ef = edge_features(frame, edges_from_table(table))
+    ef = edge_features(frame, table)
     # edge 0: target 0 -> source 1
     assert np.allclose(ef[0], [1, 1, 0, 0, 2, 3])
 
@@ -345,7 +345,7 @@ def test_edge_features_unit_displacement():
 def test_edge_features_coincident_points_zero_direction():
     frame = frame_from_matrix(0, 0, [[0, 0, 0, 1, 4], [0, 0, 0, 3, 5]])
     table = knn_edges(squared_distance_matrix(frame), 1)
-    ef = edge_features(frame, edges_from_table(table))
+    ef = edge_features(frame, table)
     assert np.allclose(ef[0], [0, 0, 0, 0, 2, 1])
     assert np.allclose(ef[1], [0, 0, 0, 0, -2, -1])
 
@@ -354,8 +354,9 @@ def test_edge_features_antisymmetry(np_rng):
     frame = random_frame(np_rng, 10)
     d2 = squared_distance_matrix(frame)
     # fully connected table to check all ordered pairs
-    edges = edges_from_table(knn_edges(d2, 9))
-    ef = edge_features(frame, edges)
+    table = knn_edges(d2, 9)
+    edges = edges_from_table(table)
+    ef = edge_features(frame, table)
     index = {(t, s): i for i, (t, s) in enumerate(map(tuple, edges))}
     for (t, s), i in index.items():
         j = index[(s, t)]
@@ -426,10 +427,16 @@ def test_build_graph_all_flags_off(np_rng):
 
 def test_build_graph_empty_frame():
     frame = RadarFrame(frame_id=3, sequence_id=1, points=())
-    g = build_graph([frame], PipelineConfig())
-    assert g.num_nodes == 0
-    assert g.num_edges == 0
-    assert g.frame_features.shape == (0,)
+    for enabled in (True, False):
+        cfg = PipelineConfig(enable_node_features=enabled, enable_edge_features=enabled)
+        g = build_graph([frame], cfg)
+        assert g.num_nodes == 0
+        assert g.num_edges == 0
+        assert g.neighbours.shape == (0, 0)
+        assert g.node_features.shape == (0, 19 if enabled else 5)
+        assert g.edge_features.shape == (0, 6 if enabled else 0)
+        assert g.frame_features.shape == (0,)
+        assert graphs_equal(g, naive_build_graph([frame], cfg))
 
 
 def test_shared_vs_naive_pipeline_bit_exact(np_rng):
