@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .config import load_config, serialize_config
+from .config import field_texts, load_config
 from .errors import (
     CloudGraphError,
     ConfigError,
@@ -39,20 +39,22 @@ from .synthetic import MID_HIP_INDEX, SyntheticSpec, generate
 log = logging.getLogger("cloudgraph")
 
 
-def _windows(frames, F):
-    """Full fusion windows per sequence: frame i consumes frames i-F+1..i.
+def _windows(items, size, stride=1):
+    """Full windows of ``size`` items per sequence, one every ``stride``
+    items: the window ending at item i holds items i-size+1..i, for i =
+    size-1, size-1+stride, ...  The items are frames (fusion windows) or
+    graphs (LSTM windows).
 
     A window whose frame ids are not consecutive spans a gap and is
-    dropped, so the windows start again after each gap.  Returns the
-    windows kept and the number dropped.
+    dropped.  Returns the windows kept and the number dropped.
     """
     by_seq: dict = {}
-    for f in frames:
-        by_seq.setdefault(f.sequence_id, []).append(f)
+    for item in items:
+        by_seq.setdefault(item.sequence_id, []).append(item)
     kept, dropped = [], 0
-    for seq_frames in by_seq.values():
-        for i in range(F - 1, len(seq_frames)):
-            window = seq_frames[i - F + 1 : i + 1]
+    for seq_items in by_seq.values():
+        for i in range(size - 1, len(seq_items), stride):
+            window = seq_items[i - size + 1 : i + 1]
             if all(b.frame_id == a.frame_id + 1 for a, b in zip(window, window[1:])):
                 kept.append(window)
             else:
@@ -120,10 +122,7 @@ def cmd_extract(args) -> int:
             entries["nodes_at_centroid"] += np.count_nonzero(to_centroid < pipeline_cfg.epsilon)
     elapsed = time.perf_counter() - t0
     entries["timing_extract_seconds"] = f"{elapsed:.6f}"
-    for line in serialize_config(pipeline_cfg).strip().splitlines():
-        if "=" in line:
-            key, value = (p.strip() for p in line.split("=", 1))
-            entries[f"config_{key}"] = value
+    entries.update((f"config_{name}", text) for name, text in field_texts(pipeline_cfg).items())
     formats.write_manifest(entries, out_dir / "manifest.txt")
     log.info("wrote %d graph records to %s", entries["graphs_out"], out_dir)
     return 0
@@ -145,19 +144,11 @@ def cmd_infer(args) -> int:
     pipeline_cfg, shape = load_config(args.config)
     params = load_params(args.weights, shape, pipeline_cfg)
     graphs = _load_graphs(args.graphs)
-    rows = []
     if shape.sequential:
-        by_seq: dict = {}
-        for g in graphs:
-            by_seq.setdefault(g.sequence_id, []).append(g)
-        for seq, seq_graphs in by_seq.items():
-            L = shape.window
-            for start in range(0, len(seq_graphs) - L + 1, shape.stride):
-                chunk = seq_graphs[start : start + L]
-                rows.append((seq, chunk[-1].frame_id, predict_sequential(params, chunk)))
+        windows, _ = _windows(graphs, shape.window, shape.stride)
+        rows = [(w[-1].sequence_id, w[-1].frame_id, predict_sequential(params, w)) for w in windows]
     else:
-        for g in graphs:
-            rows.append((g.sequence_id, g.frame_id, predict_framewise(params, g)))
+        rows = [(g.sequence_id, g.frame_id, predict_framewise(params, g)) for g in graphs]
     write = formats.write_skeletons if shape.head == "pose" else formats.write_scores
     write(rows, args.out)
     log.info("wrote %d predictions to %s", len(rows), args.out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .errors import ConfigError, ParseError
 from .formats import read_text
@@ -65,7 +65,7 @@ class ModelShape:
 
     ``output_size`` is the number of keypoints M for the pose head or the
     number of classes C for the activity head.  ``mid_hip_index`` must be
-    supplied for pose work; no dataset default exists.
+    supplied for pose work, in [0, M); no dataset default exists.
     """
 
     head: str = "pose"
@@ -91,6 +91,10 @@ class ModelShape:
             raise ConfigError(f"edge_relu_policy must be one of {EDGE_RELU_POLICIES}")
         if self.output_size < 1:
             raise ConfigError("output_size must be >= 1")
+        if self.head == "pose" and not 0 <= self.mid_hip_index < self.output_size:
+            raise ConfigError(
+                f"mid_hip_index {self.mid_hip_index} outside the {self.output_size} keypoints"
+            )
         for name in ("edge_units", "node_units", "frame_units"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must name at least one layer")
@@ -137,15 +141,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def field_texts(cfg) -> Dict[str, str]:
+    """Each field of a PipelineConfig or ModelShape as its canonical value
+    text, in field order."""
+    return {f.name: _fmt(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
 def serialize_config(pipeline: PipelineConfig, model: ModelShape | None = None) -> str:
     lines = ["# cloudgraph run configuration"]
-    for name in _PIPELINE_FIELDS:
-        lines.append(f"{name} = {_fmt(getattr(pipeline, name))}")
+    lines += [f"{name} = {text}" for name, text in field_texts(pipeline).items()]
     if model is not None:
-        lines.append("")
-        lines.append("# model shape")
-        for name in _MODEL_FIELDS:
-            lines.append(f"model_{name} = {_fmt(getattr(model, name))}")
+        lines += ["", "# model shape"]
+        lines += [f"model_{name} = {text}" for name, text in field_texts(model).items()]
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatVersionError, ParseError
+from .errors import FormatVersionError, ParseError, ShapeMismatch
 from .types import PointGraph, RadarFrame, Skeleton
 
 FRAMES_HEADER = "sequence_id,frame_id,x,y,z,v,I"
@@ -158,7 +158,8 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
     """Skeletons by (sequence, frame) id.  Every id must list keypoint
     indices 0..M-1, each once and in any order, with one M for the whole
     file; otherwise ParseError names the id.  A NaN or infinite coordinate
-    is a ParseError naming its line."""
+    is a ParseError naming its line, and a mid-hip index outside the M
+    keypoints a ShapeMismatch naming the file."""
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != SKELETON_HEADER:
         raise ParseError(1, f"expected header {SKELETON_HEADER!r}")
@@ -190,6 +191,8 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
             raise ParseError(first_line[key], f"{name}: keypoint indices are not 0..{m - 1}, each once")
         if num_keypoints is None:
             num_keypoints = m
+            if not 0 <= mid_hip_index < m:
+                raise ShapeMismatch(f"{path}: mid-hip index {mid_hip_index} outside its {m} keypoints")
         elif m != num_keypoints:
             raise ParseError(first_line[key], f"{name}: {m} keypoints, expected {num_keypoints}")
         out[key] = Skeleton(np.array([xyz for _, xyz in rows]), mid_hip_index)

@@ -302,12 +302,14 @@ def fcn_forward(block: FcnBlock, x) -> np.ndarray:
 
 class NeighbourTable(NamedTuple):
     """In-neighbours of every target as an n x k table, k the largest
-    in-degree.  Slots past a target's degree are padding: ``valid`` marks
-    the real ones, or is None when every target has degree k.  ``pos[e]``
-    is the flat slot of input edge e."""
+    in-degree.  ``pos[e]`` is the flat slot of input edge e.  A graph's own
+    KNN table is used as it is: every target has k neighbours and edge e is
+    slot e, so ``pos`` is ``slice(None)`` and ``valid`` is None.  Only an
+    edge list regrouped by ``neighbour_table`` may leave slots past a
+    target's degree as padding, which ``valid`` marks."""
 
     src: np.ndarray  # n x k source node per slot, 0 in padding
-    pos: np.ndarray  # E
+    pos: Union[np.ndarray, slice]  # E, or slice(None) for a full table
     valid: Optional[np.ndarray]  # n x k, or None
 
 
@@ -489,51 +491,20 @@ def _check_graph_matches(params: ModelParams, graph: PointGraph):
         raise DimensionMismatch("graph frame features do not match the frame block")
 
 
-def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The rows of ``arrays`` as one array; a single array is used as it is,
-    not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _batch_table(graphs: Sequence[PointGraph], counts, offsets) -> NeighbourTable:
-    """The graphs' neighbour tables stacked, each shifted by its graph's
-    node offset; the tables of graphs of at most K nodes are narrower and
-    are padded."""
-    widths = np.array([g.neighbours.shape[1] for g in graphs])
-    tables = [(g.neighbours + off if off else g.neighbours).ravel()
-              for g, off in zip(graphs, offsets)]
-    return _padded_table(np.repeat(widths, counts), _stack(tables))
-
-
-def _rep_forward_batch(
-    params: ModelParams,
-    graphs: Sequence[PointGraph],
-    cache=None,
-) -> np.ndarray:
-    """Mini-batched evaluation: node and edge arrays of all graphs
-    concatenated, and their neighbour tables stacked; equals per-graph
-    evaluation."""
-    if not graphs:
-        raise EmptyGraph("no graphs to represent")
-    for g in graphs:
-        if g.num_nodes == 0:
-            raise EmptyGraph("cannot represent a graph with zero nodes")
-        _check_graph_matches(params, g)
-    node_feats = _stack([g.node_features for g in graphs])
-    counts = np.array([g.num_nodes for g in graphs])
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    table = _batch_table(graphs, counts, offsets)
-
+def _pooled_nodes(params: ModelParams, graph: PointGraph, cache=None) -> np.ndarray:
+    """One graph's node states through the node block and every attention
+    layer, on the graph's own neighbour table, mean-pooled to 1 x d."""
+    if graph.num_nodes == 0:
+        raise EmptyGraph("cannot represent a graph with zero nodes")
+    _check_graph_matches(params, graph)
+    table = NeighbourTable(graph.neighbours, slice(None), None)
     e_logits = None
     if params.h_edge is not None and params.gat_layers:
-        edge_feats = _stack([g.edge_features for g in graphs])
-        e_logits = _edge_logits(params, edge_feats, cache)
+        e_logits = _edge_logits(params, graph.edge_features, cache)
     nc = [] if cache is not None else None
-    X = _fcn_forward(params.h_node, node_feats, nc)
+    X = _fcn_forward(params.h_node, graph.node_features, nc)
     if cache is not None:
-        cache["h_node"] = nc
-        cache["gat"] = []
-        cache["relu_z"] = []
+        cache.update(h_node=nc, gat=[], relu_z=[])
     n_layers = len(params.gat_layers)
     for i, layer in enumerate(params.gat_layers):
         gc = cache["gat"] if cache is not None else None
@@ -542,32 +513,40 @@ def _rep_forward_batch(
             np.maximum(X, 0.0, out=X)
             if cache is not None:
                 cache["relu_z"].append(X)
-    # mean pool per graph
-    m = np.add.reduceat(X, offsets, axis=0) / counts[:, None]
     if cache is not None:
-        cache["counts"] = counts
+        cache["pooled_shape"] = X.shape
+    return np.add.reduceat(X, [0], axis=0) / graph.num_nodes
+
+
+def _rep_forward_batch(
+    params: ModelParams,
+    graphs: Sequence[PointGraph],
+    cache=None,
+) -> np.ndarray:
+    """Representations of a window of graphs, one row per graph.  Each
+    graph's node path runs on its own neighbour table, so its pooled
+    vector does not depend on the other graphs; the frame branch is one
+    product over the window's stacked frame features.  A gradient cache
+    is left holding the last graph's node path, so the backward pass takes
+    a one-graph window."""
+    if not graphs:
+        raise EmptyGraph("no graphs to represent")
+    rep = np.concatenate([_pooled_nodes(params, g, cache) for g in graphs])
     if params.h_frame is not None:
-        frame_mat = np.stack([g.frame_features for g in graphs])
         fc = [] if cache is not None else None
-        Xf = _fcn_forward(params.h_frame, frame_mat, fc)
+        Xf = _fcn_forward(params.h_frame, np.stack([g.frame_features for g in graphs]), fc)
         if cache is not None:
             cache["h_frame"] = fc
-        rep = np.concatenate([m, Xf], axis=1)
-    else:
-        rep = m
-    if cache is not None:
-        cache["pool_dim"] = X.shape[1]
+        rep = np.concatenate([rep, Xf], axis=1)
     return rep
 
 
 def _rep_backward_batch(params: ModelParams, cache, dRep, grads):
-    pool_dim = cache["pool_dim"]
-    dm = dRep[:, :pool_dim]
+    n, pool_dim = cache["pooled_shape"]
     if params.h_frame is not None:
         dXf = dRep[:, pool_dim:]
         _fcn_backward(params.h_frame, cache["h_frame"], dXf, grads, "h_frame")
-    counts = cache["counts"]
-    dX = np.repeat(dm / counts[:, None], counts, axis=0)
+    dX = np.repeat(dRep[:, :pool_dim] / n, n, axis=0)
     de_logits = []
     n_layers = len(params.gat_layers)
     for i in reversed(range(n_layers)):
@@ -632,11 +611,11 @@ def _sigmoid(x):
 
 
 def _lstm_direction(d: LstmDirection, xs: np.ndarray) -> np.ndarray:
+    """The hidden state after one LSTM direction has read the rows of xs."""
     H = d.Wh.shape[0]
     h = np.zeros(H)
     c = np.zeros(H)
-    hs = np.zeros((xs.shape[0], H))
-    for t, x in enumerate(xs):
+    for x in xs:
         g = x @ d.Wx + h @ d.Wh + d.b
         i = _sigmoid(g[:H])
         f = _sigmoid(g[H : 2 * H])
@@ -644,8 +623,7 @@ def _lstm_direction(d: LstmDirection, xs: np.ndarray) -> np.ndarray:
         o = _sigmoid(g[3 * H :])
         c = f * c + i * gg
         h = o * np.tanh(c)
-        hs[t] = h
-    return hs
+    return h
 
 
 def predict_sequential(
@@ -658,11 +636,12 @@ def predict_sequential(
     if not graphs:
         raise EmptyGraph("sequential prediction needs at least one graph")
     reps = _rep_forward_batch(params, graphs)
+    # last time index: the forward state after all L frames, and the
+    # backward state at position L-1, the backward recursion's first step,
+    # which has read only the last frame
     hf = _lstm_direction(params.lstm.fwd, reps)
-    hb = _lstm_direction(params.lstm.bwd, reps[::-1])
-    # last time index: forward state at t = L-1, backward state at position
-    # L-1 (the backward recursion's first step)
-    last = np.concatenate([hf[-1], hb[0]])
+    hb = _lstm_direction(params.lstm.bwd, reps[-1:])
+    last = np.concatenate([hf, hb])
     out = _fcn_forward(params.h_pred, last[None, :])[0]
     return _head_output(params, out, graphs[-1])
 
@@ -680,8 +659,7 @@ def _sign_pattern(cache: dict) -> np.ndarray:
     parts = [Y > 0 for _, Y, use_relu in fcn if use_relu]
     parts += [Y > 0 for Y in cache["relu_z"]]
     for c in cache["gat"]:
-        valid = c["table"].valid
-        parts += [c["z_self"] > 0, c["z_e"] > 0 if valid is None else (c["z_e"] > 0) & valid]
+        parts += [c["z_self"] > 0, c["z_e"] > 0]
     return np.concatenate([p.ravel() for p in parts] or [np.zeros(0, bool)])
 
 

@@ -161,8 +161,6 @@ def cross_entropy(scores, label: ActivityLabel) -> float:
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     if s.size != label.num_classes:
         raise ShapeMismatch(f"{s.size} scores for {label.num_classes} classes")
-    if not 0 <= label.class_index < s.size:
-        raise LabelOutOfRange(str(label.class_index))
     shifted = s - s.max()
     log_z = float(np.log(np.exp(shifted).sum()))
     return log_z - float(shifted[label.class_index])

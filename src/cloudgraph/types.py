@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteValue
+from .errors import LabelOutOfRange, NonFiniteValue
 
 
 class RadarPoint(NamedTuple):
@@ -92,7 +92,9 @@ class ActivityLabel:
 
     def __post_init__(self):
         if not 0 <= self.class_index < self.num_classes:
-            raise ValueError("class_index must lie in [0, num_classes)")
+            raise LabelOutOfRange(
+                f"class index {self.class_index} outside [0, {self.num_classes})"
+            )
 
 
 def edges_from_table(table: np.ndarray) -> np.ndarray:

@@ -655,6 +655,23 @@ def test_cli_eval_reports_coverage(tmp_path, capsys, np_rng):
     )
 
 
+def test_cli_eval_label_outside_score_width_exit_7(tmp_path, caplog):
+    s_path, l_path = tmp_path / "s.csv", tmp_path / "l.csv"
+    formats.write_scores([(0, 0, np.array([3.0, 0.0]))], s_path)
+    formats.write_labels([(0, 0, 7)], l_path)
+    assert main(["eval", str(s_path), str(l_path), "--task", "activity"]) == 7
+    assert "class index 7 outside [0, 2)" in caplog.text
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_cli_eval_mid_hip_index_outside_keypoints_exit_7(tmp_path, caplog, np_rng, index):
+    p_path = tmp_path / "p.csv"
+    formats.write_skeletons([(0, 0, Skeleton(np_rng.normal(size=(3, 3)), 0))], p_path)
+    rc = main(["eval", str(p_path), str(p_path), "--task", "pose", "--mid-hip-index", str(index)])
+    assert rc == 7
+    assert f"{p_path}: mid-hip index {index} outside its 3 keypoints" in caplog.text
+
+
 def test_cli_eval_no_predictions_exit_7(tmp_path, caplog):
     p_path, g_path = tmp_path / "s.csv", tmp_path / "l.csv"
     formats.write_scores([], p_path)
@@ -813,8 +830,11 @@ def test_cli_non_finite_config_exit_6(tmp_path, line):
     (["model_sequential = true", "model_stride = 0"], "stride"),
     (["model_sequential = true", "model_window = 0"], "window"),
     (["model_sequential = true", "model_stride = -1"], "stride"),
+    (["model_mid_hip_index = 5"], "mid_hip_index 5 outside the 5 keypoints"),
+    (["model_mid_hip_index = -1"], "mid_hip_index -1 outside the 5 keypoints"),
 ], ids=["empty_edge_units", "negative_frame_width", "zero_edge_width",
-        "zero_stride", "zero_window", "negative_stride"])
+        "zero_stride", "zero_window", "negative_stride", "mid_hip_past_keypoints",
+        "negative_mid_hip"])
 def test_cli_degenerate_model_shape_exit_6(tmp_path, caplog, lines, field):
     graphs, weights, cfg_path = extract_and_init(tmp_path, "pose", frames=1, points=12)
     bad = tmp_path / "bad.cfg"
@@ -862,6 +882,23 @@ def test_cli_sequential_infer_window(tmp_path):
     preds = formats.read_skeletons(preds_path, 0)
     # windows end at frames 3, 5, 7 with stride 2
     assert sorted(f for _, f in preds) == [3, 5, 7]
+
+
+def test_cli_sequential_infer_drops_windows_across_a_gap(tmp_path):
+    # frame 2 is empty, so extract skips it; no LSTM window may hold frames 1 and 3
+    frames_path, _ = gen_inputs(tmp_path)
+    frames = formats.read_frames(frames_path)
+    frames[2] = RadarFrame(frame_id=2, sequence_id=frames[2].sequence_id, points=())
+    formats.write_frames(frames, frames_path)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, model=replace(SMALL_MODEL, sequential=True, lstm_hidden=6, window=2))
+    graphs, weights = tmp_path / "graphs", tmp_path / "w.bin"
+    assert main(["extract", str(frames_path), "--config", str(cfg_path),
+                 "--out", str(graphs)]) == 0
+    assert main(["init-weights", "--config", str(cfg_path), "--out", str(weights)]) == 0
+    preds_path = tmp_path / "preds.csv"
+    assert infer(graphs, weights, cfg_path, preds_path) == 0
+    assert sorted(f for _, f in formats.read_skeletons(preds_path, 0)) == [1, 4, 5]
 
 
 # -- corrupt inputs and non-finite values --------------------------------------

@@ -399,25 +399,21 @@ def test_representation_batched_equals_unbatched(np_rng):
         assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
 
 
-@pytest.mark.parametrize("sizes", [(3, 12, 1, 7), (9, 12, 5)])
-def test_batch_table_equals_the_regrouped_edge_list(np_rng, sizes):
-    # n = 1 and n = 3 graphs have k = 0 and 2 < K, so that batch is padded
-    graphs = [random_graph(np_rng, n=n, K=4) for n in sizes]
-    counts = np.array(sizes)
-    offsets = np.cumsum((0,) + sizes[:-1])
-    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
-    want = neighbour_table(edges, sum(sizes))
-    got = gnn._batch_table(graphs, counts, offsets)
-    assert (got.valid is None) == (min(sizes) > 4) == (want.valid is None)
-    for field in ("src", "pos", "valid"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+def test_window_pools_each_graph_as_if_alone(np_rng):
+    # a graph's node path runs on its own table, so its pooled columns do
+    # not depend on the sizes of the other graphs in its window
+    params, graphs = random_batch(np_rng, mars_sequential_shape(13, 0), (96, 12, 64))
+    d = params.shape.gat_units[-1]
+    window = _rep_forward_batch(params, graphs)
+    for i, g in enumerate(graphs):
+        assert np.array_equal(window[i, :d], frame_representation(params, g)[:d]), i
 
 
 def test_representation_batch_mixes_degrees(np_rng, monkeypatch):
     params, cfg = small_params()
     sizes = (3, 12, 1, 7)
     graphs = [random_graph(np_rng, n=n, cfg=cfg) for n in sizes]
-    # the graphs' tables are stacked as they are, never regrouped from pairs
+    # each graph runs on its own table as it is, never regrouped from pairs
     monkeypatch.setattr(gnn, "neighbour_table", None)
     batch = _rep_forward_batch(params, graphs)
     for i, g in enumerate(graphs):
@@ -459,10 +455,11 @@ def test_row_blocks_are_aligned_and_leave_no_short_tail(total, row_bytes):
 
 @pytest.mark.parametrize("block_rows", [1, 13, 1 << 40])
 @pytest.mark.parametrize("shape, sizes", [
-    # 205 nodes at K = 20 and 64-wide edge states, three layers: 4,100
-    # edges, 4 past a multiple of both 8 and the default's 512 rows
-    (mars_sequential_shape(13, 0), (96, 64, 45)),
-    # one 16-wide layer: 24,580 edges, 4 past a multiple of 2,048 rows
+    # each graph's edge block is blocked on its own; the last graph's edge
+    # count is 4 past a multiple of both 8 and the default's rows.  77 nodes
+    # at K = 20 and 64-wide edge states, three layers: 1,540 edges, 512 rows
+    (mars_sequential_shape(13, 0), (96, 64, 77)),
+    # 205 nodes, one 16-wide layer: 4,100 edges, 2,048 rows
     (ModelShape(), (512, 512, 205)),
 ], ids=["mars_sequential", "default"])
 def test_representation_does_not_depend_on_the_block_size(np_rng, monkeypatch, block_rows,
@@ -470,7 +467,7 @@ def test_representation_does_not_depend_on_the_block_size(np_rng, monkeypatch, b
     # a budget of 1 or 13 edge rows makes blocks of 8: the rows a block
     # starts at stay aligned to BLAS's row groups
     params, graphs = random_batch(np_rng, shape, sizes)
-    E = sum(g.num_edges for g in graphs)
+    E = graphs[-1].num_edges
     row_bytes = 8 * max(shape.edge_units)
     default_rows = gnn._BLOCK_BYTES // row_bytes
     assert 0 < E % gnn._MIN_BLOCK_ROWS == E % default_rows < gnn._MIN_BLOCK_ROWS
@@ -621,6 +618,32 @@ def test_sequential_is_order_sensitive(np_rng):
     a = predict_sequential(params, graphs)
     b = predict_sequential(params, graphs[::-1])
     assert not np.allclose(a.keypoints, b.keypoints)
+
+
+def full_lstm_states(d, xs):
+    """Every hidden state of one LSTM direction, step by step."""
+    H = d.Wh.shape[0]
+    h, c, hs = np.zeros(H), np.zeros(H), np.zeros((len(xs), H))
+    for t, x in enumerate(xs):
+        g = x @ d.Wx + h @ d.Wh + d.b
+        c = gnn._sigmoid(g[H : 2 * H]) * c + gnn._sigmoid(g[:H]) * np.tanh(g[2 * H : 3 * H])
+        h = hs[t] = gnn._sigmoid(g[3 * H :]) * np.tanh(c)
+    return hs
+
+
+@pytest.mark.parametrize("frames", [1, 2, 7])
+def test_sequential_equals_the_full_length_recursion(np_rng, frames):
+    # only the forward state at t = L-1 and the backward state at position
+    # L-1, its recursion's first step, reach h_pred
+    params, graphs = random_batch(np_rng, mars_sequential_shape(13, 0), (24,) * frames)
+    reps = _rep_forward_batch(params, graphs)
+    hf = full_lstm_states(params.lstm.fwd, reps)
+    hb = full_lstm_states(params.lstm.bwd, reps[::-1])
+    assert np.array_equal(gnn._lstm_direction(params.lstm.fwd, reps), hf[-1])
+    assert np.array_equal(gnn._lstm_direction(params.lstm.bwd, reps[-1:]), hb[0])
+    want = _fcn_forward(params.h_pred, np.concatenate([hf[-1], hb[0]])[None, :])[0]
+    got = predict_sequential(params, graphs).keypoints.reshape(-1)
+    assert np.array_equal(got, want)
 
 
 def test_mars_preset_dimensions():

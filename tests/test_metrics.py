@@ -257,7 +257,7 @@ def test_cross_entropy_validation():
 
 
 def test_label_out_of_range():
-    with pytest.raises(Exception):
+    with pytest.raises(LabelOutOfRange):
         ActivityLabel(class_index=7, num_classes=5)
 
 

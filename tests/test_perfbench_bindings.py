@@ -100,7 +100,7 @@ def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, n
     returned, so a forward pass that evaluated some other block object would
     record an anonymous ``gnn.fcn`` span and leave that block's metric at 0.
     The edge block runs in row blocks, each its own ``gnn.h_edge`` span,
-    but attention stays one ``gnn.gat`` span per layer and window."""
+    and attention is one ``gnn.gat`` span per layer and graph."""
     spans, cg = load_perfbench(monkeypatch)
     frames = [frame_from_matrix(0, i, np_rng.normal(size=(12, 5))) for i in range(3)]
     write_frames(frames, tmp_path / "frames.csv")
@@ -125,4 +125,4 @@ def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, n
         assert calls["gnn." + block] > 0, block
     assert calls["gnn.fcn"] == 0
     assert calls["gnn.frame_representation"] == 1
-    assert calls["gnn.gat"] == 3
+    assert calls["gnn.gat"] == 3 * 3
