@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     FormatVersionError,
     IdMismatch,
+    LabelOutOfRange,
     ManifestMismatch,
     NumericOverflow,
     ParseError,
@@ -176,7 +177,12 @@ def cmd_eval(args) -> int:
         report = pose_report(batch, per_keypoint=args.per_keypoint, coverage=coverage)
     else:
         num_classes = len(preds[keys[0]])
-        labels = [ActivityLabel(gts[k], num_classes) for k in keys]
+        labels = []
+        for k in keys:
+            try:
+                labels.append(ActivityLabel(gts[k], num_classes))
+            except LabelOutOfRange as exc:
+                raise LabelOutOfRange(f"{args.ground_truth}: (sequence, frame) {k}: {exc}") from None
         report = activity_report([preds[k] for k in keys], labels, coverage=coverage)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")

@@ -4,7 +4,11 @@ Stage order: fuse -> (optional) grid downsample -> squared distances and
 KNN edges, one block of target rows at a time -> node features -> edge
 features -> frame features.  A block of squared distances feeds both the
 KNN selection of its rows and their neighbour distances, which are all the
-node-feature stage reads, so no n x n array is held.
+node-feature stage reads, so no n x n array is held.  Past one block, each
+block is compared only with a window of points near it along the cloud's
+widest axis, widened until no point outside can be among a row's
+neighbours; the result is bit-identical to the whole matrix's (see
+``_neighbours``).
 
 Data stays in array form from end to end: a frame is an n x 5 array, the
 KNN result is an n x k neighbour table with its n x k neighbour squared
@@ -100,41 +104,45 @@ def downsample(
     )
 
 
-def squared_distance_matrix(frame: RadarFrame, rows: slice = slice(None)) -> np.ndarray:
+def squared_distance_matrix(
+    frame: RadarFrame, rows: Optional[np.ndarray] = None, cols: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Squared Euclidean distances over (x, y, z) only, from each target
-    point in ``rows`` to every point: an m x n block, 0 at each target's own
-    column.  Without ``rows`` it is the whole n x n matrix.
+    point indexed by ``rows`` to each source point indexed by ``cols``: an
+    m x w block.  Either index array defaults to every point, so with
+    neither it is the whole n x n matrix.
 
-    Accumulated one coordinate at a time in x, y, z order, so no m x n x 3
+    Accumulated one coordinate at a time in x, y, z order, so no m x w x 3
     temporary exists; the sums round exactly as a sum over the last axis of
-    the squared differences would, whatever the block."""
+    the squared differences would, whatever the block.  A point's distance
+    to itself is 0 with no special case, since x - x = 0 for finite x."""
     pts = frame.points
-    tgt = pts[rows]
-    d2 = tgt[:, 0, None] - pts[None, :, 0]
+    tgt = pts if rows is None else pts[rows]
+    src = pts if cols is None else pts[cols]
+    d2 = tgt[:, 0, None] - src[None, :, 0]
     d2 *= d2
     d = np.empty_like(d2)
     for c in (1, 2):
-        np.subtract(tgt[:, c, None], pts[None, :, c], out=d)
+        np.subtract(tgt[:, c, None], src[None, :, c], out=d)
         d *= d
         d2 += d
-    d2[np.arange(d2.shape[0]), np.arange(pts.shape[0])[rows]] = 0.0
     return d2
 
 
-def knn_edges(d2: np.ndarray, K: int, first: int = 0) -> np.ndarray:
+def knn_edges(d2: np.ndarray, K: int, own: Optional[np.ndarray] = None) -> np.ndarray:
     """m x k neighbour table of an m x n block of squared distances, k =
-    min(K, n-1): row i, target ``first + i``, holds the k nearest source
-    indices of that target, ascending by distance, ties broken by lower
-    source index.
+    min(K, n-1): row i holds the k nearest columns of that row other than
+    its own column ``own[i]`` (default i), ascending by distance, ties
+    broken by lower column.
 
     Partial selection, not a full sort: ``partition`` finds each row's
     (k+1)-th smallest value, and the entries at or below it are the k+1
     nearest candidates, which are then ordered by (distance, index).  Where
     that value ties an entry left out, more than k+1 entries qualify and the
     selection is not unique, so those rows alone take a full stable sort.
-    Self is then removed from each row, or the last candidate when k+1
-    points coincide with the target at lower indices; the tie rule is the
-    one a stable sort of every row would give.
+    The own column is then removed from each row, or the last candidate
+    when k+1 columns at distance 0 precede it; the tie rule is the one a
+    stable sort of every row would give.
     """
     m, n = d2.shape
     if K < 1:
@@ -150,26 +158,78 @@ def knn_edges(d2: np.ndarray, K: int, first: int = 0) -> np.ndarray:
     cand = (np.flatnonzero(inside) % n).reshape(m, k + 1)  # ascending index per row
     vals = np.take_along_axis(d2, cand, axis=1)
     cand = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    drop = cand == np.arange(first, first + m)[:, None]
+    drop = cand == (np.arange(m) if own is None else own)[:, None]
     drop[~drop.any(axis=1), -1] = True
     return cand[~drop].reshape(m, k)
 
 
 def _neighbours(frame: RadarFrame, K: int):
     """The n x k neighbour table of a frame and the n x k squared distances
-    to those neighbours, from squared distances computed one block of about
-    ``_D2_BLOCK_BYTES`` of target rows at a time, so no n x n array is
-    held.  A row's distances and selection do not depend on its block."""
+    to those neighbours, computed one block of about ``_D2_BLOCK_BYTES`` of
+    target rows at a time, so no n x n array is held.
+
+    A cloud that fits one block is one call of each kernel on the whole
+    matrix, with no sort and no check.  A larger cloud is sorted once along
+    the widest of x, y and z, and each block of targets, consecutive in
+    that order, is compared only with a window of sorted points around it:
+    the block, k + 1 points a side, and every point within the previous
+    block's largest neighbour distance along the axis.  A row is exact when
+    the squared axis gap to the nearest point outside the window, on either
+    side, exceeds its k-th neighbour distance in the window (the window's
+    (k+1)-th smallest value, self included).  The rows that fail are
+    recomputed on the window their own neighbour distances reach, grown by
+    at least one point a side, until every row passes or the window is the
+    whole cloud.
+
+    Why a passing row is exact, so that the table and distances are
+    bit-identical to the whole matrix's whatever the block size:
+
+    - every entry is computed by the same elementwise operations;
+    - adding non-negative terms never rounds below one of the addends, so
+      an entry is at least the rounded square of its sort-axis difference;
+    - rounding is monotone, so that square only grows for points farther
+      along the axis, and every point outside the window is strictly
+      farther than the row's k-th neighbour: a stable sort of the whole row
+      puts it after the row's first k + 1 entries;
+    - the window's columns are kept in ascending index order, so the tie
+      rule of ``knn_edges`` (lower index first) is unchanged.
+    """
     n = len(frame)
-    k = max(min(K, n - 1), 0)
+    step = max(1, _D2_BLOCK_BYTES // max(8 * n, 1))
+    if step >= n:
+        d2 = squared_distance_matrix(frame)
+        table = knn_edges(d2, K)
+        return table, np.take_along_axis(d2, table, axis=1)
+    k = min(K, n - 1)
+    pts = frame.points
+    axis = int(np.argmax(np.ptp(pts[:, :3], axis=0)))
+    order = np.argsort(pts[:, axis], kind="stable")
+    a = pts[order, axis]
+    fence = np.concatenate(([-np.inf], a, [np.inf]))  # fence[i] is a[i - 1]
     table = np.empty((n, k), dtype=np.int64)
     neighbor_d2 = np.empty((n, k))
-    step = max(1, _D2_BLOCK_BYTES // max(8 * n, 1))
+    reach = 0.0
     for first in range(0, n, step):
-        rows = slice(first, first + step)
-        d2 = squared_distance_matrix(frame, rows)
-        table[rows] = knn_edges(d2, K, first)
-        neighbor_d2[rows] = np.take_along_axis(d2, table[rows], axis=1)
+        block = rows = order[first:first + step]
+        # each pass grows the window by at least one point a side, so the
+        # first holds the block and k + 1 points a side
+        r, lo, hi = reach, first - k, first + len(rows) + k
+        while True:
+            at = pts[rows, axis]
+            lo = max(min(int(np.searchsorted(a, (at - r).min())), lo - 1), 0)
+            hi = min(max(int(np.searchsorted(a, (at + r).max(), "right")), hi + 1), n)
+            cols = np.sort(order[lo:hi])
+            d2 = squared_distance_matrix(frame, rows, cols)
+            sel = knn_edges(d2, K, np.searchsorted(cols, rows))
+            table[rows] = cols[sel]
+            neighbor_d2[rows] = near = np.take_along_axis(d2, sel, axis=1)
+            below, above = at - fence[lo], at - fence[hi + 1]
+            short = np.minimum(below * below, above * above) <= near[:, -1]
+            if (lo == 0 and hi == n) or not short.any():
+                break
+            rows, r = rows[short], np.sqrt(near[short, -1])
+        # the next block starts from this one's widest neighbourhood
+        reach = np.sqrt(neighbor_d2[block, -1].max())
     return table, neighbor_d2
 
 

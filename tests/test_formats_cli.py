@@ -660,7 +660,7 @@ def test_cli_eval_label_outside_score_width_exit_7(tmp_path, caplog):
     formats.write_scores([(0, 0, np.array([3.0, 0.0]))], s_path)
     formats.write_labels([(0, 0, 7)], l_path)
     assert main(["eval", str(s_path), str(l_path), "--task", "activity"]) == 7
-    assert "class index 7 outside [0, 2)" in caplog.text
+    assert f"{l_path}: (sequence, frame) (0, 0): class index 7 outside [0, 2)" in caplog.text
 
 
 @pytest.mark.parametrize("index", [3, -1])

@@ -95,6 +95,29 @@ def test_traced_extract_builds_no_edge_list_and_counts_statbox_calls(
     assert calls["formats.write_graph_record"] == graphs
 
 
+def test_traced_extract_of_a_multi_block_frame_spans_every_block(monkeypatch, tmp_path, np_rng):
+    """A frame bigger than one block of distances runs each block, and each
+    retry of a block's window, through the names the spans wrap."""
+    spans, cg = load_perfbench(monkeypatch)
+    n = 600
+    blocks = -(-n // (cg.pipeline._D2_BLOCK_BYTES // (8 * n)))
+    assert blocks > 1
+    write_frames([frame_from_matrix(0, 0, np_rng.normal(size=(n, 5)))], tmp_path / "frames.csv")
+    (tmp_path / "run.cfg").write_text(serialize_config(PipelineConfig(K=20)), encoding="utf-8")
+    tracer = spans.Tracer()
+    spans.install(tracer, cg)
+    try:
+        rc = cg.cli.main(["extract", str(tmp_path / "frames.csv"), "--config",
+                          str(tmp_path / "run.cfg"), "--out", str(tmp_path / "graphs")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    _, _, calls = spans.span_totals(tracer.spans)
+    assert calls["pipeline.build_graph"] == 1
+    assert calls["pipeline.squared_distance_matrix"] >= blocks
+    assert calls["pipeline.knn_edges"] == calls["pipeline.squared_distance_matrix"]
+
+
 def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, np_rng):
     """Each MLP block's span is named by the block object that load_params
     returned, so a forward pass that evaluated some other block object would

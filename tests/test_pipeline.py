@@ -26,6 +26,7 @@ from cloudgraph.reference import (
 )
 from cloudgraph.rng import SplitMix64
 from cloudgraph.statbox import statbox_array
+from cloudgraph.synthetic import SyntheticSpec, generate
 from cloudgraph.types import RadarFrame, frame_from_matrix
 
 from conftest import random_frame
@@ -239,15 +240,47 @@ def grid_frame(side):
     return frame_of(np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3))
 
 
+def outlier_frame(rng):
+    coords = rng.normal(size=(600, 3))
+    coords[300, 0] = 1e3
+    return frame_of(coords)
+
+
+def off_axis_outlier_frame(rng):
+    # x stays the widest axis, but the outlier's nearest points are farther
+    # than either end of the cloud along x
+    coords = rng.normal(size=(600, 3)) * [10.0, 1.0, 1.0]
+    coords[300] = [0.0, 40.0, 40.0]
+    return frame_of(coords)
+
+
+def two_clusters_frame(rng):
+    coords = rng.normal(size=(600, 3))
+    coords[::2, 0] += 1e3
+    return frame_of(coords)
+
+
 BLOCKING_CLOUDS = {
     "random_1024": lambda rng: random_frame(rng, 1024),
-    # every distance an integer: rows tie across their (k+1)-th distance
+    # every distance an integer: rows tie across their (k+1)-th distance,
+    # and points tie on the sort axis at window edges
     "grid_8x8x8": lambda rng: grid_frame(8),
-    # 40 points on 4 distinct positions
+    # 40 and 600 points on 4 distinct positions
     "coincident": lambda rng: frame_of(rng.integers(0, 2, size=(40, 3)) * [1.0, 2.0, 0.0]),
+    "coincident_600": lambda rng: frame_of(rng.integers(0, 2, size=(600, 3)) * [1.0, 2.0, 0.0]),
+    # one point 1,000 away along the sort axis, so its window widens toward
+    # the cloud; one point off that axis, so its window is the whole cloud
+    "far_outlier": outlier_frame,
+    "off_axis_outlier": off_axis_outlier_frame,
+    # two clusters 1,000 apart along the sort axis, interleaved by index
+    "two_clusters": two_clusters_frame,
+    # widest along y and along z, so each axis is the sort axis once
+    "elongated_y": lambda rng: frame_of(rng.normal(size=(600, 3)) * [1.0, 10.0, 1.0]),
+    "elongated_z": lambda rng: frame_of(rng.normal(size=(600, 3)) * [1.0, 1.0, 10.0]),
     # the 7-row budget's last block holds 6, 7 or 1 rows; the default
-    # budget is one block at n = 256 and two at n = 257
-    **{f"n{n}": (lambda rng, n=n: random_frame(rng, n)) for n in (1, 2, 6, 7, 8, 256, 257)},
+    # budget is one block at n = 256, two at n = 257 and 17 at n = 1,025
+    **{f"n{n}": (lambda rng, n=n: random_frame(rng, n))
+       for n in (1, 2, 6, 7, 8, 256, 257, 1025)},
 }
 
 
@@ -266,6 +299,40 @@ def test_build_graph_does_not_depend_on_the_block_size(np_rng, monkeypatch, clou
     for rows in (1, 7, n):
         monkeypatch.setattr(pipeline, "_D2_BLOCK_BYTES", 8 * n * rows)
         assert graphs_equal(build_graph([frame], cfg), want), rows
+
+
+def distance_block_shapes(monkeypatch):
+    """The shape of every block ``squared_distance_matrix`` returns from
+    now on, in call order."""
+    shapes = []
+    kernel = pipeline.squared_distance_matrix
+
+    def recorded(*args):
+        d2 = kernel(*args)
+        shapes.append(d2.shape)
+        return d2
+
+    monkeypatch.setattr(pipeline, "squared_distance_matrix", recorded)
+    return shapes
+
+
+def test_windowed_distances_compute_under_half_the_matrix(monkeypatch):
+    # a 1,024-point stick-figure cloud: each block is compared with a window
+    # of points near it along the sort axis, retries included
+    frames, _ = generate(SyntheticSpec(num_frames=1, points_per_frame=1024, seed=7))
+    n = len(frames[0])
+    shapes = distance_block_shapes(monkeypatch)
+    build_graph(frames, PipelineConfig(K=20))
+    assert len(shapes) >= -(-n // (pipeline._D2_BLOCK_BYTES // (8 * n)))
+    assert sum(m * w for m, w in shapes) < n * n / 2
+
+
+def test_off_axis_outlier_widens_its_window_to_the_whole_cloud(np_rng, monkeypatch):
+    frame = off_axis_outlier_frame(np_rng)
+    shapes = distance_block_shapes(monkeypatch)
+    build_graph([frame], PipelineConfig(K=20))
+    assert all(m < len(frame) for m, _ in shapes)
+    assert any(w == len(frame) for _, w in shapes)
 
 
 def test_build_graph_peak_memory_below_one_n_by_n(np_rng):
