@@ -72,6 +72,15 @@ def downsample(
     The grid is anchored at the frame's minimum corner, so translating the
     whole cloud relabels cells without changing the partition.  Surviving
     points keep their original relative order; v and I are untouched.
+
+    The draws, which fix the output for a given ``rng`` state, go in this
+    order: cells ordered by their first point (lowest index), and for each
+    cell holding m > Q points, a partial Fisher-Yates shuffle of its points
+    in index order, step i = 0 .. Q - 1 drawing ``rng.randbelow(m - i)`` and
+    swapping slot i with slot i plus that draw.  The cell keeps the points
+    left in its first Q slots.  A cell of at most Q points keeps them all and
+    draws nothing.  All the draws of a frame are one ``rng.randbelows``
+    call, through ``rng.partial_shuffle_picks``.
     """
     if len(frame) == 0:
         return frame
@@ -86,17 +95,24 @@ def downsample(
     if not np.all((pts.max(axis=0) - mins) / w < 2.0**63):
         raise NumericOverflow(frame.sequence_id, frame.frame_id, "grid cell index beyond int64")
     cells = np.floor((pts - mins) / w).astype(np.int64)
-    groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(map(tuple, cells)):
-        groups.setdefault(key, []).append(i)
-    keep: list[int] = []
-    for members in groups.values():
-        if len(members) <= Q:
-            keep.extend(members)
-        else:
-            picked = rng.partial_shuffle_pick(len(members), Q)
-            keep.extend(members[i] for i in picked)
-    keep.sort()
+    # a stable sort groups each cell's points in ascending index order:
+    # cell c fills order[starts[c]:starts[c] + sizes[c]], and its first
+    # point is order[starts[c]]
+    n = len(frame)
+    order = np.lexsort(cells.T)
+    cells = cells[order]
+    first = np.ones(n, dtype=bool)
+    np.any(cells[1:] != cells[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=n)
+    # cells of at most Q points keep them all; the others, taken in order
+    # of their first point, keep their first Q slots after the shuffle
+    full = sizes > Q
+    keep = np.zeros(n, dtype=bool)
+    keep[order[np.repeat(~full, sizes)]] = True
+    by_first = np.argsort(order[starts[full]])
+    at = starts[full][by_first]
+    keep[order[at[:, None] + rng.partial_shuffle_picks(sizes[full][by_first], Q)]] = True
     return RadarFrame(
         frame_id=frame.frame_id,
         sequence_id=frame.sequence_id,

@@ -14,11 +14,13 @@ Uniform doubles take the top 53 bits; bounded integers use rejection
 sampling so every value in [0, n) is exactly equally likely.
 
 The state after i steps is seed + i * gamma, so draw i never depends on
-draw i - 1.  ``SplitMix64.doubles`` uses this to compute a run of
-``next_double`` draws as one numpy ``uint64`` expression: the same stream,
-bit for bit, ending in the same state.  Weight initialization draws
-through it; downsampling and the synthetic generator keep the scalar
-calls.
+draw i - 1.  ``SplitMix64.doubles`` and ``SplitMix64.randbelows`` use this
+to compute a run of draws as one numpy ``uint64`` expression: the same
+stream as consecutive ``next_double`` or ``randbelow`` calls, bit for bit,
+ending in the same state.  Weight initialization draws through
+``doubles``.  Downsampling draws all of a fused frame's bounded integers
+through one ``randbelows`` call, by way of ``partial_shuffle_picks``; the
+synthetic generator keeps the scalar calls.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_run(state: int, count: int) -> np.ndarray:
+    """The next ``count`` outputs of a generator in ``state``, as uint64."""
+    with np.errstate(over="ignore"):
+        z = np.uint64(state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 class SplitMix64:
     """Deterministic 64-bit stream; identical seeds give identical draws."""
 
@@ -46,30 +57,56 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix64(self._state)
 
+    def _skip(self, count: int) -> None:
+        self._state = (self._state + count * _GAMMA) & _MASK64
+
     def next_double(self) -> float:
         """Uniform in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0**-53
 
     def doubles(self, count: int) -> np.ndarray:
         """The next ``count`` draws of ``next_double`` as one float64 array."""
-        with np.errstate(over="ignore"):
-            steps = np.arange(1, count + 1, dtype=np.uint64)
-            z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z ^= z >> np.uint64(31)
-        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = _mix64_run(self._state, count)
+        self._skip(count)
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        if not 0 < n <= 1 << 64:
+            raise ValueError("n must lie in [1, 2**64]")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             r = self.next_u64()
             if r < limit:
                 return r % n
+
+    def randbelows(self, bounds: np.ndarray) -> np.ndarray:
+        """``randbelow(n)`` for each n of a 1-d integer array of bounds in
+        [1, 2**64 - 1], in order, as one uint64 array, ending in the state
+        those consecutive calls leave.
+
+        The raw outputs of the whole run are computed at once.  A draw that
+        ``randbelow`` would reject (r >= 2**64 - 2**64 mod n) ends the
+        accepted prefix, and the rest of the run, that bound included, is
+        drawn again from the step after it.  A rejection has probability
+        below n / 2**64, so a run of small bounds takes one pass.
+        """
+        n = np.asarray(bounds)
+        if n.ndim != 1 or n.dtype.kind not in "iu" or (n.size and n.min() < 1):
+            raise ValueError("bounds must be a 1-d integer array with entries in [1, 2**64 - 1]")
+        n = n.astype(np.uint64)
+        # r is accepted when r < 2**64 - t, t = 2**64 mod n, i.e. r <= ~t
+        last = ~((np.uint64(0) - n) % n)
+        out = np.empty(len(n), dtype=np.uint64)
+        done = 0
+        while done < len(n):
+            r = _mix64_run(self._state, len(n) - done)
+            rejected = np.flatnonzero(r > last[done:])
+            end = len(r) if rejected.size == 0 else int(rejected[0])
+            out[done:done + end] = r[:end] % n[done:done + end]
+            self._skip(end + (end < len(r)))
+            done += end
+        return out
 
     def normal(self) -> float:
         """Standard normal draw (Box-Muller, cosine branch)."""
@@ -81,18 +118,41 @@ class SplitMix64:
             u1 = self.next_double()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
+    def partial_shuffle_picks(self, sizes: np.ndarray, q: int) -> np.ndarray:
+        """q steps of a Fisher-Yates shuffle on each of several groups, all
+        drawn by one ``randbelows`` call: a len(sizes) x q array whose row g
+        holds the first q slots of group g, as offsets into that group.
+
+        Every size must be at least q.  The draws are group by group, and
+        within a group step i draws ``randbelow(size - i)`` and swaps slot i
+        with slot i plus that draw, for i = 0 .. q - 1.  Groups do not
+        interact, so each step swaps in every group at once.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if q < 0:
+            raise ValueError("q must be >= 0")
+        if np.any(sizes < q):
+            raise ValueError("every group size must be at least q")
+        steps = np.arange(q)
+        j = self.randbelows((sizes[:, None] - steps).ravel()).astype(np.int64)
+        j = j.reshape(len(sizes), q) + steps
+        starts = np.cumsum(sizes) - sizes
+        slots = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
+        for i in range(q):
+            a, b = starts + i, starts + j[:, i]
+            slots[a], slots[b] = slots[b], slots[a]
+        return slots[starts[:, None] + steps]
+
     def partial_shuffle_pick(self, m: int, q: int) -> list[int]:
-        """Pick q distinct indices from range(m) by a partial Fisher-Yates shuffle.
+        """Pick min(q, m) distinct indices from range(m) by a partial
+        Fisher-Yates shuffle: ``partial_shuffle_picks`` on one group.
 
         Returned indices are sorted ascending so callers can preserve the
         original relative order of the selected items.
         """
-        idx = list(range(m))
-        q = min(q, m)
-        for i in range(q):
-            j = i + self.randbelow(m - i)
-            idx[i], idx[j] = idx[j], idx[i]
-        return sorted(idx[:q])
+        if m < 0 or q < 0:
+            raise ValueError("m and q must be >= 0")
+        return sorted(self.partial_shuffle_picks([m], min(q, m))[0].tolist())
 
 
 def derive_seed(seed: int, *keys: int) -> int:

@@ -95,6 +95,33 @@ def test_traced_extract_builds_no_edge_list_and_counts_statbox_calls(
     assert calls["formats.write_graph_record"] == graphs
 
 
+def test_traced_fused_extract_spans_one_downsample_per_window(monkeypatch, tmp_path, np_rng):
+    """``_fuse_window`` calls the module-level ``pipeline.downsample``, the
+    binding the benchmark wraps, once per fused window."""
+    spans, cg = load_perfbench(monkeypatch)
+    frames = [frame_from_matrix(0, i, np_rng.normal(size=(30, 5)) * 0.05) for i in range(5)]
+    write_frames(frames, tmp_path / "frames.csv")
+    cfg = PipelineConfig(K=4, F=3, downsample_enabled=True, Q=1)
+    (tmp_path / "run.cfg").write_text(serialize_config(cfg), encoding="utf-8")
+    tracer = spans.Tracer()
+    spans.install(tracer, cg)
+    try:
+        rc = cg.cli.main(["extract", str(tmp_path / "frames.csv"), "--config",
+                          str(tmp_path / "run.cfg"), "--out", str(tmp_path / "graphs")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    _, _, calls = spans.span_totals(tracer.spans)
+    windows = len(frames) - cfg.F + 1
+    assert calls["pipeline.build_graph"] == windows
+    assert calls["pipeline.downsample"] == windows
+    for name, _, _, parent in tracer.spans:
+        if name == "pipeline.downsample":
+            assert tracer.spans[parent][0] == "pipeline.build_graph"
+    # downsampling dropped points, so the span timed real work
+    assert tracer.counts["pipeline.points_kept"] < tracer.counts["pipeline.points_in"]
+
+
 def test_traced_extract_of_a_multi_block_frame_spans_every_block(monkeypatch, tmp_path, np_rng):
     """A frame bigger than one block of distances runs each block, and each
     retry of a block's window, through the names the spans wrap."""

@@ -141,6 +141,67 @@ def test_downsample_rejects_a_span_whose_cell_index_overflows_int64():
     assert len(downsample(near, (0.1,) * 3, 1, SplitMix64(0))) == 4
 
 
+def loop_downsample(points, cell_width, Q, rng):
+    """Oracle: a dict of cells in order of their first point, and one
+    scalar partial Fisher-Yates per cell of more than Q points."""
+    pts = points[:, :3]
+    cells = np.floor((pts - pts.min(axis=0)) / np.asarray(cell_width)).astype(np.int64)
+    groups: dict = {}
+    for i, key in enumerate(map(tuple, cells)):
+        groups.setdefault(key, []).append(i)
+    keep = []
+    for members in groups.values():
+        if len(members) > Q:
+            for i in range(Q):
+                j = i + rng.randbelow(len(members) - i)
+                members[i], members[j] = members[j], members[i]
+        keep.extend(members[:Q])
+    return points[sorted(keep)]
+
+
+def oracle_cloud(kind, rng):
+    n = 1 if kind == "single" else int(rng.integers(2, 160))
+    mat = rng.normal(size=(n, 5)) * 0.05
+    if kind == "rounded":  # many exact ties, so cells share boundary points
+        mat[:, :3] = np.round(mat[:, :3] * 20) / 20
+    elif kind == "negative":
+        mat[:, :3] -= 7.5
+    elif kind == "one_cell":
+        mat[:, :3] = mat[:, :3] * 1e-4 - 3.0
+    return mat
+
+
+@pytest.mark.parametrize("Q", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["random", "rounded", "negative", "one_cell", "single"])
+def test_downsample_matches_a_per_cell_loop(kind, Q):
+    rng = np.random.default_rng([Q, len(kind)])
+    for trial in range(12):
+        mat = oracle_cloud(kind, rng)
+        width = (0.035,) * 3 if trial % 2 else tuple(rng.uniform(0.01, 0.1, size=3))
+        seed = int(rng.integers(0, 2**63))
+        ours, theirs = SplitMix64(seed), SplitMix64(seed)
+        out = downsample(frame_from_matrix(0, 0, mat), width, Q, ours)
+        assert np.array_equal(out.points, loop_downsample(mat, width, Q, theirs))
+        assert ours.next_u64() == theirs.next_u64()  # the same draws were taken
+
+
+def test_downsample_known_answer():
+    # pinned from the per-point dict loop this function replaced
+    mat = np.random.default_rng(15).uniform(-0.05, 0.05, size=(40, 5))
+    frame = frame_from_matrix(0, 0, mat)
+    rng = SplitMix64(15)
+    out = downsample(frame, (0.04,) * 3, 1, rng)
+    assert row_indices(out.points, mat).tolist() == [
+        3, 4, 6, 8, 12, 13, 15, 16, 18, 20, 21, 22, 27, 32, 33, 36]
+    assert rng.next_u64() == 3214434211018539538
+    rng = SplitMix64(15)
+    out = downsample(frame, (0.04,) * 3, 3, rng)
+    assert row_indices(out.points, mat).tolist() == [
+        0, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 15, 16, 18, 19, 20, 21, 22, 23, 26, 27, 28,
+        29, 31, 32, 33, 35, 36, 37, 38, 39]
+    assert rng.next_u64() == 3132987119559464852
+
+
 # -- distances and KNN -------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,10 @@ def test_partial_shuffle_pick_sorted_distinct():
     assert all(0 <= i < 10 for i in picked)
     # q >= m returns everything
     assert SplitMix64(3).partial_shuffle_pick(4, 9) == [0, 1, 2, 3]
+    # the entries grad_check samples, pinned from the scalar shuffle loop
+    rng = SplitMix64(0)
+    assert rng.partial_shuffle_pick(4096, 5) == [857, 1171, 1758, 2519, 3503]
+    assert rng.next_u64() == 6038094601263162090
 
 
 def test_derive_seed_distinguishes_frames():
@@ -85,3 +90,83 @@ def test_doubles_equal_next_double_stream(seed, count):
     assert np.array_equal(draws, [scalar.next_double() for _ in range(count)])
     # the state advanced by exactly count steps
     assert vector.next_u64() == scalar.next_u64()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    bounds=st.lists(
+        st.one_of(
+            st.sampled_from([1, 2**63 + 1, 2**64 - 1]),
+            st.integers(0, 63).map(lambda e: 2**e),
+            st.integers(1, 2**64 - 1),
+        ),
+        max_size=200,
+    ),
+)
+def test_randbelows_equal_randbelow_stream(seed, bounds):
+    vector, scalar = SplitMix64(seed), SplitMix64(seed)
+    draws = vector.randbelows(np.array(bounds, dtype=np.uint64))
+    assert draws.dtype == np.uint64 and draws.shape == (len(bounds),)
+    assert draws.tolist() == [scalar.randbelow(n) for n in bounds]
+    # the same number of raw draws, rejected ones included, were taken
+    assert vector.next_u64() == scalar.next_u64()
+
+
+def test_randbelows_resumes_after_a_rejected_draw():
+    # 2**64 mod (2**63 + 1) = 2**63 - 1, so about half of all draws are rejected
+    bound = 2**63 + 1
+    vector, scalar = SplitMix64(11), SplitMix64(11)
+    steps = SplitMix64(11)
+    draws = vector.randbelows(np.full(64, bound, dtype=np.uint64)).tolist()
+    assert draws == [scalar.randbelow(bound) for _ in range(64)]
+    raw = 0
+    for _ in range(64):
+        raw += 1
+        while steps.next_u64() >= 2**64 - (2**64 % bound):
+            raw += 1
+    assert raw > 64 + 16  # the rejection path ran many times
+    assert vector.next_u64() == scalar.next_u64() == steps.next_u64()
+
+
+@pytest.mark.parametrize("bounds", [
+    np.array([3, 0]), np.array([-1]), np.array([2.0]), np.array([2**64], dtype=object),
+    np.array([[3]]),
+])
+def test_randbelows_rejects_bounds_outside_one_to_two_pow_64_minus_one(bounds):
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError):
+        rng.randbelows(bounds)
+    assert rng.next_u64() == SplitMix64(5).next_u64()  # nothing was drawn
+
+
+def test_randbelow_rejects_bounds_past_two_pow_64():
+    rng = SplitMix64(4)
+    for n in (0, -3, 2**64 + 1, 2**70):
+        with pytest.raises(ValueError):
+            rng.randbelow(n)
+    # 2**64 itself is the raw draw, never rejected
+    assert rng.randbelow(2**64) == SplitMix64(4).next_u64()
+
+
+def test_partial_shuffle_pick_rejects_negative_counts():
+    with pytest.raises(ValueError):
+        SplitMix64(0).partial_shuffle_pick(5, -2)
+    with pytest.raises(ValueError):
+        SplitMix64(0).partial_shuffle_pick(-1, 2)
+
+
+def test_partial_shuffle_picks_match_a_scalar_fisher_yates_per_group():
+    sizes, q = [5, 3, 9, 3, 40], 3
+    batched, scalar = SplitMix64(21), SplitMix64(21)
+    picks = batched.partial_shuffle_picks(np.array(sizes), q)
+    for size, row in zip(sizes, picks.tolist()):
+        slots = list(range(size))
+        for i in range(q):
+            j = i + scalar.randbelow(size - i)
+            slots[i], slots[j] = slots[j], slots[i]
+        assert row == slots[:q]
+    assert batched.next_u64() == scalar.next_u64()
+    for bad_sizes, bad_q in (([4, 2], 3), ([4, 2], -1)):
+        with pytest.raises(ValueError):
+            SplitMix64(0).partial_shuffle_picks(np.array(bad_sizes), bad_q)
