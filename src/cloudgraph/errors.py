@@ -53,7 +53,7 @@ class HeadShapeMismatch(CloudGraphError):
 
 
 class NonFiniteOutput(CloudGraphError):
-    """The forward pass produced a NaN or infinite prediction."""
+    """The forward pass or a metric produced a NaN or infinite value."""
 
 
 class ManifestMismatch(CloudGraphError):

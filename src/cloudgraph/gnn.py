@@ -420,9 +420,10 @@ def _gat_forward(
     a_self = exp_self / denom
     a_e = exp_e / denom[:, None]
     out = a_self[:, None] * Q
-    # source states gathered one block of targets at a time, never n x k x d
+    # source states gathered one block of targets at a time, never n x k x d;
+    # each target is its own 1 x k by k x d product, so blocks change no bit
     for rows in _row_blocks(X.shape[0], 8 * d * table.src.shape[1]):
-        out[rows] += np.einsum("nk,nkd->nd", a_e[rows], Q[table.src[rows]])
+        out[rows] += np.matmul(a_e[rows, None, :], np.take(Q, table.src[rows], axis=0))[:, 0]
     if cache is not None:
         cache.append(
             dict(X=X, Q=Q, z_self=z_self, z_e=z_e, a_self=a_self, a_e=a_e, table=table)
@@ -439,12 +440,12 @@ def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
     w1 = layer.attn[:d]
     w2 = layer.attn[d : 2 * d]
     Q, table = c["Q"], c["table"]
-    Qs = Q[table.src]
+    Qs = np.take(Q, table.src, axis=0)
     a_self, a_e = c["a_self"], c["a_e"]
     slope = layer.leaky_slope
 
     da_self = (G * Q).sum(axis=1)
-    da_e = np.einsum("nd,nkd->nk", G, Qs)
+    da_e = np.matmul(Qs, G[:, :, None])[..., 0]
     dot = a_self * da_self + (a_e * da_e).sum(axis=1)
     dl_self = a_self * (da_self - dot)
     dl_e = a_e * (da_e - dot[:, None])  # 0 in padding, where a_e is 0
@@ -454,7 +455,7 @@ def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
 
     dattn = grads[f"{prefix}.attn"]
     dattn[:d] += dz_tgt @ Q
-    dattn[d : 2 * d] += dz_self @ Q + np.einsum("nk,nkd->d", dz_e, Qs)
+    dattn[d : 2 * d] += dz_self @ Q + dz_e.reshape(-1) @ Qs.reshape(-1, d)
     dQ = a_self[:, None] * G + dz_self[:, None] * w2 + dz_tgt[:, None] * w1
     # source side: each slot sends its share back to its source node
     np.add.at(dQ, table.src, a_e[:, :, None] * G[:, None, :] + dz_e[:, :, None] * w2)
@@ -586,9 +587,7 @@ def _head_output(
     shape = params.shape
     expected = head_output_dim(shape)
     if vec.shape[-1] != expected:
-        raise HeadShapeMismatch(
-            f"prediction width {vec.shape[-1]}, head expects {expected}"
-        )
+        raise HeadShapeMismatch(f"prediction width {vec.shape[-1]}, head expects {expected}")
     if not np.isfinite(vec).all():
         raise NonFiniteOutput(
             f"non-finite prediction for sequence {graph.sequence_id} frame {graph.frame_id}"
@@ -691,8 +690,7 @@ def network_loss(
         shifted = pred - pred.max()
         log_z = np.log(np.exp(shifted).sum())
         loss = float(log_z - shifted[label])
-        p = np.exp(shifted - log_z)
-        dpred = p.copy()
+        dpred = np.exp(shifted - log_z)
         dpred[label] -= 1.0
     else:
         raise ValueError(f"unknown loss {loss_kind!r}")

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateConfiguration,
     LabelOutOfRange,
+    NonFiniteOutput,
     ShapeMismatch,
 )
 from .types import ActivityLabel, Skeleton
@@ -52,14 +53,18 @@ def midhip_adjust(pred: Skeleton, gt: Skeleton) -> Skeleton:
     return Skeleton(pred.keypoints + shift, pred.mid_hip_index)
 
 
-def mpjpe(batch: PoseBatch) -> float:
-    """Mean per-joint position error after mid-hip adjustment (meters)."""
+def _mean_joint_error(batch: PoseBatch, place) -> float:
+    """Mean over samples of the mean joint distance from ``place(pred, gt)``
+    to the ground truth."""
     total = 0.0
     for pred, gt in zip(batch.predictions, batch.ground_truths):
-        adj = midhip_adjust(pred, gt)
-        err = np.linalg.norm(adj.keypoints - gt.keypoints, axis=1)
-        total += float(err.mean())
+        total += float(np.linalg.norm(place(pred, gt) - gt.keypoints, axis=1).mean())
     return total / len(batch)
+
+
+def mpjpe(batch: PoseBatch) -> float:
+    """Mean per-joint position error after mid-hip adjustment (meters)."""
+    return _mean_joint_error(batch, lambda pred, gt: midhip_adjust(pred, gt).keypoints)
 
 
 def similarity_align(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -67,7 +72,8 @@ def similarity_align(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
     Closed form: center both clouds, rotate by the polar factor of the
     cross-covariance (determinant-corrected to a proper rotation), scale by
-    the trace ratio, translate onto the target centroid.
+    the trace ratio, translate onto the target centroid.  Raises
+    ``NonFiniteOutput`` where that would overflow into a wrong alignment.
     """
     mu_p = pred.mean(axis=0)
     mu_g = gt.mean(axis=0)
@@ -79,12 +85,14 @@ def similarity_align(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
             "ground-truth keypoints are collinear or coincident"
         )
     cov = xc.T @ yc
+    var_p = (xc * xc).sum()
+    if not np.isfinite(cov).all() or not np.isfinite(var_p):
+        raise NonFiniteOutput("prediction variance or covariance overflows in pa_mpjpe alignment")
     u, s, vt = np.linalg.svd(cov)
     d = np.sign(np.linalg.det(u @ vt))
     corr = np.ones(3)
     corr[-1] = d
     rot = (u * corr) @ vt
-    var_p = (xc * xc).sum()
     if var_p <= 0:
         # all predicted keypoints coincide: best fit is the gt centroid
         return np.tile(mu_g, (pred.shape[0], 1))
@@ -94,19 +102,12 @@ def similarity_align(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 def pa_mpjpe(batch: PoseBatch) -> float:
     """MPJPE after per-sample similarity (Procrustes) alignment."""
-    total = 0.0
-    for pred, gt in zip(batch.predictions, batch.ground_truths):
-        if pred.num_keypoints != gt.num_keypoints:
-            raise ShapeMismatch("keypoint counts differ")
-        aligned = similarity_align(pred.keypoints, gt.keypoints)
-        err = np.linalg.norm(aligned - gt.keypoints, axis=1)
-        total += float(err.mean())
-    return total / len(batch)
+    return _mean_joint_error(batch, lambda pred, gt: similarity_align(pred.keypoints, gt.keypoints))
 
 
 def _flatten_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(pred, PoseBatch):
-        raise TypeError("pass (predictions, ground_truths) arrays or a PoseBatch to mse/rmse/mae")
+        pred, gt = _batch_arrays(pred)
     a = np.asarray(pred, dtype=np.float64)
     b = np.asarray(gt, dtype=np.float64)
     if a.shape != b.shape:
@@ -122,8 +123,6 @@ def _batch_arrays(batch: PoseBatch) -> tuple[np.ndarray, np.ndarray]:
 
 def mse(pred, gt=None) -> float:
     """Mean squared error over all keypoint coordinates (raw, unadjusted)."""
-    if isinstance(pred, PoseBatch):
-        pred, gt = _batch_arrays(pred)
     a, b = _flatten_pair(pred, gt)
     d = a - b
     return float(np.mean(d * d))
@@ -134,8 +133,6 @@ def rmse(pred, gt=None) -> float:
 
 
 def mae(pred, gt=None) -> float:
-    if isinstance(pred, PoseBatch):
-        pred, gt = _batch_arrays(pred)
     a, b = _flatten_pair(pred, gt)
     return float(np.mean(np.abs(a - b)))
 
@@ -182,8 +179,13 @@ def accuracy(score_rows: Sequence, labels: Sequence[ActivityLabel]) -> float:
     return hits / len(labels)
 
 
-def _coverage_lines(coverage: Optional[float]) -> List[str]:
-    return [] if coverage is None else [f"coverage        {coverage:.6f}"]
+def _table(rows: List[tuple], coverage: Optional[float]) -> List[str]:
+    """The metric/value lines; a non-finite value raises, naming its metric."""
+    rows = rows + ([] if coverage is None else [("coverage", coverage)])
+    bad = [name for name, value in rows if not np.isfinite(value)]
+    if bad:
+        raise NonFiniteOutput(f"{bad[0]} is not finite")
+    return ["metric          value"] + [f"{name:<16}{value:.6f}" for name, value in rows]
 
 
 def pose_report(
@@ -191,14 +193,14 @@ def pose_report(
 ) -> str:
     """Text table: MPJPE / PA-MPJPE in mm, RMSE / MAE in cm, and, when
     given, the share of ground-truth ids that have a prediction."""
-    lines = [
-        "metric          value",
-        f"mpjpe_mm        {mpjpe(batch) * 1000.0:.6f}",
-        f"pa_mpjpe_mm     {pa_mpjpe(batch) * 1000.0:.6f}",
-        f"rmse_cm         {rmse(batch) * 100.0:.6f}",
-        f"mae_cm          {mae(batch) * 100.0:.6f}",
-    ] + _coverage_lines(coverage)
+    lines = _table([
+        ("mpjpe_mm", mpjpe(batch) * 1000.0),
+        ("pa_mpjpe_mm", pa_mpjpe(batch) * 1000.0),
+        ("rmse_cm", rmse(batch) * 100.0),
+        ("mae_cm", mae(batch) * 100.0),
+    ], coverage)
     if per_keypoint:
+        # a finite rmse_cm bounds every squared error, so these are finite
         pk = per_keypoint_errors(batch)
         lines.append("keypoint  mae_cm  rmse_cm")
         for i, (a, r) in enumerate(zip(pk["mae"], pk["rmse"])):
@@ -209,8 +211,5 @@ def pose_report(
 def activity_report(
     score_rows: Sequence, labels: Sequence[ActivityLabel], coverage: Optional[float] = None
 ) -> str:
-    lines = [
-        "metric          value",
-        f"accuracy        {accuracy(score_rows, labels):.6f}",
-    ] + _coverage_lines(coverage)
+    lines = _table([("accuracy", accuracy(score_rows, labels))], coverage)
     return "\n".join(lines) + "\n"

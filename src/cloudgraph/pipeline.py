@@ -85,7 +85,7 @@ def downsample(
     if len(frame) == 0:
         return frame
     w = np.asarray(cell_width, dtype=np.float64)
-    if w.shape != (3,) or np.any(w <= 0):
+    if w.shape != (3,) or not np.all((0 < w) & (w < np.inf)):
         raise ValueError("cell_width must be three positive reals")
     if Q < 1:
         raise ValueError("Q must be >= 1")

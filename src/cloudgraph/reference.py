@@ -156,14 +156,16 @@ def gat_forward_reference(layer, X, edges, edge_feats):
     def leaky(z):
         return z if z > 0 else slope * z
 
+    incoming: dict = {}  # target -> [(source, edge)], in edge order
+    for e, (tgt, src) in enumerate(np.asarray(edges).tolist()):
+        incoming.setdefault(tgt, []).append((src, e))
     out = np.zeros((n, d))
     for j in range(n):
         logits = [leaky(float(w1 @ q[j] + w2 @ q[j]))]  # self, zero edge vector
         sources = [j]
-        for e, (tgt, src) in enumerate(edges):
-            if tgt == j:
-                logits.append(leaky(float(w1 @ q[j] + w2 @ q[src] + w3 @ u[e])))
-                sources.append(int(src))
+        for src, e in incoming.get(j, ()):
+            logits.append(leaky(float(w1 @ q[j] + w2 @ q[src] + w3 @ u[e])))
+            sources.append(src)
         ex = np.exp(np.array(logits))
         alpha = ex / ex.sum()
         for a, s in zip(alpha, sources):

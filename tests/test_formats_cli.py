@@ -988,6 +988,72 @@ def test_cli_survives_any_byte_mutation_of_a_text_input(text_inputs, kind, data)
                 formats.read_graph_record(record)
 
 
+def scaled_eval_inputs(tmp, task, exponent):
+    """Predictions of 3 frames scaled by 2**exponent against their unscaled
+    ground truth; every truth value lies in (-1, 1), so every prediction is
+    finite.  Returns the two paths."""
+    rng = np.random.default_rng(5)
+    p_path, t_path = tmp / "p.csv", tmp / "t.csv"
+    if task == "pose":
+        truth = [(0, f, rng.uniform(-1, 1, size=(5, 3))) for f in range(3)]
+        formats.write_skeletons([(s, f, Skeleton(np.ldexp(kp, exponent), 0))
+                                 for s, f, kp in truth], p_path)
+        formats.write_skeletons([(s, f, Skeleton(kp, 0)) for s, f, kp in truth], t_path)
+    else:
+        formats.write_scores([(0, f, np.ldexp(rng.uniform(-1, 1, size=4), exponent))
+                              for f in range(3)], p_path)
+        formats.write_labels([(0, f, f) for f in range(3)], t_path)
+    return p_path, t_path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing metrics
+@pytest.mark.parametrize("task", ["pose", "activity"])
+@settings(max_examples=60, deadline=None)
+@given(exponent=st.integers(-1074, 1023))
+def test_cli_eval_of_scaled_predictions_exits_7_or_reports_finite_values(task, exponent):
+    """Scale the predictions by any power of two that keeps them finite:
+    eval exits 7, or exits 0 with a report of finite values only."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        p_path, t_path = scaled_eval_inputs(tmp, task, exponent)
+        out = tmp / "report.txt"
+        rc = main(["eval", str(p_path), str(t_path), "--task", task, "--per-keypoint",
+                   "--out", str(out)])
+        assert rc in (0, 7)
+        if rc == 0:
+            lines = out.read_text().splitlines()
+            values = [float(v) for line in lines if not line.startswith(("metric", "keypoint"))
+                      for v in line.split()[1:]]
+            assert len(values) == (5 + 2 * 5 if task == "pose" else 2)
+            assert np.isfinite(values).all()
+        else:
+            assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_eval_pose_predictions_far_from_the_truth_exit_7(tmp_path, caplog, capsys):
+    # predictions = truth x 2**665 (about 1e200) used to exit 0 with
+    # "mpjpe_mm inf" and a PA-MPJPE of about 1,278 mm
+    p_path, t_path = scaled_eval_inputs(tmp_path, "pose", 665)
+    out = tmp_path / "report.txt"
+    assert main(["eval", str(p_path), str(t_path), "--task", "pose", "--out", str(out)]) == 7
+    assert "prediction variance or covariance overflows in pa_mpjpe alignment" in caplog.text
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_eval_pose_report_with_a_non_finite_metric_exit_7(tmp_path, caplog, capsys):
+    # every prediction shifted by 1e160: mpjpe and pa_mpjpe stay finite,
+    # the squared errors of rmse do not
+    p_path, t_path = scaled_eval_inputs(tmp_path, "pose", 0)
+    shifted = [(s, f, Skeleton(sk.keypoints + 1e160, 0))
+               for (s, f), sk in sorted(formats.read_skeletons(p_path, 0).items())]
+    formats.write_skeletons(shifted, p_path)
+    assert main(["eval", str(p_path), str(t_path), "--task", "pose"]) == 7
+    assert "rmse_cm is not finite" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("head", sorted(SMALL_MODELS))
 @pytest.mark.parametrize("section, message", [
     ("node", "non-finite value in the node features"),

@@ -22,6 +22,8 @@ from cloudgraph.gnn import (
     AffineLayer,
     FcnBlock,
     GatLayer,
+    NeighbourTable,
+    _edge_directions,
     _fcn_backward,
     _fcn_forward,
     _gat_backward,
@@ -315,6 +317,43 @@ def test_gat_isolated_targets_and_mixed_degrees_match_reference(np_rng):
         assert np.allclose(got, expect, atol=1e-12, rtol=0)
         # an isolated target attends only to itself
         assert np.allclose(got[[0, 5]], (X @ layer.theta)[[0, 5]], atol=1e-14, rtol=0)
+
+
+@pytest.mark.parametrize("n, d", [(1024, 16), (136, 16), (128, 64)],
+                         ids=["dense_cloud", "sparse_fused", "sequential_pose"])
+def test_gat_on_a_knn_table_matches_reference(np_rng, n, d):
+    # the benchmark workloads' attention shapes at K = 20, on the graph's own
+    # table as the model runs it: the sum spans several row blocks
+    graph = build_graph([random_frame(np_rng, n)], PipelineConfig(K=20))
+    assert len(gnn._row_blocks(n, 8 * d * graph.neighbours.shape[1])) > 1
+    layer = make_gat(np_rng, 7, d, 6)
+    X = np_rng.normal(size=(n, 7))
+    Xe = np_rng.normal(size=(graph.num_edges, 6))
+    e_logit = Xe @ _edge_directions([layer])[:, 0]
+    got = _gat_forward(layer, X, NeighbourTable(graph.neighbours, slice(None), None), e_logit)
+    expect = gat_forward_reference(layer, X, graph.edges, Xe)
+    assert np.allclose(got, expect, atol=1e-12, rtol=0)
+
+
+def test_gat_on_a_padded_table_with_isolated_targets_matches_reference(np_rng):
+    n, d = 136, 16
+    layer = make_gat(np_rng, 5, d, 3)
+    X = np_rng.normal(size=(n, 5))
+    edges = mixed_degree_edges(np_rng, n, isolated=(0, 70, 135))
+    table = neighbour_table(edges, n)
+    assert len(gnn._row_blocks(n, 8 * d * table.src.shape[1])) > 1
+    Xe = np_rng.normal(size=(len(edges), 3))
+    got = _gat_forward(layer, X, table, Xe @ _edge_directions([layer])[:, 0])
+    assert np.allclose(got, gat_forward_reference(layer, X, edges, Xe), atol=1e-12, rtol=0)
+    assert np.array_equal(got[[0, 70, 135]], (X @ layer.theta)[[0, 70, 135]])
+
+
+def test_gat_rejects_a_source_index_out_of_range(np_rng):
+    layer = make_gat(np_rng, 4, 3)
+    X = np_rng.normal(size=(5, 4))
+    src = np.array([[1], [2], [3], [4], [5]])  # 5 is past the last node
+    with pytest.raises(IndexError):
+        _gat_forward(layer, X, NeighbourTable(src, slice(None), None), None)
 
 
 def test_gat_backward_on_padded_table_matches_finite_differences(np_rng):

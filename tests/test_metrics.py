@@ -8,6 +8,7 @@ import scipy.spatial.transform
 from cloudgraph.errors import (
     DegenerateConfiguration,
     LabelOutOfRange,
+    NonFiniteOutput,
     ShapeMismatch,
 )
 from cloudgraph.metrics import (
@@ -180,6 +181,17 @@ def test_align_coincident_prediction_maps_to_centroid(np_rng):
     assert np.allclose(aligned, gt.mean(axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("spread", [1e160, 1e308])
+def test_align_raises_when_the_prediction_overflows(np_rng, spread):
+    # 1e160: the prediction's variance overflows and used to give scale 0,
+    # every keypoint on the centroid; 1e308: the centroid overflows and the
+    # covariance holds inf and NaN
+    gt = np_rng.uniform(-1, 1, size=(5, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteOutput, match="overflows in pa_mpjpe alignment"):
+            similarity_align(gt * spread, gt)
+
+
 # -- elementwise regression metrics ------------------------------------------
 
 
@@ -304,6 +316,36 @@ def test_pose_report_per_keypoint_rows(np_rng):
     batch = PoseBatch([random_skeleton(np_rng, m=3)], [random_skeleton(np_rng, m=3)])
     text = pose_report(batch, per_keypoint=True)
     assert len(text.strip().splitlines()) == 5 + 1 + 3
+
+
+def test_reports_known_answer():
+    # pinned from the reports before the finiteness check: a finite report
+    # keeps every character
+    rng = np.random.default_rng(7)
+    gts = [Skeleton(rng.normal(size=(4, 3)), 0) for _ in range(2)]
+    preds = [Skeleton(g.keypoints + rng.normal(scale=0.05, size=(4, 3)), 0) for g in gts]
+    assert pose_report(PoseBatch(preds, gts), per_keypoint=True, coverage=2 / 3) == (
+        "metric          value\nmpjpe_mm        77.824508\npa_mpjpe_mm     41.699031\n"
+        "rmse_cm         4.599571\nmae_cm          3.374372\ncoverage        0.666667\n"
+        "keypoint  mae_cm  rmse_cm\n       0  3.634128  5.596646\n"
+        "       1  0.822042  1.179917\n       2  4.705356  5.354135\n"
+        "       3  4.335960  4.821081\n"
+    )
+    labels = [ActivityLabel(0, 2), ActivityLabel(0, 2), ActivityLabel(1, 2)]
+    assert activity_report([[0.3, 0.1], [0.2, 0.9], [0.5, 0.4]], labels, coverage=0.75) == (
+        "metric          value\naccuracy        0.333333\ncoverage        0.750000\n"
+    )
+
+
+def test_pose_report_refuses_a_non_finite_metric(np_rng):
+    # a uniform shift of 1e160 leaves mpjpe and pa_mpjpe finite, but the
+    # squared errors of rmse overflow; the report used to print "inf"
+    gt = random_skeleton(np_rng)
+    batch = PoseBatch([skel(gt.keypoints + 1e160)], [gt])
+    assert np.isfinite([mpjpe(batch), pa_mpjpe(batch)]).all()
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteOutput, match="^rmse_cm is not finite$"):
+            pose_report(batch, per_keypoint=True)
 
 
 def test_activity_report():

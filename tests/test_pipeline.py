@@ -141,6 +141,15 @@ def test_downsample_rejects_a_span_whose_cell_index_overflows_int64():
     assert len(downsample(near, (0.1,) * 3, 1, SplitMix64(0))) == 4
 
 
+@pytest.mark.parametrize("width", [(0.1, 0.0, 0.1), (-0.1, 0.1, 0.1), (0.1, np.nan, 0.1),
+                                   (np.inf, 0.1, 0.1), (0.1, 0.1, -np.inf), (0.1, 0.1)])
+def test_downsample_rejects_a_cell_width_that_is_not_three_positive_reals(np_rng, width):
+    rng = SplitMix64(0)
+    with pytest.raises(ValueError, match="cell_width must be three positive reals"):
+        downsample(random_frame(np_rng, 10), width, 1, rng)
+    assert rng.next_u64() == SplitMix64(0).next_u64()  # nothing drawn
+
+
 def loop_downsample(points, cell_width, Q, rng):
     """Oracle: a dict of cells in order of their first point, and one
     scalar partial Fisher-Yates per cell of more than Q points."""
