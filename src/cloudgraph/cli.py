@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 import time
 from dataclasses import replace
@@ -31,7 +32,8 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .gnn import init_params, load_params, predict_framewise, predict_sequential, save_params
+from .gnn import (encode_graph, init_params, load_params, predict_framewise,
+                  predict_sequential, save_params)
 from .metrics import ActivityLabel, PoseBatch, activity_report, pose_report
 from .pipeline import build_graph
 from .rng import SplitMix64
@@ -44,7 +46,7 @@ def _windows(items, size, stride=1):
     """Full windows of ``size`` items per sequence, one every ``stride``
     items: the window ending at item i holds items i-size+1..i, for i =
     size-1, size-1+stride, ...  The items are frames (fusion windows) or
-    graphs (LSTM windows).
+    encoded graphs (LSTM windows).
 
     A window whose frame ids are not consecutive spans a gap and is
     dropped.  Returns the windows kept and the number dropped.
@@ -136,15 +138,25 @@ def cmd_show(args) -> int:
     return 0
 
 
-def _load_graphs(graphs_dir):
-    paths = sorted(Path(graphs_dir).glob("graph_*.bin"))
-    return [formats.read_graph_record(p) for p in paths]
+def _name_ids(path) -> list:
+    return [int(i) for i in re.findall(r"\d+", path.name)]
+
+
+def _encoded_records(graphs_dir, params):
+    """Every record, encoded as it is read, in the order of the ids in its
+    name: names pad ids to a width that larger ids outgrow, so sorted names
+    misorder them.  A record's header must hold its name's two ids."""
+    for path in sorted(Path(graphs_dir).glob("graph_*.bin"), key=_name_ids):
+        encoded = encode_graph(params, formats.read_graph_record(path))
+        if [encoded.sequence_id, encoded.frame_id] != _name_ids(path):
+            raise FormatVersionError(f"{path}: header ids {encoded[:2]} differ from its name")
+        yield encoded
 
 
 def cmd_infer(args) -> int:
     pipeline_cfg, shape = load_config(args.config)
     params = load_params(args.weights, shape, pipeline_cfg)
-    graphs = _load_graphs(args.graphs)
+    graphs = _encoded_records(args.graphs, params)
     if shape.sequential:
         windows, _ = _windows(graphs, shape.window, shape.stride)
         rows = [(w[-1].sequence_id, w[-1].frame_id, predict_sequential(params, w)) for w in windows]

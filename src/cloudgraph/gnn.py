@@ -13,6 +13,7 @@ finite differences by ``grad_check``.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -327,7 +328,9 @@ def _padded_table(degrees: np.ndarray, sources: np.ndarray) -> NeighbourTable:
 def neighbour_table(edges: np.ndarray, n: int) -> NeighbourTable:
     """Group a (target, source) edge list by target, keeping input order
     within each target.  A target-major list of equal degrees maps to the
-    identity reshape."""
+    identity reshape.  An index outside [0, n) raises DimensionMismatch."""
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise DimensionMismatch(f"edge index outside the {n} nodes")
     order = np.argsort(edges[:, 0], kind="stable")
     table = _padded_table(np.bincount(edges[:, 0], minlength=n), edges[order, 1])
     pos = np.empty_like(table.pos)
@@ -519,23 +522,36 @@ def _pooled_nodes(params: ModelParams, graph: PointGraph, cache=None) -> np.ndar
     return np.add.reduceat(X, [0], axis=0) / graph.num_nodes
 
 
-def _rep_forward_batch(
-    params: ModelParams,
-    graphs: Sequence[PointGraph],
-    cache=None,
-) -> np.ndarray:
-    """Representations of a window of graphs, one row per graph.  Each
-    graph's node path runs on its own neighbour table, so its pooled
-    vector does not depend on the other graphs; the frame branch is one
-    product over the window's stacked frame features.  A gradient cache
-    is left holding the last graph's node path, so the backward pass takes
-    a one-graph window."""
+class EncodedGraph(NamedTuple):
+    """A graph as prediction reads it: pooled node states (1 x d) and frame features."""
+
+    sequence_id: int
+    frame_id: int
+    num_nodes: int
+    num_edges: int
+    pooled: np.ndarray
+    frame_features: np.ndarray
+
+
+def encode_graph(params: ModelParams, graph: PointGraph, cache=None) -> EncodedGraph:
+    """Run a graph's node path once, keeping what prediction reads."""
+    return EncodedGraph(graph.sequence_id, graph.frame_id, graph.num_nodes, graph.num_edges,
+                        _pooled_nodes(params, graph, cache), graph.frame_features)
+
+
+def _rep_forward_batch(params: ModelParams, graphs: Sequence, cache=None) -> np.ndarray:
+    """Representations of a window of graphs, encoded or not, one row per
+    graph.  A graph's node path runs on its own neighbour table, so its
+    pooled vector does not depend on the other graphs; the frame branch is
+    one product over the window's stacked frame features.  A gradient cache
+    keeps the last graph's node path: the backward pass takes one graph."""
     if not graphs:
         raise EmptyGraph("no graphs to represent")
-    rep = np.concatenate([_pooled_nodes(params, g, cache) for g in graphs])
+    encoded = [g if isinstance(g, EncodedGraph) else encode_graph(params, g, cache) for g in graphs]
+    rep = np.concatenate([e.pooled for e in encoded])
     if params.h_frame is not None:
         fc = [] if cache is not None else None
-        Xf = _fcn_forward(params.h_frame, np.stack([g.frame_features for g in graphs]), fc)
+        Xf = _fcn_forward(params.h_frame, np.stack([e.frame_features for e in encoded]), fc)
         if cache is not None:
             cache["h_frame"] = fc
         rep = np.concatenate([rep, Xf], axis=1)
@@ -580,7 +596,7 @@ def frame_representation(params: ModelParams, graph: PointGraph) -> np.ndarray:
 
 
 def _head_output(
-    params: ModelParams, vec: np.ndarray, graph: PointGraph
+    params: ModelParams, vec: np.ndarray, graph: Union[PointGraph, EncodedGraph]
 ) -> Union[Skeleton, np.ndarray]:
     """Shape the h_pred output for the head; ``graph`` is the frame the
     prediction is reported under."""
@@ -597,12 +613,23 @@ def _head_output(
     return vec
 
 
-def predict_framewise(params: ModelParams, graph: PointGraph) -> Union[Skeleton, np.ndarray]:
-    """Frame-wise head: the representation vector straight through h_pred.
-    Pose output is an M x 3 skeleton; activity output is raw class scores."""
-    rep = frame_representation(params, graph)
-    out = _fcn_forward(params.h_pred, rep[None, :])[0]
-    return _head_output(params, out, graph)
+def _predict(params: ModelParams, graphs: Sequence, lstm: Optional[LstmParams]):
+    """Both heads: the window's last representation through h_pred, or
+    with ``lstm`` the bidirectional LSTM's output at the last time index,
+    where the backward recursion has read only the last frame."""
+    reps = _rep_forward_batch(params, graphs)
+    last = reps[-1]
+    if lstm is not None:
+        last = np.concatenate([_lstm_direction(lstm.fwd, reps), _lstm_direction(lstm.bwd, [last])])
+    out = _fcn_forward(params.h_pred, last[None, :])[0]
+    return _head_output(params, out, graphs[-1])
+
+
+def predict_framewise(params: ModelParams, graph) -> Union[Skeleton, np.ndarray]:
+    """Frame-wise head: the representation vector of a graph, encoded or
+    not, through h_pred.  Pose output is an M x 3 skeleton; activity output
+    is raw class scores."""
+    return _predict(params, [graph], None)
 
 
 def _sigmoid(x):
@@ -625,24 +652,15 @@ def _lstm_direction(d: LstmDirection, xs: np.ndarray) -> np.ndarray:
     return h
 
 
-def predict_sequential(
-    params: ModelParams, graphs: Sequence[PointGraph]
-) -> Union[Skeleton, np.ndarray]:
-    """Sequential head: per-frame representations through a bidirectional
-    LSTM; the concatenated output at the last time index feeds h_pred."""
+def predict_sequential(params: ModelParams, graphs: Sequence) -> Union[Skeleton, np.ndarray]:
+    """Sequential head: a window of graphs, encoded or not, through a
+    bidirectional LSTM; the concatenated output at the last time index
+    feeds h_pred."""
     if params.lstm is None:
         raise MissingRecurrentParams("model has no recurrent cell parameters")
     if not graphs:
         raise EmptyGraph("sequential prediction needs at least one graph")
-    reps = _rep_forward_batch(params, graphs)
-    # last time index: the forward state after all L frames, and the
-    # backward state at position L-1, the backward recursion's first step,
-    # which has read only the last frame
-    hf = _lstm_direction(params.lstm.fwd, reps)
-    hb = _lstm_direction(params.lstm.bwd, reps[-1:])
-    last = np.concatenate([hf, hb])
-    out = _fcn_forward(params.h_pred, last[None, :])[0]
-    return _head_output(params, out, graphs[-1])
+    return _predict(params, graphs, params.lstm)
 
 
 # -- losses and gradients ----------------------------------------------------
@@ -789,41 +807,51 @@ def save_params(params: ModelParams, path) -> None:
 
 def read_weights_manifest(path) -> Dict[str, np.ndarray]:
     """Parse a weights file.  Every length is checked against the bytes that
-    remain, and the file must end exactly after the last tensor, so a
-    truncated, overlong or garbled file, or a NaN or infinite value, raises
-    ManifestMismatch."""
-    data = Path(path).read_bytes()
-    pos = 0
+    remain before it is read, and the file must end exactly after the last
+    tensor, so a truncated, overlong or garbled file, or a NaN or infinite
+    value, raises ManifestMismatch.  Tensors are aligned, writable views of
+    one float64 array sized from the file, read into it in place."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        values = np.empty(size // 8, dtype="<f8")
+        pos = used = 0
 
-    def take(size: int) -> bytes:
-        nonlocal pos
-        if size > len(data) - pos:
-            raise ManifestMismatch(f"{path}: truncated at byte {len(data)}")
-        pos += size
-        return data[pos - size : pos]
+        def take(nbytes: int, into: Optional[np.ndarray] = None):
+            """The next nbytes, read into ``into`` if given, once known to remain."""
+            nonlocal pos
+            if nbytes > size - pos:
+                raise ManifestMismatch(f"{path}: truncated at byte {size}")
+            data = fh.read(nbytes) if into is None else into
+            got = len(data) if into is None else fh.readinto(into)
+            pos += got
+            if got != nbytes:
+                raise ManifestMismatch(f"{path}: truncated at byte {pos}")
+            return data
 
-    if take(4) != _WEIGHTS_MAGIC:
-        raise ManifestMismatch(f"{path}: not a weights file")
-    version, count = struct.unpack("<II", take(8))
-    if version != _WEIGHTS_VERSION:
-        raise ManifestMismatch(f"{path}: unsupported weights version {version}")
-    out: Dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2))
-        try:
-            name = take(nlen).decode("utf-8")
-        except UnicodeDecodeError:
-            raise ManifestMismatch(f"{path}: tensor name is not UTF-8") from None
-        (ndim,) = struct.unpack("<B", take(1))
-        if ndim not in (1, 2):  # every model tensor is a vector or a matrix
-            raise ManifestMismatch(f"{path}: tensor {name} has {ndim} dimensions")
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        values = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
-        if not np.isfinite(values).all():
-            raise ManifestMismatch(f"{path}: tensor {name} has a non-finite value")
-        out[name] = values.reshape(dims).astype(np.float64)
-    if pos != len(data):
-        raise ManifestMismatch(f"{path}: {len(data) - pos} bytes after the last tensor")
+        if take(4) != _WEIGHTS_MAGIC:
+            raise ManifestMismatch(f"{path}: not a weights file")
+        version, count = struct.unpack("<II", take(8))
+        if version != _WEIGHTS_VERSION:
+            raise ManifestMismatch(f"{path}: unsupported weights version {version}")
+        out: Dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", take(2))
+            try:
+                name = take(nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ManifestMismatch(f"{path}: tensor name is not UTF-8") from None
+            (ndim,) = struct.unpack("<B", take(1))
+            if ndim not in (1, 2):  # every model tensor is a vector or a matrix
+                raise ManifestMismatch(f"{path}: tensor {name} has {ndim} dimensions")
+            dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            n = math.prod(dims)
+            tensor = take(8 * n, values[used : used + n])
+            used += n
+            if not np.isfinite(tensor).all():
+                raise ManifestMismatch(f"{path}: tensor {name} has a non-finite value")
+            out[name] = tensor.astype(np.float64, copy=False).reshape(dims)
+    if pos != size:
+        raise ManifestMismatch(f"{path}: {size - pos} bytes after the last tensor")
     return out
 
 

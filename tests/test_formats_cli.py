@@ -15,7 +15,15 @@ from cloudgraph import formats
 from cloudgraph.cli import build_parser, main
 from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
 from cloudgraph.errors import FormatVersionError, ParseError
+from cloudgraph.gnn import (
+    init_params,
+    named_tensors,
+    predict_framewise,
+    predict_sequential,
+    save_params,
+)
 from cloudgraph.pipeline import build_graph
+from cloudgraph.rng import SplitMix64
 from cloudgraph.synthetic import (
     MID_HIP_INDEX,
     NUM_JOINTS,
@@ -899,6 +907,128 @@ def test_cli_sequential_infer_drops_windows_across_a_gap(tmp_path):
     preds_path = tmp_path / "preds.csv"
     assert infer(graphs, weights, cfg_path, preds_path) == 0
     assert sorted(f for _, f in formats.read_skeletons(preds_path, 0)) == [1, 4, 5]
+
+
+SEQ_MODEL = replace(SMALL_MODEL, sequential=True, lstm_hidden=6, window=3)
+# sequence 0: frames 0-9; sequence 1: two frames, fewer than a window;
+# sequence 2: frames 0-3 and 5-8, a gap at frame 4
+STREAM_IDS = [(0, f) for f in range(10)] + [(1, 0), (1, 1)] + [(2, f) for f in (0, 1, 2, 3, 5, 6, 7, 8)]
+
+
+def records_and_weights(tmp_path, np_rng, ids, model):
+    """Records of 12-point random frames with the (sequence, frame) ``ids``,
+    and weights for ``model`` with non-zero biases: returns (graphs dir,
+    weights file, config file, the saved parameters)."""
+    frames = [random_frame(np_rng, 12, sequence_id=s, frame_id=f) for s, f in ids]
+    formats.write_frames(frames, tmp_path / "frames.csv")
+    cfg_path = tmp_path / "run.cfg"
+    pipe, _ = write_config(cfg_path, model=model)
+    graphs = tmp_path / "graphs"
+    assert main(["extract", str(tmp_path / "frames.csv"), "--config", str(cfg_path),
+                 "--out", str(graphs)]) == 0
+    params = init_params(model, pipe, SplitMix64(3))
+    for name, arr in named_tensors(params).items():
+        if name.endswith(".b"):
+            arr[...] = np_rng.normal(scale=0.3, size=arr.shape)
+    save_params(params, tmp_path / "w.bin")
+    return graphs, tmp_path / "w.bin", cfg_path, params
+
+
+@pytest.mark.parametrize("stride, ends", [
+    (1, [(0, f) for f in range(2, 10)] + [(2, 2), (2, 3), (2, 7), (2, 8)]),
+    # frame 9 of sequence 0 is a tail shorter than a window, and the
+    # window of frames 3, 5, 6 spans the gap
+    (3, [(0, 2), (0, 5), (0, 8), (2, 2)]),
+])
+def test_cli_streamed_sequential_infer_equals_a_loop_over_loaded_windows(tmp_path, np_rng,
+                                                                         stride, ends):
+    model = replace(SEQ_MODEL, stride=stride)
+    graphs, weights, cfg_path, params = records_and_weights(tmp_path, np_rng, STREAM_IDS, model)
+    out = tmp_path / "p.csv"
+    assert infer(graphs, weights, cfg_path, out) == 0
+    got = formats.read_skeletons(out, 0)
+    assert sorted(got) == ends
+    for seq, end in ends:
+        window = [formats.read_graph_record(graphs / f"graph_{seq:05d}_{f:06d}.bin")
+                  for f in range(end - 2, end + 1)]
+        want = predict_sequential(params, window).keypoints
+        assert np.array_equal(got[seq, end].keypoints, want), (seq, end)
+
+
+def test_cli_streamed_framewise_infer_equals_each_loaded_record(tmp_path, np_rng):
+    graphs, weights, cfg_path, params = records_and_weights(tmp_path, np_rng, STREAM_IDS,
+                                                            SMALL_MODEL)
+    out = tmp_path / "p.csv"
+    assert infer(graphs, weights, cfg_path, out) == 0
+    got = formats.read_skeletons(out, 0)
+    assert sorted(got) == sorted(STREAM_IDS)
+    for path in graphs.glob("graph_*.bin"):
+        graph = formats.read_graph_record(path)
+        want = predict_framewise(params, graph).keypoints
+        assert np.array_equal(got[graph.sequence_id, graph.frame_id].keypoints, want), path.name
+
+
+def test_cli_infer_orders_records_by_their_ids_past_six_digits(tmp_path, np_rng):
+    # names pad frame ids to six digits, so by name frame 1,000,000 sorts
+    # before frame 999,995
+    ids = [(0, f) for f in range(999_995, 1_000_005)]
+    graphs, weights, cfg_path, _ = records_and_weights(tmp_path, np_rng, ids, SEQ_MODEL)
+    assert sorted(p.name for p in graphs.glob("graph_*.bin"))[0] == "graph_00000_1000000.bin"
+    out = tmp_path / "p.csv"
+    assert infer(graphs, weights, cfg_path, out) == 0
+    assert sorted(f for _, f in formats.read_skeletons(out, 0)) == list(range(999_997, 1_000_005))
+
+
+@pytest.mark.parametrize("name", ["graph_00000_000007.bin", "graph_copy.bin", "graph_0_0_0.bin"])
+def test_cli_infer_record_whose_name_disagrees_with_its_header_exit_4(tmp_path, caplog, name):
+    graphs, weights, cfg_path = extract_and_init(tmp_path, "pose")
+    (graphs / "graph_00000_000000.bin").rename(graphs / name)
+    assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
+    assert f"{graphs / name}: header ids (0, 0) differ from its name" in caplog.text
+
+
+@pytest.mark.parametrize("model", [SMALL_MODEL, SEQ_MODEL], ids=["framewise", "sequential"])
+def test_cli_infer_peak_memory_does_not_grow_by_a_record(tmp_path, np_rng, model):
+    """infer holds one record at a time: 24 more 128-point records raise its
+    peak by less than one record."""
+    cfg_path = tmp_path / "run.cfg"
+    pipe, _ = write_config(cfg_path, pipe=PipelineConfig(K=20), model=model)
+    weights = tmp_path / "w.bin"
+    assert main(["init-weights", "--config", str(cfg_path), "--out", str(weights)]) == 0
+    graph = build_graph([random_frame(np_rng, 128)], pipe)
+    peaks = []
+    for count in (8, 32):
+        graphs = tmp_path / f"graphs{count}"
+        graphs.mkdir()
+        for f in range(count):
+            g = replace(graph, frame_id=f)
+            formats.write_graph_record(g, graphs / formats.graph_record_name(g))
+        # a first run, so one-time allocations count in neither peak
+        assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 0
+        tracemalloc.start()
+        try:
+            assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    record = (graphs / "graph_00000_000000.bin").stat().st_size
+    assert peaks[1] - peaks[0] < record
+
+
+def test_cli_infer_weights_declaring_a_huge_tensor_exit_4_without_allocating(tmp_path, caplog):
+    graphs, _, cfg_path = extract_and_init(tmp_path, "pose")
+    weights = tmp_path / "huge.bin"
+    # one tensor of (2**32 - 1)**2 values, the most two u32 dims can declare
+    weights.write_bytes(b"PCGW" + struct.pack("<IIH", 1, 1, 1) + b"t"
+                        + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1))
+    tracemalloc.start()
+    try:
+        assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert f"{weights}: truncated at byte {weights.stat().st_size}" in caplog.text
 
 
 # -- corrupt inputs and non-finite values --------------------------------------

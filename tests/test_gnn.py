@@ -222,6 +222,18 @@ def test_gat_forward_rejects_mismatched_inputs(np_rng):
             gat_forward(layer, bad_x, edges, ef)
 
 
+@pytest.mark.parametrize("edge", [(0, -1), (0, 3), (-1, 0), (3, 0)])
+def test_gat_forward_rejects_an_edge_outside_the_nodes(np_rng, edge):
+    # -1 would wrap round to node 2; 3 would index past the last node
+    layer = make_gat(np_rng, 4, 3, 2)
+    x = np_rng.normal(size=(3, 4))
+    edges = np.array([[0, 1], [1, 2], edge])
+    with pytest.raises(DimensionMismatch, match="outside"):
+        neighbour_table(edges, 3)
+    with pytest.raises(DimensionMismatch, match="outside"):
+        gat_forward(layer, x, edges, np_rng.normal(size=(3, 2)))
+
+
 def test_gat_identical_neighbors_average(np_rng):
     # two coincident node states: all logits equal, attention = 1/2 each,
     # output equals the (identical) transformed state
@@ -856,9 +868,9 @@ def test_init_respects_feature_flags():
     assert params2.h_frame.layers[0].W.shape[0] == 100
 
 
-def test_save_load_round_trip_bit_exact(tmp_path):
+def test_save_load_round_trip_bit_exact(tmp_path, np_rng):
     cfg = PipelineConfig(K=4)
-    params = init_params(SMALL_SHAPE, cfg, SplitMix64(31))
+    params = random_biases(init_params(SMALL_SHAPE, cfg, SplitMix64(31)), np_rng)
     path = tmp_path / "w.bin"
     save_params(params, path)
     loaded = load_params(path, SMALL_SHAPE, cfg)
@@ -866,6 +878,8 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert set(a) == set(b)
     for k in a:
         assert np.array_equal(a[k], b[k])
+        # grad_check perturbs the loaded tensors in place
+        assert b[k].dtype == np.float64 and b[k].flags.aligned and b[k].flags.writeable, k
 
 
 def test_load_rejects_mismatched_shape(tmp_path):

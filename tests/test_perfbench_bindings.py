@@ -176,3 +176,44 @@ def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, n
     assert calls["gnn.fcn"] == 0
     assert calls["gnn.frame_representation"] == 1
     assert calls["gnn.gat"] == 3 * 3
+    # the three graphs make one window, predicted once, and every node and
+    # edge the records hold is counted
+    assert calls["gnn.predict_sequential"] == 1
+    records = [cg.formats.read_graph_record(p) for p in Path(graphs).glob("graph_*.bin")]
+    assert len(records) == 3
+    assert tracer.counts["gnn.nodes"] == sum(g.num_nodes for g in records) > 0
+    assert tracer.counts["gnn.edges"] == sum(g.num_edges for g in records) > 0
+
+
+def test_traced_framewise_infer_names_every_block_span(monkeypatch, tmp_path, np_rng):
+    """The frame-wise twin of the sequential test above: one prediction,
+    one representation and one attention span per layer for each record."""
+    spans, cg = load_perfbench(monkeypatch)
+    frames = [frame_from_matrix(0, i, np_rng.normal(size=(12, 5))) for i in range(4)]
+    write_frames(frames, tmp_path / "frames.csv")
+    shape = ModelShape(head="pose", output_size=4, edge_units=(6, 5), node_units=(7,),
+                       gat_units=(5, 5), frame_units=(6,), pred_units=(6,))
+    cfg = str(tmp_path / "run.cfg")
+    (tmp_path / "run.cfg").write_text(serialize_config(PipelineConfig(K=4), shape), encoding="utf-8")
+    graphs, weights = str(tmp_path / "graphs"), str(tmp_path / "w.bin")
+    assert cg.cli.main(["extract", str(tmp_path / "frames.csv"), "--config", cfg, "--out", graphs]) == 0
+    assert cg.cli.main(["init-weights", "--config", cfg, "--out", weights]) == 0
+    tracer = spans.Tracer()
+    spans.install(tracer, cg)
+    try:
+        rc = cg.cli.main(["infer", graphs, "--weights", weights, "--config", cfg,
+                          "--out", str(tmp_path / "preds.csv")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    _, _, calls = spans.span_totals(tracer.spans)
+    for block in ("h_edge", "h_node", "h_frame", "h_pred"):
+        assert calls["gnn." + block] > 0, block
+    assert calls["gnn.fcn"] == 0
+    assert calls["gnn.predict_framewise"] == calls["gnn.frame_representation"] == 4
+    assert calls["gnn.predict_sequential"] == 0
+    assert calls["gnn.gat"] == 4 * 2
+    records = [cg.formats.read_graph_record(p) for p in Path(graphs).glob("graph_*.bin")]
+    assert len(records) == 4
+    assert tracer.counts["gnn.nodes"] == sum(g.num_nodes for g in records) > 0
+    assert tracer.counts["gnn.edges"] == sum(g.num_edges for g in records) > 0
