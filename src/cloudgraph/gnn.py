@@ -301,43 +301,6 @@ def fcn_forward(block: FcnBlock, x) -> np.ndarray:
 # -- attention layer ---------------------------------------------------------
 
 
-class NeighbourTable(NamedTuple):
-    """In-neighbours of every target as an n x k table, k the largest
-    in-degree.  ``pos[e]`` is the flat slot of input edge e.  A graph's own
-    KNN table is used as it is: every target has k neighbours and edge e is
-    slot e, so ``pos`` is ``slice(None)`` and ``valid`` is None.  Only an
-    edge list regrouped by ``neighbour_table`` may leave slots past a
-    target's degree as padding, which ``valid`` marks."""
-
-    src: np.ndarray  # n x k source node per slot, 0 in padding
-    pos: Union[np.ndarray, slice]  # E, or slice(None) for a full table
-    valid: Optional[np.ndarray]  # n x k, or None
-
-
-def _padded_table(degrees: np.ndarray, sources: np.ndarray) -> NeighbourTable:
-    """Row i holds the next ``degrees[i]`` entries of ``sources``, padded on
-    the right to the largest degree; ``pos`` lists the real slots in order."""
-    valid = np.arange(degrees.max(initial=0)) < degrees[:, None]
-    src = np.zeros(valid.shape, dtype=np.int64)
-    src[valid] = sources
-    if valid.all():
-        return NeighbourTable(src, np.arange(src.size), None)
-    return NeighbourTable(src, np.flatnonzero(valid), valid)
-
-
-def neighbour_table(edges: np.ndarray, n: int) -> NeighbourTable:
-    """Group a (target, source) edge list by target, keeping input order
-    within each target.  A target-major list of equal degrees maps to the
-    identity reshape.  An index outside [0, n) raises DimensionMismatch."""
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise DimensionMismatch(f"edge index outside the {n} nodes")
-    order = np.argsort(edges[:, 0], kind="stable")
-    table = _padded_table(np.bincount(edges[:, 0], minlength=n), edges[order, 1])
-    pos = np.empty_like(table.pos)
-    pos[order] = table.pos
-    return table._replace(pos=pos)
-
-
 # Bytes of the largest temporary in one row block of the streamed edge pass
 # and of the blocked attention sum.  In a fresh process the edge pass of a
 # 16-graph, 128-point mars_sequential batch took a median of 23-37 ms at
@@ -391,13 +354,14 @@ def _edge_logits(params: ModelParams, edge_feats: np.ndarray, cache=None) -> np.
 def _gat_forward(
     layer: GatLayer,
     X: np.ndarray,
-    table: NeighbourTable,
+    table: np.ndarray,
     e_logit: Optional[np.ndarray],
     cache=None,
 ):
-    """One attention layer on a neighbour table.  ``e_logit[e]`` is input
-    edge e's term of its logit, ``w3 . (theta_e^T xe)``, or None without
-    edge features."""
+    """One attention layer on an n x k neighbour table: edge i * k + j runs
+    from ``table[i, j]`` into target i.  ``e_logit[i * k + j]`` is that
+    edge's term of its logit, ``w3 . (theta_e^T xe)``, or None without edge
+    features."""
     if X.shape[1] != layer.theta.shape[0]:
         raise DimensionMismatch(
             f"node state width {X.shape[1]} does not match theta {layer.theta.shape}"
@@ -407,14 +371,12 @@ def _gat_forward(
     qw1 = Q @ layer.attn[:d]
     qw2 = Q @ layer.attn[d : 2 * d]
     z_self = qw1 + qw2  # self logit uses the zero edge-feature vector
-    z_e = qw1[:, None] + qw2[table.src]
+    z_e = qw1[:, None] + qw2[table]
     if e_logit is not None:
-        z_e.reshape(-1)[table.pos] += e_logit
+        z_e += e_logit.reshape(z_e.shape)
     slope = layer.leaky_slope
     l_self = np.where(z_self > 0, z_self, slope * z_self)
     l_e = np.where(z_e > 0, z_e, slope * z_e)
-    if table.valid is not None:
-        l_e[~table.valid] = -np.inf
     # softmax per target over {self} + neighbors, max-subtracted
     mx = np.maximum(l_self, l_e.max(axis=1, initial=-np.inf))
     exp_self = np.exp(l_self - mx)
@@ -425,8 +387,8 @@ def _gat_forward(
     out = a_self[:, None] * Q
     # source states gathered one block of targets at a time, never n x k x d;
     # each target is its own 1 x k by k x d product, so blocks change no bit
-    for rows in _row_blocks(X.shape[0], 8 * d * table.src.shape[1]):
-        out[rows] += np.matmul(a_e[rows, None, :], np.take(Q, table.src[rows], axis=0))[:, 0]
+    for rows in _row_blocks(X.shape[0], 8 * d * table.shape[1]):
+        out[rows] += np.matmul(a_e[rows, None, :], np.take(Q, table[rows], axis=0))[:, 0]
     if cache is not None:
         cache.append(
             dict(X=X, Q=Q, z_self=z_self, z_e=z_e, a_self=a_self, a_e=a_e, table=table)
@@ -436,14 +398,15 @@ def _gat_forward(
 
 def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
     """Gradients of theta and ``attn[:2d]``; returns the gradients of the
-    node states and of the edge logit terms.  ``theta_e`` and ``attn[2d:]``
-    reach the loss only through the edge logits, so ``_rep_backward_batch``
-    takes their gradients for all layers at once."""
+    node states and of the edge logit terms, the latter in edge order
+    i * k + j.  ``theta_e`` and ``attn[2d:]`` reach the loss only through
+    the edge logits, so ``_rep_backward_batch`` takes their gradients for
+    all layers at once."""
     d = layer.theta.shape[1]
     w1 = layer.attn[:d]
     w2 = layer.attn[d : 2 * d]
     Q, table = c["Q"], c["table"]
-    Qs = np.take(Q, table.src, axis=0)
+    Qs = np.take(Q, table, axis=0)
     a_self, a_e = c["a_self"], c["a_e"]
     slope = layer.leaky_slope
 
@@ -451,7 +414,7 @@ def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
     da_e = np.matmul(Qs, G[:, :, None])[..., 0]
     dot = a_self * da_self + (a_e * da_e).sum(axis=1)
     dl_self = a_self * (da_self - dot)
-    dl_e = a_e * (da_e - dot[:, None])  # 0 in padding, where a_e is 0
+    dl_e = a_e * (da_e - dot[:, None])
     dz_self = dl_self * np.where(c["z_self"] > 0, 1.0, slope)
     dz_e = dl_e * np.where(c["z_e"] > 0, 1.0, slope)
     dz_tgt = dz_self + dz_e.sum(axis=1)
@@ -460,25 +423,34 @@ def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
     dattn[:d] += dz_tgt @ Q
     dattn[d : 2 * d] += dz_self @ Q + dz_e.reshape(-1) @ Qs.reshape(-1, d)
     dQ = a_self[:, None] * G + dz_self[:, None] * w2 + dz_tgt[:, None] * w1
-    # source side: each slot sends its share back to its source node
-    np.add.at(dQ, table.src, a_e[:, :, None] * G[:, None, :] + dz_e[:, :, None] * w2)
+    # source side: each edge sends its share back to its source node
+    np.add.at(dQ, table, a_e[:, :, None] * G[:, None, :] + dz_e[:, :, None] * w2)
     grads[f"{prefix}.theta"] += c["X"].T @ dQ
     dX = dQ @ layer.theta.T
-    return dX, dz_e.reshape(-1)[table.pos]
+    return dX, dz_e.reshape(-1)
 
 
-def gat_forward(layer: GatLayer, node_feats, edges, processed_edge_feats=None) -> np.ndarray:
-    """One attention layer: softmax-normalized neighbor weighting with a
-    self term (zero edge-feature vector) included in the softmax."""
+def gat_forward(layer: GatLayer, node_feats, neighbours, processed_edge_feats=None) -> np.ndarray:
+    """One attention layer on an n x k neighbour table, edge i * k + j from
+    ``neighbours[i, j]`` into target i: softmax-normalized neighbor
+    weighting with a self term (zero edge-feature vector) included in the
+    softmax.  The table needs one row per node and sources in [0, n), and
+    ``processed_edge_feats`` one row per edge, or DimensionMismatch is raised."""
     X = np.asarray(node_feats, dtype=np.float64)
-    ed = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    table = np.asarray(neighbours, dtype=np.int64)
+    n = X.shape[0]
+    if table.ndim != 2 or table.shape[0] != n:
+        raise DimensionMismatch(f"neighbour table of shape {table.shape} for {n} nodes")
+    if table.size and (table.min() < 0 or table.max() >= n):
+        raise DimensionMismatch(f"neighbour index outside the {n} nodes")
     e_logit = None
-    if layer.theta_e is not None and ed.shape[0]:
+    if layer.theta_e is not None and table.size:
         Xe = np.asarray(processed_edge_feats, dtype=np.float64)
-        if Xe.ndim != 2 or Xe.shape[1] != layer.theta_e.shape[0]:
-            raise DimensionMismatch("processed edge features do not match theta_e")
+        want = (table.size, layer.theta_e.shape[0])
+        if Xe.shape != want:
+            raise DimensionMismatch(f"processed edge features of shape {Xe.shape}, expected {want}")
         e_logit = Xe @ _edge_directions([layer])[:, 0]
-    return _gat_forward(layer, X, neighbour_table(ed, X.shape[0]), e_logit)
+    return _gat_forward(layer, X, table, e_logit)
 
 
 # -- frame representation ----------------------------------------------------
@@ -501,7 +473,6 @@ def _pooled_nodes(params: ModelParams, graph: PointGraph, cache=None) -> np.ndar
     if graph.num_nodes == 0:
         raise EmptyGraph("cannot represent a graph with zero nodes")
     _check_graph_matches(params, graph)
-    table = NeighbourTable(graph.neighbours, slice(None), None)
     e_logits = None
     if params.h_edge is not None and params.gat_layers:
         e_logits = _edge_logits(params, graph.edge_features, cache)
@@ -512,7 +483,7 @@ def _pooled_nodes(params: ModelParams, graph: PointGraph, cache=None) -> np.ndar
     n_layers = len(params.gat_layers)
     for i, layer in enumerate(params.gat_layers):
         gc = cache["gat"] if cache is not None else None
-        X = _gat_forward(layer, X, table, None if e_logits is None else e_logits[i], gc)
+        X = _gat_forward(layer, X, graph.neighbours, None if e_logits is None else e_logits[i], gc)
         if i < n_layers - 1:  # rectifier after every attention layer except the last
             np.maximum(X, 0.0, out=X)
             if cache is not None:
@@ -808,9 +779,10 @@ def save_params(params: ModelParams, path) -> None:
 def read_weights_manifest(path) -> Dict[str, np.ndarray]:
     """Parse a weights file.  Every length is checked against the bytes that
     remain before it is read, and the file must end exactly after the last
-    tensor, so a truncated, overlong or garbled file, or a NaN or infinite
-    value, raises ManifestMismatch.  Tensors are aligned, writable views of
-    one float64 array sized from the file, read into it in place."""
+    tensor, so a truncated, overlong or garbled file, a repeated tensor name,
+    or a NaN or infinite value, raises ManifestMismatch.  Tensors are
+    aligned, writable views of one float64 array sized from the file, read
+    into it in place."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         values = np.empty(size // 8, dtype="<f8")
@@ -840,6 +812,8 @@ def read_weights_manifest(path) -> Dict[str, np.ndarray]:
                 name = take(nlen).decode("utf-8")
             except UnicodeDecodeError:
                 raise ManifestMismatch(f"{path}: tensor name is not UTF-8") from None
+            if name in out:
+                raise ManifestMismatch(f"{path}: tensor {name} appears more than once")
             (ndim,) = struct.unpack("<B", take(1))
             if ndim not in (1, 2):  # every model tensor is a vector or a matrix
                 raise ManifestMismatch(f"{path}: tensor {name} has {ndim} dimensions")

@@ -14,6 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .errors import ConfigError
 from .rng import SplitMix64
 from .types import RadarFrame, RadarPoint, Skeleton
 
@@ -50,6 +51,12 @@ class SyntheticSpec:
     seed: int = 0
     sequence_id: int = 0
     standoff: float = 3.0  # distance from the sensor along y
+
+    def __post_init__(self):
+        if self.num_frames < 0 or self.points_per_frame < 0:
+            raise ConfigError("frame and point counts must not be negative")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"noise must be finite and non-negative, got {self.noise}")
 
 
 def joint_positions(spec: SyntheticSpec, t: float) -> np.ndarray:

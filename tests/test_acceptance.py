@@ -37,9 +37,9 @@ from cloudgraph.pipeline import (
 from cloudgraph.reference import gat_forward_reference, naive_build_graph, naive_knn
 from cloudgraph.rng import SplitMix64
 from cloudgraph.statbox import statbox_array
-from cloudgraph.types import ActivityLabel, Skeleton, frame_from_matrix
+from cloudgraph.types import ActivityLabel, Skeleton, edges_from_table, frame_from_matrix
 
-from conftest import random_frame
+from conftest import random_frame, random_table
 from test_statbox import oracle_stats
 
 
@@ -135,21 +135,18 @@ def test_acceptance_05_attention_normalization_and_oracle():
             leaky_slope=0.2,
         )
         X = rng.normal(size=(n, d_in))
-        edges = np.array(
-            [(t, s) for t in range(n) for s in range(n)
-             if t != s and rng.uniform() < 0.5],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        Xe = rng.normal(size=(edges.shape[0], d_e))
-        got = gat_forward(layer, X, edges, Xe)
-        expect = gat_forward_reference(layer, X, edges, Xe)
+        # k from 0 (every node isolated) to n - 1 (every other node)
+        table = random_table(rng, n, int(rng.integers(0, n)))
+        Xe = rng.normal(size=(table.size, d_e))
+        got = gat_forward(layer, X, table, Xe)
+        expect = gat_forward_reference(layer, X, edges_from_table(table), Xe)
         worst = max(worst, float(np.max(np.abs(got - expect))) if got.size else 0.0)
         assert np.allclose(got, expect, atol=1e-12, rtol=0)
         # attention rows sum to 1: run the same layer over constant ones with
         # theta = identity so the output is exactly the row sum
         probe = GatLayer(theta=np.eye(1), theta_e=rng.normal(size=(d_e, 1)),
                          attn=rng.normal(size=3), leaky_slope=0.2)
-        row_sums = gat_forward(probe, np.ones((n, 1)), edges, Xe)
+        row_sums = gat_forward(probe, np.ones((n, 1)), table, Xe)
         assert np.allclose(row_sums, 1.0, atol=1e-12, rtol=0)
     report("attention sums to 1 and matches dense oracle", t0, 10.0,
            f"max abs dev {worst:.2e}")

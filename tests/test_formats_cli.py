@@ -33,7 +33,7 @@ from cloudgraph.synthetic import (
 )
 from cloudgraph.types import PointGraph, RadarFrame, Skeleton, frame_from_matrix
 
-from conftest import random_frame
+from conftest import append_tensor, random_frame
 
 
 def assert_frames_equal(a, b):
@@ -415,6 +415,21 @@ def test_cli_gen_synthetic_writes_frames_and_gt(tmp_path):
     assert len(frames) == 6
     gts = formats.read_skeletons(gt_path, MID_HIP_INDEX)
     assert len(gts) == 6
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise", "nan", "noise must be finite"), ("--noise", "inf", "noise must be finite"),
+    ("--noise", "-0.5", "noise must be finite and non-negative"),
+    ("--frames", "-2", "counts must not be negative"),
+    ("--points", "-3", "counts must not be negative"),
+], ids=["noise-nan", "noise-inf", "noise-negative", "frames-negative", "points-negative"])
+def test_cli_gen_synthetic_rejects_a_malformed_argument_exit_6(tmp_path, caplog, flag, value,
+                                                               message):
+    # each once exited 0, writing non-finite points, no frames or empty frames
+    out = tmp_path / "frames.csv"
+    assert main(["gen-synthetic", flag, value, "--out", str(out)]) == 6
+    assert not out.exists()
+    assert message in caplog.text
 
 
 def test_cli_extract_deterministic_rerun(tmp_path):
@@ -1029,6 +1044,14 @@ def test_cli_infer_weights_declaring_a_huge_tensor_exit_4_without_allocating(tmp
         tracemalloc.stop()
     assert peak < 1 << 20
     assert f"{weights}: truncated at byte {weights.stat().st_size}" in caplog.text
+
+
+def test_cli_infer_weights_repeating_a_tensor_name_exit_4(tmp_path, caplog):
+    graphs, weights, cfg_path = extract_and_init(tmp_path, "pose")
+    bias_shape = (3 * SMALL_MODEL.output_size,)
+    append_tensor(weights, "h_pred.1.b", np.full(bias_shape, 7.0))
+    assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
+    assert f"{weights}: tensor h_pred.1.b appears more than once" in caplog.text
 
 
 # -- corrupt inputs and non-finite values --------------------------------------

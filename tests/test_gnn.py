@@ -22,7 +22,6 @@ from cloudgraph.gnn import (
     AffineLayer,
     FcnBlock,
     GatLayer,
-    NeighbourTable,
     _edge_directions,
     _fcn_backward,
     _fcn_forward,
@@ -37,7 +36,6 @@ from cloudgraph.gnn import (
     init_params,
     load_params,
     named_tensors,
-    neighbour_table,
     network_loss,
     predict_framewise,
     predict_sequential,
@@ -47,9 +45,9 @@ from cloudgraph.gnn import (
 from cloudgraph.pipeline import build_graph
 from cloudgraph.reference import gat_forward_reference
 from cloudgraph.rng import SplitMix64
-from cloudgraph.types import Skeleton
+from cloudgraph.types import Skeleton, edges_from_table
 
-from conftest import random_frame
+from conftest import append_tensor, random_frame, random_table
 
 
 def random_graph(rng, n=None, K=4, cfg=None):
@@ -208,7 +206,7 @@ def make_gat(rng, d_in, d_out, d_edge=None, slope=0.2):
 def test_gat_isolated_node_is_theta_transform(np_rng):
     layer = make_gat(np_rng, 4, 3)
     x = np_rng.normal(size=(1, 4))
-    out = gat_forward(layer, x, np.zeros((0, 2), dtype=np.int64))
+    out = gat_forward(layer, x, np.zeros((1, 0), dtype=np.int64))
     # softmax over the single self term is 1, output = theta^T x
     assert np.allclose(out, x @ layer.theta, atol=1e-14)
 
@@ -216,22 +214,27 @@ def test_gat_isolated_node_is_theta_transform(np_rng):
 def test_gat_forward_rejects_mismatched_inputs(np_rng):
     layer = make_gat(np_rng, 4, 3, 2)
     x = np_rng.normal(size=(3, 4))
-    edges = np.array([[0, 1], [1, 2], [2, 0]])
-    for bad_x, ef in ((x, None), (x, np.zeros((3, 5))), (x[:, :3], np.zeros((3, 2)))):
+    table = np.array([[1], [2], [0]])
+    # edge features of 1 row would broadcast over all three edges
+    bad_edges = [(x, np.zeros((rows, 2))) for rows in (1, 2, 4)]
+    for bad_x, ef in [(x, None), (x, np.zeros((3, 5))), (x[:, :3], np.zeros((3, 2)))] + bad_edges:
         with pytest.raises(DimensionMismatch):
-            gat_forward(layer, bad_x, edges, ef)
+            gat_forward(layer, bad_x, table, ef)
+    for bad_table in (table[:2], np.vstack([table, table[:1]]), table.reshape(-1)):
+        with pytest.raises(DimensionMismatch, match="for 3 nodes"):
+            gat_forward(layer, x, bad_table, np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("edge", [(0, -1), (0, 3), (-1, 0), (3, 0)])
+@pytest.mark.parametrize("edge", [(0, -1), (0, 3), (2, -1), (2, 3)])
 def test_gat_forward_rejects_an_edge_outside_the_nodes(np_rng, edge):
-    # -1 would wrap round to node 2; 3 would index past the last node
+    # a source of -1 would wrap round to node 2; 3 would index past the last node
     layer = make_gat(np_rng, 4, 3, 2)
     x = np_rng.normal(size=(3, 4))
-    edges = np.array([[0, 1], [1, 2], edge])
+    row, source = edge
+    table = np.array([[1], [2], [0]])
+    table[row, 0] = source
     with pytest.raises(DimensionMismatch, match="outside"):
-        neighbour_table(edges, 3)
-    with pytest.raises(DimensionMismatch, match="outside"):
-        gat_forward(layer, x, edges, np_rng.normal(size=(3, 2)))
+        gat_forward(layer, x, table, np_rng.normal(size=(3, 2)))
 
 
 def test_gat_identical_neighbors_average(np_rng):
@@ -239,10 +242,9 @@ def test_gat_identical_neighbors_average(np_rng):
     # output equals the (identical) transformed state
     layer = make_gat(np_rng, 4, 3)
     x = np.tile(np_rng.normal(size=(1, 4)), (2, 1))
-    edges = np.array([[0, 1], [1, 0]])
     ef = np.zeros((2, 2))
     layer.theta_e = np.zeros((2, 3))
-    out = gat_forward(layer, x, edges, ef)
+    out = gat_forward(layer, x, np.array([[1], [0]]), ef)
     assert np.allclose(out, x @ layer.theta, atol=1e-12)
 
 
@@ -252,16 +254,10 @@ def test_gat_matches_dense_reference(np_rng):
         d_in, d_out, d_e = 5, 4, 3
         layer = make_gat(np_rng, d_in, d_out, d_e)
         x = np_rng.normal(size=(n, d_in))
-        # random directed edges without self loops
-        edges = []
-        for t in range(n):
-            for s in range(n):
-                if t != s and np_rng.uniform() < 0.4:
-                    edges.append((t, s))
-        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        ef = np_rng.normal(size=(len(edges), d_e))
-        got = gat_forward(layer, x, edges, ef)
-        expect = gat_forward_reference(layer, x, edges, ef)
+        table = random_table(np_rng, n, int(np_rng.integers(0, n)))
+        ef = np_rng.normal(size=(table.size, d_e))
+        got = gat_forward(layer, x, table, ef)
+        expect = gat_forward_reference(layer, x, edges_from_table(table), ef)
         assert np.allclose(got, expect, atol=1e-12, rtol=0)
 
 
@@ -276,59 +272,10 @@ def test_gat_attention_rows_sum_to_one(np_rng):
         leaky_slope=0.2,
     )
     x = np.ones((n, 1))
-    edges = np.array([(t, (t + 1) % n) for t in range(n)], dtype=np.int64)
+    table = np.array([[(t + 1) % n] for t in range(n)])
     ef = np_rng.normal(size=(n, 2))
-    out = gat_forward(layer, x, edges, ef)
+    out = gat_forward(layer, x, table, ef)
     assert np.allclose(out, 1.0, atol=1e-12)
-
-
-def mixed_degree_edges(rng, n, isolated=()):
-    """Shuffled (target, source) list: random in-degrees from 1 to n - 1,
-    none for the targets in ``isolated``."""
-    edges = []
-    for t in range(n):
-        if t in isolated:
-            continue
-        others = [s for s in range(n) if s != t]
-        deg = int(rng.integers(1, n))
-        edges += [(t, s) for s in rng.choice(others, size=deg, replace=False)]
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return edges[rng.permutation(len(edges))]
-
-
-def test_neighbour_table_of_target_major_list_is_identity(np_rng):
-    g = random_graph(np_rng, n=9, K=4)
-    table = neighbour_table(g.edges, g.num_nodes)
-    assert table.valid is None
-    assert np.array_equal(table.pos, np.arange(g.num_edges))
-    assert np.array_equal(table.src, g.edges[:, 1].reshape(9, 4))
-
-
-def test_gat_shuffled_edges_match_target_major(np_rng):
-    layer = make_gat(np_rng, 5, 4, 3)
-    g = random_graph(np_rng, n=12, K=4)
-    X = np_rng.normal(size=(12, 5))
-    Xe = np_rng.normal(size=(g.num_edges, 3))
-    perm = np_rng.permutation(g.num_edges)
-    ordered = gat_forward(layer, X, g.edges, Xe)
-    shuffled = gat_forward(layer, X, g.edges[perm], Xe[perm])
-    assert np.allclose(shuffled, ordered, atol=1e-12, rtol=0)
-
-
-def test_gat_isolated_targets_and_mixed_degrees_match_reference(np_rng):
-    for _ in range(10):
-        n = 9
-        layer = make_gat(np_rng, 5, 4, 3)
-        X = np_rng.normal(size=(n, 5))
-        edges = mixed_degree_edges(np_rng, n, isolated=(0, 5))
-        table = neighbour_table(edges, n)
-        assert table.valid is not None and not table.valid[[0, 5]].any()
-        Xe = np_rng.normal(size=(len(edges), 3))
-        got = gat_forward(layer, X, edges, Xe)
-        expect = gat_forward_reference(layer, X, edges, Xe)
-        assert np.allclose(got, expect, atol=1e-12, rtol=0)
-        # an isolated target attends only to itself
-        assert np.allclose(got[[0, 5]], (X @ layer.theta)[[0, 5]], atol=1e-14, rtol=0)
 
 
 @pytest.mark.parametrize("n, d", [(1024, 16), (136, 16), (128, 64)],
@@ -342,22 +289,9 @@ def test_gat_on_a_knn_table_matches_reference(np_rng, n, d):
     X = np_rng.normal(size=(n, 7))
     Xe = np_rng.normal(size=(graph.num_edges, 6))
     e_logit = Xe @ _edge_directions([layer])[:, 0]
-    got = _gat_forward(layer, X, NeighbourTable(graph.neighbours, slice(None), None), e_logit)
+    got = _gat_forward(layer, X, graph.neighbours, e_logit)
     expect = gat_forward_reference(layer, X, graph.edges, Xe)
     assert np.allclose(got, expect, atol=1e-12, rtol=0)
-
-
-def test_gat_on_a_padded_table_with_isolated_targets_matches_reference(np_rng):
-    n, d = 136, 16
-    layer = make_gat(np_rng, 5, d, 3)
-    X = np_rng.normal(size=(n, 5))
-    edges = mixed_degree_edges(np_rng, n, isolated=(0, 70, 135))
-    table = neighbour_table(edges, n)
-    assert len(gnn._row_blocks(n, 8 * d * table.src.shape[1])) > 1
-    Xe = np_rng.normal(size=(len(edges), 3))
-    got = _gat_forward(layer, X, table, Xe @ _edge_directions([layer])[:, 0])
-    assert np.allclose(got, gat_forward_reference(layer, X, edges, Xe), atol=1e-12, rtol=0)
-    assert np.array_equal(got[[0, 70, 135]], (X @ layer.theta)[[0, 70, 135]])
 
 
 def test_gat_rejects_a_source_index_out_of_range(np_rng):
@@ -365,18 +299,19 @@ def test_gat_rejects_a_source_index_out_of_range(np_rng):
     X = np_rng.normal(size=(5, 4))
     src = np.array([[1], [2], [3], [4], [5]])  # 5 is past the last node
     with pytest.raises(IndexError):
-        _gat_forward(layer, X, NeighbourTable(src, slice(None), None), None)
+        _gat_forward(layer, X, src, None)
 
 
-def test_gat_backward_on_padded_table_matches_finite_differences(np_rng):
+@pytest.mark.parametrize("n, k", [(7, 4), (7, 6), (1, 0)], ids=["partial", "full", "isolated"])
+def test_gat_backward_on_a_table_matches_finite_differences(np_rng, n, k):
     # theta_e and attn[2d:] reach a layer only through its edge logits; their
-    # gradients are checked through the whole network by the grad_check tests
-    n, d, step = 7, 3, 1e-6
+    # gradients are checked through the whole network by the grad_check tests.
+    # n = 1 is an isolated node: k = 0 and the self term is its whole softmax
+    d, step = 3, 1e-6
     layer = make_gat(np_rng, 4, d, 2)
     X = np_rng.normal(size=(n, 4))
-    edges = mixed_degree_edges(np_rng, n, isolated=(2,))
-    e_logit = np_rng.normal(size=len(edges))
-    table = neighbour_table(edges, n)
+    table = random_table(np_rng, n, k)
+    e_logit = np_rng.normal(size=table.size)
     R = np_rng.normal(size=(n, d))  # loss = sum(R * out)
     cache = []
     _gat_forward(layer, X, table, e_logit, cache=cache)
@@ -460,12 +395,10 @@ def test_window_pools_each_graph_as_if_alone(np_rng):
         assert np.array_equal(window[i, :d], frame_representation(params, g)[:d]), i
 
 
-def test_representation_batch_mixes_degrees(np_rng, monkeypatch):
+def test_representation_batch_mixes_degrees(np_rng):
     params, cfg = small_params()
     sizes = (3, 12, 1, 7)
     graphs = [random_graph(np_rng, n=n, cfg=cfg) for n in sizes]
-    # each graph runs on its own table as it is, never regrouped from pairs
-    monkeypatch.setattr(gnn, "neighbour_table", None)
     batch = _rep_forward_batch(params, graphs)
     for i, g in enumerate(graphs):
         assert np.allclose(batch[i], frame_representation(params, g), atol=1e-12, rtol=0)
@@ -530,13 +463,12 @@ def test_representation_does_not_depend_on_the_block_size(np_rng, monkeypatch, b
 
 
 @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
-def test_gat_on_padded_table_does_not_depend_on_the_block_size(np_rng, monkeypatch, block_bytes):
+def test_gat_on_a_table_does_not_depend_on_the_block_size(np_rng, monkeypatch, block_bytes):
     n = 29  # 8-row blocks leave a tail of 5, folded into the block before it
     layer = make_gat(np_rng, 5, 4, 3)
     X = np_rng.normal(size=(n, 5))
-    table = neighbour_table(mixed_degree_edges(np_rng, n, isolated=(3,)), n)
-    assert table.valid is not None
-    e_logit = np_rng.normal(size=table.pos.shape[0])
+    table = random_table(np_rng, n, 11)
+    e_logit = np_rng.normal(size=table.size)
     want = _gat_forward(layer, X, table, e_logit)
     monkeypatch.setattr(gnn, "_BLOCK_BYTES", block_bytes)
     assert np.array_equal(_gat_forward(layer, X, table, e_logit), want)
@@ -894,6 +826,17 @@ def test_load_rejects_mismatched_shape(tmp_path):
         load_params(path, other, cfg)
     with pytest.raises(ManifestMismatch):
         load_params(path, SMALL_SHAPE, PipelineConfig(K=4, enable_edge_features=False))
+
+
+def test_load_rejects_a_repeated_tensor_name(tmp_path):
+    # the second copy, all 7.0, would otherwise replace the first
+    cfg = PipelineConfig(K=4)
+    params = init_params(SMALL_SHAPE, cfg, SplitMix64(31))
+    path = tmp_path / "w.bin"
+    save_params(params, path)
+    append_tensor(path, "h_pred.1.b", np.full(params.h_pred.layers[1].b.shape, 7.0))
+    with pytest.raises(ManifestMismatch, match="tensor h_pred.1.b appears more than once"):
+        load_params(path, SMALL_SHAPE, cfg)
 
 
 def test_load_rejects_garbage(tmp_path):
