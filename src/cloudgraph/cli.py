@@ -10,6 +10,7 @@ non-reproducible fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import re
 import sys
@@ -225,14 +226,18 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_init_weights(args) -> int:
     """Convenience: seeded random weights for the configured model shape."""
     pipeline_cfg, shape = load_config(args.config)
-    seed = args.seed if args.seed is not None else pipeline_cfg.seed
-    params = init_params(shape, pipeline_cfg, SplitMix64(seed))
+    if args.seed is not None:
+        pipeline_cfg = replace(pipeline_cfg, seed=args.seed)
+    params = init_params(shape, pipeline_cfg, SplitMix64(pipeline_cfg.seed))
     save_params(params, args.out)
     log.info("wrote weights to %s", args.out)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on its first call and shared: do not
+    change it.  ``main`` finds ``cmd_<command>`` by name at each call."""
     parser = argparse.ArgumentParser(
         prog="cloudgraph",
         description="Point-cloud graph feature extraction, inference, and evaluation",
@@ -244,18 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("show", help="graph record -> text dump on stdout")
     p.add_argument("record")
-    p.set_defaults(fn=cmd_show)
 
     p = sub.add_parser("infer", help="graph records + weights -> predictions")
     p.add_argument("graphs")
     p.add_argument("--weights", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("eval", help="predictions vs ground truth -> metric report")
     p.add_argument("predictions")
@@ -265,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mid-hip-index", type=int, default=0)
     p.add_argument("--per-keypoint", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gen-synthetic", help="generate synthetic frames + ground truth")
     p.add_argument("--frames", type=int, default=30)
@@ -274,13 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.02)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_gen_synthetic)
 
     p = sub.add_parser("init-weights", help="seeded random weights for the config's model shape")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_init_weights)
 
     return parser
 
@@ -298,16 +297,13 @@ _EXIT_CODES = (
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except tuple(exc for exc, _ in _EXIT_CODES) as err:
-        for exc_type, code in _EXIT_CODES:
-            if isinstance(err, exc_type):
-                log.error("%s", err)
-                return code
-        raise AssertionError("unreachable")
+        log.error("%s", err)
+        return next(code for exc_type, code in _EXIT_CODES if isinstance(err, exc_type))
 
 
 if __name__ == "__main__":

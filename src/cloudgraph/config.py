@@ -57,6 +57,8 @@ class PipelineConfig:
             raise ConfigError("cell_width must be three positive reals")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,8 @@ class SyntheticSpec:
             raise ConfigError("frame and point counts must not be negative")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(f"noise must be finite and non-negative, got {self.noise}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def joint_positions(spec: SyntheticSpec, t: float) -> np.ndarray:

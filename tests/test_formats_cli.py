@@ -1,6 +1,11 @@
+import argparse
 import io
+import os
+import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -11,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cloudgraph
 from cloudgraph import formats
 from cloudgraph.cli import build_parser, main
 from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
@@ -791,6 +797,115 @@ def test_cli_config_error_exit_6(tmp_path):
     rc = main(["extract", str(tmp_path / "missing.csv"),
                "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 6
+
+
+def seed_command(tmp_path, command, seed):
+    """``command``'s argv with ``--seed seed`` (none if ``seed`` is None)
+    and the path it writes."""
+    cfg_path = tmp_path / "run.cfg"
+    if not cfg_path.exists():
+        write_config(cfg_path)
+    argv = {
+        "extract": ["extract", str(gen_inputs(tmp_path, frames=2, points=6)[0]),
+                    "--config", str(cfg_path), "--out", str(tmp_path / "graphs")],
+        "init-weights": ["init-weights", "--config", str(cfg_path), "--out", str(tmp_path / "w.bin")],
+        "gen-synthetic": ["gen-synthetic", "--frames", "2", "--points", "3",
+                          "--out", str(tmp_path / "made" / "frames.csv")],
+    }[command]
+    return argv + (["--seed", str(seed)] if seed is not None else []), Path(argv[argv.index("--out") + 1])
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 1, -1])
+@pytest.mark.parametrize("command", ["extract", "init-weights", "gen-synthetic"])
+def test_cli_seed_outside_u64_exit_6_writing_nothing(tmp_path, caplog, command, seed):
+    # each was once reduced modulo 2**64: 2**64 + 1 wrote what seed 1 writes
+    argv, out = seed_command(tmp_path, command, seed)
+    assert main(argv) == 6
+    assert not out.exists()
+    assert f"seed must be in [0, 2**64), got {seed}" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["extract", "init-weights"])
+def test_cli_config_seed_outside_u64_exit_6_writing_nothing(tmp_path, caplog, command):
+    text = serialize_config(PipelineConfig(K=4), SMALL_MODEL).replace("seed = 0", "seed = -5")
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    argv, out = seed_command(tmp_path, command, None)
+    assert main(argv) == 6
+    assert not out.exists()
+    assert "seed must be in [0, 2**64), got -5" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["extract", "init-weights", "gen-synthetic"])
+def test_cli_largest_u64_seed_is_accepted(tmp_path, command):
+    argv, out = seed_command(tmp_path, command, 2**64 - 1)
+    assert main(argv) == 0
+    assert out.exists()
+
+
+def test_cli_main_reuses_one_parser(tmp_path, monkeypatch):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(parser, *args, **kwargs):
+        used.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for seed in (1, 2, 3):
+        gen_inputs(tmp_path, frames=1, points=2, seed=seed)
+    assert len(used) == 3
+    assert all(parser is build_parser() for parser in used)
+
+
+def test_importing_cloudgraph_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import cloudgraph, cloudgraph.cli\n"
+        "assert not built, f'import built {len(built)} parsers'\n"
+        "cloudgraph.cli.build_parser()\n"
+        "assert built\n"
+    )
+    src = str(Path(cloudgraph.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", script], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["extract"], ["gen-synthetic", "--seed", "9"],
+                                  ["eval", "p.csv", "t.csv", "--task", "height"]],
+                         ids=["none", "unknown", "missing", "partial", "bad-choice"])
+def test_cli_usage_error_exit_2_leaves_the_next_call_working(tmp_path, capsys, argv):
+    before, _ = gen_inputs(tmp_path / "before")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: cloudgraph")
+    after, _ = gen_inputs(tmp_path / "after")
+    assert after.read_bytes() == before.read_bytes()
+
+
+def help_texts():
+    """The ``--help`` output of each command at 80 columns, keyed by argv."""
+    text = (Path(__file__).resolve().parent / "data" / "cli_help.txt").read_text(encoding="utf-8")
+    parts = re.split(r"^=== (.*)\n", text, flags=re.M)[1:]
+    return dict(zip(parts[::2], parts[1::2]))
+
+
+@pytest.mark.parametrize("command", ["", "extract", "show", "infer", "eval", "gen-synthetic",
+                                     "init-weights"])
+def test_cli_help_text_unchanged(capsys, monkeypatch, command):
+    argv = [command, "--help"] if command else ["--help"]
+    # a narrower terminal first: the shared parser must not keep its width
+    monkeypatch.setenv("COLUMNS", "40")
+    with pytest.raises(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == help_texts()[" ".join(["cloudgraph", *argv])]
 
 
 @pytest.mark.parametrize("kind, code", [("frames", 2), ("config", 6), ("skeletons", 2)])

@@ -12,6 +12,7 @@ from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
 from cloudgraph.formats import read_graph_record, write_frames, write_graph_record
 from cloudgraph.pipeline import build_graph
 from cloudgraph.reference import naive_build_graph
+from cloudgraph.synthetic import NUM_JOINTS
 from cloudgraph.types import frame_from_matrix
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -217,3 +218,44 @@ def test_traced_framewise_infer_names_every_block_span(monkeypatch, tmp_path, np
     assert len(records) == 4
     assert tracer.counts["gnn.nodes"] == sum(g.num_nodes for g in records) > 0
     assert tracer.counts["gnn.edges"] == sum(g.num_edges for g in records) > 0
+
+
+def test_cli_spans_enclose_library_spans_after_an_untraced_call(monkeypatch, tmp_path):
+    """The benchmark's untimed reference pass calls ``cli.main`` before
+    ``install`` rebinds the ``cli.cmd_*`` names.  Each later command must
+    still run through the rebound name, or its span, and with it every
+    ``cli.*.self_s`` metric, reads 0."""
+    spans, cg = load_perfbench(monkeypatch)
+    frames, truth = tmp_path / "frames.csv", tmp_path / "frames_gt.csv"
+    assert cg.cli.main(["gen-synthetic", "--frames", "3", "--points", "12", "--out", str(frames)]) == 0
+    shape = ModelShape(head="pose", output_size=NUM_JOINTS, edge_units=(6,),
+                       node_units=(7,), gat_units=(5,), frame_units=(6,), pred_units=(6,))
+    cfg = str(tmp_path / "run.cfg")
+    (tmp_path / "run.cfg").write_text(serialize_config(PipelineConfig(K=4), shape), encoding="utf-8")
+    graphs, weights, preds = str(tmp_path / "graphs"), str(tmp_path / "w.bin"), str(tmp_path / "p.csv")
+    assert cg.cli.main(["init-weights", "--config", cfg, "--out", weights]) == 0
+    tracer = spans.Tracer()
+    spans.install(tracer, cg)
+    try:
+        assert cg.cli.main(["extract", str(frames), "--config", cfg, "--out", graphs]) == 0
+        assert cg.cli.main(["infer", graphs, "--weights", weights, "--config", cfg, "--out", preds]) == 0
+        assert cg.cli.main(["eval", preds, str(truth), "--task", "pose", "--config", cfg]) == 0
+    finally:
+        tracer.uninstall()
+
+    def command_of(i):
+        while i >= 0 and not tracer.spans[i][0].startswith("cli."):
+            i = tracer.spans[i][3]
+        return tracer.spans[i][0] if i >= 0 else None
+
+    _, _, calls = spans.span_totals(tracer.spans)
+    for command, library in (
+        ("cli.extract", ("formats.read_frames", "pipeline.build_graph", "formats.write_graph_record")),
+        ("cli.infer", ("gnn.load_params", "formats.read_graph_record", "gnn.predict_framewise",
+                       "formats.write_skeletons")),
+        ("cli.eval", ("formats.read_skeletons", "metrics.mpjpe")),
+    ):
+        assert calls[command] == 1, command
+        for name in library:
+            found = [i for i, span in enumerate(tracer.spans) if span[0] == name]
+            assert found and all(command_of(i) == command for i in found), name

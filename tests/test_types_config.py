@@ -79,6 +79,9 @@ def test_config_invariants():
         PipelineConfig(downsample_enabled=True, Q=0)
     with pytest.raises(ConfigError):
         PipelineConfig(cell_width=(0.0, 0.1, 0.1))
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed must be in"):
+            PipelineConfig(seed=seed)
 
 
 def test_config_round_trip_bit_exact():
