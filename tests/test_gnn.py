@@ -278,18 +278,93 @@ def test_gat_attention_rows_sum_to_one(np_rng):
     assert np.allclose(out, 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n, d", [(1024, 16), (136, 16), (128, 64)],
+def gathered_sums(monkeypatch):
+    """The row-block count of each gathered attention sum from here on: only
+    that path asks ``_row_blocks`` for blocks, and it is the only caller
+    when edge logits are passed in.  The dense path adds nothing."""
+    counts = []
+    real = gnn._row_blocks
+
+    def spy(total, row_bytes):
+        blocks = real(total, row_bytes)
+        counts.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(gnn, "_row_blocks", spy)
+    return counts
+
+
+def colliding_table(rng, n, k):
+    """An n x k table with sources drawn with replacement, where target 0 is
+    its own first source and, for k > 1, target 1 repeats its first source:
+    a dense build that overwrote instead of adding up would drop a weight."""
+    table = rng.integers(0, max(n, 1), size=(n, k))
+    if k:
+        table[0, 0] = 0
+    if k > 1 and n > 1:
+        table[1, 1] = table[1, 0]
+    return table
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["n=8k", "n=8k+1"])
+@pytest.mark.parametrize("k", [0, 1, 4, 20])
+def test_gat_on_both_sides_of_the_dense_rule_matches_reference(np_rng, monkeypatch, k, extra):
+    # n = 8k takes the n x n product, n = 8k + 1 the gathered sum; k = 0 is
+    # a graph of isolated nodes, and an empty one (n = 0) is gathered too
+    n = 8 * k + extra
+    layer = make_gat(np_rng, 5, 6, 3)
+    x = np_rng.normal(size=(n, 5))
+    table = colliding_table(np_rng, n, k)
+    ef = np_rng.normal(size=(table.size, 3))
+    sums = gathered_sums(monkeypatch)
+    got = gat_forward(layer, x, table, ef)
+    assert len(sums) == (1 if extra or k == 0 else 0)
+    expect = gat_forward_reference(layer, x, edges_from_table(table), ef)
+    assert got.shape == (n, 6)
+    assert np.allclose(got, expect, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["n=8k", "n=8k+1"])
+@pytest.mark.parametrize("k", [1, 4, 20])
+def test_gat_attention_rows_sum_to_one_on_both_sides_of_the_dense_rule(np_rng, k, extra):
+    # theta = I on a state of ones: each output is its target's attention
+    # row sum, a repeated or self source included
+    n = 8 * k + extra
+    layer = GatLayer(theta=np.eye(1), theta_e=np_rng.normal(size=(2, 1)),
+                     attn=np_rng.normal(size=3), leaky_slope=0.2)
+    table = colliding_table(np_rng, n, k)
+    out = gat_forward(layer, np.ones((n, 1)), table, np_rng.normal(size=(table.size, 2)))
+    assert np.allclose(out, 1.0, atol=1e-12, rtol=0)
+
+
+def test_gat_counts_a_repeated_source_once_per_copy(np_rng):
+    # target 0 lists source 1 twice and source 2 once: with every logit equal
+    # (zero attention vector), the weights are 1/4 self, 2/4 on 1, 1/4 on 2
+    for n in (3, 25):  # dense (3 <= 8 * 3) and gathered (25 > 24)
+        layer = GatLayer(theta=np.eye(2), theta_e=None, attn=np.zeros(6), leaky_slope=0.2)
+        x = np_rng.normal(size=(n, 2))
+        table = np.array([[1, 1, 2]] + [[0, 0, 0]] * (n - 1))
+        out = gat_forward(layer, x, table)
+        assert np.allclose(out[0], (x[0] + 2 * x[1] + x[2]) / 4, atol=1e-15, rtol=0), n
+
+
+@pytest.mark.parametrize("n, d, gathered", [(1024, 16, True), (136, 16, False), (128, 64, False)],
                          ids=["dense_cloud", "sparse_fused", "sequential_pose"])
-def test_gat_on_a_knn_table_matches_reference(np_rng, n, d):
+def test_gat_on_a_knn_table_matches_reference(np_rng, monkeypatch, n, d, gathered):
     # the benchmark workloads' attention shapes at K = 20, on the graph's own
-    # table as the model runs it: the sum spans several row blocks
+    # table as the model runs it: 1,024 nodes take the gathered sum over
+    # several row blocks, 136 and 128 nodes (n <= 8k) the n x n product
     graph = build_graph([random_frame(np_rng, n)], PipelineConfig(K=20))
-    assert len(gnn._row_blocks(n, 8 * d * graph.neighbours.shape[1])) > 1
     layer = make_gat(np_rng, 7, d, 6)
     X = np_rng.normal(size=(n, 7))
     Xe = np_rng.normal(size=(graph.num_edges, 6))
     e_logit = Xe @ _edge_directions([layer])[:, 0]
+    sums = gathered_sums(monkeypatch)
     got = _gat_forward(layer, X, graph.neighbours, e_logit)
+    if gathered:
+        assert len(sums) == 1 and sums[0] > 1
+    else:
+        assert sums == []
     expect = gat_forward_reference(layer, X, graph.edges, Xe)
     assert np.allclose(got, expect, atol=1e-12, rtol=0)
 
@@ -337,6 +412,8 @@ def test_gat_backward_on_a_table_matches_finite_differences(np_rng, n, k):
 
 
 def test_attention_output_identical_across_blas_threads():
+    # 96, 12 and 64 nodes take the dense attention sum, 205 (> 8 * 20) the
+    # gathered one
     script = (
         "import hashlib, numpy as np\n"
         "from cloudgraph.config import PipelineConfig, mars_sequential_shape\n"
@@ -348,7 +425,7 @@ def test_attention_output_identical_across_blas_threads():
         "params = init_params(mars_sequential_shape(13, 0), cfg, SplitMix64(0))\n"
         "r = np.random.default_rng(3)\n"
         "graphs = [build_graph([frame_from_matrix(0, i, r.normal(size=(n, 5)))], cfg)\n"
-        "          for i, n in enumerate((96, 12, 64))]\n"
+        "          for i, n in enumerate((96, 12, 64, 205))]\n"
         "rep = _rep_forward_batch(params, graphs)\n"
         "out = predict_sequential(params, graphs).keypoints\n"
         "print(hashlib.sha256(rep.tobytes() + out.tobytes()).hexdigest())\n"
@@ -464,14 +541,18 @@ def test_representation_does_not_depend_on_the_block_size(np_rng, monkeypatch, b
 
 @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
 def test_gat_on_a_table_does_not_depend_on_the_block_size(np_rng, monkeypatch, block_bytes):
-    n = 29  # 8-row blocks leave a tail of 5, folded into the block before it
+    # n = 29 > 8k takes the gathered sum; 8-row blocks leave a tail of 5,
+    # folded into the block before it
+    n, k = 29, 3
     layer = make_gat(np_rng, 5, 4, 3)
     X = np_rng.normal(size=(n, 5))
-    table = random_table(np_rng, n, 11)
+    table = random_table(np_rng, n, k)
     e_logit = np_rng.normal(size=table.size)
     want = _gat_forward(layer, X, table, e_logit)
     monkeypatch.setattr(gnn, "_BLOCK_BYTES", block_bytes)
+    sums = gathered_sums(monkeypatch)
     assert np.array_equal(_gat_forward(layer, X, table, e_logit), want)
+    assert sums == [3 if block_bytes == 1 else 1]
 
 
 def test_representation_peak_memory_below_one_edge_state_array(np_rng):
