@@ -159,7 +159,8 @@ def cmd_infer(args) -> int:
     params = load_params(args.weights, shape, pipeline_cfg)
     graphs = _encoded_records(args.graphs, params)
     if shape.sequential:
-        windows, _ = _windows(graphs, shape.window, shape.stride)
+        windows, dropped_gap = _windows(graphs, shape.window, shape.stride)
+        log.info("windows dropped at frame gaps: %d", dropped_gap)
         rows = [(w[-1].sequence_id, w[-1].frame_id, predict_sequential(params, w)) for w in windows]
     else:
         rows = [(g.sequence_id, g.frame_id, predict_framewise(params, g)) for g in graphs]

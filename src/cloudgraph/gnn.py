@@ -234,12 +234,25 @@ def init_params(shape: ModelShape, config: PipelineConfig, rng: SplitMix64) -> M
 # -- feed-forward blocks -----------------------------------------------------
 
 
-def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None) -> np.ndarray:
+def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None, head=None) -> np.ndarray:
     """Apply the block row-wise.  An unrectified layer 0 followed by a layer 1
     is one affine map, evaluated as ``X @ (W0 @ W1) + (b0 @ W1 + b1)``, so
     the product over the rows of X runs over X's width (6 for edges), not
     layer 0's.  ``cache`` receives (input, rectified output, rectified?)
-    per evaluated layer."""
+    per evaluated layer, each rows x width.
+
+    With ``head``, a d_out x L matrix, the result is ``head.T @ Y.T``, L x
+    rows, computed feature-major: each layer is packed once per call as the
+    C-contiguous ``[W; b].T`` and applied to a block of rows as
+    ``[W; b].T @ [X.T; 1]``, so its bias is the last term of the product
+    and no pass adds it.  Blocks of at most about ``_BLOCK_BYTES`` per
+    layer output run through buffers allocated once per call, whose last
+    row stays ones, and each block's last layer is projected straight into
+    the result.  With a cache the rows are one block.  Each output is one
+    dot product over its layer's input and a one, which the block bounds
+    do not reorder, so on every shape the tests try a row rounds alike in
+    any block; row-major ``X @ W`` does not for narrow layers such as
+    16 x 4."""
     layers = block.layers
     total = len(layers)
     width = X.shape[1]
@@ -249,20 +262,44 @@ def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None) -> np.ndarray:
                 f"input width {width} does not match layer weight {layer.W.shape}"
             )
         width = layer.W.shape[1]
-    steps = [(layer.W, layer.b, i) for i, layer in enumerate(layers)]
-    if total > 1 and not _act_at(block.policy, 0, total):
+    steps = [(layer.W, layer.b, _act_at(block.policy, i, total)) for i, layer in enumerate(layers)]
+    if total > 1 and not steps[0][2]:
         W1, b1 = layers[1].W, layers[1].b
-        steps[:2] = [(layers[0].W @ W1, layers[0].b @ W1 + b1, 1)]
-    for W, b, i in steps:
-        Y = X @ W
-        Y += b
-        use_relu = _act_at(block.policy, i, total)
-        if use_relu:
-            np.maximum(Y, 0.0, out=Y)
-        if cache is not None:
-            cache.append((X, Y, use_relu))
-        X = Y
-    return X
+        steps[:2] = [(layers[0].W @ W1, layers[0].b @ W1 + b1, steps[1][2])]
+    if head is None:
+        for W, b, use_relu in steps:
+            Y = X @ W
+            Y += b
+            if use_relu:
+                np.maximum(Y, 0.0, out=Y)
+            if cache is not None:
+                cache.append((X, Y, use_relu))
+            X = Y
+        return X
+    packed = [np.concatenate([W.T, b[:, None]], axis=1) for W, b, _ in steps]
+    if cache is not None:
+        blocks = [slice(0, len(X))]
+    else:
+        blocks = _row_blocks(len(X), 8 * max(P.shape[0] for P in packed))
+    cols = max(rows.stop - rows.start for rows in blocks)
+    bufs = [np.empty((P.shape[1], cols)) for P in packed] + [np.empty((width + 1, cols))]
+    for buf in bufs:
+        buf[-1] = 1.0
+    out = np.empty((head.shape[1], len(X)))
+    for rows in blocks:
+        m = rows.stop - rows.start
+        A = bufs[0][:, :m]
+        A[:-1] = X[rows].T
+        for P, (_, _, use_relu), buf in zip(packed, steps, bufs[1:]):
+            Y = buf[:-1, :m]
+            np.matmul(P, A, out=Y)
+            if use_relu:
+                np.maximum(Y, 0.0, out=Y)
+            if cache is not None:
+                cache.append((A[:-1].T, Y.T, use_relu))
+            A = buf[:, :m]
+        np.matmul(head.T, A[:-1], out=out[:, rows])
+    return out
 
 
 def _fcn_backward(block: FcnBlock, cache, dY, grads, prefix) -> np.ndarray:
@@ -300,11 +337,20 @@ def fcn_forward(block: FcnBlock, x) -> np.ndarray:
 # -- attention layer ---------------------------------------------------------
 
 
-# Bytes of the largest temporary in one row block of the streamed edge pass
-# and of the blocked attention sum.  In a fresh process the edge pass of a
-# 16-graph, 128-point mars_sequential batch took a median of 23-37 ms at
-# 256-512 KB and 44-47 ms at 1 MB (2-vCPU x86_64, one BLAS thread), with the
-# same bits at each size.
+# Bytes, at most, of one layer's output in one row block of the streamed
+# edge pass, and of the largest temporary in one block of the gathered
+# attention sum.
+# Median CPU ms of one whole `infer` at 128 / 256 / 512 / 1,024 KB, the
+# sizes interleaved over 60 rounds in one process (2-vCPU x86_64, one BLAS
+# thread), on two input seeds each:
+#   one 1,024-point frame, default shape: 3.40 / 2.96 / 3.32 / 3.49 and
+#     2.92 / 2.87 / 3.03 / 3.12;
+#   12 fused ~130-node graphs: 5.25 / 5.31 / 5.23 / 5.22 and
+#     5.60 / 5.55 / 5.35 / 5.47;
+#   16 frames of 128 points, mars_sequential: 23.0 / 23.5 / 23.4 / 23.2 and
+#     28.6 / 29.0 / 28.6 / 29.0.
+# Only the 1,024-point frame tells the sizes apart, and 256 KB wins there.
+# Every size gives the same bits.
 _BLOCK_BYTES = 1 << 18
 # Every block but the last is a multiple of this many rows, and the last is
 # at least this long.  OpenBLAS's gemv takes rows in groups of four and
@@ -315,10 +361,14 @@ _MIN_BLOCK_ROWS = 8
 
 
 def _row_blocks(total: int, row_bytes: int) -> List[slice]:
-    """Slices covering ``range(total)`` in blocks of about ``_BLOCK_BYTES``;
-    a tail shorter than ``_MIN_BLOCK_ROWS`` joins the block before it."""
+    """Slices covering ``range(total)`` in as few blocks of at most about
+    ``_BLOCK_BYTES`` as it takes, of near-equal length, so a total just
+    past one block makes two halves, not a full block and a sliver; a tail
+    shorter than ``_MIN_BLOCK_ROWS`` joins the block before it."""
     rows = _BLOCK_BYTES // max(row_bytes, 1) // _MIN_BLOCK_ROWS * _MIN_BLOCK_ROWS
     rows = max(rows, _MIN_BLOCK_ROWS)
+    count = max(-(-total // rows), 1)
+    rows = max(-(-total // (count * _MIN_BLOCK_ROWS)) * _MIN_BLOCK_ROWS, _MIN_BLOCK_ROWS)
     starts = range(0, max(total - _MIN_BLOCK_ROWS + 1, 1), rows)
     return [slice(a, a + rows) for a in starts[:-1]] + [slice(starts[-1], total)]
 
@@ -331,23 +381,17 @@ def _edge_directions(gat_layers: Sequence[GatLayer]) -> np.ndarray:
 
 def _edge_logits(params: ModelParams, edge_feats: np.ndarray, cache=None) -> np.ndarray:
     """Every attention layer's edge logit term as an L x E array, row l for
-    layer l.  Without a cache the edge block runs one row block at a time
-    and no E x d array is held; with one, the block is the whole edge set
-    and the cache keeps its output ``Xe`` for the backward pass.  Each
-    block is projected as ``V.T @ Xe.T``, with ``V.T`` a transposed view,
-    which rounds an edge alike in any aligned block; ``Xe @ V``, or ``V.T``
-    copied to C order, does not for 2 to 4 layers."""
-    VT = _edge_directions(params.gat_layers).T
+    layer l: the edge block with the L edge directions as its ``head``, so
+    ``_fcn_forward`` packs and folds the block once per graph and streams
+    the edges feature-major, projecting each row block inside the call.
+    Without a cache no E x d array is held; with one, the edges are one
+    block and the cache keeps the block's output ``Xe`` for the backward
+    pass.  Both round every edge alike."""
+    ec = [] if cache is not None else None
+    logits = _fcn_forward(params.h_edge, edge_feats, ec, head=_edge_directions(params.gat_layers))
     if cache is not None:
-        ec: list = []
-        Xe = _fcn_forward(params.h_edge, edge_feats, ec)
-        cache.update(h_edge=ec, Xe=Xe)
-        return VT @ Xe.T
-    out = np.empty((VT.shape[0], edge_feats.shape[0]))
-    width = max(layer.W.shape[1] for layer in params.h_edge.layers)
-    for rows in _row_blocks(edge_feats.shape[0], 8 * width):
-        out[:, rows] = VT @ _fcn_forward(params.h_edge, edge_feats[rows]).T
-    return out
+        cache.update(h_edge=ec, Xe=ec[-1][1])
+    return logits
 
 
 def _gat_forward(

@@ -1,5 +1,6 @@
 import argparse
 import io
+import logging
 import os
 import re
 import shutil
@@ -1083,6 +1084,19 @@ def test_cli_streamed_sequential_infer_equals_a_loop_over_loaded_windows(tmp_pat
                   for f in range(end - 2, end + 1)]
         want = predict_sequential(params, window).keypoints
         assert np.array_equal(got[seq, end].keypoints, want), (seq, end)
+
+
+def test_cli_sequential_infer_logs_the_windows_dropped_at_a_gap(tmp_path, np_rng, caplog):
+    # frames 0-2 and 4-5: of the windows of two, only the one ending at
+    # frame 4 holds the gap
+    ids = [(0, f) for f in (0, 1, 2, 4, 5)]
+    graphs, weights, cfg_path, _ = records_and_weights(tmp_path, np_rng, ids,
+                                                       replace(SEQ_MODEL, window=2))
+    caplog.set_level(logging.INFO, logger="cloudgraph")
+    out = tmp_path / "p.csv"
+    assert infer(graphs, weights, cfg_path, out) == 0
+    assert sorted(f for _, f in formats.read_skeletons(out, 0)) == [1, 2, 5]
+    assert "windows dropped at frame gaps: 1" in caplog.text
 
 
 def test_cli_streamed_framewise_infer_equals_each_loaded_record(tmp_path, np_rng):

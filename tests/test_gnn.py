@@ -171,6 +171,29 @@ def test_fcn_forward_matches_plain_layer_loop(np_rng, policy, n_layers, rows):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 37, 9001])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("policy", ["all", "all_but_first", "all_but_last"])
+def test_fcn_forward_with_a_head_matches_projected_rows(np_rng, policy, n_layers, rows):
+    # 9,001 rows of at most 9-wide layer outputs make 2 or 3 row blocks,
+    # the last a few rows shorter; with a cache the rows are one block
+    block = random_block(np_rng, policy, n_layers)
+    X = np_rng.normal(size=(rows, 6))
+    V = np_rng.normal(size=(block.layers[-1].W.shape[1], 3))
+    want = V.T @ fcn_forward(block, X).T
+    streamed = _fcn_forward(block, X, head=V)
+    cache = []
+    assert np.array_equal(_fcn_forward(block, X, cache, head=V), streamed)
+    assert streamed.shape == want.shape
+    assert np.abs(streamed - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+    # the cache holds each layer's input and output row-major, as without a head
+    plain = []
+    _fcn_forward(block, X, plain)
+    for (Xin, Y, relu), (Xin0, Y0, relu0) in zip(cache, plain, strict=True):
+        assert relu == relu0 and Xin.shape == Xin0.shape and Y.shape == Y0.shape
+        assert np.abs(Y - Y0).max(initial=0.0) <= 1e-12 * np.abs(Y0).max(initial=0.0)
+
+
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 @pytest.mark.parametrize("policy", ["all", "all_but_first", "all_but_last"])
 def test_fcn_backward_matches_plain_chain_rule(np_rng, policy, n_layers):
@@ -413,11 +436,13 @@ def test_gat_backward_on_a_table_matches_finite_differences(np_rng, n, k):
 
 def test_attention_output_identical_across_blas_threads():
     # 96, 12 and 64 nodes take the dense attention sum, 205 (> 8 * 20) the
-    # gathered one
+    # gathered one.  The default shape's 16-wide edge block runs the 307-node
+    # graph's 6,140 edges in three 2,048-row blocks
     script = (
         "import hashlib, numpy as np\n"
-        "from cloudgraph.config import PipelineConfig, mars_sequential_shape\n"
-        "from cloudgraph.gnn import init_params, _rep_forward_batch, predict_sequential\n"
+        "from cloudgraph.config import ModelShape, PipelineConfig, mars_sequential_shape\n"
+        "from cloudgraph.gnn import (init_params, _rep_forward_batch, predict_framewise,\n"
+        "                            predict_sequential)\n"
         "from cloudgraph.pipeline import build_graph\n"
         "from cloudgraph.rng import SplitMix64\n"
         "from cloudgraph.types import frame_from_matrix\n"
@@ -428,7 +453,11 @@ def test_attention_output_identical_across_blas_threads():
         "          for i, n in enumerate((96, 12, 64, 205))]\n"
         "rep = _rep_forward_batch(params, graphs)\n"
         "out = predict_sequential(params, graphs).keypoints\n"
-        "print(hashlib.sha256(rep.tobytes() + out.tobytes()).hexdigest())\n"
+        "big = build_graph([frame_from_matrix(1, 0, r.normal(size=(307, 5)))], cfg)\n"
+        "default = init_params(ModelShape(), cfg, SplitMix64(1))\n"
+        "rep2 = _rep_forward_batch(default, [big])\n"
+        "out2 = predict_framewise(default, big).keypoints\n"
+        "print(hashlib.sha256(b''.join(a.tobytes() for a in (rep, out, rep2, out2))).hexdigest())\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     digests = []
@@ -522,7 +551,11 @@ def test_row_blocks_are_aligned_and_leave_no_short_tail(total, row_bytes):
     (mars_sequential_shape(13, 0), (96, 64, 77)),
     # 205 nodes, one 16-wide layer: 4,100 edges, 2,048 rows
     (ModelShape(), (512, 512, 205)),
-], ids=["mars_sequential", "default"])
+    # a narrow edge block: 16 x 4 products taken row-major round a row
+    # differently in small and large blocks.  1,024 nodes: 20,480 edges in
+    # ten 2,048-row blocks
+    (ModelShape(edge_units=(16, 4), edge_relu_policy="all_but_last"), (1024, 205)),
+], ids=["mars_sequential", "default", "narrow_edge"])
 def test_representation_does_not_depend_on_the_block_size(np_rng, monkeypatch, block_rows,
                                                           shape, sizes):
     # a budget of 1 or 13 edge rows makes blocks of 8: the rows a block
