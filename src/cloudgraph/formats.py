@@ -213,8 +213,8 @@ def write_scores(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
 
 
 def read_scores(path) -> Dict[Tuple[int, int], np.ndarray]:
-    """Score vectors by (sequence, frame) id; every row must have as many
-    fields as the header, all of them finite."""
+    """Score vectors by (sequence, frame) id, each id on one row; every row
+    must have as many fields as the header, all of them finite."""
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith(SCORES_HEADER_PREFIX):
         raise ParseError(1, "expected a scores header")
@@ -234,12 +234,14 @@ def read_scores(path) -> Dict[Tuple[int, int], np.ndarray]:
             raise ParseError(lineno, "bad score value") from None
         if not np.isfinite(vals).all():
             raise ParseError(lineno, "non-finite score value")
+        if (seq, fid) in out:
+            raise ParseError(lineno, f"sequence {seq} frame {fid} repeats an earlier row")
         out[(seq, fid)] = vals
     return out
 
 
 def read_labels(path) -> Dict[Tuple[int, int], int]:
-    """Ground-truth activity labels: sequence_id,frame_id,class_index rows."""
+    """Ground-truth activity labels: sequence_id,frame_id,class_index rows, one per id."""
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != "sequence_id,frame_id,class_index":
         raise ParseError(1, "expected header 'sequence_id,frame_id,class_index'")
@@ -252,9 +254,12 @@ def read_labels(path) -> Dict[Tuple[int, int], int]:
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 3 fields, got {len(parts)}")
         try:
-            out[(int(parts[0]), int(parts[1]))] = int(parts[2])
+            seq, fid, label = map(int, parts)
         except ValueError:
             raise ParseError(lineno, "bad label value") from None
+        if (seq, fid) in out:
+            raise ParseError(lineno, f"sequence {seq} frame {fid} repeats an earlier row")
+        out[(seq, fid)] = label
     return out
 
 

@@ -426,14 +426,17 @@ def _gat_forward(
         z_e += e_logit.reshape(z_e.shape)
     slope = layer.leaky_slope
     l_self = np.where(z_self > 0, z_self, slope * z_self)
-    l_e = np.where(z_e > 0, z_e, slope * z_e)
+    # the logits turn into the weights in place; the backward pass reads both
+    a_e = z_e if cache is None else z_e.copy()
+    a_e *= np.where(a_e > 0, 1.0, slope)
     # softmax per target over {self} + neighbors, max-subtracted
-    mx = np.maximum(l_self, l_e.max(axis=1, initial=-np.inf))
+    mx = np.maximum(l_self, a_e.max(axis=1, initial=-np.inf))
     exp_self = np.exp(l_self - mx)
-    exp_e = np.exp(l_e - mx[:, None])
-    denom = exp_self + exp_e.sum(axis=1)
+    a_e -= mx[:, None]
+    np.exp(a_e, out=a_e)
+    denom = exp_self + a_e.sum(axis=1)
     a_self = exp_self / denom
-    a_e = exp_e / denom[:, None]
+    a_e /= denom[:, None]
     n, k = table.shape
     if 0 < n <= 8 * k:  # n = 0 would make bincount return int64
         # bincount adds up every copy of a source that a row repeats

@@ -1,8 +1,8 @@
 """Raw radar frames -> directed KNN graphs with node/edge/frame features.
 
 Stage order: fuse -> (optional) grid downsample -> squared distances and
-KNN edges, one block of target rows at a time -> node features -> edge
-features -> frame features.  A block of squared distances feeds both the
+KNN edges, one block of target rows at a time -> node features -> frame
+features -> edge features.  A block of squared distances feeds both the
 KNN selection of its rows and their neighbour distances, which are all the
 node-feature stage reads, so no n x n array is held.  Past one block, each
 block is compared only with a window of points near it along the cloud's
@@ -14,7 +14,10 @@ Data stays in array form from end to end: a frame is an n x 5 array, the
 KNN result is an n x k neighbour table with its n x k neighbour squared
 distances, the graph keeps that table as its edges (row i the sources of
 the edges into target i), and each statistics stage is one batched statbox
-call.
+call.  A graph holds those arrays, its n x 19 node features, its frame
+vector and its E x 6 edge features, made last.  Beyond them, distances and
+edge features take one block of target rows at a time, and a statbox call
+one scratch array beside its sorted input.
 """
 
 from __future__ import annotations
@@ -290,15 +293,29 @@ def edge_features(frame: RadarFrame, table: np.ndarray) -> np.ndarray:
     out = np.zeros((table.size, EDGE_FEATURE_DIM), dtype=np.float64)
     if table.size == 0:
         return out
-    # the target of a row is the row itself, so only the sources are
-    # gathered, from a 5 x n copy in which each coordinate is a contiguous row
+    # the target of a row is the row itself, so only the sources are taken
+    # from a 5 x n copy, as 5 x rows x k in C order (P[:, table] would order
+    # it rows, k, 5), so that each coordinate is a contiguous row
     P = np.ascontiguousarray(frame.points.T)
-    delta = (P[:, table] - P[:, :, None]).reshape(len(P), -1)
-    dx, dy, dz = delta[:3]
-    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
-    out[:, 0] = norm
-    np.divide(delta[:3], norm, out=out[:, 1:4].T, where=norm > 0)
-    out[:, 4:] = delta[3:].T
+    n, k = table.shape
+    # target rows in blocks of 64 bytes per edge, above the 57 that a block's
+    # differences, norm, square and mask take, so within _D2_BLOCK_BYTES;
+    # every value is elementwise, so the block size changes no bit
+    step = max(1, _D2_BLOCK_BYTES // (64 * k))
+    for first in range(0, n, step):
+        rows = slice(first, first + step)
+        delta = np.take(P, table[rows], axis=1)
+        delta -= P[:, rows, None]
+        delta = delta.reshape(len(P), -1)
+        norm = delta[0] * delta[0]
+        norm += delta[1] * delta[1]
+        norm += delta[2] * delta[2]
+        np.sqrt(norm, out=norm)
+        block = out[first * k : first * k + len(norm)]
+        block[:, 0] = norm
+        np.divide(delta[:3], norm, out=block[:, 1:4].T, where=norm > 0)
+        block[:, 4:] = delta[3:].T
+        del delta, norm  # freed before the next block is gathered
     return out
 
 
@@ -349,14 +366,15 @@ def build_graph(
         nf = node_features(fused, neighbor_d2, config.epsilon)
     else:
         nf = fused.points
-    if config.enable_edge_features:
-        ef = edge_features(fused, table)
-    else:
-        ef = np.zeros((table.size, 0))
+    # frame features first, so no E x 6 array is held while they run
     if config.enable_frame_features and len(fused):
         ff = frame_features(nf, config.epsilon)
     else:
         ff = np.zeros(0)
+    if config.enable_edge_features:
+        ef = edge_features(fused, table)
+    else:
+        ef = np.zeros((table.size, 0))
     return PointGraph(
         sequence_id=fused.sequence_id,
         frame_id=fused.frame_id,

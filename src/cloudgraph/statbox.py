@@ -64,29 +64,33 @@ def statbox_array(values, epsilon: float = 1e-12) -> np.ndarray:
     if m == 0:
         raise EmptyInput("statbox requires at least one value")
     s = np.sort(v, axis=-1)
-    # a constant row's float mean can round off its value; take it exactly
-    mean = np.where(s[..., :1] == s[..., -1:], s[..., :1], s.mean(axis=-1, keepdims=True))
-    d = s - mean
-    d2 = d * d
-    m2 = d2.mean(axis=-1)
-    flat = m2 < epsilon
-    safe_m2 = np.where(flat, 1.0, m2)
-    skewness = np.where(flat, 0.0, (d2 * d).mean(axis=-1) / safe_m2**1.5)
-    kurtosis = np.where(flat, 0.0, (d2 * d2).mean(axis=-1) / (safe_m2 * safe_m2))
-    gmean = np.exp(np.log(np.maximum(np.abs(s), epsilon)).mean(axis=-1))
-    linear = []
-    for p in (0.5, 0.25, 0.75):
+    out = np.empty(s.shape[:-1] + (10,))
+    for col, p in ((2, 0.5), (6, 0.25), (7, 0.75)):  # median, q25, q75
         pos = p * (m - 1)
         lo = math.floor(pos)
         frac = pos - lo
         q = s[..., lo]
-        linear.append(q if frac == 0.0 else q + frac * (s[..., lo + 1] - q))
-    median, q25, q75 = linear
-    p25, p75 = (s[..., max(math.ceil(p * m) - 1, 0)] for p in (0.25, 0.75))
-    return np.stack(
-        [mean[..., 0], np.sqrt(m2), median, skewness, kurtosis, gmean, q25, q75, p25, p75],
-        axis=-1,
-    )
+        out[..., col] = q if frac == 0.0 else q + frac * (s[..., lo + 1] - q)
+    out[..., 8:] = s[..., [max(math.ceil(p * m) - 1, 0) for p in (0.25, 0.75)]]
+    # a constant row's float mean can round off its value; take it exactly.
+    # np.add.reduce(x, axis=-1) / m is np.mean's own sum and division
+    mean = np.where(s[..., :1] == s[..., -1:], s[..., :1], np.add.reduce(s, axis=-1, keepdims=True) / m)
+    out[..., 0] = mean[..., 0]
+    # the log and the moments in one scratch array t, s turned in place
+    # into the deviations d and then d^3, t into log|s|, d^2 and then d^4
+    t = np.abs(s)
+    np.log(np.maximum(t, epsilon, out=t), out=t)
+    out[..., 5] = np.exp(np.add.reduce(t, axis=-1) / m)
+    s -= mean
+    m2 = np.add.reduce(np.multiply(s, s, out=t), axis=-1) / m
+    m3 = np.add.reduce(np.multiply(s, t, out=s), axis=-1) / m
+    m4 = np.add.reduce(np.multiply(t, t, out=t), axis=-1) / m
+    flat = m2 < epsilon
+    safe_m2 = np.where(flat, 1.0, m2)
+    out[..., 1] = np.sqrt(m2)
+    out[..., 3] = np.where(flat, 0.0, m3 / safe_m2**1.5)
+    out[..., 4] = np.where(flat, 0.0, m4 / (safe_m2 * safe_m2))
+    return out
 
 
 def statbox_columns(matrix, epsilon: float = 1e-12) -> np.ndarray:

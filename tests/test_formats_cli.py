@@ -720,6 +720,18 @@ def test_cli_eval_score_row_width_exit_2(tmp_path, caplog, row):
     assert f"line 3: expected 5 fields, got {row.count(',') + 1}" in caplog.text
 
 
+@pytest.mark.parametrize("repeat", ["scores", "labels"])
+def test_cli_eval_repeated_id_exit_2(tmp_path, caplog, repeat):
+    # a second row for (0, 1) was read silently, the last row winning
+    p_path, g_path = tmp_path / "s.csv", tmp_path / "l.csv"
+    p_path.write_text("sequence_id,frame_id,score_0,score_1\n0,0,0.2,0.8\n0,1,0.5,0.5\n"
+                      + ("0,1,0.9,0.1\n" if repeat == "scores" else ""), encoding="utf-8")
+    g_path.write_text("sequence_id,frame_id,class_index\n0,0,1\n0,1,0\n"
+                      + ("0,1,1\n" if repeat == "labels" else ""), encoding="utf-8")
+    assert main(["eval", str(p_path), str(g_path), "--task", "activity"]) == 2
+    assert "line 4: sequence 0 frame 1 repeats an earlier row" in caplog.text
+
+
 @pytest.mark.parametrize(
     "keypoints, message",
     [
@@ -1192,14 +1204,11 @@ def infer_inputs(tmp_path_factory):
     return {head: extract_and_init(tmp_path_factory.mktemp(head), head) for head in SMALL_MODELS}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass
-@pytest.mark.parametrize("head", sorted(SMALL_MODELS))
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_cli_infer_survives_any_cut_or_bit_flip(infer_inputs, head, data):
-    """Cut a graph record or the weights file at any offset, or flip any one
-    of its bits: infer exits 0, 4 or 7, and on 0 every prediction is finite."""
-    graphs, weights, cfg_path = infer_inputs[head]
+def infer_with_one_file_mutated(inputs, data, mutate):
+    """Copy one head's graph records and weights file, rewrite one file
+    drawn from them as ``mutate(bytearray of it)`` returns it, and run
+    infer: it exits 0, 4 or 7, and on 0 every prediction is finite."""
+    graphs, weights, cfg_path = inputs
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "graphs").mkdir()
@@ -1208,19 +1217,30 @@ def test_cli_infer_survives_any_cut_or_bit_flip(infer_inputs, head, data):
         shutil.copy(weights, tmp / "w.bin")
         files = sorted((tmp / "graphs").glob("graph_*.bin")) + [tmp / "w.bin"]
         target = data.draw(st.sampled_from(files), label="file")
-        blob = bytearray(target.read_bytes())
-        if data.draw(st.booleans(), label="cut"):
-            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
-        else:
-            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
-            blob[bit // 8] ^= 1 << (bit % 8)
-        target.write_bytes(bytes(blob))
+        target.write_bytes(bytes(mutate(bytearray(target.read_bytes()))))
         out = tmp / "p.csv"
         rc = infer(tmp / "graphs", tmp / "w.bin", cfg_path, out)
         assert rc in (0, 4, 7)
         if rc == 0:
             values = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
             assert values.size and np.isfinite(values).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass
+@pytest.mark.parametrize("head", sorted(SMALL_MODELS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_infer_survives_any_cut_or_bit_flip(infer_inputs, head, data):
+    """Cut a graph record or the weights file at any offset, or flip any one
+    of its bits: infer exits 0, 4 or 7, and on 0 every prediction is finite."""
+    def mutate(blob):
+        if data.draw(st.booleans(), label="cut"):
+            return blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        blob[bit // 8] ^= 1 << (bit % 8)
+        return blob
+
+    infer_with_one_file_mutated(infer_inputs[head], data, mutate)
 
 
 @pytest.fixture(scope="module")
@@ -1268,6 +1288,27 @@ def test_cli_survives_any_byte_mutation_of_a_text_input(text_inputs, kind, data)
         if rc == 0 and kind != "skeletons":
             for record in (tmp / "out").glob("graph_*.bin"):
                 formats.read_graph_record(record)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass
+@pytest.mark.parametrize("head", sorted(SMALL_MODELS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cli_infer_survives_any_byte_mutation_of_a_binary_input(infer_inputs, head, data):
+    """Overwrite, insert or delete 1-4 bytes of a graph record or the
+    weights file, or truncate it: infer exits 0, 4 or 7, and on 0 every
+    prediction is finite."""
+    def mutate(blob):
+        if data.draw(st.booleans(), label="truncate"):
+            return blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            at = data.draw(st.integers(0, len(blob)), label="at")
+            op = data.draw(st.sampled_from(["overwrite", "insert", "delete"]), label="op")
+            new = bytes([data.draw(st.integers(0, 255), label="byte")])
+            blob[at : at + (op != "insert")] = b"" if op == "delete" else new
+        return blob
+
+    infer_with_one_file_mutated(infer_inputs[head], data, mutate)
 
 
 def scaled_eval_inputs(tmp, task, exponent):

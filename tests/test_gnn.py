@@ -533,11 +533,15 @@ def random_batch(rng, shape, sizes, seed=0):
 
 
 @pytest.mark.parametrize("total", [0, 5, 23, 1003])
-@pytest.mark.parametrize("row_bytes", [1, 40000, 1 << 40])  # 40000: 26 rows, cut to 24
+@pytest.mark.parametrize("row_bytes", [1, 10082, 40000, 1 << 40])  # 10082: 26 rows, cut to 24
 def test_row_blocks_are_aligned_and_leave_no_short_tail(total, row_bytes):
     blocks = _row_blocks(total, row_bytes)
     assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(total))
     lengths = [b.stop - b.start for b in blocks]
+    # no block but the last, which takes a short tail, is longer than the
+    # budget's rows cut to a multiple of 8
+    budget = gnn._BLOCK_BYTES // row_bytes // gnn._MIN_BLOCK_ROWS * gnn._MIN_BLOCK_ROWS
+    assert all(n <= max(budget, gnn._MIN_BLOCK_ROWS) for n in lengths[:-1])
     assert len(set(lengths[:-1])) <= 1
     assert all(n % gnn._MIN_BLOCK_ROWS == 0 for n in lengths[:-1])
     assert len(blocks) <= 1 or lengths[-1] >= gnn._MIN_BLOCK_ROWS
@@ -601,6 +605,39 @@ def test_representation_peak_memory_below_one_edge_state_array(np_rng):
     finally:
         tracemalloc.stop()
     assert peak < E * 64 * 8
+
+
+def test_gat_forward_without_a_cache_holds_two_n_by_k_arrays(np_rng):
+    # the logits turn into the weights in one n x k array, and at width 1
+    # the gathered source states are one block, the other n x k array; the
+    # rest is n-long vectors
+    n, k = 1024, 20
+    layer = make_gat(np_rng, 4, 1, 3)
+    X = np_rng.normal(size=(n, 4))
+    table = np_rng.integers(0, n, size=(n, k))
+    e_logit = np_rng.normal(size=n * k)
+    _gat_forward(layer, X, table, e_logit)  # one-time allocations count in no peak
+    tracemalloc.start()
+    try:
+        out = _gat_forward(layer, X, table, e_logit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2 * n * k * 8 + 16 * n * 8
+
+
+@pytest.mark.parametrize("n", [1, 21, 1024])
+def test_gat_forward_same_bits_with_and_without_a_cache(np_rng, n):
+    # 21 nodes take the dense sum, 1,024 the gathered one; one node has no
+    # neighbours
+    layer = make_gat(np_rng, 5, 4, 3)
+    X = np_rng.normal(size=(n, 5))
+    table = random_table(np_rng, n, min(20, n - 1))
+    e_logit = np_rng.normal(size=table.size)
+    cache = []
+    want = _gat_forward(layer, X, table, e_logit, cache)
+    assert _gat_forward(layer, X, table, e_logit).tobytes() == want.tobytes()
+    assert cache[0]["a_e"] is not cache[0]["z_e"]
 
 
 def test_representation_permutation_invariant(np_rng):

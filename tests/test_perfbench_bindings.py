@@ -150,8 +150,9 @@ def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, n
     """Each MLP block's span is named by the block object that load_params
     returned, so a forward pass that evaluated some other block object would
     record an anonymous ``gnn.fcn`` span and leave that block's metric at 0.
-    The edge block runs in row blocks, each its own ``gnn.h_edge`` span,
-    and attention is one ``gnn.gat`` span per layer and graph."""
+    The edge block is one ``gnn.h_edge`` span per graph, its projection
+    onto the edge logits included, and attention is one ``gnn.gat`` span
+    per layer and graph."""
     spans, cg = load_perfbench(monkeypatch)
     frames = [frame_from_matrix(0, i, np_rng.normal(size=(12, 5))) for i in range(3)]
     write_frames(frames, tmp_path / "frames.csv")

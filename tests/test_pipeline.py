@@ -487,6 +487,21 @@ def test_edge_features_coincident_points_zero_direction():
     assert np.allclose(ef[1], [0, 0, 0, 0, -2, -1])
 
 
+def test_edge_features_peak_memory_is_its_output_and_one_block(np_rng):
+    # target rows in blocks of _D2_BLOCK_BYTES of temporaries: no 5 x E
+    # gather of the whole table beside the E x 6 output (that peaks at
+    # about 2.8 times the output)
+    frame = random_frame(np_rng, 1024)
+    table = knn_edges(squared_distance_matrix(frame), 20)
+    tracemalloc.start()
+    try:
+        out = edge_features(frame, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + pipeline._D2_BLOCK_BYTES
+
+
 def test_edge_features_antisymmetry(np_rng):
     frame = random_frame(np_rng, 10)
     d2 = squared_distance_matrix(frame)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -179,3 +180,31 @@ def test_columns_equal_per_column_calls_bit_exact(np_rng):
 def test_columns_empty_raises():
     with pytest.raises(EmptyInput):
         statbox_columns(np.zeros((0, 3)))
+
+
+def seeded_samples(shape, seed):
+    """A seeded normal sample, a near-flat one (m2 about 1e-16, below
+    epsilon) and a constant one; a 2-D normal sample also gets one constant
+    and one near-flat row among its ordinary rows."""
+    rng = np.random.default_rng(seed)
+    v = 3.0 * rng.normal(size=shape)
+    flat = 1.5 + rng.normal(scale=1e-8, size=shape)
+    const = np.full(shape, -0.7)
+    if v.ndim == 2:
+        v[0], v[1] = const[0], flat[1]
+    return [v, flat, const]
+
+
+# SHA-256 of the outputs of the out-of-place kernel (np.mean, a new array
+# per moment), so computing the moments and the log in place keeps every bit
+@pytest.mark.parametrize("seed, shape, digest", [
+    (0, (128, 20), "869c1cba1f769e3636ca920ffc8928e03dbdc48340093d51d7626ecebbdbc9b1"),
+    (1, (19, 1024), "ab77c2374954a9fde3b968c30086172a8b388e53cdf3c40f469c743d04548c9d"),
+    (2, (1,), "6d0bac7e41916d005147d793afbdd5c2379624dcef0bfe5730f239b3073dea04"),
+    (3, (2,), "bd311e558291c2da95f41c64768aa0f52785c6af71b39aeaa3594f299ac4c62a"),
+])
+def test_statbox_array_digests_are_pinned(seed, shape, digest):
+    h = hashlib.sha256()
+    for v in seeded_samples(shape, seed):
+        h.update(statbox_array(v).tobytes())
+    assert h.hexdigest() == digest
