@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
 from .errors import ConfigError, ParseError
-from .formats import read_text
+from .formats import key_values, read_text
 
 EDGE_RELU_POLICIES = ("all_but_first", "all_but_last")
 HEADS = ("pose", "activity")
@@ -158,72 +158,55 @@ def serialize_config(pipeline: PipelineConfig, model: ModelShape | None = None) 
     return "\n".join(lines) + "\n"
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {text!r}")
+# each value type's parser and what its error says was expected
+_PARSERS = {
+    bool: ({"true": True, "false": False}.__getitem__, "true/false"),
+    int: (int, "integer"),
+    float: (float, "real"),
+}
 
 
-def _parse_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected integer, got {text!r}") from None
-
-
-def _parse_float(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected real, got {text!r}") from None
-
-
-def _parse_value(key: str, text: str, template):
-    if isinstance(template, bool):
-        return _parse_bool(text, key)
-    if isinstance(template, int):
-        return _parse_int(text, key)
-    if isinstance(template, float):
-        return _parse_float(text, key)
+def _parse_value(text: str, template):
+    """``text`` read as a value of ``template``'s type; a ValueError says
+    what was expected."""
+    if isinstance(template, str):
+        return text
     if isinstance(template, tuple):
-        parts = [p.strip() for p in text.split(",")] if text else []
         elem = template[0] if template else 0
-        if isinstance(elem, float):
-            return tuple(_parse_float(p, key) for p in parts)
-        return tuple(_parse_int(p, key) for p in parts)
-    return text
+        return tuple(_parse_value(p.strip(), elem) for p in text.split(",")) if text else ()
+    parse, expected = _PARSERS[type(template)]
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"expected {expected}, got {text!r}") from None
 
 
-def parse_config(text: str) -> tuple[PipelineConfig, ModelShape]:
-    """Parse flat key-value configuration text.
+def parse_config(text: str, path=None) -> tuple[PipelineConfig, ModelShape]:
+    """Parse flat key-value configuration text read from ``path``.
 
-    Missing keys fall back to defaults; unknown keys raise ConfigError.
+    Missing keys fall back to defaults, a repeated key takes its last value,
+    and an unknown key or a bad value is a ConfigError naming the line.
     """
-    pipe_defaults = PipelineConfig()
-    model_defaults = ModelShape()
-    pipe_kwargs: dict = {}
-    model_kwargs: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in _PIPELINE_FIELDS:
-            pipe_kwargs[key] = _parse_value(key, value, getattr(pipe_defaults, key))
-        elif key.startswith("model_") and key[len("model_"):] in _MODEL_FIELDS:
-            name = key[len("model_"):]
-            model_kwargs[name] = _parse_value(key, value, getattr(model_defaults, name))
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    return PipelineConfig(**pipe_kwargs), ModelShape(**model_kwargs)
+    # indexed by whether the key is a model key: 0 pipeline, 1 model
+    defaults = (PipelineConfig(), ModelShape())
+    kwargs: tuple = ({}, {})
+    try:
+        for lineno, key, value in key_values(text, path):
+            model = key.startswith("model_")
+            name = key[len("model_"):] if model else key
+            if name not in (_MODEL_FIELDS if model else _PIPELINE_FIELDS):
+                raise ParseError(lineno, f"unknown key {key!r}", path)
+            try:
+                kwargs[model][name] = _parse_value(value, getattr(defaults[model], name))
+            except ValueError as err:
+                raise ParseError(lineno, f"{key}: {err}", path) from None
+    except ParseError as err:
+        raise ConfigError(str(err)) from None
+    return PipelineConfig(**kwargs[0]), ModelShape(**kwargs[1])
 
 
 def load_config(path) -> tuple[PipelineConfig, ModelShape]:
     try:
-        return parse_config(read_text(path))
+        return parse_config(read_text(path), path)
     except ParseError as err:  # bytes that are not UTF-8
         raise ConfigError(str(err)) from None

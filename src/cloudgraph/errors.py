@@ -77,15 +77,18 @@ class ConfigError(CloudGraphError):
 
 
 class ParseError(CloudGraphError):
-    """Malformed line in a text input file."""
+    """Malformed line in a text input file, read ``{path}: line N: message``
+    when the file is known."""
 
-    def __init__(self, line_number: int, message: str):
+    def __init__(self, line_number: int, message: str, path=None):
         self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
+        self.path = path
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {message}")
 
 
 class FormatVersionError(CloudGraphError):
-    """A binary record carries an unsupported format version."""
+    """A binary record or a manifest carries an unsupported format version."""
 
 
 class IdMismatch(CloudGraphError):

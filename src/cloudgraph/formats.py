@@ -1,5 +1,13 @@
 """File codecs: frames, graph records, predictions, manifests.
 
+Text inputs follow two grammars, each read in one place.  Comma-separated
+files (frames, skeletons, scores, labels) go through ``_CsvRows``: a
+stripped header, then each non-blank stripped row with the header's field
+count, a (sequence, frame) id of two integers in [0, 2^64), and finite
+reals.  Configs and manifests go through ``key_values``: ``key = value``
+lines, ``#`` starting a comment.  Every malformed line is a ParseError
+naming the file and the line.
+
 Text files carry round-trip-exact decimal floats (``repr``); the binary
 graph records (little-endian 64-bit floats, row-major, dimension header)
 are the source of truth and every reader checks the format version.  The
@@ -15,7 +23,7 @@ import os
 import struct
 from itertools import count, repeat
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +33,7 @@ from .types import PointGraph, RadarFrame, Skeleton
 FRAMES_HEADER = "sequence_id,frame_id,x,y,z,v,I"
 SKELETON_HEADER = "sequence_id,frame_id,keypoint,x,y,z"
 SCORES_HEADER_PREFIX = "sequence_id,frame_id"
+LABELS_HEADER = "sequence_id,frame_id,class_index"
 
 GRAPH_MAGIC = b"PCGR"
 GRAPH_FORMAT_VERSION = 2
@@ -43,7 +52,68 @@ def read_text(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = len((data[: err.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(line, f"{path} is not UTF-8 (byte {data[err.start]:#04x})") from None
+        raise ParseError(line, f"not UTF-8 (byte {data[err.start]:#04x})", path) from None
+
+
+class _CsvRows:
+    """The rows of a comma-separated file whose stripped first line is
+    ``header``, or with ``open_ended`` begins with its fields and may add
+    more.  Iterating yields each non-blank data row, stripped and split, as
+    its (sequence, frame) id and its other fields, with ``lineno`` set to
+    the row's line; a row needs the header's field count and ids that are
+    integers in [0, 2^64), and a header of the two ids alone suits only a
+    file with no rows."""
+
+    def __init__(self, path, header: str, open_ended: bool = False):
+        self.path, self.lineno = path, 1
+        self.lines = read_text(path).splitlines()
+        names = self.lines[0].strip() if self.lines else ""
+        if not (names == header or open_ended and names.startswith(header + ",")):
+            expected = header + ",..." if open_ended else header
+            raise self.error(f"expected header {expected!r}")
+        self.width = names.count(",") + 1
+
+    def __iter__(self) -> Iterator[Tuple[Tuple[int, int], List[str]]]:
+        for self.lineno, raw in enumerate(self.lines[1:], start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            if self.width == 2:
+                raise ParseError(1, "the header names no value column", self.path)
+            fields = line.split(",")
+            if len(fields) != self.width:
+                raise self.error(f"expected {self.width} fields, got {len(fields)}")
+            try:
+                seq, fid = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise self.error("bad sequence or frame id") from None
+            if not (0 <= seq < _ID_LIMIT and 0 <= fid < _ID_LIMIT):
+                raise self.error("sequence or frame id outside [0, 2^64)")
+            yield (seq, fid), fields[2:]
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(self.lineno, message, self.path)
+
+    def integer(self, text: str, kind: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise self.error(f"bad {kind} value") from None
+
+    def reals(self, fields: List[str], kind: str, key: Tuple[int, int]) -> List[float]:
+        try:
+            values = list(map(float, fields))
+        except ValueError:
+            raise self.error(f"bad {kind} value") from None
+        if not all(map(math.isfinite, values)):
+            raise self.error(f"non-finite {kind} value in sequence {key[0]} frame {key[1]}")
+        return values
+
+    def unique(self, key: Tuple[int, int], seen) -> Tuple[int, int]:
+        """``key``, which must not be in ``seen``."""
+        if key in seen:
+            raise self.error(f"sequence {key[0]} frame {key[1]} repeats an earlier row")
+        return key
 
 
 # -- frames ------------------------------------------------------------------
@@ -69,20 +139,18 @@ def read_frames(path) -> List[RadarFrame]:
     rows of one id need not be contiguous.  A row whose five values are all
     empty marks an empty frame.  A malformed line, or a NaN or infinite
     point value, is a ParseError naming the first such line."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0].strip() != FRAMES_HEADER:
-        raise ParseError(1, f"expected header {FRAMES_HEADER!r}")
-    rows = list(filter(None, map(str.strip, lines[1:])))
+    table = _CsvRows(path, FRAMES_HEADER)
+    rows = list(filter(None, map(str.strip, table.lines[1:])))
     if not rows:
         return []
     if set(map(str.count, rows, repeat(","))) != {6}:
-        raise _first_bad_frame_line(lines)
+        raise _first_bad_frame_line(table)
     fields = ",".join(rows).split(",")
     del rows
     try:
         seqs, fids = list(map(int, fields[0::7])), list(map(int, fields[1::7]))
     except ValueError:
-        raise _first_bad_frame_line(lines) from None
+        raise _first_bad_frame_line(table) from None
     del fields[0::7]
     del fields[0::6]  # left: the x, y, z, v, I fields, row-major
     marker = None
@@ -95,15 +163,15 @@ def read_frames(path) -> List[RadarFrame]:
     try:
         points = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 5)
     except ValueError:
-        raise _first_bad_frame_line(lines) from None
+        raise _first_bad_frame_line(table) from None
     del fields
     if not np.isfinite(points).all():
-        raise _first_bad_frame_line(lines)
+        raise _first_bad_frame_line(table)
     # the (sequence, frame) pairs are zipped on the fly, never held as a
     # list, so they leave no thousands of tuples in the interpreter's free list
     rank = dict(zip(dict.fromkeys(zip(seqs, fids)), count()))
     if not all(0 <= seq < _ID_LIMIT and 0 <= fid < _ID_LIMIT for seq, fid in rank):
-        raise _first_bad_frame_line(lines)
+        raise _first_bad_frame_line(table)
     ranks = np.fromiter(map(rank.__getitem__, zip(seqs, fids)), np.intp, len(seqs))
     if marker is not None:
         ranks = ranks[~marker]
@@ -115,29 +183,14 @@ def read_frames(path) -> List[RadarFrame]:
     ]
 
 
-def _first_bad_frame_line(lines: List[str]) -> ParseError:
+def _first_bad_frame_line(table: _CsvRows) -> ParseError:
     """The ParseError for the first malformed data line of a frames file."""
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            return ParseError(lineno, f"expected 7 fields, got {len(parts)}")
-        try:
-            seq, fid = int(parts[0]), int(parts[1])
-        except ValueError:
-            return ParseError(lineno, "bad sequence or frame id")
-        if not (0 <= seq < _ID_LIMIT and 0 <= fid < _ID_LIMIT):
-            return ParseError(lineno, "sequence or frame id outside [0, 2^64)")
-        if all(p == "" for p in parts[2:]):
-            continue  # empty-frame marker
-        try:
-            vals = [float(p) for p in parts[2:]]
-        except ValueError:
-            return ParseError(lineno, "bad point value")
-        if not all(map(math.isfinite, vals)):
-            return ParseError(lineno, f"non-finite point value in sequence {seq} frame {fid}")
+    try:
+        for key, values in table:
+            if any(values):  # not an empty-frame marker
+                table.reals(values, "point", key)
+    except ParseError as err:
+        return err
     raise AssertionError("no malformed line in a frames file the reader rejected")
 
 
@@ -160,27 +213,13 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
     file; otherwise ParseError names the id.  A NaN or infinite coordinate
     is a ParseError naming its line, and a mid-hip index outside the M
     keypoints a ShapeMismatch naming the file."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0].strip() != SKELETON_HEADER:
-        raise ParseError(1, f"expected header {SKELETON_HEADER!r}")
+    table = _CsvRows(path, SKELETON_HEADER)
     acc: Dict[Tuple[int, int], List[Tuple[int, List[float]]]] = {}
     first_line: Dict[Tuple[int, int], int] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(lineno, f"expected 6 fields, got {len(parts)}")
-        try:
-            seq, fid, k = int(parts[0]), int(parts[1]), int(parts[2])
-            xyz = [float(p) for p in parts[3:]]
-        except ValueError:
-            raise ParseError(lineno, "bad skeleton value") from None
-        if not all(map(math.isfinite, xyz)):
-            raise ParseError(lineno, "non-finite skeleton value")
-        acc.setdefault((seq, fid), []).append((k, xyz))
-        first_line.setdefault((seq, fid), lineno)
+    for key, fields in table:
+        k = table.integer(fields[0], "skeleton")
+        acc.setdefault(key, []).append((k, table.reals(fields[1:], "skeleton", key)))
+        first_line.setdefault(key, table.lineno)
     out: Dict[Tuple[int, int], Skeleton] = {}
     num_keypoints = None
     for key, rows in acc.items():
@@ -188,13 +227,14 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
         m = len(rows)
         name = f"sequence {key[0]} frame {key[1]}"
         if [k for k, _ in rows] != list(range(m)):
-            raise ParseError(first_line[key], f"{name}: keypoint indices are not 0..{m - 1}, each once")
+            raise ParseError(first_line[key],
+                             f"{name}: keypoint indices are not 0..{m - 1}, each once", path)
         if num_keypoints is None:
             num_keypoints = m
             if not 0 <= mid_hip_index < m:
                 raise ShapeMismatch(f"{path}: mid-hip index {mid_hip_index} outside its {m} keypoints")
         elif m != num_keypoints:
-            raise ParseError(first_line[key], f"{name}: {m} keypoints, expected {num_keypoints}")
+            raise ParseError(first_line[key], f"{name}: {m} keypoints, expected {num_keypoints}", path)
         out[key] = Skeleton(np.array([xyz for _, xyz in rows]), mid_hip_index)
     return out
 
@@ -214,57 +254,26 @@ def write_scores(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
 
 def read_scores(path) -> Dict[Tuple[int, int], np.ndarray]:
     """Score vectors by (sequence, frame) id, each id on one row; every row
-    must have as many fields as the header, all of them finite."""
-    lines = read_text(path).splitlines()
-    if not lines or not lines[0].startswith(SCORES_HEADER_PREFIX):
-        raise ParseError(1, "expected a scores header")
-    width = len(lines[0].split(","))
+    must have as many fields as the header, all of them finite.  A header
+    with no score column suits only a file with no rows."""
+    table = _CsvRows(path, SCORES_HEADER_PREFIX, open_ended=True)
     out: Dict[Tuple[int, int], np.ndarray] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ParseError(lineno, f"expected {width} fields, got {len(parts)}")
-        try:
-            seq, fid = int(parts[0]), int(parts[1])
-            vals = np.array([float(p) for p in parts[2:]])
-        except ValueError:
-            raise ParseError(lineno, "bad score value") from None
-        if not np.isfinite(vals).all():
-            raise ParseError(lineno, "non-finite score value")
-        if (seq, fid) in out:
-            raise ParseError(lineno, f"sequence {seq} frame {fid} repeats an earlier row")
-        out[(seq, fid)] = vals
+    for key, fields in table:
+        out[table.unique(key, out)] = np.array(table.reals(fields, "score", key))
     return out
 
 
 def read_labels(path) -> Dict[Tuple[int, int], int]:
     """Ground-truth activity labels: sequence_id,frame_id,class_index rows, one per id."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0].strip() != "sequence_id,frame_id,class_index":
-        raise ParseError(1, "expected header 'sequence_id,frame_id,class_index'")
+    table = _CsvRows(path, LABELS_HEADER)
     out: Dict[Tuple[int, int], int] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(lineno, f"expected 3 fields, got {len(parts)}")
-        try:
-            seq, fid, label = map(int, parts)
-        except ValueError:
-            raise ParseError(lineno, "bad label value") from None
-        if (seq, fid) in out:
-            raise ParseError(lineno, f"sequence {seq} frame {fid} repeats an earlier row")
-        out[(seq, fid)] = label
+    for key, fields in table:
+        out[table.unique(key, out)] = table.integer(fields[0], "label")
     return out
 
 
 def write_labels(rows: Sequence[Tuple[int, int, int]], path) -> None:
-    lines = ["sequence_id,frame_id,class_index"]
+    lines = [LABELS_HEADER]
     lines += [f"{s},{f},{c}" for s, f, c in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -391,16 +400,25 @@ def write_manifest(entries: dict, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_manifest(path) -> dict:
-    out: dict = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+def key_values(text: str, path=None) -> Iterator[Tuple[int, str, str]]:
+    """Each ``key = value`` line of ``text`` as its line number, key and
+    value, both stripped.  ``#`` starts a comment, and blank lines are
+    skipped; any other line without ``=`` is a ParseError."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
-            raise ParseError(lineno, "expected 'key = value'")
-        key, value = (p.strip() for p in line.split("=", 1))
-        out[key] = value
-    if int(out.get("format_version", "-1")) != MANIFEST_FORMAT_VERSION:
-        raise FormatVersionError(f"{path}: unsupported manifest version")
+            raise ParseError(lineno, "expected 'key = value'", path)
+        key, value = line.split("=", 1)
+        yield lineno, key.strip(), value.strip()
+
+
+def read_manifest(path) -> dict:
+    """The entries of a manifest; a ``format_version`` other than this
+    module's is a FormatVersionError naming the file."""
+    out = {key: value for _, key, value in key_values(read_text(path), path)}
+    version = out.get("format_version")
+    if version != str(MANIFEST_FORMAT_VERSION):
+        raise FormatVersionError(f"{path}: unsupported manifest version {version!r}")
     return out

@@ -40,6 +40,8 @@ _TEMPLATE = np.array(
 NUM_JOINTS = _TEMPLATE.shape[0]
 MID_HIP_INDEX = 0
 FRAME_PERIOD_S = 0.1  # 10 Hz sweep rate
+_STANDOFF_M = 3.0  # distance of the figure from the sensor along y
+_DT_S = 1e-4  # half-step of the central difference for joint velocities
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,6 @@ class SyntheticSpec:
     noise: float = 0.02
     seed: int = 0
     sequence_id: int = 0
-    standoff: float = 3.0  # distance from the sensor along y
 
     def __post_init__(self):
         if self.num_frames < 0 or self.points_per_frame < 0:
@@ -64,7 +65,7 @@ class SyntheticSpec:
 def joint_positions(spec: SyntheticSpec, t: float) -> np.ndarray:
     """Joint positions (meters) of the figure at time t seconds."""
     joints = _TEMPLATE.copy()
-    joints[:, 1] += spec.standoff
+    joints[:, 1] += _STANDOFF_M
     if spec.motion == "static":
         return joints
     if spec.motion != "walk":
@@ -80,8 +81,8 @@ def joint_positions(spec: SyntheticSpec, t: float) -> np.ndarray:
     return joints
 
 
-def joint_velocities(spec: SyntheticSpec, t: float, dt: float = 1e-4) -> np.ndarray:
-    return (joint_positions(spec, t + dt) - joint_positions(spec, t - dt)) / (2.0 * dt)
+def joint_velocities(spec: SyntheticSpec, t: float) -> np.ndarray:
+    return (joint_positions(spec, t + _DT_S) - joint_positions(spec, t - _DT_S)) / (2.0 * _DT_S)
 
 
 def generate(spec: SyntheticSpec) -> Tuple[List[RadarFrame], List[Skeleton]]:

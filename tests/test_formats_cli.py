@@ -173,10 +173,90 @@ def test_frames_malformed_row_names_its_line(tmp_path, row, message):
     with pytest.raises(ParseError) as exc:
         formats.read_frames(path)
     assert exc.value.line_number == 5
-    assert str(exc.value) == f"line 5: {message}"
+    assert str(exc.value) == f"{path}: line 5: {message}"
 
 
 # -- skeleton / score / label csv --------------------------------------------
+
+
+# each CSV reader, its header, and a row with its ids and one value to fill
+# in; a label row holds no real value
+CSV_READERS = {
+    "frames": (formats.read_frames, formats.FRAMES_HEADER, "{},{},1.0,{},3.0,0.0,1.0"),
+    "skeletons": (lambda path: formats.read_skeletons(path, 0), formats.SKELETON_HEADER,
+                  "{},{},0,{},2.0,3.0"),
+    "scores": (formats.read_scores, "sequence_id,frame_id,score_0,score_1", "{},{},{},0.5"),
+    "labels": (formats.read_labels, formats.LABELS_HEADER, "{},{},1"),
+}
+BAD_IDS = [
+    ("x", "1", "bad sequence or frame id"),
+    ("0", "1.5", "bad sequence or frame id"),
+    ("-1", "1", "sequence or frame id outside [0, 2^64)"),
+    ("0", str(2**64), "sequence or frame id outside [0, 2^64)"),
+]
+
+
+@pytest.mark.parametrize("kind, seq, fid, value, message", [
+    *[(kind, seq, fid, "2.0", message) for kind in CSV_READERS for seq, fid, message in BAD_IDS],
+    *[(kind, "0", "1", "nan", f"non-finite {name} value in sequence 0 frame 1")
+      for kind, name in [("frames", "point"), ("skeletons", "skeleton"), ("scores", "score")]],
+])
+def test_csv_readers_share_one_row_grammar(tmp_path, kind, seq, fid, value, message):
+    """Every CSV reader rejects the same bad id or non-finite value on the
+    third line with the same message, naming the file."""
+    read, header, row = CSV_READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{row.format(0, 0, 1.0)}\n{row.format(seq, fid, value)}\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: line 3: {message}"
+
+
+@pytest.mark.parametrize("kind", ["skeletons", "scores", "labels"])
+@pytest.mark.parametrize("seq, fid, message", BAD_IDS)
+def test_cli_eval_bad_id_exit_2_naming_the_file(tmp_path, caplog, kind, seq, fid, message):
+    """A bad id in either input of eval exits 2, and the message tells the
+    two inputs apart."""
+    paths = {name: tmp_path / f"{name}.csv" for name in CSV_READERS}
+    for name, (_, header, row) in CSV_READERS.items():
+        bad = f"{row.format(seq, fid, 2.0)}\n" if name == kind else ""
+        paths[name].write_text(f"{header}\n{row.format(0, 0, 1.0)}\n{bad}", encoding="utf-8")
+    if kind == "skeletons":
+        args = [str(paths["skeletons"]), str(tmp_path / "truth.csv"), "--task", "pose"]
+        formats.write_skeletons([(0, 0, Skeleton(np.eye(1, 3), 0))], tmp_path / "truth.csv")
+    else:
+        args = [str(paths["scores"]), str(paths["labels"]), "--task", "activity"]
+    assert main(["eval", *args]) == 2
+    assert f"{paths[kind]}: line 3: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("header, rc", [
+    (" sequence_id,frame_id,score_0,score_1", 0),
+    ("sequence_id,frame_id,score_0,score_1\t", 0),
+    ("sequence_id,frame_idX,score_0,score_1", 2),
+    ("sequence_id,frame_idX", 2),
+    ("sequence_id", 2),
+])
+def test_cli_eval_scores_header_is_stripped_and_must_begin_with_the_ids(tmp_path, caplog,
+                                                                        header, rc):
+    s_path, l_path = tmp_path / "s.csv", tmp_path / "l.csv"
+    s_path.write_text(f"{header}\n0,1,0.2,0.8\n", encoding="utf-8")
+    formats.write_labels([(0, 1, 1)], l_path)
+    assert main(["eval", str(s_path), str(l_path), "--task", "activity"]) == rc
+    if rc:
+        assert f"{s_path}: line 1: expected header 'sequence_id,frame_id,...'" in caplog.text
+
+
+def test_cli_eval_scores_header_without_a_score_column_exit_2(tmp_path, caplog):
+    """A scores header of the two ids alone is blamed on the scores file,
+    not on a labels file whose class index is outside zero classes."""
+    s_path, l_path = tmp_path / "s.csv", tmp_path / "l.csv"
+    s_path.write_text("sequence_id,frame_id\n0,1\n", encoding="utf-8")
+    formats.write_labels([(0, 1, 0)], l_path)
+    assert main(["eval", str(s_path), str(l_path), "--task", "activity"]) == 2
+    assert f"{s_path}: line 1: the header names no value column" in caplog.text
+    assert str(l_path) not in caplog.text
 
 
 def test_skeletons_round_trip(tmp_path, np_rng):
@@ -339,6 +419,23 @@ def test_manifest_round_trip_and_version(tmp_path):
     assert back["a"] == "1"
     path.write_text("format_version = 999\n", encoding="utf-8")
     with pytest.raises(FormatVersionError):
+        formats.read_manifest(path)
+
+
+@pytest.mark.parametrize("line", ["format_version = x", "format_version =", "seed = 1"])
+def test_manifest_version_that_is_not_one_names_the_file(tmp_path, line):
+    path = tmp_path / "manifest.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(FormatVersionError, match=re.escape(f"{path}: unsupported manifest version")):
+        formats.read_manifest(path)
+
+
+def test_manifest_reads_comments_like_a_config(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_text("# a run\nformat_version = 1  # the version\n\n  seed = 7#x\n", encoding="utf-8")
+    assert formats.read_manifest(path) == {"format_version": "1", "seed": "7"}
+    path.write_text("format_version = 1\nseed\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 2: expected 'key = value'")):
         formats.read_manifest(path)
 
 
@@ -812,6 +909,21 @@ def test_cli_config_error_exit_6(tmp_path):
     assert rc == 6
 
 
+@pytest.mark.parametrize("line, message", [
+    ("bogus = 1", "unknown key 'bogus'"),
+    ("K", "expected 'key = value'"),
+    ("K = four", "K: expected integer, got 'four'"),
+    ("cell_width = 0.1,x,0.1", "cell_width: expected real, got 'x'"),
+    ("downsample_enabled = yes", "downsample_enabled: expected true/false, got 'yes'"),
+])
+def test_cli_config_line_error_exit_6_naming_file_and_line(tmp_path, caplog, line, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"# run\n{line}\n", encoding="utf-8")
+    rc = main(["init-weights", "--config", str(cfg_path), "--out", str(tmp_path / "w.bin")])
+    assert rc == 6
+    assert f"{cfg_path}: line 2: {message}" in caplog.text
+
+
 def seed_command(tmp_path, command, seed):
     """``command``'s argv with ``--seed seed`` (none if ``seed`` is None)
     and the path it writes."""
@@ -939,7 +1051,7 @@ def test_cli_non_utf8_input_names_file_and_line(tmp_path, caplog, kind, code):
         rc = main(["extract", str(frames_path), "--config", str(cfg_path),
                    "--out", str(tmp_path / "out")])
     assert rc == code
-    assert f"line 3: {bad} is not UTF-8 (byte 0xff)" in caplog.text
+    assert f"{bad}: line 3: not UTF-8 (byte 0xff)" in caplog.text
     assert not (tmp_path / "out").exists()
 
 
@@ -1250,8 +1362,11 @@ def text_inputs(tmp_path_factory):
     frames_path, gt_path = gen_inputs(tmp, frames=3, points=8)
     cfg_path = tmp / "run.cfg"
     write_config(cfg_path, pipe=PipelineConfig(K=3, F=2))
+    formats.write_scores([(0, f, np.array([0.5, -1.25, 3.0])) for f in range(3)], tmp / "s.csv")
+    formats.write_labels([(0, f, f) for f in range(3)], tmp / "l.csv")
     return {"frames": frames_path.read_bytes(), "skeletons": gt_path.read_bytes(),
-            "config": cfg_path.read_bytes()}
+            "config": cfg_path.read_bytes(), "scores": (tmp / "s.csv").read_bytes(),
+            "labels": (tmp / "l.csv").read_bytes()}
 
 
 # bytes a mutation writes: the CSV and config syntax, a non-UTF-8 byte,
@@ -1260,13 +1375,14 @@ MUTATION_BYTES = [bytes([b]) for b in b"0123456789-+.,=eEinaf \n\r\x00\xff"] + [
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing features
-@pytest.mark.parametrize("kind", ["frames", "config", "skeletons"])
+@pytest.mark.parametrize("kind", ["frames", "config", "skeletons", "scores", "labels"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_cli_survives_any_byte_mutation_of_a_text_input(text_inputs, kind, data):
     """Overwrite, insert or delete a few bytes of a frames CSV or a run
     config, then extract, or of a skeleton CSV, then eval it against the
-    original: the command exits 0, 2, 3, 5, 6 or 7, and after an extract
+    original, or of a scores or labels CSV, then eval it against the other,
+    unmutated: the command exits 0, 2, 3, 5, 6 or 7, and after an extract
     that exits 0 every record reads back."""
     blob = bytearray(text_inputs[kind])
     for _ in range(data.draw(st.integers(1, 4), label="mutations")):
@@ -1281,11 +1397,13 @@ def test_cli_survives_any_byte_mutation_of_a_text_input(text_inputs, kind, data)
         if kind == "skeletons":
             (tmp / "truth").write_bytes(text_inputs["skeletons"])
             rc = main(["eval", str(tmp / "skeletons"), str(tmp / "truth"), "--task", "pose"])
+        elif kind in ("scores", "labels"):
+            rc = main(["eval", str(tmp / "scores"), str(tmp / "labels"), "--task", "activity"])
         else:
             rc = main(["extract", str(tmp / "frames"), "--config", str(tmp / "config"),
                        "--out", str(tmp / "out")])
         assert rc in (0, 2, 3, 5, 6, 7)
-        if rc == 0 and kind != "skeletons":
+        if rc == 0 and kind in ("frames", "config"):
             for record in (tmp / "out").glob("graph_*.bin"):
                 formats.read_graph_record(record)
 

@@ -110,6 +110,11 @@ def test_config_comments_and_blanks_ignored():
     assert pipe.K == 4
 
 
+def test_config_repeated_key_takes_its_last_value():
+    pipe, model = parse_config("K = 4\nmodel_window = 2\nK = 6\nmodel_window = 3\n")
+    assert (pipe.K, model.window) == (6, 3)
+
+
 def test_config_bad_value_rejected():
     with pytest.raises(ConfigError):
         parse_config("K = notanint\n")
