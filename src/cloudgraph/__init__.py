@@ -30,11 +30,9 @@ from .gnn import (
     save_params,
 )
 from .metrics import (
-    PoseBatch,
     accuracy,
     cross_entropy,
     mae,
-    midhip_adjust,
     mpjpe,
     mse,
     pa_mpjpe,
@@ -53,10 +51,8 @@ from .pipeline import (
 from .rng import SplitMix64, derive_seed
 from .statbox import statbox_array, statbox_columns
 from .types import (
-    ActivityLabel,
     PointGraph,
     RadarFrame,
-    RadarPoint,
     Skeleton,
     validate_frame,
 )

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gnn import (encode_graph, init_params, load_params, predict_framewise,
                   predict_sequential, save_params)
-from .metrics import ActivityLabel, PoseBatch, activity_report, pose_report
+from .metrics import activity_report, pose_report
 from .pipeline import build_graph
 from .rng import SplitMix64
 from .synthetic import MID_HIP_INDEX, SyntheticSpec, generate
@@ -45,9 +45,9 @@ log = logging.getLogger("cloudgraph")
 
 def _windows(items, size, stride=1):
     """Full windows of ``size`` items per sequence, one every ``stride``
-    items: the window ending at item i holds items i-size+1..i, for i =
-    size-1, size-1+stride, ...  The items are frames (fusion windows) or
-    encoded graphs (LSTM windows).
+    items of the sequence in frame id order: the window ending at item i
+    holds items i-size+1..i, for i = size-1, size-1+stride, ...  The items
+    are frames (fusion windows) or encoded graphs (LSTM windows).
 
     A window whose frame ids are not consecutive spans a gap and is
     dropped.  Returns the windows kept and the number dropped.
@@ -57,6 +57,7 @@ def _windows(items, size, stride=1):
         by_seq.setdefault(item.sequence_id, []).append(item)
     kept, dropped = [], 0
     for seq_items in by_seq.values():
+        seq_items.sort(key=lambda item: item.frame_id)
         for i in range(size - 1, len(seq_items), stride):
             window = seq_items[i - size + 1 : i + 1]
             if all(b.frame_id == a.frame_id + 1 for a, b in zip(window, window[1:])):
@@ -187,17 +188,18 @@ def cmd_eval(args) -> int:
         raise IdMismatch(f"no ground truth for ids {missing[:5]}")
     coverage = len(keys) / len(gts)
     if args.task == "pose":
-        batch = PoseBatch([preds[k] for k in keys], [gts[k] for k in keys])
-        report = pose_report(batch, per_keypoint=args.per_keypoint, coverage=coverage)
+        pred = np.stack([preds[k].keypoints for k in keys])
+        gt = np.stack([gts[k].keypoints for k in keys])
+        if pred.shape[1] != gt.shape[1]:
+            raise ShapeMismatch(f"{args.predictions} has {pred.shape[1]} keypoints per pose, "
+                                f"{args.ground_truth} has {gt.shape[1]}")
+        report = pose_report(pred, gt, mid_hip, per_keypoint=args.per_keypoint, coverage=coverage)
     else:
-        num_classes = len(preds[keys[0]])
-        labels = []
-        for k in keys:
-            try:
-                labels.append(ActivityLabel(gts[k], num_classes))
-            except LabelOutOfRange as exc:
-                raise LabelOutOfRange(f"{args.ground_truth}: (sequence, frame) {k}: {exc}") from None
-        report = activity_report([preds[k] for k in keys], labels, coverage=coverage)
+        try:
+            report = activity_report(np.stack([preds[k] for k in keys]),
+                                     [gts[k] for k in keys], coverage=coverage)
+        except LabelOutOfRange as exc:
+            raise LabelOutOfRange(f"{args.ground_truth}: (sequence, frame) {keys[exc.row]}: {exc}") from None
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
     sys.stdout.write(report)

@@ -69,7 +69,12 @@ class DegenerateConfiguration(CloudGraphError):
 
 
 class LabelOutOfRange(CloudGraphError):
-    """Activity class index outside [0, C)."""
+    """Activity class index outside [0, C); ``row`` is the label's position
+    in the batch."""
+
+    def __init__(self, message: str, row: int = 0):
+        self.row = row
+        super().__init__(message)
 
 
 class ConfigError(CloudGraphError):

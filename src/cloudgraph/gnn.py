@@ -29,8 +29,11 @@ from .errors import (
     MissingRecurrentParams,
     NonFiniteOutput,
 )
+from .metrics import cross_entropy, softmax
+from .pipeline import EDGE_FEATURE_DIM, NODE_FEATURE_DIM
 from .rng import SplitMix64
-from .types import PointGraph, Skeleton
+from .statbox import STAT_NAMES
+from .types import POINT_FIELDS, PointGraph, Skeleton
 
 # -- parameter containers ----------------------------------------------------
 
@@ -180,10 +183,10 @@ def _build_params(shape: ModelShape, config: PipelineConfig, tensor: _TensorSour
             b=tensor(f"lstm.{tag}.b", (4 * H,), None),
         )
 
-    d_node_in = 19 if config.enable_node_features else 5
+    d_node_in = NODE_FEATURE_DIM if config.enable_node_features else len(POINT_FIELDS)
     h_edge = None
     if config.enable_edge_features:
-        h_edge = block("h_edge", (6, *shape.edge_units), shape.edge_relu_policy)
+        h_edge = block("h_edge", (EDGE_FEATURE_DIM, *shape.edge_units), shape.edge_relu_policy)
     h_node = block("h_node", (d_node_in, *shape.node_units), "all")
     gat_layers = []
     d_in = shape.node_units[-1]
@@ -200,7 +203,9 @@ def _build_params(shape: ModelShape, config: PipelineConfig, tensor: _TensorSour
         d_in = d_out
     h_frame = None
     if config.enable_frame_features:
-        h_frame = block("h_frame", (10 * 2 * d_node_in, *shape.frame_units), "all")
+        # frame features: the statistics of each node-feature column and of
+        # its squared deviations
+        h_frame = block("h_frame", (len(STAT_NAMES) * 2 * d_node_in, *shape.frame_units), "all")
     pred_in = (
         2 * shape.lstm_hidden if shape.sequential else representation_dim(shape, config)
     )
@@ -721,8 +726,9 @@ def network_loss(
     """Frame-wise forward pass plus loss; optionally full analytic gradients.
 
     loss_kind is "mse" (target: flat vector matching the head width) or
-    "cross_entropy" (target: integer class index).  Returns
-    (loss, grads_or_None, activation_sign_pattern).
+    "cross_entropy" (target: integer class index; LabelOutOfRange outside
+    the head's classes).  Returns (loss, grads_or_None,
+    activation_sign_pattern).
     """
     cache: dict = {"h_pred": []}
     rep = _rep_forward_batch(params, [graph], cache)
@@ -736,10 +742,8 @@ def network_loss(
         dpred = 2.0 * r / r.size
     elif loss_kind == "cross_entropy":
         label = int(target)
-        shifted = pred - pred.max()
-        log_z = np.log(np.exp(shifted).sum())
-        loss = float(log_z - shifted[label])
-        dpred = np.exp(shifted - log_z)
+        loss = cross_entropy(pred, label)
+        dpred = softmax(pred)
         dpred[label] -= 1.0
     else:
         raise ValueError(f"unknown loss {loss_kind!r}")

@@ -1,4 +1,9 @@
-"""Losses and evaluation metrics for pose and activity tasks.
+"""Losses and evaluation metrics for pose and activity tasks, on arrays.
+
+Pose metrics compare a prediction with a ground truth given as two float64
+B x M x 3 arrays (B poses of M keypoints); MPJPE also takes the index of
+the mid-hip keypoint.  Activity metrics score a B x C array against B
+integer labels, and a label outside [0, C) raises LabelOutOfRange.
 
 All skeleton math runs in meters; conversion to mm or cm belongs to the
 reporting layer.  The pose-alignment metric uses a similarity transform
@@ -8,8 +13,7 @@ mirrored skeletons are never rewarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -19,52 +23,39 @@ from .errors import (
     NonFiniteOutput,
     ShapeMismatch,
 )
-from .types import ActivityLabel, Skeleton
 
 
-@dataclass(frozen=True)
-class PoseBatch:
-    """Paired predictions and ground truths, equal length and keypoint count."""
-
-    predictions: List[Skeleton]
-    ground_truths: List[Skeleton]
-
-    def __post_init__(self):
-        if len(self.predictions) != len(self.ground_truths):
-            raise ShapeMismatch("batch lengths differ")
-        if not self.predictions:
-            raise ShapeMismatch("empty batch")
-        m = self.predictions[0].num_keypoints
-        for s in (*self.predictions, *self.ground_truths):
-            if s.num_keypoints != m:
-                raise ShapeMismatch("keypoint counts differ within batch")
-
-    def __len__(self) -> int:
-        return len(self.predictions)
+def _pair(pred, gt) -> Tuple[np.ndarray, np.ndarray]:
+    """Both arguments as float64 arrays of one shape, else ShapeMismatch."""
+    a = np.asarray(pred, dtype=np.float64)
+    b = np.asarray(gt, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
+    return a, b
 
 
-def midhip_adjust(pred: Skeleton, gt: Skeleton) -> Skeleton:
-    """Translate the prediction so its mid-hip lands on the ground truth's."""
-    if pred.num_keypoints != gt.num_keypoints:
-        raise ShapeMismatch("keypoint counts differ")
-    if pred.mid_hip_index != gt.mid_hip_index:
-        raise ShapeMismatch("mid-hip indices differ")
-    shift = gt.keypoints[gt.mid_hip_index] - pred.keypoints[pred.mid_hip_index]
-    return Skeleton(pred.keypoints + shift, pred.mid_hip_index)
+def _pose_pair(pred, gt) -> Tuple[np.ndarray, np.ndarray]:
+    """Predicted and ground-truth poses as two float64 B x M x 3 arrays with
+    B and M at least 1, else ShapeMismatch."""
+    a, b = _pair(pred, gt)
+    if a.ndim != 3 or a.shape[2] != 3 or 0 in a.shape:
+        raise ShapeMismatch(f"poses must be B x M x 3 with B, M >= 1, got shape {a.shape}")
+    return a, b
 
 
-def _mean_joint_error(batch: PoseBatch, place) -> float:
-    """Mean over samples of the mean joint distance from ``place(pred, gt)``
-    to the ground truth."""
-    total = 0.0
-    for pred, gt in zip(batch.predictions, batch.ground_truths):
-        total += float(np.linalg.norm(place(pred, gt) - gt.keypoints, axis=1).mean())
-    return total / len(batch)
+def _mean_joint_error(placed: np.ndarray, gt: np.ndarray) -> float:
+    """Mean over samples of the mean joint distance from ``placed`` to the
+    ground truth (B x M x 3 each)."""
+    return float(np.linalg.norm(placed - gt, axis=2).mean(axis=1).mean())
 
 
-def mpjpe(batch: PoseBatch) -> float:
-    """Mean per-joint position error after mid-hip adjustment (meters)."""
-    return _mean_joint_error(batch, lambda pred, gt: midhip_adjust(pred, gt).keypoints)
+def mpjpe(pred, gt, mid_hip_index: int) -> float:
+    """Mean per-joint position error (meters) of B x M x 3 predictions,
+    each translated so its mid-hip keypoint lands on the ground truth's."""
+    a, b = _pose_pair(pred, gt)
+    if not 0 <= mid_hip_index < a.shape[1]:
+        raise ShapeMismatch(f"mid-hip index {mid_hip_index} outside {a.shape[1]} keypoints")
+    return _mean_joint_error(a + (b[:, mid_hip_index] - a[:, mid_hip_index])[:, None], b)
 
 
 def similarity_align(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -100,47 +91,32 @@ def similarity_align(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return scale * (xc @ rot) + mu_g
 
 
-def pa_mpjpe(batch: PoseBatch) -> float:
+def pa_mpjpe(pred, gt) -> float:
     """MPJPE after per-sample similarity (Procrustes) alignment."""
-    return _mean_joint_error(batch, lambda pred, gt: similarity_align(pred.keypoints, gt.keypoints))
+    a, b = _pose_pair(pred, gt)
+    return _mean_joint_error(np.stack([similarity_align(p, g) for p, g in zip(a, b)]), b)
 
 
-def _flatten_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pred, PoseBatch):
-        pred, gt = _batch_arrays(pred)
-    a = np.asarray(pred, dtype=np.float64)
-    b = np.asarray(gt, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
-    return a.reshape(-1), b.reshape(-1)
-
-
-def _batch_arrays(batch: PoseBatch) -> tuple[np.ndarray, np.ndarray]:
-    p = np.stack([s.keypoints for s in batch.predictions])
-    g = np.stack([s.keypoints for s in batch.ground_truths])
-    return p, g
-
-
-def mse(pred, gt=None) -> float:
-    """Mean squared error over all keypoint coordinates (raw, unadjusted)."""
-    a, b = _flatten_pair(pred, gt)
+def mse(pred, gt) -> float:
+    """Mean squared error over all coordinates of two equal-shape arrays."""
+    a, b = _pair(pred, gt)
     d = a - b
     return float(np.mean(d * d))
 
 
-def rmse(pred, gt=None) -> float:
+def rmse(pred, gt) -> float:
     return float(np.sqrt(mse(pred, gt)))
 
 
-def mae(pred, gt=None) -> float:
-    a, b = _flatten_pair(pred, gt)
+def mae(pred, gt) -> float:
+    a, b = _pair(pred, gt)
     return float(np.mean(np.abs(a - b)))
 
 
-def per_keypoint_errors(batch: PoseBatch) -> dict:
-    """MAE and RMSE per keypoint over the batch (meters)."""
-    p, g = _batch_arrays(batch)
-    d = p - g  # B x M x 3
+def per_keypoint_errors(pred, gt) -> dict:
+    """MAE and RMSE per keypoint over B x M x 3 poses (meters)."""
+    a, b = _pose_pair(pred, gt)
+    d = a - b
     out_mae = np.abs(d).mean(axis=(0, 2))
     out_rmse = np.sqrt((d * d).mean(axis=(0, 2)))
     return {"mae": out_mae, "rmse": out_rmse}
@@ -153,30 +129,37 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def cross_entropy(scores, label: ActivityLabel) -> float:
-    """Negative log softmax probability of the true class (max-subtracted)."""
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if s.size != label.num_classes:
-        raise ShapeMismatch(f"{s.size} scores for {label.num_classes} classes")
+def _check_labels(labels, num_classes: int) -> None:
+    """LabelOutOfRange for the first label outside [0, num_classes), with
+    its position as ``row``.  The labels are compared as given, so an
+    integer too large for int64 is named exactly."""
+    for row, label in enumerate(labels):
+        if not 0 <= label < num_classes:
+            raise LabelOutOfRange(f"class index {label} outside [0, {num_classes})", row)
+
+
+def cross_entropy(scores, label: int) -> float:
+    """Negative log softmax probability of class ``label`` for one vector of
+    C scores (max-subtracted)."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise ShapeMismatch(f"expected one score vector, got shape {s.shape}")
+    _check_labels([label], s.size)
     shifted = s - s.max()
     log_z = float(np.log(np.exp(shifted).sum()))
-    return log_z - float(shifted[label.class_index])
+    return log_z - float(shifted[label])
 
 
-def accuracy(score_rows: Sequence, labels: Sequence[ActivityLabel]) -> float:
-    """Fraction of rows whose argmax (ties to the lowest index) hits the label."""
-    if len(score_rows) != len(labels):
-        raise ShapeMismatch("score/label counts differ")
-    if not labels:
-        raise ShapeMismatch("empty batch")
-    hits = 0
-    for row, label in zip(score_rows, labels):
-        s = np.asarray(row, dtype=np.float64).reshape(-1)
-        if not 0 <= label.class_index < s.size:
-            raise LabelOutOfRange(str(label.class_index))
-        if int(np.argmax(s)) == label.class_index:
-            hits += 1
-    return hits / len(labels)
+def accuracy(scores, labels) -> float:
+    """Fraction of the B rows of a B x C score array whose argmax (ties to
+    the lowest index) is the row's integer label."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2 or not len(s):
+        raise ShapeMismatch(f"scores must be B x C with B >= 1, got shape {s.shape}")
+    if len(labels) != len(s):
+        raise ShapeMismatch(f"{len(s)} score rows for {len(labels)} labels")
+    _check_labels(labels, s.shape[1])
+    return float(np.mean(np.argmax(s, axis=1) == np.asarray(labels)))
 
 
 def _table(rows: List[tuple], coverage: Optional[float]) -> List[str]:
@@ -189,27 +172,27 @@ def _table(rows: List[tuple], coverage: Optional[float]) -> List[str]:
 
 
 def pose_report(
-    batch: PoseBatch, per_keypoint: bool = False, coverage: Optional[float] = None
+    pred, gt, mid_hip_index: int, per_keypoint: bool = False, coverage: Optional[float] = None
 ) -> str:
-    """Text table: MPJPE / PA-MPJPE in mm, RMSE / MAE in cm, and, when
-    given, the share of ground-truth ids that have a prediction."""
+    """Text table for B x M x 3 poses: MPJPE / PA-MPJPE in mm, RMSE / MAE
+    in cm, and, when given, the share of ground-truth ids that have a
+    prediction."""
     lines = _table([
-        ("mpjpe_mm", mpjpe(batch) * 1000.0),
-        ("pa_mpjpe_mm", pa_mpjpe(batch) * 1000.0),
-        ("rmse_cm", rmse(batch) * 100.0),
-        ("mae_cm", mae(batch) * 100.0),
+        ("mpjpe_mm", mpjpe(pred, gt, mid_hip_index) * 1000.0),
+        ("pa_mpjpe_mm", pa_mpjpe(pred, gt) * 1000.0),
+        ("rmse_cm", rmse(pred, gt) * 100.0),
+        ("mae_cm", mae(pred, gt) * 100.0),
     ], coverage)
     if per_keypoint:
         # a finite rmse_cm bounds every squared error, so these are finite
-        pk = per_keypoint_errors(batch)
+        pk = per_keypoint_errors(pred, gt)
         lines.append("keypoint  mae_cm  rmse_cm")
         for i, (a, r) in enumerate(zip(pk["mae"], pk["rmse"])):
             lines.append(f"{i:8d}  {a * 100.0:.6f}  {r * 100.0:.6f}")
     return "\n".join(lines) + "\n"
 
 
-def activity_report(
-    score_rows: Sequence, labels: Sequence[ActivityLabel], coverage: Optional[float] = None
-) -> str:
-    lines = _table([("accuracy", accuracy(score_rows, labels))], coverage)
+def activity_report(scores, labels, coverage: Optional[float] = None) -> str:
+    """Text table of the accuracy of B x C scores against B integer labels."""
+    lines = _table([("accuracy", accuracy(scores, labels))], coverage)
     return "\n".join(lines) + "\n"

@@ -334,33 +334,26 @@ def frame_features(node_feature_matrix: np.ndarray, epsilon: float = 1e-12) -> n
     return np.concatenate([part1, part2])
 
 
-def _fuse_window(
-    frames: Sequence[RadarFrame], config: PipelineConfig, rng: Optional[SplitMix64]
-) -> RadarFrame:
+def _fuse_window(frames: Sequence[RadarFrame], config: PipelineConfig) -> RadarFrame:
     """One fusion window's frames validated and fused, then grid
-    downsampled when enabled, with ``rng`` or else the stream derived from
-    the seed and the fused frame's ids."""
+    downsampled when enabled, with the stream derived from the seed and the
+    fused frame's ids."""
     for f in frames:
         validate_frame(f)
     fused = fuse_frames(frames)
     if config.downsample_enabled and len(fused) > 0:
-        if rng is None:
-            rng = SplitMix64(derive_seed(config.seed, fused.sequence_id, fused.frame_id))
+        rng = SplitMix64(derive_seed(config.seed, fused.sequence_id, fused.frame_id))
         fused = downsample(fused, config.cell_width, config.Q, rng)
     return fused
 
 
-def build_graph(
-    frames: Sequence[RadarFrame],
-    config: PipelineConfig,
-    rng: Optional[SplitMix64] = None,
-) -> PointGraph:
+def build_graph(frames: Sequence[RadarFrame], config: PipelineConfig) -> PointGraph:
     """Run the full pipeline on one fusion window of consecutive frames.
 
     An empty fused frame yields a graph with zero nodes, zero edges, and a
     length-0 frame-feature vector (callers decide whether to skip it).
     """
-    fused = _fuse_window(frames, config, rng)
+    fused = _fuse_window(frames, config)
     table, neighbor_d2 = _neighbours(fused, config.K)
     if config.enable_node_features:
         nf = node_features(fused, neighbor_d2, config.epsilon)

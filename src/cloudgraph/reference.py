@@ -8,14 +8,13 @@ pipeline must agree with these bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import EmptyInput
 from .pipeline import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, _fuse_window
-from .rng import SplitMix64
 from .statbox import statbox_array
 from .types import PointGraph, RadarFrame
 
@@ -105,13 +104,9 @@ def naive_frame_features(node_feature_matrix: np.ndarray, epsilon: float) -> np.
     return np.concatenate(part1 + part2)
 
 
-def naive_build_graph(
-    frames: Sequence[RadarFrame],
-    config: PipelineConfig,
-    rng: Optional[SplitMix64] = None,
-) -> PointGraph:
+def naive_build_graph(frames: Sequence[RadarFrame], config: PipelineConfig) -> PointGraph:
     """Full pipeline with per-stage distance recomputation."""
-    fused = _fuse_window(frames, config, rng)
+    fused = _fuse_window(frames, config)
     table = naive_knn(fused, config.K)
     if config.enable_node_features:
         nf = naive_node_features(fused, table, config.epsilon)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import SplitMix64
-from .types import RadarFrame, RadarPoint, Skeleton
+from .types import RadarFrame, Skeleton
 
 # 13-joint template (meters), mid-hip first so mid_hip_index = 0.
 _TEMPLATE = np.array(
@@ -102,7 +102,7 @@ def generate(spec: SyntheticSpec) -> Tuple[List[RadarFrame], List[Skeleton]]:
             los = pos / max(float(np.linalg.norm(pos)), 1e-9)
             doppler = float(vels[j] @ los) + rng.normal() * spec.noise
             intensity = rng.next_double()
-            points.append(RadarPoint(pos[0], pos[1], pos[2], doppler, intensity))
-        frames.append(RadarFrame(frame_id=f, sequence_id=spec.sequence_id, points=tuple(points)))
+            points.append((pos[0], pos[1], pos[2], doppler, intensity))
+        frames.append(RadarFrame(frame_id=f, sequence_id=spec.sequence_id, points=points))
         skeletons.append(Skeleton(joints, MID_HIP_INDEX))
     return frames, skeletons

@@ -1,4 +1,5 @@
-"""Domain types shared by the pipeline, the model, and the metrics.
+"""Domain types shared by the pipeline, the model and the file formats:
+radar frames, skeletons and point graphs.  The metrics take plain arrays.
 
 All coordinates and skeletons are held in meters internally; conversion to
 mm or cm happens only at the reporting edge.  Every type is immutable after
@@ -8,24 +9,15 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import LabelOutOfRange, NonFiniteValue
+from .errors import NonFiniteValue
 
-
-class RadarPoint(NamedTuple):
-    """One radar return: 3D position, Doppler velocity, signal intensity."""
-
-    x: float
-    y: float
-    z: float
-    v: float
-    I: float
-
-
-POINT_FIELDS = RadarPoint._fields
+# the columns of a frame's n x 5 point array: 3D position, Doppler velocity,
+# signal intensity
+POINT_FIELDS = ("x", "y", "z", "v", "I")
 
 
 @dataclass(frozen=True)
@@ -33,8 +25,8 @@ class RadarFrame:
     """One radar sweep.  Point order is preserved exactly as ingested.
 
     ``points`` is a read-only float64 n x 5 array of (x, y, z, v, I) rows,
-    (0, 5) when empty.  Any n x 5 array-like is accepted, including a
-    sequence of RadarPoint; the frame keeps its own copy.
+    (0, 5) when empty.  Any n x 5 array-like is accepted, such as a
+    sequence of 5-tuples; the frame keeps its own copy.
     """
 
     frame_id: int
@@ -81,20 +73,6 @@ class Skeleton:
     @property
     def num_keypoints(self) -> int:
         return self.keypoints.shape[0]
-
-
-@dataclass(frozen=True)
-class ActivityLabel:
-    """Class index for activity recognition."""
-
-    class_index: int
-    num_classes: int
-
-    def __post_init__(self):
-        if not 0 <= self.class_index < self.num_classes:
-            raise LabelOutOfRange(
-                f"class index {self.class_index} outside [0, {self.num_classes})"
-            )
 
 
 def edges_from_table(table: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from cloudgraph.types import RadarFrame, RadarPoint, frame_from_matrix
+from cloudgraph.types import RadarFrame, frame_from_matrix
 
 
 def random_frame(rng: np.random.Generator, n: int, sequence_id=0, frame_id=0,

@@ -21,7 +21,6 @@ from cloudgraph.gnn import (
     init_params,
 )
 from cloudgraph.metrics import (
-    PoseBatch,
     cross_entropy,
     mpjpe,
     mse,
@@ -37,7 +36,7 @@ from cloudgraph.pipeline import (
 from cloudgraph.reference import gat_forward_reference, naive_build_graph, naive_knn
 from cloudgraph.rng import SplitMix64
 from cloudgraph.statbox import statbox_array
-from cloudgraph.types import ActivityLabel, Skeleton, edges_from_table, frame_from_matrix
+from cloudgraph.types import edges_from_table, frame_from_matrix
 
 from conftest import random_frame, random_table
 from test_statbox import oracle_stats
@@ -206,11 +205,11 @@ def test_acceptance_07_permutation_invariance():
 def test_acceptance_08_metric_identities():
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
-    pred = Skeleton(rng.normal(size=(13, 3)), 0)
-    gt = Skeleton(rng.normal(size=(13, 3)), 0)
-    base = mpjpe(PoseBatch([pred], [gt]))
-    moved = Skeleton(pred.keypoints + [3.0, -7.0, 1.0], 0)
-    assert abs(mpjpe(PoseBatch([moved], [gt])) - base) <= 1e-12
+    pred = rng.normal(size=(1, 13, 3))
+    gt = rng.normal(size=(1, 13, 3))
+    base = mpjpe(pred, gt, 0)
+    moved = pred + [3.0, -7.0, 1.0]
+    assert abs(mpjpe(moved, gt, 0) - base) <= 1e-12
 
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
@@ -220,14 +219,14 @@ def test_acceptance_08_metric_identities():
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
-    sim = Skeleton(1.7 * gt.keypoints @ rot.T + [0.5, 0.2, -0.3], 0)
-    assert pa_mpjpe(PoseBatch([sim], [gt])) <= 1e-9
+    sim = 1.7 * gt @ rot.T + [0.5, 0.2, -0.3]
+    assert pa_mpjpe(sim, gt) <= 1e-9
 
     a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     assert abs(rmse(a, b) ** 2 - mse(a, b)) <= 1e-12
 
     for C in (2, 5, 11):
-        val = cross_entropy(np.full(C, 3.3), ActivityLabel(0, C))
+        val = cross_entropy(np.full(C, 3.3), 0)
         assert abs(val - np.log(C)) <= 1e-12
     report("metric identities (mpjpe, pa-mpjpe, rmse/mse, cross-entropy)", t0, 10.0)
 

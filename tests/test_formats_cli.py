@@ -784,10 +784,19 @@ def test_cli_eval_reports_coverage(tmp_path, capsys, np_rng):
 
 def test_cli_eval_label_outside_score_width_exit_7(tmp_path, caplog):
     s_path, l_path = tmp_path / "s.csv", tmp_path / "l.csv"
-    formats.write_scores([(0, 0, np.array([3.0, 0.0]))], s_path)
-    formats.write_labels([(0, 0, 7)], l_path)
-    assert main(["eval", str(s_path), str(l_path), "--task", "activity"]) == 7
-    assert f"{l_path}: (sequence, frame) (0, 0): class index 7 outside [0, 2)" in caplog.text
+    formats.write_scores([(0, 0, np.array([3.0, 0.0])), (0, 1, np.array([0.0, 3.0]))], s_path)
+    for label in (7, -1, 2**64 - 1):
+        formats.write_labels([(0, 0, 1), (0, 1, label)], l_path)
+        assert main(["eval", str(s_path), str(l_path), "--task", "activity"]) == 7
+        assert f"{l_path}: (sequence, frame) (0, 1): class index {label} outside [0, 2)" in caplog.text
+
+
+def test_cli_eval_keypoint_counts_differ_exit_7_naming_both_files(tmp_path, caplog, np_rng):
+    p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
+    formats.write_skeletons([(0, 0, Skeleton(np_rng.normal(size=(3, 3)), 0))], p_path)
+    formats.write_skeletons([(0, 0, Skeleton(np_rng.normal(size=(4, 3)), 0))], g_path)
+    assert main(["eval", str(p_path), str(g_path), "--task", "pose"]) == 7
+    assert f"{p_path} has 3 keypoints per pose, {g_path} has 4" in caplog.text
 
 
 @pytest.mark.parametrize("index", [3, -1])
@@ -1629,6 +1638,24 @@ def test_cli_extract_restarts_windows_after_frame_gap(tmp_path, F, kept, dropped
     manifest = formats.read_manifest(out / "manifest.txt")
     assert manifest["windows_dropped_gap"] == str(dropped)
     assert manifest["graphs_out"] == str(len(kept))
+
+
+def test_cli_extract_windows_follow_frame_ids_not_file_order(tmp_path, np_rng):
+    """Frames listed 1, 0, 2 have no gap: the fusion windows are (0, 1) and
+    (1, 2).  Both used to be dropped as gaps."""
+    frames = {f: random_frame(np_rng, 3, frame_id=f) for f in (1, 0, 2)}
+    frames_path, cfg_path, out = tmp_path / "frames.csv", tmp_path / "run.cfg", tmp_path / "out"
+    formats.write_frames(list(frames.values()), frames_path)
+    pipe, _ = write_config(cfg_path, pipe=PipelineConfig(K=2, F=2))
+    assert main(["extract", str(frames_path), "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    manifest = formats.read_manifest(out / "manifest.txt")
+    assert (manifest["graphs_out"], manifest["windows_dropped_gap"]) == ("2", "0")
+    for fid in (1, 2):
+        graph = build_graph([frames[fid - 1], frames[fid]], pipe)
+        expected = tmp_path / "expected.bin"
+        formats.write_graph_record(graph, expected)
+        assert (out / formats.graph_record_name(graph)).read_bytes() == expected.read_bytes()
 
 
 def test_readme_lists_every_subcommand():

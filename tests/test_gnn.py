@@ -15,6 +15,7 @@ from cloudgraph.config import ModelShape, PipelineConfig, mars_sequential_shape,
 from cloudgraph.errors import (
     DimensionMismatch,
     EmptyGraph,
+    LabelOutOfRange,
     ManifestMismatch,
     MissingRecurrentParams,
 )
@@ -42,6 +43,7 @@ from cloudgraph.gnn import (
     read_weights_manifest,
     save_params,
 )
+from cloudgraph.metrics import cross_entropy, softmax
 from cloudgraph.pipeline import build_graph
 from cloudgraph.reference import gat_forward_reference
 from cloudgraph.rng import SplitMix64
@@ -886,6 +888,24 @@ def test_network_loss_values(np_rng):
     loss2, _, _ = network_loss(params, g, "mse", pred + 1.0)
     assert loss2 == pytest.approx(1.0)
     assert set(grads) == set(named_tensors(params))
+
+
+def test_network_loss_cross_entropy_is_the_metric(np_rng):
+    """The loss is metrics.cross_entropy of the head's scores; a label
+    outside the 5 classes raises, where -1 used to score class 4 and 5 to
+    raise IndexError."""
+    params, cfg = small_params(shape=ModelShape(head="activity", output_size=5, edge_units=(6,),
+                                                node_units=(8,), gat_units=(6,),
+                                                frame_units=(8,), pred_units=(8,)))
+    g = random_graph(np_rng, cfg=cfg)
+    scores = predict_framewise(params, g)
+    for label in range(5):
+        loss, _, _ = network_loss(params, g, "cross_entropy", label)
+        assert loss == pytest.approx(cross_entropy(scores, label), rel=1e-12)
+        assert loss == pytest.approx(-np.log(softmax(scores)[label]), rel=1e-12)
+    for label in (-1, 5):
+        with pytest.raises(LabelOutOfRange, match=rf"^class index {label} outside \[0, 5\)$"):
+            network_loss(params, g, "cross_entropy", label)
 
 
 def test_network_loss_lstm_grads_absent_from_check(np_rng):

@@ -12,12 +12,10 @@ from cloudgraph.errors import (
     ShapeMismatch,
 )
 from cloudgraph.metrics import (
-    PoseBatch,
     accuracy,
     activity_report,
     cross_entropy,
     mae,
-    midhip_adjust,
     mpjpe,
     mse,
     pa_mpjpe,
@@ -27,15 +25,15 @@ from cloudgraph.metrics import (
     similarity_align,
     softmax,
 )
-from cloudgraph.types import ActivityLabel, Skeleton
 
 
-def skel(arr, mid_hip=0):
-    return Skeleton(np.asarray(arr, dtype=np.float64), mid_hip)
+def batch(*poses):
+    """One B x M x 3 array from B M x 3 poses."""
+    return np.array(poses, dtype=np.float64)
 
 
-def random_skeleton(rng, m=13, mid_hip=0, scale=1.0):
-    return skel(rng.normal(size=(m, 3)) * scale, mid_hip)
+def random_pose(rng, m=13, scale=1.0):
+    return rng.normal(size=(m, 3)) * scale
 
 
 def random_rotation(rng):
@@ -43,50 +41,64 @@ def random_rotation(rng):
     return scipy.spatial.transform.Rotation.from_quat(q / np.linalg.norm(q)).as_matrix()
 
 
-# -- mid-hip adjustment and MPJPE --------------------------------------------
+# -- pose pairs and MPJPE ----------------------------------------------------
 
 
-def test_midhip_adjust_pins_root():
-    pred = skel([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
-    gt = skel([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
-    adj = midhip_adjust(pred, gt)
-    assert np.array_equal(adj.keypoints[0], gt.keypoints[0])
-    assert np.allclose(adj.keypoints[1], [1.0, 0.0, 0.0])
+BAD_POSE_PAIRS = [
+    ((2, 13, 3), (3, 13, 3)),  # batch lengths differ
+    ((1, 13, 3), (1, 12, 3)),  # keypoint counts differ
+    ((13, 3), (13, 3)),  # one pose, not a batch
+    ((1, 13, 2), (1, 13, 2)),  # 2D keypoints
+    ((0, 13, 3), (0, 13, 3)),  # empty batch
+    ((1, 0, 3), (1, 0, 3)),  # no keypoints
+]
 
 
-def test_midhip_adjust_rejects_mismatched():
+@pytest.mark.parametrize("metric", [
+    lambda p, g: mpjpe(p, g, 0),
+    pa_mpjpe,
+    per_keypoint_errors,
+    lambda p, g: pose_report(p, g, 0),
+], ids=["mpjpe", "pa_mpjpe", "per_keypoint_errors", "pose_report"])
+@pytest.mark.parametrize("shapes", BAD_POSE_PAIRS, ids=lambda s: f"{s[0]}-{s[1]}")
+def test_pose_metrics_take_one_b_by_m_by_3_shape(metric, shapes):
     with pytest.raises(ShapeMismatch):
-        midhip_adjust(skel(np.zeros((2, 3))), skel(np.zeros((3, 3))))
-    with pytest.raises(ShapeMismatch):
-        midhip_adjust(skel(np.zeros((2, 3)), 0), skel(np.zeros((2, 3)), 1))
+        metric(np.ones(shapes[0]), np.ones(shapes[1]))
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_mpjpe_mid_hip_index_outside_the_keypoints(index):
+    with pytest.raises(ShapeMismatch, match=f"mid-hip index {index} outside 2 keypoints"):
+        mpjpe(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), index)
 
 
 def test_mpjpe_hand_value():
     # after pinning the root, joint 1 sits 0.5 m off: mean over joints = 0.25
-    pred = skel([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
-    gt = skel([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
-    batch = PoseBatch([pred], [gt])
-    assert mpjpe(batch) == pytest.approx(0.25, abs=1e-15)
+    pred = batch([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
+    gt = batch([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    assert mpjpe(pred, gt, 0) == pytest.approx(0.25, abs=1e-15)
+    # pinned at joint 1 instead, joint 0 sits 0.5 m off
+    assert mpjpe(pred, gt, 1) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_mpjpe_zero_on_identical(np_rng):
-    s = random_skeleton(np_rng)
-    assert mpjpe(PoseBatch([s], [s])) == 0.0
+    s = batch(random_pose(np_rng))
+    assert mpjpe(s, s, 0) == 0.0
 
 
 def test_mpjpe_translation_invariant(np_rng):
-    pred = random_skeleton(np_rng)
-    gt = random_skeleton(np_rng)
-    base = mpjpe(PoseBatch([pred], [gt]))
-    moved = skel(pred.keypoints + np.array([10.0, -3.0, 2.0]))
-    assert mpjpe(PoseBatch([moved], [gt])) == pytest.approx(base, abs=1e-12)
+    pred = batch(random_pose(np_rng), random_pose(np_rng))
+    gt = batch(random_pose(np_rng), random_pose(np_rng))
+    base = mpjpe(pred, gt, 3)
+    moved = pred + np.array([[[10.0, -3.0, 2.0]], [[-1.0, 4.0, 0.5]]])
+    assert mpjpe(moved, gt, 3) == pytest.approx(base, abs=1e-12)
 
 
 def test_mpjpe_batch_is_mean_of_singles(np_rng):
-    preds = [random_skeleton(np_rng) for _ in range(3)]
-    gts = [random_skeleton(np_rng) for _ in range(3)]
-    singles = [mpjpe(PoseBatch([p], [g])) for p, g in zip(preds, gts)]
-    assert mpjpe(PoseBatch(preds, gts)) == pytest.approx(np.mean(singles), rel=1e-14)
+    preds = batch(*[random_pose(np_rng) for _ in range(3)])
+    gts = batch(*[random_pose(np_rng) for _ in range(3)])
+    singles = [mpjpe(p[None], g[None], 0) for p, g in zip(preds, gts)]
+    assert mpjpe(preds, gts, 0) == pytest.approx(np.mean(singles), rel=1e-14)
 
 
 # -- similarity alignment and PA-MPJPE ---------------------------------------
@@ -101,10 +113,10 @@ def test_align_recovers_similarity_transform(np_rng):
 
 
 def test_pa_mpjpe_zero_under_similarity(np_rng):
-    gt = random_skeleton(np_rng)
+    gt = random_pose(np_rng)
     rot = random_rotation(np_rng)
-    pred = skel(0.7 * gt.keypoints @ rot.T + [1.0, 2.0, 3.0])
-    assert pa_mpjpe(PoseBatch([pred], [gt])) == pytest.approx(0.0, abs=1e-9)
+    pred = 0.7 * gt @ rot.T + [1.0, 2.0, 3.0]
+    assert pa_mpjpe(batch(pred), batch(gt)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_pa_mpjpe_not_fooled_by_mirror(np_rng):
@@ -112,16 +124,15 @@ def test_pa_mpjpe_not_fooled_by_mirror(np_rng):
     # restricted to proper rotations
     gt = np_rng.normal(size=(13, 3))
     mirrored = gt * np.array([-1.0, 1.0, 1.0])
-    err = pa_mpjpe(PoseBatch([skel(mirrored)], [skel(gt)]))
+    err = pa_mpjpe(batch(mirrored), batch(gt))
     assert err > 1e-3
 
 
 def test_pa_mpjpe_never_exceeds_mpjpe(np_rng):
     for _ in range(20):
-        pred = random_skeleton(np_rng)
-        gt = random_skeleton(np_rng)
-        batch = PoseBatch([pred], [gt])
-        assert pa_mpjpe(batch) <= mpjpe(batch) + 1e-12
+        pred = batch(random_pose(np_rng))
+        gt = batch(random_pose(np_rng))
+        assert pa_mpjpe(pred, gt) <= mpjpe(pred, gt, 0) + 1e-12
 
 
 def brute_force_alignment(pred, gt):
@@ -157,7 +168,7 @@ def test_pa_mpjpe_matches_numeric_oracle(np_rng):
     for _ in range(3):
         pred = np_rng.normal(size=(8, 3))
         gt = np_rng.normal(size=(8, 3))
-        closed = pa_mpjpe(PoseBatch([skel(pred)], [skel(gt)]))
+        closed = pa_mpjpe(batch(pred), batch(gt))
         aligned_num, cost_num = brute_force_alignment(pred, gt)
         closed_pts = similarity_align(pred, gt)
         closed_cost = ((closed_pts - gt) ** 2).sum()
@@ -209,27 +220,18 @@ def test_rmse_squared_is_mse(np_rng):
     assert rmse(a, b) ** 2 == pytest.approx(mse(a, b), rel=1e-12)
 
 
-def test_elementwise_metrics_accept_pose_batch(np_rng):
-    preds = [random_skeleton(np_rng) for _ in range(3)]
-    gts = [random_skeleton(np_rng) for _ in range(3)]
-    batch = PoseBatch(preds, gts)
-    p = np.stack([s.keypoints for s in preds])
-    g = np.stack([s.keypoints for s in gts])
-    assert mse(batch) == pytest.approx(mse(p, g), rel=1e-15)
-    assert mae(batch) == pytest.approx(mae(p, g), rel=1e-15)
-
-
 def test_shape_mismatch_rejected():
-    with pytest.raises(ShapeMismatch):
-        mse(np.zeros((2, 3)), np.zeros((3, 3)))
+    for metric in (mse, rmse, mae):
+        with pytest.raises(ShapeMismatch):
+            metric(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 def test_per_keypoint_errors(np_rng):
-    preds = [random_skeleton(np_rng, m=4) for _ in range(5)]
-    gts = [random_skeleton(np_rng, m=4) for _ in range(5)]
-    pk = per_keypoint_errors(PoseBatch(preds, gts))
+    preds = batch(*[random_pose(np_rng, m=4) for _ in range(5)])
+    gts = batch(*[random_pose(np_rng, m=4) for _ in range(5)])
+    pk = per_keypoint_errors(preds, gts)
     assert pk["mae"].shape == (4,)
-    d = np.stack([p.keypoints - g.keypoints for p, g in zip(preds, gts)])
+    d = preds - gts
     assert np.allclose(pk["rmse"], np.sqrt((d * d).mean(axis=(0, 2))))
 
 
@@ -246,35 +248,37 @@ def test_softmax_properties(np_rng):
 
 
 def test_cross_entropy_uniform_scores():
-    label = ActivityLabel(class_index=2, num_classes=5)
-    assert cross_entropy(np.zeros(5), label) == pytest.approx(math.log(5.0), abs=1e-12)
+    assert cross_entropy(np.zeros(5), 2) == pytest.approx(math.log(5.0), abs=1e-12)
 
 
 def test_cross_entropy_confident_correct():
-    label = ActivityLabel(class_index=1, num_classes=3)
     scores = np.array([0.0, 100.0, 0.0])
-    assert cross_entropy(scores, label) == pytest.approx(0.0, abs=1e-12)
+    assert cross_entropy(scores, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_entropy_extreme_scores_finite():
-    label = ActivityLabel(class_index=0, num_classes=2)
-    val = cross_entropy(np.array([1e4, -1e4]), label)
+    val = cross_entropy(np.array([1e4, -1e4]), 0)
     assert math.isfinite(val)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_entropy_validation():
     with pytest.raises(ShapeMismatch):
-        cross_entropy(np.zeros(4), ActivityLabel(class_index=0, num_classes=5))
+        cross_entropy(np.zeros((1, 4)), 0)
 
 
 def test_label_out_of_range():
-    with pytest.raises(LabelOutOfRange):
-        ActivityLabel(class_index=7, num_classes=5)
+    for label in (-1, 5, 7):
+        message = rf"^class index {label} outside \[0, 5\)$"
+        with pytest.raises(LabelOutOfRange, match=message):
+            cross_entropy(np.zeros(5), label)
+        with pytest.raises(LabelOutOfRange, match=message) as exc:
+            accuracy(np.zeros((3, 5)), [0, label, label])
+        assert exc.value.row == 1
 
 
 def test_accuracy_with_argmax_ties():
-    labels = [ActivityLabel(0, 3), ActivityLabel(1, 3), ActivityLabel(2, 3)]
+    labels = [0, 1, 2]
     rows = [
         [1.0, 1.0, 0.0],  # tie 0/1 -> 0, correct
         [1.0, 1.0, 0.0],  # tie -> 0, wrong
@@ -286,17 +290,21 @@ def test_accuracy_with_argmax_ties():
 def test_accuracy_validation():
     with pytest.raises(ShapeMismatch):
         accuracy([[1.0, 0.0]], [])
+    with pytest.raises(ShapeMismatch):
+        accuracy(np.zeros((0, 2)), [])
+    with pytest.raises(ShapeMismatch):
+        accuracy([1.0, 0.0], [0])
     with pytest.raises(LabelOutOfRange):
-        accuracy([[1.0, 0.0]], [ActivityLabel(3, 4)])
+        accuracy([[1.0, 0.0]], [3])
 
 
 # -- reports -----------------------------------------------------------------
 
 
 def test_pose_report_units(np_rng):
-    gt = random_skeleton(np_rng)
-    pred = skel(gt.keypoints + 0.001)  # 1 mm offset on every coordinate
-    text = pose_report(PoseBatch([pred], [gt]))
+    gt = batch(random_pose(np_rng))
+    pred = gt + 0.001  # 1 mm offset on every coordinate
+    text = pose_report(pred, gt, 0)
     lines = dict(
         line.split(maxsplit=1) for line in text.strip().splitlines()[1:]
     )
@@ -305,16 +313,16 @@ def test_pose_report_units(np_rng):
     assert float(lines["rmse_cm"]) == pytest.approx(0.1, rel=1e-6)
     assert float(lines["mae_cm"]) == pytest.approx(0.1, rel=1e-6)
     # a 10 mm displacement of one non-root joint out of 13
-    kp = gt.keypoints.copy()
-    kp[5] += np.array([0.0, 0.0, 0.01])
-    text2 = pose_report(PoseBatch([skel(kp)], [gt]))
+    kp = gt.copy()
+    kp[0, 5] += np.array([0.0, 0.0, 0.01])
+    text2 = pose_report(kp, gt, 0)
     lines2 = dict(line.split(maxsplit=1) for line in text2.strip().splitlines()[1:])
     assert float(lines2["mpjpe_mm"]) == pytest.approx(10.0 / 13.0, rel=1e-5)
 
 
 def test_pose_report_per_keypoint_rows(np_rng):
-    batch = PoseBatch([random_skeleton(np_rng, m=3)], [random_skeleton(np_rng, m=3)])
-    text = pose_report(batch, per_keypoint=True)
+    text = pose_report(batch(random_pose(np_rng, m=3)), batch(random_pose(np_rng, m=3)), 0,
+                       per_keypoint=True)
     assert len(text.strip().splitlines()) == 5 + 1 + 3
 
 
@@ -322,16 +330,16 @@ def test_reports_known_answer():
     # pinned from the reports before the finiteness check: a finite report
     # keeps every character
     rng = np.random.default_rng(7)
-    gts = [Skeleton(rng.normal(size=(4, 3)), 0) for _ in range(2)]
-    preds = [Skeleton(g.keypoints + rng.normal(scale=0.05, size=(4, 3)), 0) for g in gts]
-    assert pose_report(PoseBatch(preds, gts), per_keypoint=True, coverage=2 / 3) == (
+    gts = batch(*[rng.normal(size=(4, 3)) for _ in range(2)])
+    preds = batch(*[g + rng.normal(scale=0.05, size=(4, 3)) for g in gts])
+    assert pose_report(preds, gts, 0, per_keypoint=True, coverage=2 / 3) == (
         "metric          value\nmpjpe_mm        77.824508\npa_mpjpe_mm     41.699031\n"
         "rmse_cm         4.599571\nmae_cm          3.374372\ncoverage        0.666667\n"
         "keypoint  mae_cm  rmse_cm\n       0  3.634128  5.596646\n"
         "       1  0.822042  1.179917\n       2  4.705356  5.354135\n"
         "       3  4.335960  4.821081\n"
     )
-    labels = [ActivityLabel(0, 2), ActivityLabel(0, 2), ActivityLabel(1, 2)]
+    labels = [0, 0, 1]
     assert activity_report([[0.3, 0.1], [0.2, 0.9], [0.5, 0.4]], labels, coverage=0.75) == (
         "metric          value\naccuracy        0.333333\ncoverage        0.750000\n"
     )
@@ -340,15 +348,15 @@ def test_reports_known_answer():
 def test_pose_report_refuses_a_non_finite_metric(np_rng):
     # a uniform shift of 1e160 leaves mpjpe and pa_mpjpe finite, but the
     # squared errors of rmse overflow; the report used to print "inf"
-    gt = random_skeleton(np_rng)
-    batch = PoseBatch([skel(gt.keypoints + 1e160)], [gt])
-    assert np.isfinite([mpjpe(batch), pa_mpjpe(batch)]).all()
+    gt = batch(random_pose(np_rng))
+    pred = gt + 1e160
+    assert np.isfinite([mpjpe(pred, gt, 0), pa_mpjpe(pred, gt)]).all()
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteOutput, match="^rmse_cm is not finite$"):
-            pose_report(batch, per_keypoint=True)
+            pose_report(pred, gt, 0, per_keypoint=True)
 
 
 def test_activity_report():
-    labels = [ActivityLabel(0, 2), ActivityLabel(1, 2)]
+    labels = [0, 1]
     text = activity_report([[2.0, 0.0], [0.0, 2.0]], labels)
     assert "accuracy        1.000000" in text

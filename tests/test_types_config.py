@@ -12,7 +12,6 @@ from cloudgraph.config import (
 from cloudgraph.errors import ConfigError, NonFiniteValue
 from cloudgraph.types import (
     RadarFrame,
-    RadarPoint,
     Skeleton,
     frame_from_matrix,
     validate_frame,
@@ -26,8 +25,8 @@ def test_validate_frame_passthrough():
 
 def test_validate_frame_names_offending_point_and_field():
     pts = (
-        RadarPoint(0, 0, 0, 0, 0),
-        RadarPoint(1, 1, 1, math.nan, 1),
+        (0, 0, 0, 0, 0),
+        (1, 1, 1, math.nan, 1),
     )
     with pytest.raises(NonFiniteValue) as exc:
         validate_frame(RadarFrame(frame_id=0, sequence_id=0, points=pts))
@@ -39,7 +38,7 @@ def test_frame_points_are_a_read_only_n_by_5_copy():
     mat = np.arange(10.0).reshape(2, 5)
     frame = RadarFrame(frame_id=0, sequence_id=0, points=mat)
     from_points = RadarFrame(frame_id=0, sequence_id=0,
-                             points=[RadarPoint(*row) for row in mat])
+                             points=[tuple(row) for row in mat.tolist()])
     assert frame.points.dtype == np.float64
     assert np.array_equal(frame.points, mat)
     assert np.array_equal(from_points.points, mat)
