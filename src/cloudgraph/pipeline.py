@@ -155,13 +155,16 @@ def knn_edges(d2: np.ndarray, K: int, own: Optional[np.ndarray] = None) -> np.nd
     broken by lower column.
 
     Partial selection, not a full sort: ``partition`` finds each row's
-    (k+1)-th smallest value, and the entries at or below it are the k+1
-    nearest candidates, which are then ordered by (distance, index).  Where
-    that value ties an entry left out, more than k+1 entries qualify and the
-    selection is not unique, so those rows alone take a full stable sort.
-    The own column is then removed from each row, or the last candidate
-    when k+1 columns at distance 0 precede it; the tie rule is the one a
-    stable sort of every row would give.
+    (k+1)-th smallest value, and the entries at or below it are the row's
+    candidates, taken by one ``flatnonzero`` as flat row-major indices of
+    ``d2``, so in ascending column order within a row.  A stable sort of
+    each row's candidate values puts first the k + 1 entries a stable sort
+    of the whole row would, since every entry left out is larger.  Ties are
+    tested once per block: m(k+1) candidates mean k + 1 in every row; more
+    mean some row's (k+1)-th value ties an entry past it, and the rows are
+    then padded with infinities to the longest row's count, so even then
+    only candidates are sorted.  The own column is then removed from each
+    row, or the last candidate when k+1 columns at distance 0 precede it.
     """
     m, n = d2.shape
     if K < 1:
@@ -169,17 +172,34 @@ def knn_edges(d2: np.ndarray, K: int, own: Optional[np.ndarray] = None) -> np.nd
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     k = min(K, n - 1)
-    inside = d2 <= np.partition(d2, k, axis=1)[:, [k]]
-    ties = np.flatnonzero(np.count_nonzero(inside, axis=1) > k + 1)
-    if ties.size:
-        inside[ties] = False
-        inside[ties[:, None], np.argsort(d2[ties], axis=1, kind="stable")[:, : k + 1]] = True
-    cand = (np.flatnonzero(inside) % n).reshape(m, k + 1)  # ascending index per row
-    vals = np.take_along_axis(d2, cand, axis=1)
-    cand = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    drop = cand == (np.arange(m) if own is None else own)[:, None]
-    drop[~drop.any(axis=1), -1] = True
-    return cand[~drop].reshape(m, k)
+    inside = d2 <= np.partition(d2, k, axis=1)[:, k, None]
+    flat = np.flatnonzero(inside)
+    if flat.size == m * (k + 1):
+        cand = flat.reshape(m, k + 1)
+        vals = d2.ravel()[cand]
+    else:
+        counts = np.count_nonzero(inside, axis=1)
+        fill = np.arange(counts.max()) < counts[:, None]  # a row's first slots
+        cand = np.zeros(fill.shape, dtype=np.int64)
+        cand[fill] = flat
+        vals = np.full(fill.shape, np.inf)
+        vals[fill] = d2.ravel()[flat]
+    # flat indices of each row's first k + 1 candidates, then their columns
+    row = np.arange(m)
+    order = np.argsort(vals, axis=1, kind="stable")[:, : k + 1]
+    order += (row * cand.shape[1])[:, None]
+    cols = cand.ravel()[order]
+    cols -= (row * n)[:, None]
+    drop = cols == (row if own is None else own)[:, None]
+    if np.count_nonzero(drop) < m:  # only ties can leave the own column out
+        drop[~drop.any(axis=1), -1] = True
+    return cols[~drop].reshape(m, k)
+
+
+def _row_gather(d2: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """``d2[i, sel[i, j]]`` for every (i, j), through flat row-major
+    indices of ``d2``."""
+    return d2.ravel()[sel + (np.arange(len(sel)) * d2.shape[1])[:, None]]
 
 
 def _neighbours(frame: RadarFrame, K: int):
@@ -198,7 +218,8 @@ def _neighbours(frame: RadarFrame, K: int):
     (k+1)-th smallest value, self included).  The rows that fail are
     recomputed on the window their own neighbour distances reach, grown by
     at least one point a side, until every row passes or the window is the
-    whole cloud.
+    whole cloud.  Each pass gathers its rows' neighbour distances from its
+    block by flat row-major index, as ``knn_edges`` takes its candidates.
 
     Why a passing row is exact, so that the table and distances are
     bit-identical to the whole matrix's whatever the block size:
@@ -218,7 +239,7 @@ def _neighbours(frame: RadarFrame, K: int):
     if step >= n:
         d2 = squared_distance_matrix(frame)
         table = knn_edges(d2, K)
-        return table, np.take_along_axis(d2, table, axis=1)
+        return table, _row_gather(d2, table)
     k = min(K, n - 1)
     pts = frame.points
     axis = int(np.argmax(np.ptp(pts[:, :3], axis=0)))
@@ -241,7 +262,7 @@ def _neighbours(frame: RadarFrame, K: int):
             d2 = squared_distance_matrix(frame, rows, cols)
             sel = knn_edges(d2, K, np.searchsorted(cols, rows))
             table[rows] = cols[sel]
-            neighbor_d2[rows] = near = np.take_along_axis(d2, sel, axis=1)
+            neighbor_d2[rows] = near = _row_gather(d2, sel)
             below, above = at - fence[lo], at - fence[hi + 1]
             short = np.minimum(below * below, above * above) <= near[:, -1]
             if (lo == 0 and hi == n) or not short.any():

@@ -286,6 +286,31 @@ def test_knn_matches_oracle_on_grid_clouds_with_ties(data, n):
     assert np.array_equal(knn_edges(squared_distance_matrix(frame), K), naive_knn(frame, K))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_knn_block_with_own_columns_matches_a_sort_oracle(data, n):
+    # a block as _neighbours builds it: sorted target rows against a sorted
+    # window of columns holding them, each row's own column at
+    # searchsorted(cols, rows); grid coordinates make rows tie and points
+    # coincide, so k + 1 zeros can precede the own column
+    coords = data.draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * 3), min_size=n, max_size=n))
+    is_row = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    rows = np.flatnonzero(is_row)
+    cols = np.flatnonzero(is_row | ((lo <= np.arange(n)) & (np.arange(n) < hi)))
+    K = data.draw(st.integers(1, n + 2))
+    d2 = squared_distance_matrix(frame_of(coords), rows, cols)
+    own = np.searchsorted(cols, rows)
+    got = knn_edges(d2, K, own)
+    k = max(min(K, len(cols) - 1), 0)
+    assert got.shape == (len(rows), k)
+    for i, row in enumerate(d2):
+        nearest = sorted((v, j) for j, v in enumerate(row) if j != own[i])[:k]
+        assert list(got[i]) == [j for _, j in nearest]
+
+
 def test_knn_peak_memory_below_one_and_a_half_n_by_n(np_rng):
     # one n x n index array from argpartition, freed before the tie check;
     # a full argsort with a self mask peaks above 2 n x n x 8 bytes
@@ -395,6 +420,11 @@ def test_windowed_distances_compute_under_half_the_matrix(monkeypatch):
     build_graph(frames, PipelineConfig(K=20))
     assert len(shapes) >= -(-n // (pipeline._D2_BLOCK_BYTES // (8 * n)))
     assert sum(m * w for m, w in shapes) < n * n / 2
+    # the blocks and distances the window rule takes on this cloud, pinned
+    # so that more retries or a wider window fail here, not only in a
+    # benchmark run
+    assert len(shapes) <= 20
+    assert sum(m * w for m, w in shapes) <= 236_140
 
 
 def test_off_axis_outlier_widens_its_window_to_the_whole_cloud(np_rng, monkeypatch):
