@@ -53,7 +53,6 @@ from .statbox import statbox_array, statbox_columns
 from .types import (
     PointGraph,
     RadarFrame,
-    Skeleton,
     validate_frame,
 )
 

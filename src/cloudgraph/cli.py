@@ -188,8 +188,8 @@ def cmd_eval(args) -> int:
         raise IdMismatch(f"no ground truth for ids {missing[:5]}")
     coverage = len(keys) / len(gts)
     if args.task == "pose":
-        pred = np.stack([preds[k].keypoints for k in keys])
-        gt = np.stack([gts[k].keypoints for k in keys])
+        pred = np.stack([preds[k] for k in keys])
+        gt = np.stack([gts[k] for k in keys])
         if pred.shape[1] != gt.shape[1]:
             raise ShapeMismatch(f"{args.predictions} has {pred.shape[1]} keypoints per pose, "
                                 f"{args.ground_truth} has {gt.shape[1]}")
@@ -214,13 +214,13 @@ def cmd_gen_synthetic(args) -> int:
         noise=args.noise,
         seed=args.seed if args.seed is not None else 0,
     )
-    frames, skeletons = generate(spec)
+    frames, poses = generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     formats.write_frames(frames, out)
     gt_path = out.with_name(out.stem + "_gt.csv")
     formats.write_skeletons(
-        [(f.sequence_id, f.frame_id, sk) for f, sk in zip(frames, skeletons)], gt_path
+        [(f.sequence_id, f.frame_id, pose) for f, pose in zip(frames, poses)], gt_path
     )
     log.info("wrote %s and %s (mid-hip index %d)", out, gt_path, MID_HIP_INDEX)
     return 0

@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import FormatVersionError, ParseError, ShapeMismatch
-from .types import PointGraph, RadarFrame, Skeleton
+from .types import PointGraph, RadarFrame
 
 FRAMES_HEADER = "sequence_id,frame_id,x,y,z,v,I"
 SKELETON_HEADER = "sequence_id,frame_id,keypoint,x,y,z"
@@ -197,22 +197,22 @@ def _first_bad_frame_line(table: _CsvRows) -> ParseError:
 # -- skeletons / predictions -------------------------------------------------
 
 
-def write_skeletons(
-    rows: Sequence[Tuple[int, int, Skeleton]], path
-) -> None:
+def write_skeletons(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
+    """Write (sequence_id, frame_id, M x 3 array-like) rows as a skeletons CSV."""
     lines = [SKELETON_HEADER]
-    for seq, fid, sk in rows:
-        for k, (x, y, z) in enumerate(sk.keypoints.tolist()):
+    for seq, fid, pose in rows:
+        for k, (x, y, z) in enumerate(np.asarray(pose, dtype=np.float64).tolist()):
             lines.append(f"{seq},{fid},{k},{x!r},{y!r},{z!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
-    """Skeletons by (sequence, frame) id.  Every id must list keypoint
-    indices 0..M-1, each once and in any order, with one M for the whole
-    file; otherwise ParseError names the id.  A NaN or infinite coordinate
-    is a ParseError naming its line, and a mid-hip index outside the M
-    keypoints a ShapeMismatch naming the file."""
+def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], np.ndarray]:
+    """Poses by (sequence, frame) id, each a float64 M x 3 array of
+    keypoints in meters.  Every id must list keypoint indices 0..M-1, each
+    once and in any order, with one M for the whole file; otherwise
+    ParseError names the id.  A NaN or infinite coordinate is a ParseError
+    naming its line, and a mid-hip index outside the M keypoints a
+    ShapeMismatch naming the file."""
     table = _CsvRows(path, SKELETON_HEADER)
     acc: Dict[Tuple[int, int], List[Tuple[int, List[float]]]] = {}
     first_line: Dict[Tuple[int, int], int] = {}
@@ -220,8 +220,8 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
         k = table.integer(fields[0], "skeleton")
         acc.setdefault(key, []).append((k, table.reals(fields[1:], "skeleton", key)))
         first_line.setdefault(key, table.lineno)
-    out: Dict[Tuple[int, int], Skeleton] = {}
-    num_keypoints = None
+    out: Dict[Tuple[int, int], np.ndarray] = {}
+    width = None
     for key, rows in acc.items():
         rows.sort(key=lambda row: row[0])
         m = len(rows)
@@ -229,13 +229,13 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], Skeleton]:
         if [k for k, _ in rows] != list(range(m)):
             raise ParseError(first_line[key],
                              f"{name}: keypoint indices are not 0..{m - 1}, each once", path)
-        if num_keypoints is None:
-            num_keypoints = m
+        if width is None:
+            width = m
             if not 0 <= mid_hip_index < m:
                 raise ShapeMismatch(f"{path}: mid-hip index {mid_hip_index} outside its {m} keypoints")
-        elif m != num_keypoints:
-            raise ParseError(first_line[key], f"{name}: {m} keypoints, expected {num_keypoints}", path)
-        out[key] = Skeleton(np.array([xyz for _, xyz in rows]), mid_hip_index)
+        elif m != width:
+            raise ParseError(first_line[key], f"{name}: {m} keypoints, expected {width}", path)
+        out[key] = np.array([xyz for _, xyz in rows])
     return out
 
 

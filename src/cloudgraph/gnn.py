@@ -33,7 +33,7 @@ from .metrics import cross_entropy, softmax
 from .pipeline import EDGE_FEATURE_DIM, NODE_FEATURE_DIM
 from .rng import SplitMix64
 from .statbox import STAT_NAMES
-from .types import POINT_FIELDS, PointGraph, Skeleton
+from .types import POINT_FIELDS, PointGraph
 
 # -- parameter containers ----------------------------------------------------
 
@@ -633,9 +633,9 @@ def frame_representation(params: ModelParams, graph: PointGraph) -> np.ndarray:
 
 def _head_output(
     params: ModelParams, vec: np.ndarray, graph: Union[PointGraph, EncodedGraph]
-) -> Union[Skeleton, np.ndarray]:
-    """Shape the h_pred output for the head; ``graph`` is the frame the
-    prediction is reported under."""
+) -> np.ndarray:
+    """Shape the h_pred output for the head: M x 3 for pose, C scores for
+    activity; ``graph`` is the frame the prediction is reported under."""
     shape = params.shape
     expected = head_output_dim(shape)
     if vec.shape[-1] != expected:
@@ -645,7 +645,7 @@ def _head_output(
             f"non-finite prediction for sequence {graph.sequence_id} frame {graph.frame_id}"
         )
     if shape.head == "pose":
-        return Skeleton(vec.reshape(shape.output_size, 3), shape.mid_hip_index)
+        return vec.reshape(shape.output_size, 3)
     return vec
 
 
@@ -661,10 +661,10 @@ def _predict(params: ModelParams, graphs: Sequence, lstm: Optional[LstmParams]):
     return _head_output(params, out, graphs[-1])
 
 
-def predict_framewise(params: ModelParams, graph) -> Union[Skeleton, np.ndarray]:
+def predict_framewise(params: ModelParams, graph) -> np.ndarray:
     """Frame-wise head: the representation vector of a graph, encoded or
-    not, through h_pred.  Pose output is an M x 3 skeleton; activity output
-    is raw class scores."""
+    not, through h_pred.  Pose output is an M x 3 array of keypoints;
+    activity output is raw class scores."""
     return _predict(params, [graph], None)
 
 
@@ -688,10 +688,10 @@ def _lstm_direction(d: LstmDirection, xs: np.ndarray) -> np.ndarray:
     return h
 
 
-def predict_sequential(params: ModelParams, graphs: Sequence) -> Union[Skeleton, np.ndarray]:
+def predict_sequential(params: ModelParams, graphs: Sequence) -> np.ndarray:
     """Sequential head: a window of graphs, encoded or not, through a
     bidirectional LSTM; the concatenated output at the last time index
-    feeds h_pred."""
+    feeds h_pred.  The output is shaped as in ``predict_framewise``."""
     if params.lstm is None:
         raise MissingRecurrentParams("model has no recurrent cell parameters")
     if not graphs:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import SplitMix64
-from .types import RadarFrame, Skeleton
+from .types import RadarFrame
 
 # 13-joint template (meters), mid-hip first so mid_hip_index = 0.
 _TEMPLATE = np.array(
@@ -85,11 +85,12 @@ def joint_velocities(spec: SyntheticSpec, t: float) -> np.ndarray:
     return (joint_positions(spec, t + _DT_S) - joint_positions(spec, t - _DT_S)) / (2.0 * _DT_S)
 
 
-def generate(spec: SyntheticSpec) -> Tuple[List[RadarFrame], List[Skeleton]]:
-    """Frames and matching ground-truth skeletons, fully seeded."""
+def generate(spec: SyntheticSpec) -> Tuple[List[RadarFrame], List[np.ndarray]]:
+    """Frames and matching ground-truth poses, one M x 3 array (meters) per
+    frame, fully seeded."""
     rng = SplitMix64(spec.seed)
     frames: List[RadarFrame] = []
-    skeletons: List[Skeleton] = []
+    poses: List[np.ndarray] = []
     for f in range(spec.num_frames):
         t = f * FRAME_PERIOD_S
         joints = joint_positions(spec, t)
@@ -104,5 +105,5 @@ def generate(spec: SyntheticSpec) -> Tuple[List[RadarFrame], List[Skeleton]]:
             intensity = rng.next_double()
             points.append((pos[0], pos[1], pos[2], doppler, intensity))
         frames.append(RadarFrame(frame_id=f, sequence_id=spec.sequence_id, points=points))
-        skeletons.append(Skeleton(joints, MID_HIP_INDEX))
-    return frames, skeletons
+        poses.append(joints)
+    return frames, poses

@@ -1,8 +1,8 @@
 """Domain types shared by the pipeline, the model and the file formats:
-radar frames, skeletons and point graphs.  The metrics take plain arrays.
+radar frames and point graphs.  Poses and the metrics take plain arrays.
 
-All coordinates and skeletons are held in meters internally; conversion to
-mm or cm happens only at the reporting edge.  Every type is immutable after
+All coordinates are held in meters internally; conversion to mm or cm
+happens only at the reporting edge.  Every type is immutable after
 construction and safe to share across threads.
 """
 
@@ -50,29 +50,6 @@ class RadarFrame:
     def as_matrix(self) -> np.ndarray:
         """The n x 5 point array (read-only)."""
         return self.points
-
-
-@dataclass(frozen=True)
-class Skeleton:
-    """M keypoints in 3D (meters) with the mid-hip keypoint identified."""
-
-    keypoints: np.ndarray
-    mid_hip_index: int
-
-    def __post_init__(self):
-        kp = np.asarray(self.keypoints, dtype=np.float64)
-        if kp.ndim != 2 or kp.shape[1] != 3:
-            raise ValueError("keypoints must be an M x 3 matrix")
-        if not np.all(np.isfinite(kp)):
-            raise ValueError("keypoints must be finite")
-        if not 0 <= self.mid_hip_index < kp.shape[0]:
-            raise ValueError("mid_hip_index out of range")
-        kp.setflags(write=False)
-        object.__setattr__(self, "keypoints", kp)
-
-    @property
-    def num_keypoints(self) -> int:
-        return self.keypoints.shape[0]
 
 
 def edges_from_table(table: np.ndarray) -> np.ndarray:

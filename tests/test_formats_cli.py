@@ -38,7 +38,7 @@ from cloudgraph.synthetic import (
     generate,
     joint_positions,
 )
-from cloudgraph.types import PointGraph, RadarFrame, Skeleton, frame_from_matrix
+from cloudgraph.types import PointGraph, RadarFrame, frame_from_matrix
 
 from conftest import append_tensor, random_frame
 
@@ -224,7 +224,7 @@ def test_cli_eval_bad_id_exit_2_naming_the_file(tmp_path, caplog, kind, seq, fid
         paths[name].write_text(f"{header}\n{row.format(0, 0, 1.0)}\n{bad}", encoding="utf-8")
     if kind == "skeletons":
         args = [str(paths["skeletons"]), str(tmp_path / "truth.csv"), "--task", "pose"]
-        formats.write_skeletons([(0, 0, Skeleton(np.eye(1, 3), 0))], tmp_path / "truth.csv")
+        formats.write_skeletons([(0, 0, np.eye(1, 3))], tmp_path / "truth.csv")
     else:
         args = [str(paths["scores"]), str(paths["labels"]), "--task", "activity"]
     assert main(["eval", *args]) == 2
@@ -260,17 +260,14 @@ def test_cli_eval_scores_header_without_a_score_column_exit_2(tmp_path, caplog):
 
 
 def test_skeletons_round_trip(tmp_path, np_rng):
-    rows = [
-        (0, 0, Skeleton(np_rng.normal(size=(5, 3)), 1)),
-        (0, 1, Skeleton(np_rng.normal(size=(5, 3)), 1)),
-    ]
+    rows = [(0, 0, np_rng.normal(size=(5, 3))), (0, 1, np_rng.normal(size=(5, 3)))]
     path = tmp_path / "sk.csv"
     formats.write_skeletons(rows, path)
     back = formats.read_skeletons(path, mid_hip_index=1)
     assert set(back) == {(0, 0), (0, 1)}
-    for seq, fid, sk in rows:
-        assert np.array_equal(back[(seq, fid)].keypoints, sk.keypoints)
-        assert back[(seq, fid)].mid_hip_index == 1
+    for seq, fid, pose in rows:
+        assert back[(seq, fid)].dtype == np.float64
+        assert np.array_equal(back[(seq, fid)], pose)
 
 
 def test_scores_round_trip(tmp_path, np_rng):
@@ -287,11 +284,11 @@ def test_prediction_writers_render_each_value_as_its_repr(tmp_path, np_rng):
     # exact text of repr(float(v)) for every single value
     special = [-0.0, 5e-324, 1e300, 2.0, -3.0, 0.1]
     kp = np.concatenate([np.array(special).reshape(2, 3), np_rng.normal(size=(2, 3))])
-    rows = [(0, 4, Skeleton(kp, 0)), (2, 9, Skeleton(kp[::-1], 1))]
+    rows = [(0, 4, kp), (2, 9, kp[::-1])]
     formats.write_skeletons(rows, tmp_path / "sk.csv")
     want = [formats.SKELETON_HEADER] + [
         f"{seq},{fid},{k}," + ",".join(repr(float(v)) for v in point)
-        for seq, fid, sk in rows for k, point in enumerate(sk.keypoints)
+        for seq, fid, pose in rows for k, point in enumerate(pose)
     ]
     assert (tmp_path / "sk.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
@@ -444,19 +441,20 @@ def test_manifest_reads_comments_like_a_config(tmp_path):
 
 def test_synthetic_deterministic():
     spec = SyntheticSpec(num_frames=5, points_per_frame=20, seed=7)
-    a_frames, a_sk = generate(spec)
-    b_frames, b_sk = generate(spec)
+    a_frames, a_poses = generate(spec)
+    b_frames, b_poses = generate(spec)
     assert_frames_equal(a_frames, b_frames)
-    for x, y in zip(a_sk, b_sk):
-        assert np.array_equal(x.keypoints, y.keypoints)
+    for x, y in zip(a_poses, b_poses):
+        assert x.dtype == np.float64 and x.shape == (NUM_JOINTS, 3)
+        assert np.array_equal(x, y)
 
 
 def test_synthetic_zero_noise_points_sit_on_joints():
     spec = SyntheticSpec(num_frames=2, points_per_frame=40, noise=0.0, seed=3)
-    frames, skeletons = generate(spec)
-    for frame, sk in zip(frames, skeletons):
+    frames, poses = generate(spec)
+    for frame, pose in zip(frames, poses):
         for xyz in frame.points[:, :3]:
-            d = np.linalg.norm(sk.keypoints - xyz, axis=1)
+            d = np.linalg.norm(pose - xyz, axis=1)
             assert d.min() < 1e-12
 
 
@@ -698,8 +696,8 @@ def test_cli_infer_zero_weights_zero_skeletons(tmp_path):
                  "--config", str(cfg_path), "--out", str(preds_path)]) == 0
     preds = formats.read_skeletons(preds_path, 0)
     assert len(preds) == 6
-    for sk in preds.values():
-        assert np.array_equal(sk.keypoints, np.zeros((5, 3)))
+    for pose in preds.values():
+        assert np.array_equal(pose, np.zeros((5, 3)))
 
 
 def test_cli_infer_missing_weights_exit_3(tmp_path):
@@ -727,8 +725,7 @@ def test_cli_eval_pose_identity_and_shift(tmp_path, capsys):
 
     # shift every prediction by 10 cm: rmse sees it, mpjpe does not
     gts = formats.read_skeletons(gt_path, 0)
-    shifted = [(s, f, Skeleton(sk.keypoints + [0.1, 0.0, 0.0], 0))
-               for (s, f), sk in sorted(gts.items())]
+    shifted = [(s, f, pose + [0.1, 0.0, 0.0]) for (s, f), pose in sorted(gts.items())]
     shifted_path = tmp_path / "shifted.csv"
     formats.write_skeletons(shifted, shifted_path)
     assert main(["eval", str(shifted_path), str(gt_path), "--task", "pose",
@@ -743,8 +740,8 @@ def test_cli_eval_pose_identity_and_shift(tmp_path, capsys):
 
 
 def test_cli_eval_id_mismatch_exit_5(tmp_path, np_rng):
-    preds = [(0, 0, Skeleton(np_rng.normal(size=(4, 3)), 0))]
-    gts = [(9, 9, Skeleton(np_rng.normal(size=(4, 3)), 0))]
+    preds = [(0, 0, np_rng.normal(size=(4, 3)))]
+    gts = [(9, 9, np_rng.normal(size=(4, 3)))]
     p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
     formats.write_skeletons(preds, p_path)
     formats.write_skeletons(gts, g_path)
@@ -763,7 +760,7 @@ def test_cli_eval_activity(tmp_path, capsys):
 
 
 def test_cli_eval_reports_coverage(tmp_path, capsys, np_rng):
-    gts = [(0, f, Skeleton(np_rng.normal(size=(4, 3)), 0)) for f in range(4)]
+    gts = [(0, f, np_rng.normal(size=(4, 3))) for f in range(4)]
     p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
     formats.write_skeletons(gts[:3], p_path)
     formats.write_skeletons(gts, g_path)
@@ -793,8 +790,8 @@ def test_cli_eval_label_outside_score_width_exit_7(tmp_path, caplog):
 
 def test_cli_eval_keypoint_counts_differ_exit_7_naming_both_files(tmp_path, caplog, np_rng):
     p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
-    formats.write_skeletons([(0, 0, Skeleton(np_rng.normal(size=(3, 3)), 0))], p_path)
-    formats.write_skeletons([(0, 0, Skeleton(np_rng.normal(size=(4, 3)), 0))], g_path)
+    formats.write_skeletons([(0, 0, np_rng.normal(size=(3, 3)))], p_path)
+    formats.write_skeletons([(0, 0, np_rng.normal(size=(4, 3)))], g_path)
     assert main(["eval", str(p_path), str(g_path), "--task", "pose"]) == 7
     assert f"{p_path} has 3 keypoints per pose, {g_path} has 4" in caplog.text
 
@@ -802,7 +799,7 @@ def test_cli_eval_keypoint_counts_differ_exit_7_naming_both_files(tmp_path, capl
 @pytest.mark.parametrize("index", [3, -1])
 def test_cli_eval_mid_hip_index_outside_keypoints_exit_7(tmp_path, caplog, np_rng, index):
     p_path = tmp_path / "p.csv"
-    formats.write_skeletons([(0, 0, Skeleton(np_rng.normal(size=(3, 3)), 0))], p_path)
+    formats.write_skeletons([(0, 0, np_rng.normal(size=(3, 3)))], p_path)
     rc = main(["eval", str(p_path), str(p_path), "--task", "pose", "--mid-hip-index", str(index)])
     assert rc == 7
     assert f"{p_path}: mid-hip index {index} outside its 3 keypoints" in caplog.text
@@ -857,7 +854,7 @@ def test_cli_eval_skeleton_keypoint_indices_exit_2(tmp_path, caplog, keypoints, 
     rc = main(["eval", str(p_path), str(g_path), "--task", "pose"])
     if message is None:  # any order of 0..M-1 is accepted
         assert rc == 0
-        assert np.array_equal(formats.read_skeletons(p_path, 0)[(0, 1)].keypoints[:, 0], [0, 1, 2])
+        assert np.array_equal(formats.read_skeletons(p_path, 0)[(0, 1)][:, 0], [0, 1, 2])
     else:
         assert rc == 2
         assert message in caplog.text
@@ -1215,8 +1212,8 @@ def test_cli_streamed_sequential_infer_equals_a_loop_over_loaded_windows(tmp_pat
     for seq, end in ends:
         window = [formats.read_graph_record(graphs / f"graph_{seq:05d}_{f:06d}.bin")
                   for f in range(end - 2, end + 1)]
-        want = predict_sequential(params, window).keypoints
-        assert np.array_equal(got[seq, end].keypoints, want), (seq, end)
+        want = predict_sequential(params, window)
+        assert np.array_equal(got[seq, end], want), (seq, end)
 
 
 def test_cli_sequential_infer_logs_the_windows_dropped_at_a_gap(tmp_path, np_rng, caplog):
@@ -1241,8 +1238,8 @@ def test_cli_streamed_framewise_infer_equals_each_loaded_record(tmp_path, np_rng
     assert sorted(got) == sorted(STREAM_IDS)
     for path in graphs.glob("graph_*.bin"):
         graph = formats.read_graph_record(path)
-        want = predict_framewise(params, graph).keypoints
-        assert np.array_equal(got[graph.sequence_id, graph.frame_id].keypoints, want), path.name
+        want = predict_framewise(params, graph)
+        assert np.array_equal(got[graph.sequence_id, graph.frame_id], want), path.name
 
 
 def test_cli_infer_orders_records_by_their_ids_past_six_digits(tmp_path, np_rng):
@@ -1446,9 +1443,8 @@ def scaled_eval_inputs(tmp, task, exponent):
     p_path, t_path = tmp / "p.csv", tmp / "t.csv"
     if task == "pose":
         truth = [(0, f, rng.uniform(-1, 1, size=(5, 3))) for f in range(3)]
-        formats.write_skeletons([(s, f, Skeleton(np.ldexp(kp, exponent), 0))
-                                 for s, f, kp in truth], p_path)
-        formats.write_skeletons([(s, f, Skeleton(kp, 0)) for s, f, kp in truth], t_path)
+        formats.write_skeletons([(s, f, np.ldexp(kp, exponent)) for s, f, kp in truth], p_path)
+        formats.write_skeletons(truth, t_path)
     else:
         formats.write_scores([(0, f, np.ldexp(rng.uniform(-1, 1, size=4), exponent))
                               for f in range(3)], p_path)
@@ -1496,8 +1492,8 @@ def test_cli_eval_pose_report_with_a_non_finite_metric_exit_7(tmp_path, caplog, 
     # every prediction shifted by 1e160: mpjpe and pa_mpjpe stay finite,
     # the squared errors of rmse do not
     p_path, t_path = scaled_eval_inputs(tmp_path, "pose", 0)
-    shifted = [(s, f, Skeleton(sk.keypoints + 1e160, 0))
-               for (s, f), sk in sorted(formats.read_skeletons(p_path, 0).items())]
+    shifted = [(s, f, pose + 1e160)
+               for (s, f), pose in sorted(formats.read_skeletons(p_path, 0).items())]
     formats.write_skeletons(shifted, p_path)
     assert main(["eval", str(p_path), str(t_path), "--task", "pose"]) == 7
     assert "rmse_cm is not finite" in caplog.text
@@ -1604,7 +1600,7 @@ def test_cli_eval_non_finite_text_values_exit_2(tmp_path, caplog, value):
     p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
     p_path.write_text(f"{formats.SKELETON_HEADER}\n0,0,0,0.0,0.0,0.0\n0,0,1,1.0,{value},0.0\n",
                       encoding="utf-8")
-    formats.write_skeletons([(0, 0, Skeleton(np.eye(2, 3), 0))], g_path)
+    formats.write_skeletons([(0, 0, np.eye(2, 3))], g_path)
     assert main(["eval", str(p_path), str(g_path), "--task", "pose"]) == 2
     assert "line 3: non-finite skeleton value" in caplog.text
 

@@ -47,7 +47,7 @@ from cloudgraph.metrics import cross_entropy, softmax
 from cloudgraph.pipeline import build_graph
 from cloudgraph.reference import gat_forward_reference
 from cloudgraph.rng import SplitMix64
-from cloudgraph.types import Skeleton, edges_from_table
+from cloudgraph.types import edges_from_table
 
 from conftest import append_tensor, random_frame, random_table
 
@@ -454,11 +454,11 @@ def test_attention_output_identical_across_blas_threads():
         "graphs = [build_graph([frame_from_matrix(0, i, r.normal(size=(n, 5)))], cfg)\n"
         "          for i, n in enumerate((96, 12, 64, 205))]\n"
         "rep = _rep_forward_batch(params, graphs)\n"
-        "out = predict_sequential(params, graphs).keypoints\n"
+        "out = predict_sequential(params, graphs)\n"
         "big = build_graph([frame_from_matrix(1, 0, r.normal(size=(307, 5)))], cfg)\n"
         "default = init_params(ModelShape(), cfg, SplitMix64(1))\n"
         "rep2 = _rep_forward_batch(default, [big])\n"
-        "out2 = predict_framewise(default, big).keypoints\n"
+        "out2 = predict_framewise(default, big)\n"
         "print(hashlib.sha256(b''.join(a.tobytes() for a in (rep, out, rep2, out2))).hexdigest())\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -694,10 +694,8 @@ def test_framewise_pose_shape_and_zero_weights(np_rng):
     params = zero_all(init_params(shape, cfg, SplitMix64(0)))
     g = random_graph(np_rng, cfg=cfg)
     out = predict_framewise(params, g)
-    assert isinstance(out, Skeleton)
-    assert out.keypoints.shape == (17, 3)
-    assert np.array_equal(out.keypoints, np.zeros((17, 3)))
-    assert out.mid_hip_index == 8
+    assert out.dtype == np.float64 and out.shape == (17, 3)
+    assert np.array_equal(out, np.zeros((17, 3)))
 
 
 def test_framewise_activity_scores(np_rng):
@@ -715,7 +713,7 @@ def test_framewise_deterministic_rerun(np_rng):
     g = random_graph(np_rng, cfg=cfg)
     a = predict_framewise(params, g)
     b = predict_framewise(params, g)
-    assert np.array_equal(a.keypoints, b.keypoints)
+    assert np.array_equal(a, b)
 
 
 def test_sequential_requires_lstm(np_rng):
@@ -735,11 +733,10 @@ def test_sequential_single_frame_and_zero_weights(np_rng):
     params = init_params(shape, cfg, SplitMix64(4))
     g = random_graph(np_rng, cfg=cfg)
     out = predict_sequential(params, [g])
-    assert isinstance(out, Skeleton)
-    assert out.keypoints.shape == (4, 3)
+    assert out.dtype == np.float64 and out.shape == (4, 3)
     zero_all(params)
     out0 = predict_sequential(params, [g])
-    assert np.array_equal(out0.keypoints, np.zeros((4, 3)))
+    assert np.array_equal(out0, np.zeros((4, 3)))
 
 
 def test_sequential_is_order_sensitive(np_rng):
@@ -753,7 +750,7 @@ def test_sequential_is_order_sensitive(np_rng):
     graphs = [random_graph(np_rng, cfg=cfg) for _ in range(4)]
     a = predict_sequential(params, graphs)
     b = predict_sequential(params, graphs[::-1])
-    assert not np.allclose(a.keypoints, b.keypoints)
+    assert not np.allclose(a, b)
 
 
 def full_lstm_states(d, xs):
@@ -778,7 +775,7 @@ def test_sequential_equals_the_full_length_recursion(np_rng, frames):
     assert np.array_equal(gnn._lstm_direction(params.lstm.fwd, reps), hf[-1])
     assert np.array_equal(gnn._lstm_direction(params.lstm.bwd, reps[-1:]), hb[0])
     want = _fcn_forward(params.h_pred, np.concatenate([hf[-1], hb[0]])[None, :])[0]
-    got = predict_sequential(params, graphs).keypoints.reshape(-1)
+    got = predict_sequential(params, graphs).reshape(-1)
     assert np.array_equal(got, want)
 
 
@@ -882,7 +879,7 @@ def test_grad_check_with_nonzero_biases(np_rng, policy, edge_units):
 def test_network_loss_values(np_rng):
     params, cfg = small_params()
     g = random_graph(np_rng, cfg=cfg)
-    pred = predict_framewise(params, g).keypoints.reshape(-1)
+    pred = predict_framewise(params, g).reshape(-1)
     loss, grads, _ = network_loss(params, g, "mse", pred)
     assert loss == 0.0
     loss2, _, _ = network_loss(params, g, "mse", pred + 1.0)

@@ -8,8 +8,11 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
-from cloudgraph.formats import read_graph_record, write_frames, write_graph_record
+from cloudgraph.formats import (read_graph_record, read_skeletons, write_frames,
+                                write_graph_record)
 from cloudgraph.pipeline import build_graph
 from cloudgraph.reference import naive_build_graph
 from cloudgraph.synthetic import NUM_JOINTS
@@ -29,6 +32,22 @@ def load_perfbench(monkeypatch):
         run = importlib.import_module("run")
         cg = run.import_cloudgraph()
     return importlib.import_module("spans"), cg
+
+
+def test_benchmark_inputs_read_back_as_one_pose_array_per_frame(monkeypatch, tmp_path):
+    """The benchmark writes ``generate()``'s poses with ``write_skeletons``
+    and counts predictions as ``len(read_skeletons(path, 0))``.  A pose API
+    that stops taking those rows or returning one entry per frame fails
+    here, not only in a benchmark run."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    paths = workloads.write_inputs(workloads.WORKLOADS["sparse_fused"], 1, tmp_path)
+    poses = read_skeletons(paths["truth"], 0)
+    assert len(poses) == 16
+    for pose in poses.values():
+        assert isinstance(pose, np.ndarray)
+        assert pose.dtype == np.float64 and pose.shape == (NUM_JOINTS, 3) == (13, 3)
 
 
 def test_install_wraps_and_uninstall_restores_every_binding(monkeypatch):

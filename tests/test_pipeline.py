@@ -312,8 +312,11 @@ def test_knn_block_with_own_columns_matches_a_sort_oracle(data, n):
 
 
 def test_knn_peak_memory_below_one_and_a_half_n_by_n(np_rng):
-    # one n x n index array from argpartition, freed before the tie check;
-    # a full argsort with a self mask peaks above 2 n x n x 8 bytes
+    # the peak is the n x n float64 copy np.partition makes, alive beside
+    # the n x n bool candidate mask it is compared into (about 9 n x n bytes);
+    # the flatnonzero indices and the sort cover only m (k+1) candidates.
+    # A second n x n 8-byte array, such as a full argsort of the row or an
+    # n x n index array, would pass 2 n x n x 8 bytes
     n = 512
     d2 = squared_distance_matrix(random_frame(np_rng, n))
     tracemalloc.start()

@@ -12,7 +12,6 @@ from cloudgraph.config import (
 from cloudgraph.errors import ConfigError, NonFiniteValue
 from cloudgraph.types import (
     RadarFrame,
-    Skeleton,
     frame_from_matrix,
     validate_frame,
 )
@@ -54,13 +53,6 @@ def test_frame_points_are_a_read_only_n_by_5_copy():
 def test_validate_empty_frame_is_valid():
     frame = RadarFrame(frame_id=0, sequence_id=0, points=())
     assert validate_frame(frame) is frame
-
-
-def test_skeleton_invariants():
-    with pytest.raises(ValueError):
-        Skeleton(np.full((3, 3), np.inf), 0)
-    with pytest.raises(ValueError):
-        Skeleton(np.zeros((3, 3)), 3)
 
 
 def test_config_defaults_match_radar_conventions():
