@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .gnn import (encode_graph, init_params, load_params, predict_framewise,
+from .gnn import (edge_pass, init_params, load_params, node_path, predict_framewise,
                   predict_sequential, save_params)
 from .metrics import activity_report, pose_report
 from .pipeline import build_graph
@@ -147,9 +147,12 @@ def _name_ids(path) -> list:
 def _encoded_records(graphs_dir, params):
     """Every record, encoded as it is read, in the order of the ids in its
     name: names pad ids to a width that larger ids outgrow, so sorted names
-    misorder them.  A record's header must hold its name's two ids."""
+    misorder them.  A record's header must hold its name's two ids.
+
+    Only the edge pass reads a record's edge section, and nothing holds the
+    record past that call, so the section is freed before attention runs."""
     for path in sorted(Path(graphs_dir).glob("graph_*.bin"), key=_name_ids):
-        encoded = encode_graph(params, formats.read_graph_record(path))
+        encoded = node_path(params, edge_pass(params, formats.read_graph_record(path)))
         if [encoded.sequence_id, encoded.frame_id] != _name_ids(path):
             raise FormatVersionError(f"{path}: header ids {encoded[:2]} differ from its name")
         yield encoded

@@ -17,7 +17,11 @@ the edges into target i), and each statistics stage is one batched statbox
 call.  A graph holds those arrays, its n x 19 node features, its frame
 vector and its E x 6 edge features, made last.  Beyond them, distances and
 edge features take one block of target rows at a time, and a statbox call
-one scratch array beside its sorted input.
+one scratch array beside its sorted input.  A block of distances is about
+``_D2_BLOCK_BYTES``.  A block of edge features is
+``_D2_BLOCK_BYTES // (128 * k)`` target rows, whose temporaries take 57
+bytes per edge, so under half that budget: 204 rows at k = 20, one block
+for a graph of up to 204 nodes and six for 1,024.
 """
 
 from __future__ import annotations
@@ -319,10 +323,11 @@ def edge_features(frame: RadarFrame, table: np.ndarray) -> np.ndarray:
     # it rows, k, 5), so that each coordinate is a contiguous row
     P = np.ascontiguousarray(frame.points.T)
     n, k = table.shape
-    # target rows in blocks of 64 bytes per edge, above the 57 that a block's
-    # differences, norm, square and mask take, so within _D2_BLOCK_BYTES;
-    # every value is elementwise, so the block size changes no bit
-    step = max(1, _D2_BLOCK_BYTES // (64 * k))
+    # target rows in blocks of 128 bytes per edge, above the 57 that a
+    # block's differences, norm, square and mask take, so within half of
+    # _D2_BLOCK_BYTES; every value is elementwise, so the block size
+    # changes no bit
+    step = max(1, _D2_BLOCK_BYTES // (128 * k))
     for first in range(0, n, step):
         rows = slice(first, first + step)
         delta = np.take(P, table[rows], axis=1)

@@ -54,9 +54,13 @@ class RadarFrame:
 
 def edges_from_table(table: np.ndarray) -> np.ndarray:
     """Flatten an n x k neighbour table into an E x 2 array of (target,
-    source), target-major."""
+    source), target-major, filled in place: no E-long temporary."""
     n, k = table.shape
-    return np.column_stack([np.repeat(np.arange(n, dtype=np.int64), k), table.reshape(-1)])
+    edges = np.empty((n * k, 2), dtype=np.int64)
+    pairs = edges.reshape(n, k, 2)
+    pairs[:, :, 0] = np.arange(n)[:, None]
+    pairs[:, :, 1] = table
+    return edges
 
 
 @dataclass(frozen=True)

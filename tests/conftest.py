@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,17 @@ def append_tensor(path, name: str, values: np.ndarray) -> None:
     nb = name.encode("utf-8")
     data += struct.pack(f"<H{len(nb)}sB{values.ndim}I", len(nb), nb, values.ndim, *values.shape)
     path.write_bytes(bytes(data) + values.astype("<f8").tobytes())
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` under tracemalloc: its result and the peak bytes
+    traced during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

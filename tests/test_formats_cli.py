@@ -8,7 +8,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from cloudgraph.synthetic import (
 )
 from cloudgraph.types import PointGraph, RadarFrame, frame_from_matrix
 
-from conftest import append_tensor, random_frame
+from conftest import append_tensor, random_frame, traced_peak
 
 
 def assert_frames_equal(a, b):
@@ -1279,12 +1278,9 @@ def test_cli_infer_peak_memory_does_not_grow_by_a_record(tmp_path, np_rng, model
             formats.write_graph_record(g, graphs / formats.graph_record_name(g))
         # a first run, so one-time allocations count in neither peak
         assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 0
-        tracemalloc.start()
-        try:
-            assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(infer, graphs, weights, cfg_path, tmp_path / "p.csv")
+        assert code == 0
+        peaks.append(peak)
     record = (graphs / "graph_00000_000000.bin").stat().st_size
     assert peaks[1] - peaks[0] < record
 
@@ -1295,12 +1291,8 @@ def test_cli_infer_weights_declaring_a_huge_tensor_exit_4_without_allocating(tmp
     # one tensor of (2**32 - 1)**2 values, the most two u32 dims can declare
     weights.write_bytes(b"PCGW" + struct.pack("<IIH", 1, 1, 1) + b"t"
                         + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1))
-    tracemalloc.start()
-    try:
-        assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(infer, graphs, weights, cfg_path, tmp_path / "p.csv")
+    assert code == 4
     assert peak < 1 << 20
     assert f"{weights}: truncated at byte {weights.stat().st_size}" in caplog.text
 
@@ -1553,9 +1545,11 @@ def test_cli_v1_record_exit_4(tmp_path, caplog, capsys):
     assert caplog.text.count(f"{record}: unsupported graph version 1") == 2
 
 
-def test_cli_infer_peak_memory_below_three_records(tmp_path, np_rng):
-    """The record's sections reach the model as read, without copies: one
-    1,024-point default-shape record, 1.2 MB, peaks below 3x its size."""
+def test_cli_infer_peak_memory_below_1_7_records(tmp_path, np_rng):
+    """The record's sections reach the model as read, without copies, and
+    its edge section is freed once the edge logits exist, before attention
+    runs: one 1,024-point default-shape record, 1.2 MB, peaks below 1.7x
+    its size.  Holding the section through attention peaks near 2x."""
     formats.write_frames([frame_from_matrix(0, 0, np_rng.normal(size=(1024, 5)))],
                          tmp_path / "frames.csv")
     cfg = tmp_path / "run.cfg"
@@ -1568,13 +1562,9 @@ def test_cli_infer_peak_memory_below_three_records(tmp_path, np_rng):
     # header, 1,024 x 19 node values, the 1,024 x 20 u4 table, 20,480 x 6
     # edge values and 380 frame values
     assert record.stat().st_size == 64 + 8 * 19456 + 4 * 20480 + 8 * 122880 + 8 * 380 == 1223712
-    tracemalloc.start()
-    try:
-        assert infer(graphs, weights, cfg, tmp_path / "p.csv") == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * record.stat().st_size
+    code, peak = traced_peak(infer, graphs, weights, cfg, tmp_path / "p.csv")
+    assert code == 0
+    assert peak < 1.7 * record.stat().st_size
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass

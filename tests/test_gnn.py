@@ -3,7 +3,7 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,8 @@ from cloudgraph.gnn import (
     _gat_forward,
     _rep_forward_batch,
     _row_blocks,
+    edge_pass,
+    encode_graph,
     fcn_forward,
     frame_representation,
     gat_forward,
@@ -38,6 +40,7 @@ from cloudgraph.gnn import (
     load_params,
     named_tensors,
     network_loss,
+    node_path,
     predict_framewise,
     predict_sequential,
     read_weights_manifest,
@@ -49,7 +52,7 @@ from cloudgraph.reference import gat_forward_reference
 from cloudgraph.rng import SplitMix64
 from cloudgraph.types import edges_from_table
 
-from conftest import append_tensor, random_frame, random_table
+from conftest import append_tensor, random_frame, random_table, traced_peak
 
 
 def random_graph(rng, n=None, K=4, cfg=None):
@@ -284,6 +287,22 @@ def test_gat_matches_dense_reference(np_rng):
         got = gat_forward(layer, x, table, ef)
         expect = gat_forward_reference(layer, x, edges_from_table(table), ef)
         assert np.allclose(got, expect, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("slope", [-0.5, 0.0, 1.0, 3.0])
+def test_gat_matches_dense_reference_at_any_leaky_slope(np_rng, slope):
+    # the leaky step takes the larger of z and slope * z up to slope 1 and
+    # the smaller above; node 0's self logit and its edge from node 1 are 0
+    layer = make_gat(np_rng, 5, 4, 3, slope=slope)
+    x = np_rng.normal(size=(9, 5))
+    x[:2] = 0.0
+    table = random_table(np_rng, 9, 4)
+    table[0, 0] = 1
+    ef = np_rng.normal(size=(table.size, 3))
+    ef[0] = 0.0
+    got = gat_forward(layer, x, table, ef)
+    expect = gat_forward_reference(layer, x, edges_from_table(table), ef)
+    assert np.allclose(got, expect, atol=1e-12, rtol=0)
 
 
 def test_gat_attention_rows_sum_to_one(np_rng):
@@ -600,12 +619,7 @@ def test_representation_peak_memory_below_one_edge_state_array(np_rng):
     params, graphs = random_batch(np_rng, mars_sequential_shape(13, 0), (128,) * 16)
     E = sum(g.num_edges for g in graphs)
     assert E >= 40960
-    tracemalloc.start()
-    try:
-        _rep_forward_batch(params, graphs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(_rep_forward_batch, params, graphs)
     assert peak < E * 64 * 8
 
 
@@ -619,13 +633,24 @@ def test_gat_forward_without_a_cache_holds_two_n_by_k_arrays(np_rng):
     table = np_rng.integers(0, n, size=(n, k))
     e_logit = np_rng.normal(size=n * k)
     _gat_forward(layer, X, table, e_logit)  # one-time allocations count in no peak
-    tracemalloc.start()
-    try:
-        out = _gat_forward(layer, X, table, e_logit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(_gat_forward, layer, X, table, e_logit)
     assert peak - out.nbytes <= 2 * n * k * 8 + 16 * n * 8
+
+
+def test_edge_pass_holds_no_reference_to_the_edge_section(np_rng):
+    # the node path runs on what the edge pass returns, so a caller that
+    # drops the graph frees its E x 6 section before attention runs
+    params, cfg = small_params()
+    graph = random_graph(np_rng, 12, cfg=cfg)
+    want = encode_graph(params, graph)
+    section = weakref.ref(graph.edge_features)
+    passed = edge_pass(params, graph)
+    del graph
+    assert section() is None
+    got = node_path(params, passed)
+    assert got[:4] == want[:4]
+    assert np.array_equal(got.pooled, want.pooled)
+    assert np.array_equal(got.frame_features, want.frame_features)
 
 
 @pytest.mark.parametrize("n", [1, 21, 1024])

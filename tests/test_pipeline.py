@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +27,7 @@ from cloudgraph.statbox import statbox_array
 from cloudgraph.synthetic import SyntheticSpec, generate
 from cloudgraph.types import RadarFrame, frame_from_matrix
 
-from conftest import random_frame
+from conftest import random_frame, traced_peak
 
 
 def row_indices(rows, full):
@@ -235,12 +233,7 @@ def test_distance_matrix_peak_memory_below_three_n_by_n(np_rng):
     # the result and one n x n coordinate buffer; no n x n x 3 difference array
     n = 512
     frame = random_frame(np_rng, n)
-    tracemalloc.start()
-    try:
-        squared_distance_matrix(frame)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(squared_distance_matrix, frame)
     assert peak < 3 * n * n * 8
 
 
@@ -319,12 +312,7 @@ def test_knn_peak_memory_below_one_and_a_half_n_by_n(np_rng):
     # n x n index array, would pass 2 n x n x 8 bytes
     n = 512
     d2 = squared_distance_matrix(random_frame(np_rng, n))
-    tracemalloc.start()
-    try:
-        knn_edges(d2, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(knn_edges, d2, 20)
     assert peak < 1.5 * n * n * 8
 
 
@@ -443,12 +431,7 @@ def test_build_graph_peak_memory_below_one_n_by_n(np_rng):
     n = 1024
     frames = [random_frame(np_rng, n)]
     cfg = PipelineConfig(K=20)
-    tracemalloc.start()
-    try:
-        build_graph(frames, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(build_graph, frames, cfg)
     assert peak < n * n * 8
 
 
@@ -457,6 +440,17 @@ def test_edge_count_invariant(np_rng):
         frame = random_frame(np_rng, n)
         table = knn_edges(squared_distance_matrix(frame), 6)
         assert edges_from_table(table).shape[0] == n * min(6, n - 1)
+
+
+def test_edges_from_table_peak_memory_is_its_output(np_rng):
+    # one E x 2 array filled in place: no E-long target column, and no
+    # second E x 2 array stacked from it
+    n, k = 1024, 20
+    table = np_rng.integers(0, n, size=(n, k))
+    edges, peak = traced_peak(edges_from_table, table)
+    assert np.array_equal(edges[:, 0], np.repeat(np.arange(n), k))
+    assert np.array_equal(edges[:, 1], table.ravel())
+    assert peak <= edges.nbytes + (16 << 10)
 
 
 # -- node features -----------------------------------------------------------
@@ -521,18 +515,14 @@ def test_edge_features_coincident_points_zero_direction():
 
 
 def test_edge_features_peak_memory_is_its_output_and_one_block(np_rng):
-    # target rows in blocks of _D2_BLOCK_BYTES of temporaries: no 5 x E
-    # gather of the whole table beside the E x 6 output (that peaks at
-    # about 2.8 times the output)
+    # the output, the 5 x n copy of the points and target rows in blocks
+    # of half _D2_BLOCK_BYTES of temporaries: no 5 x E gather of the whole
+    # table beside the E x 6 output (that peaks at about 2.8 times the
+    # output)
     frame = random_frame(np_rng, 1024)
     table = knn_edges(squared_distance_matrix(frame), 20)
-    tracemalloc.start()
-    try:
-        out = edge_features(frame, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= out.nbytes + pipeline._D2_BLOCK_BYTES
+    out, peak = traced_peak(edge_features, frame, table)
+    assert peak <= out.nbytes + frame.points.nbytes + pipeline._D2_BLOCK_BYTES // 2
 
 
 def test_edge_features_antisymmetry(np_rng):
