@@ -131,6 +131,9 @@ def mars_sequential_shape(num_keypoints: int, mid_hip_index: int) -> ModelShape:
 
 _PIPELINE_FIELDS = [f.name for f in fields(PipelineConfig)]
 _MODEL_FIELDS = [f.name for f in fields(ModelShape)]
+# the default of each kind, indexed by whether a key is a model key: a
+# parsed value takes its default's type
+_DEFAULTS = (PipelineConfig(), ModelShape())
 
 
 def _fmt(value) -> str:
@@ -188,7 +191,6 @@ def parse_config(text: str, path=None) -> tuple[PipelineConfig, ModelShape]:
     and an unknown key or a bad value is a ConfigError naming the line.
     """
     # indexed by whether the key is a model key: 0 pipeline, 1 model
-    defaults = (PipelineConfig(), ModelShape())
     kwargs: tuple = ({}, {})
     try:
         for lineno, key, value in key_values(text, path):
@@ -197,7 +199,7 @@ def parse_config(text: str, path=None) -> tuple[PipelineConfig, ModelShape]:
             if name not in (_MODEL_FIELDS if model else _PIPELINE_FIELDS):
                 raise ParseError(lineno, f"unknown key {key!r}", path)
             try:
-                kwargs[model][name] = _parse_value(value, getattr(defaults[model], name))
+                kwargs[model][name] = _parse_value(value, getattr(_DEFAULTS[model], name))
             except ValueError as err:
                 raise ParseError(lineno, f"{key}: {err}", path) from None
     except ParseError as err:

@@ -134,12 +134,6 @@ def zero_grads(params: ModelParams) -> Dict[str, np.ndarray]:
 # -- initialization ----------------------------------------------------------
 
 
-def _uniform_matrix(rng: SplitMix64, shape: Tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    flat = rng.doubles(math.prod(shape))
-    return ((flat * 2.0 - 1.0) * bound).reshape(shape)
-
-
 def representation_dim(shape: ModelShape, config: PipelineConfig) -> int:
     # an empty attention stack pools the processed node features directly
     d = shape.gat_units[-1] if shape.gat_units else shape.node_units[-1]
@@ -227,11 +221,31 @@ def _build_params(shape: ModelShape, config: PipelineConfig, tensor: _TensorSour
 
 
 def init_params(shape: ModelShape, config: PipelineConfig, rng: SplitMix64) -> ModelParams:
-    """Seeded symmetric-uniform, fan-in-scaled weights and zero biases,
-    drawn in ``named_tensors`` order."""
+    """Seeded symmetric-uniform, fan-in-scaled weights and zero biases.
+
+    The weights, in ``named_tensors`` order, are consecutive slices of one
+    ``rng.doubles`` run u, each reshaped and scaled in place to
+    (2u - 1) / sqrt(fan_in)."""
+    sizes: List[int] = []
+
+    def count(name: str, dims: Tuple[int, ...], fan_in: Optional[int]) -> None:
+        if fan_in is not None:
+            sizes.append(math.prod(dims))
+
+    _build_params(shape, config, count)
+    run = rng.doubles(sum(sizes))
+    run *= 2.0
+    run -= 1.0
+    used = 0
 
     def draw(name: str, dims: Tuple[int, ...], fan_in: Optional[int]) -> np.ndarray:
-        return np.zeros(dims) if fan_in is None else _uniform_matrix(rng, dims, fan_in)
+        nonlocal used
+        if fan_in is None:
+            return np.zeros(dims)
+        weight = run[used : used + math.prod(dims)].reshape(dims)
+        used += weight.size
+        weight *= 1.0 / math.sqrt(fan_in)
+        return weight
 
     return _build_params(shape, config, draw)
 
@@ -855,18 +869,16 @@ _WEIGHTS_VERSION = 1
 
 
 def save_params(params: ModelParams, path) -> None:
-    """Named-tensor manifest: (name, shape, little-endian float64 data)."""
+    """Named-tensor manifest: (name, shape, little-endian float64 data).
+    Each tensor takes one header write and one data write, straight from
+    its array."""
     tensors = named_tensors(params)
     with open(path, "wb") as fh:
-        fh.write(_WEIGHTS_MAGIC)
-        fh.write(struct.pack("<II", _WEIGHTS_VERSION, len(tensors)))
+        fh.write(_WEIGHTS_MAGIC + struct.pack("<II", _WEIGHTS_VERSION, len(tensors)))
         for name, arr in tensors.items():
             nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+            fh.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_weights_manifest(path) -> Dict[str, np.ndarray]:
@@ -875,7 +887,8 @@ def read_weights_manifest(path) -> Dict[str, np.ndarray]:
     tensor, so a truncated, overlong or garbled file, a repeated tensor name,
     or a NaN or infinite value, raises ManifestMismatch.  Tensors are
     aligned, writable views of one float64 array sized from the file, read
-    into it in place."""
+    into it in place; a tensor header takes three reads, and the values are
+    checked in one pass once all are read."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         values = np.empty(size // 8, dtype="<f8")
@@ -901,24 +914,31 @@ def read_weights_manifest(path) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", take(2))
+            head = take(nlen + 1)  # the name, then the rank
             try:
-                name = take(nlen).decode("utf-8")
+                name = head[:nlen].decode("utf-8")
             except UnicodeDecodeError:
                 raise ManifestMismatch(f"{path}: tensor name is not UTF-8") from None
             if name in out:
                 raise ManifestMismatch(f"{path}: tensor {name} appears more than once")
-            (ndim,) = struct.unpack("<B", take(1))
+            ndim = head[nlen]
             if ndim not in (1, 2):  # every model tensor is a vector or a matrix
                 raise ManifestMismatch(f"{path}: tensor {name} has {ndim} dimensions")
             dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
             n = math.prod(dims)
             tensor = take(8 * n, values[used : used + n])
             used += n
-            if not np.isfinite(tensor).all():
-                raise ManifestMismatch(f"{path}: tensor {name} has a non-finite value")
             out[name] = tensor.astype(np.float64, copy=False).reshape(dims)
     if pos != size:
         raise ManifestMismatch(f"{path}: {size - pos} bytes after the last tensor")
+    finite = np.isfinite(values[:used])
+    if not finite.all():
+        # name the tensor that holds the first non-finite value
+        first = int(finite.argmin())
+        for name, tensor in out.items():
+            first -= tensor.size
+            if first < 0:
+                raise ManifestMismatch(f"{path}: tensor {name} has a non-finite value")
     return out
 
 

@@ -385,6 +385,7 @@ def build_graph(frames: Sequence[RadarFrame], config: PipelineConfig) -> PointGr
         nf = node_features(fused, neighbor_d2, config.epsilon)
     else:
         nf = fused.points
+    del neighbor_d2  # only the node features read it
     # frame features first, so no E x 6 array is held while they run
     if config.enable_frame_features and len(fused):
         ff = frame_features(nf, config.epsilon)

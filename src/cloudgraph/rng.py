@@ -15,12 +15,14 @@ sampling so every value in [0, n) is exactly equally likely.
 
 The state after i steps is seed + i * gamma, so draw i never depends on
 draw i - 1.  ``SplitMix64.doubles`` and ``SplitMix64.randbelows`` use this
-to compute a run of draws as one numpy ``uint64`` expression: the same
-stream as consecutive ``next_double`` or ``randbelow`` calls, bit for bit,
-ending in the same state.  Weight initialization draws through
-``doubles``.  Downsampling draws all of a fused frame's bounded integers
-through one ``randbelows`` call, by way of ``partial_shuffle_picks``; the
-synthetic generator keeps the scalar calls.
+to compute a run of draws with numpy ``uint64`` arithmetic: the same stream
+as consecutive ``next_double`` or ``randbelow`` calls, bit for bit, ending
+in the same state.  A run is computed in place, in chunks of 2^14 draws,
+through one pair of 2^14-value scratch arrays, so a run of any length
+takes its output and at most 256 KB besides.  Weight initialization draws
+the whole model as one ``doubles`` run.  Downsampling draws all of a fused frame's
+bounded integers through one ``randbelows`` call, by way of
+``partial_shuffle_picks``; the synthetic generator keeps the scalar calls.
 """
 
 from __future__ import annotations
@@ -38,13 +40,29 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_run(state: int, count: int) -> np.ndarray:
-    """The next ``count`` outputs of a generator in ``state``, as uint64."""
-    with np.errstate(over="ignore"):
-        z = np.uint64(state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+# a run is computed in chunks of this many draws; _STEPS[i] is (i + 1) * gamma
+_CHUNK = 1 << 14
+_STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+
+
+def _scratch(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of uint64 arrays ``_mix64_run`` takes for a run of ``count``."""
+    size = min(count, _CHUNK)
+    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+
+
+def _mix64_run(state: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Overwrite the uint64 array ``z``, at most ``_CHUNK`` long, with the
+    next len(z) outputs of a generator in ``state``, in place, using ``t``
+    of the same length as scratch; returns ``z``."""
+    np.add(_STEPS[: len(z)], np.uint64(state), out=z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(factor)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 class SplitMix64:
@@ -66,9 +84,16 @@ class SplitMix64:
 
     def doubles(self, count: int) -> np.ndarray:
         """The next ``count`` draws of ``next_double`` as one float64 array."""
-        z = _mix64_run(self._state, count)
-        self._skip(count)
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        out = np.empty(count, dtype=np.float64)
+        z, t = _scratch(count)
+        for first in range(0, count, _CHUNK):
+            chunk = out[first : first + _CHUNK]
+            r = _mix64_run(self._state, z[: len(chunk)], t[: len(chunk)])
+            self._skip(len(chunk))
+            r >>= np.uint64(11)
+            np.copyto(chunk, r)  # a cast in place: no ufunc buffer
+        out *= 2.0**-53
+        return out
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
@@ -85,11 +110,11 @@ class SplitMix64:
         [1, 2**64 - 1], in order, as one uint64 array, ending in the state
         those consecutive calls leave.
 
-        The raw outputs of the whole run are computed at once.  A draw that
-        ``randbelow`` would reject (r >= 2**64 - 2**64 mod n) ends the
+        The raw outputs of the run are computed a chunk at a time.  A draw
+        that ``randbelow`` would reject (r >= 2**64 - 2**64 mod n) ends the
         accepted prefix, and the rest of the run, that bound included, is
         drawn again from the step after it.  A rejection has probability
-        below n / 2**64, so a run of small bounds takes one pass.
+        below n / 2**64, so a run of small bounds takes one pass per chunk.
         """
         n = np.asarray(bounds)
         if n.ndim != 1 or n.dtype.kind not in "iu" or (n.size and n.min() < 1):
@@ -98,13 +123,15 @@ class SplitMix64:
         # r is accepted when r < 2**64 - t, t = 2**64 mod n, i.e. r <= ~t
         last = ~((np.uint64(0) - n) % n)
         out = np.empty(len(n), dtype=np.uint64)
+        z, t = _scratch(len(n))
         done = 0
         while done < len(n):
-            r = _mix64_run(self._state, len(n) - done)
-            rejected = np.flatnonzero(r > last[done:])
-            end = len(r) if rejected.size == 0 else int(rejected[0])
-            out[done:done + end] = r[:end] % n[done:done + end]
-            self._skip(end + (end < len(r)))
+            size = min(len(n) - done, _CHUNK)
+            r = _mix64_run(self._state, z[:size], t[:size])
+            rejected = np.flatnonzero(r > last[done : done + size])
+            end = size if rejected.size == 0 else int(rejected[0])
+            np.remainder(r[:end], n[done : done + end], out=out[done : done + end])
+            self._skip(end + (end < size))
             done += end
         return out
 

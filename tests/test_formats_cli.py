@@ -711,6 +711,31 @@ def test_cli_infer_missing_weights_exit_3(tmp_path):
     assert rc == 3
 
 
+def test_cli_commands_parse_their_config_once(tmp_path, monkeypatch):
+    frames_path, _ = gen_inputs(tmp_path, frames=2, points=12)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path)
+    parsed = []
+    parse = cloudgraph.config.parse_config
+
+    def counted_parse(text, path=None):
+        parsed.append(path)
+        return parse(text, path)
+
+    monkeypatch.setattr(cloudgraph.config, "parse_config", counted_parse)
+    graphs, weights, preds = tmp_path / "graphs", tmp_path / "w.bin", tmp_path / "p.csv"
+    commands = [
+        ["extract", str(frames_path), "--out", str(graphs)],
+        ["init-weights", "--out", str(weights)],
+        ["infer", str(graphs), "--weights", str(weights), "--out", str(preds)],
+        ["eval", str(preds), str(preds), "--task", "pose"],
+    ]
+    for command in commands:
+        parsed.clear()
+        assert main([*command, "--config", str(cfg_path)]) == 0, command[0]
+        assert parsed == [str(cfg_path)], command[0]
+
+
 def test_cli_eval_pose_identity_and_shift(tmp_path, capsys):
     _, gt_path = gen_inputs(tmp_path)
     report_path = tmp_path / "report.txt"
@@ -1128,6 +1153,37 @@ def test_cli_truncated_or_overlong_binaries_exit_4(tmp_path):
             path.write_bytes(bad)
             assert infer(graphs, weights, cfg_path, out) == 4, (path.name, len(bad))
         path.write_bytes(data)
+
+
+def weights_layout(data: bytes):
+    """(header start, data start, data end) of each tensor of a well-formed
+    weights file, in file order."""
+    layout, pos = [], 12
+    for _ in range(struct.unpack_from("<I", data, 8)[0]):
+        (nlen,) = struct.unpack_from("<H", data, pos)
+        ndim = data[pos + 2 + nlen]
+        dims = struct.unpack_from(f"<{ndim}I", data, pos + 3 + nlen)
+        start = pos + 3 + nlen + 4 * ndim
+        layout.append((pos, start, start + 8 * int(np.prod(dims))))
+        pos = layout[-1][2]
+    assert pos == len(data)
+    return layout
+
+
+def test_cli_weights_cut_inside_a_header_or_tensor_data_exit_4(tmp_path, caplog):
+    graphs, weights, cfg_path = extract_and_init(tmp_path, "pose", frames=1)
+    data = weights.read_bytes()
+    layout = weights_layout(data)
+    out = tmp_path / "p.csv"
+    for header, start, end in (layout[0], layout[len(layout) // 2], layout[-1]):
+        # inside the name length, the name, the dims, then the values
+        for size in (header + 1, header + 3, start - 1, start + 4, end - 8):
+            caplog.clear()
+            weights.write_bytes(data[:size])
+            assert infer(graphs, weights, cfg_path, out) == 4, size
+            assert f"{weights}: truncated at byte {size}" in caplog.text, size
+    weights.write_bytes(data)
+    assert infer(graphs, weights, cfg_path, out) == 0
 
 
 def test_cli_sequential_infer_window(tmp_path):

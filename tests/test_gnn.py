@@ -961,22 +961,54 @@ def test_init_deterministic():
     assert any(not np.array_equal(a[k], c[k]) for k in a)
 
 
+@pytest.mark.parametrize("shape", [ModelShape(), mars_sequential_shape(13, 0), SMALL_SHAPE],
+                         ids=["default", "mars_sequential", "small"])
+def test_init_draws_the_weights_as_one_run(shape):
+    # every weight, in named_tensors order, is the next slice of one
+    # doubles run mapped to (2u - 1) / sqrt(fan_in); biases are zeros
+    cfg = PipelineConfig()
+    drawn = SplitMix64(5)
+    tensors = named_tensors(init_params(shape, cfg, drawn))
+    weights = {k: v for k, v in tensors.items() if not k.endswith(".b")}
+    reference = SplitMix64(5)
+    run = reference.doubles(sum(v.size for v in weights.values()))
+    used = 0
+    for name, value in tensors.items():
+        if name in weights:
+            # an attention vector is 3 x d_out long with fan-in d_out
+            fan_in = value.shape[0] // 3 if name.endswith(".attn") else value.shape[0]
+            u = run[used : used + value.size].reshape(value.shape)
+            used += value.size
+            assert np.array_equal(value, (u * 2.0 - 1.0) * (1.0 / np.sqrt(fan_in))), name
+        else:
+            assert value.ndim == 1 and not value.any(), name
+    assert used == run.size
+    assert drawn.next_u64() == reference.next_u64()  # nothing else was drawn
+
+
+# perfbench's two models: the default and the MARS preset for its 13 joints
+BENCHMARK_SHAPE = ModelShape(head="pose", output_size=13, mid_hip_index=0)
+
+
 @pytest.mark.parametrize(
-    "shape, digest",
+    "shape, seed, digest",
     [
-        (ModelShape(), "ea4d9a19efdaf8a301593e0beda5dcc967d0b2b8f52e3fa27d65723e6023f35e"),
-        (mars_sequential_shape(13, 0),
+        (ModelShape(), 0, "ea4d9a19efdaf8a301593e0beda5dcc967d0b2b8f52e3fa27d65723e6023f35e"),
+        (mars_sequential_shape(13, 0), 0,
          "48361777a4ea3d8b686ba747f40c3e6a25af735fbbbbd76a547e54967eb7d3c3"),
+        (BENCHMARK_SHAPE, 1, "023f0eca8a421a62022a8d1255b83608474157a8550a7f1659819a3002043324"),
+        (mars_sequential_shape(13, 0), 1,
+         "328438f88f0f0f852288c1408ad2c2f8049853048d36909a4b5bea4b96803460"),
     ],
-    ids=["default", "mars_sequential"],
+    ids=["default", "mars_sequential", "benchmark_default_seed_1", "mars_sequential_seed_1"],
 )
-def test_init_weights_file_is_pinned(tmp_path, shape, digest):
-    # the weights written for seed 0 are fixed: any change to the RNG
+def test_init_weights_file_is_pinned(tmp_path, shape, seed, digest):
+    # the weights written for a seed are fixed: any change to the RNG
     # stream or the draw order of init_params changes this digest
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(serialize_config(PipelineConfig(), shape), encoding="utf-8")
     out = tmp_path / "w.bin"
-    assert main(["init-weights", "--config", str(cfg_path), "--seed", "0",
+    assert main(["init-weights", "--config", str(cfg_path), "--seed", str(seed),
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -1030,6 +1062,21 @@ def test_load_rejects_a_repeated_tensor_name(tmp_path):
     append_tensor(path, "h_pred.1.b", np.full(params.h_pred.layers[1].b.shape, 7.0))
     with pytest.raises(ManifestMismatch, match="tensor h_pred.1.b appears more than once"):
         load_params(path, SMALL_SHAPE, cfg)
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_weights_manifest_names_the_tensor_holding_a_non_finite_value(tmp_path, at):
+    params = init_params(SMALL_SHAPE, PipelineConfig(K=4), SplitMix64(31))
+    tensors = named_tensors(params)
+    names = list(tensors)
+    name = {"first": names[0], "middle": names[len(names) // 2], "last": names[-1]}[at]
+    tensors[name].flat[0] = np.nan
+    if at != "last":  # a later infinity does not change which tensor is named
+        tensors[names[-1]].flat[-1] = np.inf
+    path = tmp_path / "w.bin"
+    save_params(params, path)
+    with pytest.raises(ManifestMismatch, match=rf"tensor {name} has a non-finite value$"):
+        read_weights_manifest(path)
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -416,6 +418,25 @@ def test_windowed_distances_compute_under_half_the_matrix(monkeypatch):
     # benchmark run
     assert len(shapes) <= 20
     assert sum(m * w for m, w in shapes) <= 236_140
+
+
+def test_build_graph_frees_neighbour_distances_before_edge_features(monkeypatch):
+    # only node_features reads the n x k neighbour distances (164 KB here):
+    # when edge_features starts, build_graph holds the fused points, the
+    # node features, the table and the frame features, and the distances
+    # are gone
+    frames, _ = generate(SyntheticSpec(num_frames=1, points_per_frame=1024, seed=7))
+    held = []
+
+    def traced_edge_features(frame, table):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return edge_features(frame, table)
+
+    monkeypatch.setattr(pipeline, "edge_features", traced_edge_features)
+    graph, _ = traced_peak(build_graph, frames, PipelineConfig(K=20))
+    kept = (frames[0].points.nbytes + graph.node_features.nbytes + graph.neighbours.nbytes
+            + graph.frame_features.nbytes)
+    assert held[0] <= kept + (16 << 10)
 
 
 def test_off_axis_outlier_widens_its_window_to_the_whole_cloud(np_rng, monkeypatch):

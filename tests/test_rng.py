@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from cloudgraph.rng import SplitMix64, derive_seed
 
+from conftest import traced_peak
+
 
 def test_same_seed_same_stream():
     a = SplitMix64(7)
@@ -92,6 +94,25 @@ def test_doubles_equal_next_double_stream(seed, count):
     assert vector.next_u64() == scalar.next_u64()
 
 
+@pytest.mark.parametrize("count", [0, 1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+def test_doubles_equal_next_double_stream_across_chunks(count):
+    # a run is computed 2**14 draws at a time: each chunk starts where the
+    # last one ended
+    vector, scalar = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+    draws = vector.doubles(count)
+    assert np.array_equal(draws, [scalar.next_double() for _ in range(count)])
+    assert vector.next_u64() == scalar.next_u64()
+
+
+def test_doubles_peak_memory_is_its_output_and_two_chunks():
+    # one pair of uint64 scratch arrays of 2**14 values, not a dozen
+    # count-sized temporaries
+    count = 200_000
+    draws, peak = traced_peak(SplitMix64(6).doubles, count)
+    assert draws.shape == (count,)
+    assert peak <= 8 * count + 2 * 8 * 2**14 + (4 << 10)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
@@ -110,6 +131,17 @@ def test_randbelows_equal_randbelow_stream(seed, bounds):
     assert draws.dtype == np.uint64 and draws.shape == (len(bounds),)
     assert draws.tolist() == [scalar.randbelow(n) for n in bounds]
     # the same number of raw draws, rejected ones included, were taken
+    assert vector.next_u64() == scalar.next_u64()
+
+
+def test_randbelows_equal_randbelow_stream_across_chunks():
+    # 3 * 2**14 + 5 bounds, a few of them rejecting about half their draws,
+    # run over several chunks and resume inside one
+    bounds = np.arange(1, 3 * 2**14 + 6, dtype=np.uint64)
+    bounds[[5, 2**14 - 1, 2**14, 2 * 2**14 + 7]] = 2**63 + 1
+    vector, scalar = SplitMix64(17), SplitMix64(17)
+    draws = vector.randbelows(bounds)
+    assert draws.tolist() == [scalar.randbelow(int(n)) for n in bounds]
     assert vector.next_u64() == scalar.next_u64()
 
 

@@ -89,6 +89,23 @@ def test_config_round_trip_bit_exact():
     assert serialize_config(pipe2, model2) == text
 
 
+def test_parse_config_builds_one_config_and_one_shape(monkeypatch):
+    # the defaults that give each key its type are built once, at import
+    built = []
+
+    def recorded(check):
+        def post_init(self):
+            built.append(type(self))
+            check(self)
+        return post_init
+
+    for cls in (PipelineConfig, ModelShape):
+        monkeypatch.setattr(cls, "__post_init__", recorded(cls.__post_init__))
+    pipe, model = parse_config("K = 4\nmodel_window = 2\n")
+    assert (pipe.K, model.window) == (4, 2)
+    assert built == [PipelineConfig, ModelShape]
+
+
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("K = 20\nbogus = 1\n")
