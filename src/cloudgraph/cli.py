@@ -159,6 +159,8 @@ def _encoded_records(graphs_dir, params):
 
 
 def cmd_infer(args) -> int:
+    if not Path(args.graphs).is_dir():
+        raise NotADirectoryError(f"{args.graphs}: not a directory of graph records")
     pipeline_cfg, shape = load_config(args.config)
     params = load_params(args.weights, shape, pipeline_cfg)
     graphs = _encoded_records(args.graphs, params)

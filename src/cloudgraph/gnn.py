@@ -7,7 +7,9 @@ and sequential via a bidirectional LSTM, forward-only).
 
 Analytic parameter gradients cover the feed-forward and attention parts
 (everything except the recurrent cell) and are verified against central
-finite differences by ``grad_check``.
+finite differences by ``grad_check``.  ``_build_params`` alone names the
+tensors; the gradients are a zero model from the same build, so they
+mirror the parameters block for block and name for name.
 """
 
 from __future__ import annotations
@@ -77,7 +79,15 @@ class LstmParams:
 
 @dataclass
 class ModelParams:
+    """The model that ``_build_params`` built for ``shape`` and ``config``.
+    ``tensors`` maps each tensor's name to the array a block holds, in
+    manifest order: the same objects, so a value changed in place in one
+    is changed in the other.  A gradient is a model of the same build, so
+    its ``tensors`` carry the same names."""
+
     shape: ModelShape
+    config: PipelineConfig
+    tensors: Dict[str, np.ndarray]
     h_node: FcnBlock
     h_pred: FcnBlock
     gat_layers: List[GatLayer]
@@ -96,41 +106,6 @@ def _act_at(policy: str, i: int, total: int) -> bool:
     raise ValueError(f"unknown activation policy {policy!r}")
 
 
-# -- named tensor manifest ---------------------------------------------------
-
-
-def named_tensors(params: ModelParams) -> Dict[str, np.ndarray]:
-    """Stable name -> array mapping over every learnable tensor."""
-    out: Dict[str, np.ndarray] = {}
-
-    def add_block(prefix, block):
-        if block is None:
-            return
-        for i, layer in enumerate(block.layers):
-            out[f"{prefix}.{i}.W"] = layer.W
-            out[f"{prefix}.{i}.b"] = layer.b
-
-    add_block("h_edge", params.h_edge)
-    add_block("h_node", params.h_node)
-    for l, g in enumerate(params.gat_layers):
-        out[f"gat.{l}.theta"] = g.theta
-        if g.theta_e is not None:
-            out[f"gat.{l}.theta_e"] = g.theta_e
-        out[f"gat.{l}.attn"] = g.attn
-    add_block("h_frame", params.h_frame)
-    add_block("h_pred", params.h_pred)
-    if params.lstm is not None:
-        for tag, d in (("fwd", params.lstm.fwd), ("bwd", params.lstm.bwd)):
-            out[f"lstm.{tag}.Wx"] = d.Wx
-            out[f"lstm.{tag}.Wh"] = d.Wh
-            out[f"lstm.{tag}.b"] = d.b
-    return out
-
-
-def zero_grads(params: ModelParams) -> Dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in named_tensors(params).items()}
-
-
 # -- initialization ----------------------------------------------------------
 
 
@@ -146,19 +121,26 @@ def head_output_dim(shape: ModelShape) -> int:
     return 3 * shape.output_size if shape.head == "pose" else shape.output_size
 
 
-# ``tensor(name, dims, fan_in)`` supplies one named tensor to the builder;
+# ``source(name, dims, fan_in)`` supplies one named tensor to the builder;
 # ``fan_in`` is None for a bias
 _TensorSource = Callable[[str, Tuple[int, ...], Optional[int]], np.ndarray]
 
 
-def _build_params(shape: ModelShape, config: PipelineConfig, tensor: _TensorSource) -> ModelParams:
-    """The model that (shape, config) implies, each tensor from ``tensor``
-    in ``named_tensors`` order.
+def _build_params(shape: ModelShape, config: PipelineConfig, source: _TensorSource) -> ModelParams:
+    """The model that (shape, config) implies, each tensor from ``source``
+    in manifest order.  This is the only code that names a tensor: the
+    weights file, the gradients and ``grad_check`` read the names from the
+    model's ``tensors``.
 
     The mode flags of ``config`` decide which blocks exist and the input
     widths (19D vs raw 5D node features, presence of edge and frame
     branches).
     """
+    tensors: Dict[str, np.ndarray] = {}
+
+    def tensor(name: str, dims: Tuple[int, ...], fan_in: Optional[int]) -> np.ndarray:
+        tensors[name] = source(name, dims, fan_in)
+        return tensors[name]
 
     def block(prefix: str, widths: Sequence[int], policy: str) -> FcnBlock:
         layers = [
@@ -211,6 +193,8 @@ def _build_params(shape: ModelShape, config: PipelineConfig, tensor: _TensorSour
         lstm = LstmParams(fwd=lstm_direction("fwd", D, H), bwd=lstm_direction("bwd", D, H))
     return ModelParams(
         shape=shape,
+        config=config,
+        tensors=tensors,
         h_edge=h_edge,
         h_node=h_node,
         gat_layers=gat_layers,
@@ -223,7 +207,7 @@ def _build_params(shape: ModelShape, config: PipelineConfig, tensor: _TensorSour
 def init_params(shape: ModelShape, config: PipelineConfig, rng: SplitMix64) -> ModelParams:
     """Seeded symmetric-uniform, fan-in-scaled weights and zero biases.
 
-    The weights, in ``named_tensors`` order, are consecutive slices of one
+    The weights, in manifest order, are consecutive slices of one
     ``rng.doubles`` run u, each reshaped and scaled in place to
     (2u - 1) / sqrt(fan_in)."""
     sizes: List[int] = []
@@ -321,7 +305,9 @@ def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None, head=None) -> np.nd
     return out
 
 
-def _fcn_backward(block: FcnBlock, cache, dY, grads, prefix) -> np.ndarray:
+def _fcn_backward(block: FcnBlock, cache, dY, grad: FcnBlock) -> np.ndarray:
+    """Adds the block's parameter gradients into ``grad``, the same block of
+    a gradient model; returns the gradient of the block's input."""
     layers = block.layers
     folded = len(layers) - len(cache)  # 1 when cache[0] is layers 0 and 1
     for j in reversed(range(len(cache))):
@@ -332,15 +318,15 @@ def _fcn_backward(block: FcnBlock, cache, dY, grads, prefix) -> np.ndarray:
         if j == 0 and folded:
             # every gradient of the pair from the narrow G, no E x d product
             W0, W1 = layers[0].W, layers[1].W
-            grads[f"{prefix}.1.W"] += W0.T @ G + np.outer(layers[0].b, s)
-            grads[f"{prefix}.1.b"] += s
-            grads[f"{prefix}.0.W"] += G @ W1.T
-            grads[f"{prefix}.0.b"] += s @ W1.T
+            grad.layers[1].W += W0.T @ G + np.outer(layers[0].b, s)
+            grad.layers[1].b += s
+            grad.layers[0].W += G @ W1.T
+            grad.layers[0].b += s @ W1.T
             dY = dZ @ (W0 @ W1).T
         else:
             i = j + folded
-            grads[f"{prefix}.{i}.W"] += G
-            grads[f"{prefix}.{i}.b"] += s
+            grad.layers[i].W += G
+            grad.layers[i].b += s
             dY = dZ @ layers[i].W.T
     return dY
 
@@ -479,8 +465,9 @@ def _gat_forward(
     return out
 
 
-def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
-    """Gradients of theta and ``attn[:2d]``; returns the gradients of the
+def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grad: GatLayer):
+    """Adds the gradients of theta and ``attn[:2d]`` into ``grad``, the same
+    layer of a gradient model; returns the gradients of the
     node states and of the edge logit terms, the latter in edge order
     i * k + j.  ``theta_e`` and ``attn[2d:]`` reach the loss only through
     the edge logits, so ``_rep_backward_batch`` takes their gradients for
@@ -502,13 +489,12 @@ def _gat_backward(layer: GatLayer, c: dict, G: np.ndarray, grads, prefix):
     dz_e = dl_e * np.where(c["z_e"] > 0, 1.0, slope)
     dz_tgt = dz_self + dz_e.sum(axis=1)
 
-    dattn = grads[f"{prefix}.attn"]
-    dattn[:d] += dz_tgt @ Q
-    dattn[d : 2 * d] += dz_self @ Q + dz_e.reshape(-1) @ Qs.reshape(-1, d)
+    grad.attn[:d] += dz_tgt @ Q
+    grad.attn[d : 2 * d] += dz_self @ Q + dz_e.reshape(-1) @ Qs.reshape(-1, d)
     dQ = a_self[:, None] * G + dz_self[:, None] * w2 + dz_tgt[:, None] * w1
     # source side: each edge sends its share back to its source node
     np.add.at(dQ, table, a_e[:, :, None] * G[:, None, :] + dz_e[:, :, None] * w2)
-    grads[f"{prefix}.theta"] += c["X"].T @ dQ
+    grad.theta += c["X"].T @ dQ
     dX = dQ @ layer.theta.T
     return dX, dz_e.reshape(-1)
 
@@ -623,10 +609,14 @@ def _rep_forward_batch(params: ModelParams, graphs: Sequence, cache=None) -> np.
     graph.  A graph's node path runs on its own neighbour table, so its
     pooled vector does not depend on the other graphs; the frame branch is
     one product over the window's stacked frame features.  A gradient cache
-    keeps the last graph's node path: the backward pass takes one graph."""
+    describes one graph: it receives the frame branch here and the node
+    path from ``encode_graph``, and a window of more graphs raises
+    ValueError."""
     if not graphs:
         raise EmptyGraph("no graphs to represent")
-    encoded = [g if isinstance(g, EncodedGraph) else encode_graph(params, g, cache) for g in graphs]
+    if cache is not None and len(graphs) > 1:
+        raise ValueError(f"a gradient cache describes one graph, not {len(graphs)}")
+    encoded = [g if isinstance(g, EncodedGraph) else encode_graph(params, g) for g in graphs]
     rep = np.concatenate([e.pooled for e in encoded])
     if params.h_frame is not None:
         fc = [] if cache is not None else None
@@ -637,32 +627,30 @@ def _rep_forward_batch(params: ModelParams, graphs: Sequence, cache=None) -> np.
     return rep
 
 
-def _rep_backward_batch(params: ModelParams, cache, dRep, grads):
+def _rep_backward_batch(params: ModelParams, cache, dRep, grads: ModelParams):
+    """Adds the gradients of everything below ``h_pred`` into ``grads``."""
     n, pool_dim = cache["pooled_shape"]
     if params.h_frame is not None:
-        dXf = dRep[:, pool_dim:]
-        _fcn_backward(params.h_frame, cache["h_frame"], dXf, grads, "h_frame")
+        _fcn_backward(params.h_frame, cache["h_frame"], dRep[:, pool_dim:], grads.h_frame)
     dX = np.repeat(dRep[:, :pool_dim] / n, n, axis=0)
     de_logits = []
     n_layers = len(params.gat_layers)
     for i in reversed(range(n_layers)):
         if i < n_layers - 1:
             dX = dX * (cache["relu_z"][i] > 0)
-        dX, de_logit = _gat_backward(
-            params.gat_layers[i], cache["gat"][i], dX, grads, f"gat.{i}"
-        )
+        dX, de_logit = _gat_backward(params.gat_layers[i], cache["gat"][i], dX, grads.gat_layers[i])
         de_logits.insert(0, de_logit)
-    _fcn_backward(params.h_node, cache["h_node"], dX, grads, "h_node")
+    _fcn_backward(params.h_node, cache["h_node"], dX, grads.h_node)
     if "Xe" in cache:
         # layer l's edge logits are Xe @ V[:, l], V[:, l] = theta_e_l @ w3_l
         D = np.stack(de_logits)  # L x E
         XeD = cache["Xe"].T @ D.T  # d_edge x L
-        for i, layer in enumerate(params.gat_layers):
+        for i, (layer, grad) in enumerate(zip(params.gat_layers, grads.gat_layers)):
             d = layer.theta.shape[1]
-            grads[f"gat.{i}.theta_e"] += np.outer(XeD[:, i], layer.attn[2 * d :])
-            grads[f"gat.{i}.attn"][2 * d :] += XeD[:, i] @ layer.theta_e
+            grad.theta_e += np.outer(XeD[:, i], layer.attn[2 * d :])
+            grad.attn[2 * d :] += XeD[:, i] @ layer.theta_e
         dXe = D.T @ _edge_directions(params.gat_layers).T
-        _fcn_backward(params.h_edge, cache["h_edge"], dXe, grads, "h_edge")
+        _fcn_backward(params.h_edge, cache["h_edge"], dXe, grads.h_edge)
 
 
 def frame_representation(params: ModelParams, graph: PointGraph) -> np.ndarray:
@@ -771,10 +759,11 @@ def network_loss(
     loss_kind is "mse" (target: flat vector matching the head width) or
     "cross_entropy" (target: integer class index; LabelOutOfRange outside
     the head's classes).  Returns (loss, grads_or_None,
-    activation_sign_pattern).
+    activation_sign_pattern); the gradients are the ``tensors`` of a zero
+    model built like ``params``, so they carry its names and shapes.
     """
     cache: dict = {"h_pred": []}
-    rep = _rep_forward_batch(params, [graph], cache)
+    rep = _rep_forward_batch(params, [encode_graph(params, graph, cache)], cache)
     pred = _fcn_forward(params.h_pred, rep, cache["h_pred"])[0]
     if loss_kind == "mse":
         target = np.asarray(target, dtype=np.float64).reshape(-1)
@@ -793,10 +782,10 @@ def network_loss(
     pattern = _sign_pattern(cache)
     if not compute_grads:
         return loss, None, pattern
-    grads = zero_grads(params)
-    dRep = _fcn_backward(params.h_pred, cache["h_pred"], dpred[None, :], grads, "h_pred")
+    grads = _build_params(params.shape, params.config, lambda name, dims, fan_in: np.zeros(dims))
+    dRep = _fcn_backward(params.h_pred, cache["h_pred"], dpred[None, :], grads.h_pred)
     _rep_backward_batch(params, cache, dRep, grads)
-    return loss, grads, pattern
+    return loss, grads.tensors, pattern
 
 
 def grad_check(
@@ -824,11 +813,10 @@ def grad_check(
     against pure roundoff noise.
     """
     _, grads, _ = network_loss(params, graph, loss_selector, target)
-    tensors = named_tensors(params)
     report: dict = {}
     sampler = rng or SplitMix64(0)
     overall = 0.0
-    for name, tensor in tensors.items():
+    for name, tensor in params.tensors.items():
         if name.startswith("lstm."):
             continue
         flat = tensor.reshape(-1)
@@ -872,7 +860,7 @@ def save_params(params: ModelParams, path) -> None:
     """Named-tensor manifest: (name, shape, little-endian float64 data).
     Each tensor takes one header write and one data write, straight from
     its array."""
-    tensors = named_tensors(params)
+    tensors = params.tensors
     with open(path, "wb") as fh:
         fh.write(_WEIGHTS_MAGIC + struct.pack("<II", _WEIGHTS_VERSION, len(tensors)))
         for name, arr in tensors.items():

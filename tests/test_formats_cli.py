@@ -23,7 +23,6 @@ from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
 from cloudgraph.errors import FormatVersionError, ParseError
 from cloudgraph.gnn import (
     init_params,
-    named_tensors,
     predict_framewise,
     predict_sequential,
     save_params,
@@ -683,11 +682,11 @@ def test_cli_infer_zero_weights_zero_skeletons(tmp_path):
     assert main(["init-weights", "--config", str(cfg_path), "--seed", "0",
                  "--out", str(weights)]) == 0
     # zero out every tensor in the weights file payload: easier through the api
-    from cloudgraph.gnn import init_params, named_tensors, save_params
+    from cloudgraph.gnn import init_params, save_params
     from cloudgraph.rng import SplitMix64
 
     params = init_params(model, PipelineConfig(K=4), SplitMix64(0))
-    for arr in named_tensors(params).values():
+    for arr in params.tensors.values():
         arr[...] = 0.0
     save_params(params, weights)
     preds_path = tmp_path / "preds.csv"
@@ -709,6 +708,35 @@ def test_cli_infer_missing_weights_exit_3(tmp_path):
     rc = main(["infer", str(out_dir), "--weights", str(tmp_path / "absent.bin"),
                "--config", str(cfg_path), "--out", str(tmp_path / "p.csv")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_cli_infer_without_a_graphs_directory_exit_3(infer_inputs, tmp_path, caplog, kind):
+    _, weights, cfg_path = infer_inputs["pose"]
+    graphs = tmp_path / "no_such_dir"
+    if kind == "file":
+        graphs.write_text("", encoding="utf-8")
+    out = tmp_path / "p.csv"
+    assert infer(graphs, weights, cfg_path, out) == 3
+    assert f"{graphs}: not a directory of graph records" in caplog.text
+    assert not out.exists()
+
+
+def test_cli_infer_on_an_empty_graphs_directory_writes_no_predictions(infer_inputs, tmp_path,
+                                                                      caplog):
+    # extract on frames that are all empty writes a manifest and no records
+    _, weights, cfg_path = infer_inputs["pose"]
+    formats.write_frames([frame_from_matrix(0, i, np.zeros((0, 5))) for i in range(2)],
+                         tmp_path / "f.csv")
+    graphs = tmp_path / "graphs"
+    assert main(["extract", str(tmp_path / "f.csv"), "--config", str(cfg_path),
+                 "--out", str(graphs)]) == 0
+    assert [p.name for p in graphs.iterdir()] == ["manifest.txt"]
+    out = tmp_path / "p.csv"
+    caplog.set_level(logging.INFO, logger="cloudgraph")
+    assert infer(graphs, weights, cfg_path, out) == 0
+    assert f"wrote 0 predictions to {out}" in caplog.text
+    assert formats.read_skeletons(out, 0) == {}
 
 
 def test_cli_commands_parse_their_config_once(tmp_path, monkeypatch):
@@ -1243,7 +1271,7 @@ def records_and_weights(tmp_path, np_rng, ids, model):
     assert main(["extract", str(tmp_path / "frames.csv"), "--config", str(cfg_path),
                  "--out", str(graphs)]) == 0
     params = init_params(model, pipe, SplitMix64(3))
-    for name, arr in named_tensors(params).items():
+    for name, arr in params.tensors.items():
         if name.endswith(".b"):
             arr[...] = np_rng.normal(scale=0.3, size=arr.shape)
     save_params(params, tmp_path / "w.bin")
@@ -1627,11 +1655,11 @@ def test_cli_infer_peak_memory_below_1_7_records(tmp_path, np_rng):
 @pytest.mark.parametrize("head", sorted(SMALL_MODELS))
 def test_cli_infer_non_finite_prediction_exit_7(tmp_path, caplog, head):
     """Finite but huge weights overflow in the prediction block."""
-    from cloudgraph.gnn import load_params, named_tensors, save_params
+    from cloudgraph.gnn import load_params, save_params
 
     graphs, weights, cfg_path = extract_and_init(tmp_path, head)
     params = load_params(weights, SMALL_MODELS[head], PipelineConfig(K=4))
-    for name, arr in named_tensors(params).items():
+    for name, arr in params.tensors.items():
         if name.startswith("h_pred.") and name.endswith(".W"):
             arr[...] = 1e300
     save_params(params, weights)

@@ -38,7 +38,6 @@ from cloudgraph.gnn import (
     grad_check,
     init_params,
     load_params,
-    named_tensors,
     network_loss,
     node_path,
     predict_framewise,
@@ -207,16 +206,17 @@ def test_fcn_backward_matches_plain_chain_rule(np_rng, policy, n_layers):
     dY = np_rng.normal(size=(23, block.layers[-1].W.shape[1]))
     cache = []
     _fcn_forward(block, X, cache)
-    grads = {f"b.{i}.{t}": np.zeros_like(getattr(layer, t))
-             for i, layer in enumerate(block.layers) for t in "Wb"}
-    dX = _fcn_backward(block, cache, dY, grads, "b")
+    grad = FcnBlock([AffineLayer(np.zeros_like(layer.W), np.zeros_like(layer.b))
+                     for layer in block.layers], policy)
+    dX = _fcn_backward(block, cache, dY, grad)
     _, steps = plain_fcn(block, X)
     d = dY
     for i in reversed(range(n_layers)):
         Xin, Z = steps[i]
         dZ = d * (Z > 0) if rectified(policy, i, n_layers) else d
-        for name, want in ((f"b.{i}.W", Xin.T @ dZ), (f"b.{i}.b", dZ.sum(axis=0))):
-            assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+        for name, want in (("W", Xin.T @ dZ), ("b", dZ.sum(axis=0))):
+            got = getattr(grad.layers[i], name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), f"{i}.{name}"
         d = dZ @ block.layers[i].W.T
     assert np.abs(dX - d).max() <= 1e-12 * np.abs(d).max()
 
@@ -434,10 +434,11 @@ def test_gat_backward_on_a_table_matches_finite_differences(np_rng, n, k):
     R = np_rng.normal(size=(n, d))  # loss = sum(R * out)
     cache = []
     _gat_forward(layer, X, table, e_logit, cache=cache)
-    grads = {"g.theta": np.zeros_like(layer.theta), "g.attn": np.zeros_like(layer.attn)}
-    dX, de_logit = _gat_backward(layer, cache[0], R, grads, "g")
-    assert not grads["g.attn"][2 * d :].any()
-    analytic = {"theta": grads["g.theta"], "attn[:2d]": grads["g.attn"][: 2 * d],
+    grad = GatLayer(np.zeros_like(layer.theta), np.zeros_like(layer.theta_e),
+                    np.zeros_like(layer.attn))
+    dX, de_logit = _gat_backward(layer, cache[0], R, grad)
+    assert not grad.attn[2 * d :].any() and not grad.theta_e.any()
+    analytic = {"theta": grad.theta, "attn[:2d]": grad.attn[: 2 * d],
                 "X": dX, "e_logit": de_logit}
     tensors = {"theta": layer.theta, "attn[:2d]": layer.attn[: 2 * d], "X": X,
                "e_logit": e_logit}
@@ -537,10 +538,24 @@ def test_representation_rejects_empty(np_rng):
         _rep_forward_batch(params, [])
 
 
+def test_a_gradient_cache_takes_one_graph(np_rng):
+    # a cache over a window would hold the last graph's node path beside
+    # every graph's frame branch, which no backward pass can read
+    params, cfg = small_params()
+    graphs = [random_graph(np_rng, n=n, cfg=cfg) for n in (6, 9)]
+    cache: dict = {}
+    with pytest.raises(ValueError, match="^a gradient cache describes one graph, not 2$"):
+        _rep_forward_batch(params, graphs, cache)
+    assert cache == {}
+    # one graph, encoded with the cache, fills every key the backward pass reads
+    _rep_forward_batch(params, [encode_graph(params, graphs[1], cache)], cache)
+    assert cache["pooled_shape"][0] == 9 and len(cache["h_frame"]) == len(params.h_frame.layers)
+
+
 def random_biases(params, rng, scale=0.3):
     """Non-zero biases in every block, so a gradient term proportional to
     a bias can show."""
-    for name, arr in named_tensors(params).items():
+    for name, arr in params.tensors.items():
         if name.endswith(".b"):
             arr[...] = rng.normal(scale=scale, size=arr.shape)
     return params
@@ -591,8 +606,9 @@ def test_representation_does_not_depend_on_the_block_size(np_rng, monkeypatch, b
     default_rows = gnn._BLOCK_BYTES // row_bytes
     assert 0 < E % gnn._MIN_BLOCK_ROWS == E % default_rows < gnn._MIN_BLOCK_ROWS
     want = _rep_forward_batch(params, graphs)
-    # the cached path runs the edge block as one block
-    assert np.array_equal(_rep_forward_batch(params, graphs, {}), want)
+    # the cached path runs the edge block as one block; a cache takes one graph
+    pooled = np.concatenate([encode_graph(params, g, {}).pooled for g in graphs])
+    assert np.array_equal(pooled, want[:, : pooled.shape[1]])
     monkeypatch.setattr(gnn, "_BLOCK_BYTES", block_rows * row_bytes)
     assert np.array_equal(_rep_forward_batch(params, graphs), want)
 
@@ -708,7 +724,7 @@ def test_shared_mlp_locality_without_attention(np_rng):
 
 
 def zero_all(params):
-    for arr in named_tensors(params).values():
+    for arr in params.tensors.values():
         arr[...] = 0.0
     return params
 
@@ -909,7 +925,7 @@ def test_network_loss_values(np_rng):
     assert loss == 0.0
     loss2, _, _ = network_loss(params, g, "mse", pred + 1.0)
     assert loss2 == pytest.approx(1.0)
-    assert set(grads) == set(named_tensors(params))
+    assert set(grads) == set(params.tensors)
 
 
 def test_network_loss_cross_entropy_is_the_metric(np_rng):
@@ -940,7 +956,7 @@ def test_network_loss_lstm_grads_absent_from_check(np_rng):
     )
     cfg = PipelineConfig(K=3)
     params = init_params(shape, cfg, SplitMix64(9))
-    assert any(k.startswith("lstm.") for k in named_tensors(params))
+    assert any(k.startswith("lstm.") for k in params.tensors)
     g = random_graph(np_rng, n=5, cfg=cfg)
     rep = grad_check(params, g, "mse", np.zeros(9), max_entries_per_tensor=3,
                      rng=SplitMix64(0))
@@ -952,23 +968,23 @@ def test_network_loss_lstm_grads_absent_from_check(np_rng):
 
 def test_init_deterministic():
     cfg = PipelineConfig(K=4)
-    a = named_tensors(init_params(SMALL_SHAPE, cfg, SplitMix64(77)))
-    b = named_tensors(init_params(SMALL_SHAPE, cfg, SplitMix64(77)))
+    a = init_params(SMALL_SHAPE, cfg, SplitMix64(77)).tensors
+    b = init_params(SMALL_SHAPE, cfg, SplitMix64(77)).tensors
     assert set(a) == set(b)
     for k in a:
         assert np.array_equal(a[k], b[k])
-    c = named_tensors(init_params(SMALL_SHAPE, cfg, SplitMix64(78)))
+    c = init_params(SMALL_SHAPE, cfg, SplitMix64(78)).tensors
     assert any(not np.array_equal(a[k], c[k]) for k in a)
 
 
 @pytest.mark.parametrize("shape", [ModelShape(), mars_sequential_shape(13, 0), SMALL_SHAPE],
                          ids=["default", "mars_sequential", "small"])
 def test_init_draws_the_weights_as_one_run(shape):
-    # every weight, in named_tensors order, is the next slice of one
+    # every weight, in manifest order, is the next slice of one
     # doubles run mapped to (2u - 1) / sqrt(fan_in); biases are zeros
     cfg = PipelineConfig()
     drawn = SplitMix64(5)
-    tensors = named_tensors(init_params(shape, cfg, drawn))
+    tensors = init_params(shape, cfg, drawn).tensors
     weights = {k: v for k, v in tensors.items() if not k.endswith(".b")}
     reference = SplitMix64(5)
     run = reference.doubles(sum(v.size for v in weights.values()))
@@ -1031,7 +1047,7 @@ def test_save_load_round_trip_bit_exact(tmp_path, np_rng):
     path = tmp_path / "w.bin"
     save_params(params, path)
     loaded = load_params(path, SMALL_SHAPE, cfg)
-    a, b = named_tensors(params), named_tensors(loaded)
+    a, b = params.tensors, loaded.tensors
     assert set(a) == set(b)
     for k in a:
         assert np.array_equal(a[k], b[k])
@@ -1067,7 +1083,7 @@ def test_load_rejects_a_repeated_tensor_name(tmp_path):
 @pytest.mark.parametrize("at", ["first", "middle", "last"])
 def test_weights_manifest_names_the_tensor_holding_a_non_finite_value(tmp_path, at):
     params = init_params(SMALL_SHAPE, PipelineConfig(K=4), SplitMix64(31))
-    tensors = named_tensors(params)
+    tensors = params.tensors
     names = list(tensors)
     name = {"first": names[0], "middle": names[len(names) // 2], "last": names[-1]}[at]
     tensors[name].flat[0] = np.nan
