@@ -161,6 +161,11 @@ def _encoded_records(graphs_dir, params):
 def cmd_infer(args) -> int:
     if not Path(args.graphs).is_dir():
         raise NotADirectoryError(f"{args.graphs}: not a directory of graph records")
+    out = Path(args.out)
+    if out.is_dir():
+        raise IsADirectoryError(f"{args.out}: a directory, not a predictions file")
+    if not out.parent.is_dir():
+        raise NotADirectoryError(f"{args.out}: {out.parent} is not a directory")
     pipeline_cfg, shape = load_config(args.config)
     params = load_params(args.weights, shape, pipeline_cfg)
     graphs = _encoded_records(args.graphs, params)

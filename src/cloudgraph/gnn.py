@@ -14,6 +14,7 @@ mirror the parameters block for block and name for name.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -390,12 +391,13 @@ def _edge_logits(params: ModelParams, edge_feats: np.ndarray, cache=None) -> np.
     ``_fcn_forward`` packs and folds the block once per graph and streams
     the edges feature-major, projecting each row block inside the call.
     Without a cache no E x d array is held; with one, the edges are one
-    block and the cache keeps the block's output ``Xe`` for the backward
-    pass.  Both round every edge alike."""
+    block and ``cache["h_edge"]`` keeps each layer's input and output, the
+    last output being the processed edge features the backward pass reads.
+    Both round every edge alike."""
     ec = [] if cache is not None else None
     logits = _fcn_forward(params.h_edge, edge_feats, ec, head=_edge_directions(params.gat_layers))
     if cache is not None:
-        cache.update(h_edge=ec, Xe=ec[-1][1])
+        cache["h_edge"] = ec
     return logits
 
 
@@ -577,11 +579,13 @@ def edge_pass(params: ModelParams, graph: PointGraph, cache=None) -> LogitGraph:
 
 def node_path(params: ModelParams, graph: LogitGraph, cache=None) -> EncodedGraph:
     """A graph's node states through the node block and every attention
-    layer, on the graph's own neighbour table, mean-pooled to 1 x d."""
+    layer, on the graph's own neighbour table, mean-pooled to 1 x d.  The
+    rectified output of an inner attention layer is cached once, as the
+    next layer's input ``X``."""
     nc = [] if cache is not None else None
     X = _fcn_forward(params.h_node, graph.node_features, nc)
     if cache is not None:
-        cache.update(h_node=nc, gat=[], relu_z=[])
+        cache.update(h_node=nc, gat=[])
     n_layers = len(params.gat_layers)
     e_logits = graph.e_logits
     for i, layer in enumerate(params.gat_layers):
@@ -589,8 +593,6 @@ def node_path(params: ModelParams, graph: LogitGraph, cache=None) -> EncodedGrap
         X = _gat_forward(layer, X, graph.neighbours, None if e_logits is None else e_logits[i], gc)
         if i < n_layers - 1:  # rectifier after every attention layer except the last
             np.maximum(X, 0.0, out=X)
-            if cache is not None:
-                cache["relu_z"].append(X)
     if cache is not None:
         cache["pooled_shape"] = X.shape
     n = len(X)
@@ -636,15 +638,16 @@ def _rep_backward_batch(params: ModelParams, cache, dRep, grads: ModelParams):
     de_logits = []
     n_layers = len(params.gat_layers)
     for i in reversed(range(n_layers)):
-        if i < n_layers - 1:
-            dX = dX * (cache["relu_z"][i] > 0)
+        if i < n_layers - 1:  # the rectified output is layer i + 1's input
+            dX = dX * (cache["gat"][i + 1]["X"] > 0)
         dX, de_logit = _gat_backward(params.gat_layers[i], cache["gat"][i], dX, grads.gat_layers[i])
         de_logits.insert(0, de_logit)
     _fcn_backward(params.h_node, cache["h_node"], dX, grads.h_node)
-    if "Xe" in cache:
-        # layer l's edge logits are Xe @ V[:, l], V[:, l] = theta_e_l @ w3_l
+    if "h_edge" in cache:
+        # layer l's edge logits are Xe @ V[:, l], V[:, l] = theta_e_l @ w3_l,
+        # Xe the edge block's output
         D = np.stack(de_logits)  # L x E
-        XeD = cache["Xe"].T @ D.T  # d_edge x L
+        XeD = cache["h_edge"][-1][1].T @ D.T  # d_edge x L
         for i, (layer, grad) in enumerate(zip(params.gat_layers, grads.gat_layers)):
             d = layer.theta.shape[1]
             grad.theta_e += np.outer(XeD[:, i], layer.attn[2 * d :])
@@ -741,7 +744,7 @@ def _sign_pattern(cache: dict) -> np.ndarray:
     ``z > 0``."""
     fcn = [c for key in ("h_edge", "h_node", "h_frame", "h_pred") for c in cache.get(key, ())]
     parts = [Y > 0 for _, Y, use_relu in fcn if use_relu]
-    parts += [Y > 0 for Y in cache["relu_z"]]
+    parts += [c["X"] > 0 for c in cache["gat"][1:]]  # the inner rectifiers' outputs
     for c in cache["gat"]:
         parts += [c["z_self"] > 0, c["z_e"] > 0]
     return np.concatenate([p.ravel() for p in parts] or [np.zeros(0, bool)])
@@ -856,100 +859,68 @@ _WEIGHTS_MAGIC = b"PCGW"
 _WEIGHTS_VERSION = 1
 
 
+def _tensor_header(name: str, dims: Tuple[int, ...]) -> bytes:
+    """The bytes before a tensor's values: u16 name length, UTF-8 name, u8
+    rank, u32 dims."""
+    nb = name.encode("utf-8")
+    return struct.pack(f"<H{len(nb)}sB{len(dims)}I", len(nb), nb, len(dims), *dims)
+
+
 def save_params(params: ModelParams, path) -> None:
-    """Named-tensor manifest: (name, shape, little-endian float64 data).
-    Each tensor takes one header write and one data write, straight from
-    its array."""
+    """Magic, u32 version and tensor count, then each tensor in manifest
+    order: its header and its little-endian float64 values, one write each,
+    straight from its array."""
     tensors = params.tensors
     with open(path, "wb") as fh:
         fh.write(_WEIGHTS_MAGIC + struct.pack("<II", _WEIGHTS_VERSION, len(tensors)))
         for name, arr in tensors.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+            fh.write(_tensor_header(name, arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
-def read_weights_manifest(path) -> Dict[str, np.ndarray]:
-    """Parse a weights file.  Every length is checked against the bytes that
-    remain before it is read, and the file must end exactly after the last
-    tensor, so a truncated, overlong or garbled file, a repeated tensor name,
-    or a NaN or infinite value, raises ManifestMismatch.  Tensors are
-    aligned, writable views of one float64 array sized from the file, read
-    into it in place; a tensor header takes three reads, and the values are
-    checked in one pass once all are read."""
+def load_params(path, shape: ModelShape, config: PipelineConfig) -> ModelParams:
+    """The model of (shape, config) with its values read from a file that
+    holds exactly the bytes ``save_params`` writes for that model, with any
+    finite values.  The values go into one float64 array sized from the
+    model, never from the file: each tensor is an aligned, writable view of
+    it.  The file's magic, version and size are checked before any tensor
+    is read, then each tensor header must equal the model's, so a wrong
+    file raises ManifestMismatch naming it."""
+    sizes: List[int] = []
+    _build_params(shape, config, lambda name, dims, fan_in: sizes.append(math.prod(dims)))
+    ends = list(itertools.accumulate(sizes))
+    values = np.empty(ends[-1], dtype="<f8")
+    bounds = iter(zip([0, *ends], ends))
+    params = _build_params(
+        shape, config, lambda name, dims, fan_in: values[slice(*next(bounds))].reshape(dims)
+    )
+    tensors = params.tensors
+    headers = [_tensor_header(name, t.shape) for name, t in tensors.items()]
+    start = _WEIGHTS_MAGIC + struct.pack("<II", _WEIGHTS_VERSION, len(tensors))
+    want = len(start) + sum(map(len, headers)) + values.nbytes
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        values = np.empty(size // 8, dtype="<f8")
-        pos = used = 0
-
-        def take(nbytes: int, into: Optional[np.ndarray] = None):
-            """The next nbytes, read into ``into`` if given, once known to remain."""
-            nonlocal pos
-            if nbytes > size - pos:
-                raise ManifestMismatch(f"{path}: truncated at byte {size}")
-            data = fh.read(nbytes) if into is None else into
-            got = len(data) if into is None else fh.readinto(into)
-            pos += got
-            if got != nbytes:
-                raise ManifestMismatch(f"{path}: truncated at byte {pos}")
-            return data
-
-        if take(4) != _WEIGHTS_MAGIC:
+        head = fh.read(len(start))
+        if head[:4] != _WEIGHTS_MAGIC:
             raise ManifestMismatch(f"{path}: not a weights file")
-        version, count = struct.unpack("<II", take(8))
-        if version != _WEIGHTS_VERSION:
+        if len(head) >= 8 and head[4:8] != start[4:8]:
+            (version,) = struct.unpack_from("<I", head, 4)
             raise ManifestMismatch(f"{path}: unsupported weights version {version}")
-        out: Dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", take(2))
-            head = take(nlen + 1)  # the name, then the rank
-            try:
-                name = head[:nlen].decode("utf-8")
-            except UnicodeDecodeError:
-                raise ManifestMismatch(f"{path}: tensor name is not UTF-8") from None
-            if name in out:
-                raise ManifestMismatch(f"{path}: tensor {name} appears more than once")
-            ndim = head[nlen]
-            if ndim not in (1, 2):  # every model tensor is a vector or a matrix
-                raise ManifestMismatch(f"{path}: tensor {name} has {ndim} dimensions")
-            dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            n = math.prod(dims)
-            tensor = take(8 * n, values[used : used + n])
-            used += n
-            out[name] = tensor.astype(np.float64, copy=False).reshape(dims)
-    if pos != size:
-        raise ManifestMismatch(f"{path}: {size - pos} bytes after the last tensor")
-    finite = np.isfinite(values[:used])
+        if size != want:
+            raise ManifestMismatch(f"{path}: {size} bytes, but the model's manifest implies {want}")
+        if head != start:
+            (count,) = struct.unpack_from("<I", head, 8)
+            raise ManifestMismatch(f"{path}: {count} tensors, but the model's manifest has {len(tensors)}")
+        for (name, tensor), header in zip(tensors.items(), headers):
+            if fh.read(len(header)) != header:
+                raise ManifestMismatch(
+                    f"{path}: expected tensor {name} of shape {tensor.shape}, the header differs"
+                )
+            if fh.readinto(tensor) != tensor.nbytes:
+                raise ManifestMismatch(f"{path}: changed while it was read")
+    finite = np.isfinite(values)
     if not finite.all():
         # name the tensor that holds the first non-finite value
-        first = int(finite.argmin())
-        for name, tensor in out.items():
-            first -= tensor.size
-            if first < 0:
-                raise ManifestMismatch(f"{path}: tensor {name} has a non-finite value")
-    return out
-
-
-def load_params(path, shape: ModelShape, config: PipelineConfig) -> ModelParams:
-    """Rebuild ModelParams from a weights file; names and shapes must match
-    the manifest implied by (shape, config) exactly."""
-    stored = read_weights_manifest(path)
-    expected: Dict[str, Tuple[int, ...]] = {}
-
-    def take(name: str, dims: Tuple[int, ...], fan_in: Optional[int]) -> Optional[np.ndarray]:
-        expected[name] = dims
-        return stored.get(name)
-
-    params = _build_params(shape, config, take)
-    if set(stored) != set(expected):
-        missing = set(expected) - set(stored)
-        extra = set(stored) - set(expected)
-        raise ManifestMismatch(
-            f"{path}: tensor names differ (missing={sorted(missing)}, extra={sorted(extra)})"
-        )
-    for name, dims in expected.items():
-        if stored[name].shape != dims:
-            raise ManifestMismatch(
-                f"{path}: tensor {name} has shape {stored[name].shape}, expected {dims}"
-            )
+        name = list(tensors)[np.searchsorted(ends, finite.argmin(), side="right")]
+        raise ManifestMismatch(f"{path}: tensor {name} has a non-finite value")
     return params

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloudgraph
-from cloudgraph import formats
+from cloudgraph import cli, formats
 from cloudgraph.cli import build_parser, main
 from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
 from cloudgraph.errors import FormatVersionError, ParseError
@@ -722,6 +722,26 @@ def test_cli_infer_without_a_graphs_directory_exit_3(infer_inputs, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing_parent", "file_parent", "directory"])
+def test_cli_infer_refuses_an_unusable_out_before_predicting(infer_inputs, tmp_path, caplog,
+                                                             monkeypatch, kind):
+    graphs, weights, cfg_path = infer_inputs["pose"]
+    calls = []
+    monkeypatch.setattr(cli, "predict_framewise", lambda *a: calls.append(a))
+    parent = tmp_path / "nodir"
+    if kind == "file_parent":
+        parent.write_text("", encoding="utf-8")
+    if kind == "directory":
+        out, message = tmp_path, f"{tmp_path}: a directory, not a predictions file"
+    else:
+        out = parent / "p.csv"
+        message = f"{out}: {parent} is not a directory"
+    assert infer(graphs, weights, cfg_path, out) == 3
+    assert message in caplog.text
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == ([parent] if kind == "file_parent" else [])
+
+
 def test_cli_infer_on_an_empty_graphs_directory_writes_no_predictions(infer_inputs, tmp_path,
                                                                       caplog):
     # extract on frames that are all empty writes a manifest and no records
@@ -1203,13 +1223,17 @@ def test_cli_weights_cut_inside_a_header_or_tensor_data_exit_4(tmp_path, caplog)
     data = weights.read_bytes()
     layout = weights_layout(data)
     out = tmp_path / "p.csv"
+    # inside the version, at the count, after the count
+    sizes = [5, 8, 12]
     for header, start, end in (layout[0], layout[len(layout) // 2], layout[-1]):
         # inside the name length, the name, the dims, then the values
-        for size in (header + 1, header + 3, start - 1, start + 4, end - 8):
-            caplog.clear()
-            weights.write_bytes(data[:size])
-            assert infer(graphs, weights, cfg_path, out) == 4, size
-            assert f"{weights}: truncated at byte {size}" in caplog.text, size
+        sizes += [header + 1, header + 3, start - 1, start + 4, end - 8]
+    for size in sizes:
+        caplog.clear()
+        weights.write_bytes(data[:size])
+        assert infer(graphs, weights, cfg_path, out) == 4, size
+        message = f"{weights}: {size} bytes, but the model's manifest implies {len(data)}"
+        assert message in caplog.text, size
     weights.write_bytes(data)
     assert infer(graphs, weights, cfg_path, out) == 0
 
@@ -1370,7 +1394,7 @@ def test_cli_infer_peak_memory_does_not_grow_by_a_record(tmp_path, np_rng, model
 
 
 def test_cli_infer_weights_declaring_a_huge_tensor_exit_4_without_allocating(tmp_path, caplog):
-    graphs, _, cfg_path = extract_and_init(tmp_path, "pose")
+    graphs, saved, cfg_path = extract_and_init(tmp_path, "pose")
     weights = tmp_path / "huge.bin"
     # one tensor of (2**32 - 1)**2 values, the most two u32 dims can declare
     weights.write_bytes(b"PCGW" + struct.pack("<IIH", 1, 1, 1) + b"t"
@@ -1378,15 +1402,29 @@ def test_cli_infer_weights_declaring_a_huge_tensor_exit_4_without_allocating(tmp
     code, peak = traced_peak(infer, graphs, weights, cfg_path, tmp_path / "p.csv")
     assert code == 4
     assert peak < 1 << 20
-    assert f"{weights}: truncated at byte {weights.stat().st_size}" in caplog.text
+    assert (f"{weights}: {weights.stat().st_size} bytes, but the model's manifest implies "
+            f"{saved.stat().st_size}") in caplog.text
 
 
 def test_cli_infer_weights_repeating_a_tensor_name_exit_4(tmp_path, caplog):
     graphs, weights, cfg_path = extract_and_init(tmp_path, "pose")
     bias_shape = (3 * SMALL_MODEL.output_size,)
+    size = weights.stat().st_size
     append_tensor(weights, "h_pred.1.b", np.full(bias_shape, 7.0))
     assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
-    assert f"{weights}: tensor h_pred.1.b appears more than once" in caplog.text
+    assert (f"{weights}: {weights.stat().st_size} bytes, but the model's manifest implies "
+            f"{size}") in caplog.text
+
+
+def test_cli_infer_weights_with_their_tensors_reversed_exit_4(tmp_path, caplog):
+    # the same tensors, names and values in the opposite of manifest order:
+    # the size matches, the first header does not
+    graphs, weights, cfg_path = extract_and_init(tmp_path, "pose")
+    data = weights.read_bytes()
+    layout = weights_layout(data)
+    weights.write_bytes(data[:12] + b"".join(data[h:end] for h, _, end in reversed(layout)))
+    assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
+    assert f"{weights}: expected tensor h_edge.0.W of shape " in caplog.text
 
 
 # -- corrupt inputs and non-finite values --------------------------------------

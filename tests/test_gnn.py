@@ -1,6 +1,6 @@
 import hashlib
 import os
-import struct
+import re
 import subprocess
 import sys
 import weakref
@@ -42,7 +42,6 @@ from cloudgraph.gnn import (
     node_path,
     predict_framewise,
     predict_sequential,
-    read_weights_manifest,
     save_params,
 )
 from cloudgraph.metrics import cross_entropy, softmax
@@ -1075,8 +1074,10 @@ def test_load_rejects_a_repeated_tensor_name(tmp_path):
     params = init_params(SMALL_SHAPE, cfg, SplitMix64(31))
     path = tmp_path / "w.bin"
     save_params(params, path)
+    size = path.stat().st_size
     append_tensor(path, "h_pred.1.b", np.full(params.h_pred.layers[1].b.shape, 7.0))
-    with pytest.raises(ManifestMismatch, match="tensor h_pred.1.b appears more than once"):
+    message = f"{path}: {path.stat().st_size} bytes, but the model's manifest implies {size}"
+    with pytest.raises(ManifestMismatch, match=re.escape(message)):
         load_params(path, SMALL_SHAPE, cfg)
 
 
@@ -1092,7 +1093,7 @@ def test_weights_manifest_names_the_tensor_holding_a_non_finite_value(tmp_path, 
     path = tmp_path / "w.bin"
     save_params(params, path)
     with pytest.raises(ManifestMismatch, match=rf"tensor {name} has a non-finite value$"):
-        read_weights_manifest(path)
+        load_params(path, SMALL_SHAPE, PipelineConfig(K=4))
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -1104,10 +1105,41 @@ def test_load_rejects_garbage(tmp_path):
 
 @pytest.mark.parametrize("ndim", [0, 3, 65, 255])
 def test_weights_manifest_rejects_tensor_rank(tmp_path, ndim):
-    # all-zero dims hold no values, so only the rank check stops a tensor
-    # of a rank numpy cannot build (above 64) from reaching reshape
+    # the file keeps its size, so only the first tensor's header, whose
+    # rank byte follows the 12-byte file header, the u16 name length and
+    # the name, tells it apart
+    cfg = PipelineConfig(K=4)
     path = tmp_path / "w.bin"
-    path.write_bytes(b"PCGW" + struct.pack("<IIH", 1, 1, 1) + b"t"
-                     + struct.pack("<B", ndim) + b"\x00" * 4 * ndim)
-    with pytest.raises(ManifestMismatch, match="dimensions"):
-        read_weights_manifest(path)
+    save_params(init_params(SMALL_SHAPE, cfg, SplitMix64(31)), path)
+    data = bytearray(path.read_bytes())
+    data[12 + 2 + len("h_edge.0.W")] = ndim
+    path.write_bytes(data)
+    message = f"{path}: expected tensor h_edge.0.W of shape (6, 6), the header differs"
+    with pytest.raises(ManifestMismatch, match=re.escape(message)):
+        load_params(path, SMALL_SHAPE, cfg)
+
+
+def test_every_header_bit_of_a_weights_file_is_load_bearing(tmp_path):
+    # the magic, version and count, then each tensor's name length, name,
+    # rank and dims: a flip of any one bit of them is refused, naming the
+    # file and the field or tensor it hit
+    cfg = PipelineConfig(K=4)
+    params = init_params(SMALL_SHAPE, cfg, SplitMix64(31))
+    path = tmp_path / "w.bin"
+    save_params(params, path)
+    data = path.read_bytes()
+    messages = ["not a weights file"] * 4 + ["unsupported weights version"] * 4
+    messages += [f"tensors, but the model's manifest has {len(params.tensors)}"] * 4
+    for name, tensor in params.tensors.items():
+        header = 2 + len(name.encode("utf-8")) + 1 + 4 * tensor.ndim
+        messages += [f"expected tensor {name} of shape {tensor.shape}"] * header
+        messages += [None] * 8 * tensor.size
+    assert len(messages) == len(data)
+    for at, message in enumerate(messages):
+        for bit in range(8 if message else 0):
+            flipped = bytearray(data)
+            flipped[at] ^= 1 << bit
+            path.write_bytes(flipped)
+            with pytest.raises(ManifestMismatch) as err:
+                load_params(path, SMALL_SHAPE, cfg)
+            assert str(err.value).startswith(f"{path}: ") and message in str(err.value), at

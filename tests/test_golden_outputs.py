@@ -1,6 +1,6 @@
 """Golden outputs: ``init-weights``, ``extract``, ``infer`` and ``eval``
-through ``cli.main`` on the benchmark's three workloads at seed 1 write
-files whose SHA-256 digests equal the table in
+through ``cli.main`` on the benchmark's three workloads at seeds 1, 7 and
+19 write files whose SHA-256 digests equal the table in
 ``tests/data/golden_outputs.json``.
 
 The bits depend on the BLAS kernel and numpy's SIMD loops, so the table
@@ -22,7 +22,8 @@ from cloudgraph.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "tests" / "data" / "golden_outputs.json"
-SEED = 1
+SEEDS = (1, 7, 19)
+WORKLOADS = ("dense_cloud", "sparse_fused", "sequential_pose")
 
 
 def environment() -> dict:
@@ -62,8 +63,8 @@ def run_path(workloads, name: str, seed: int, work: Path) -> Path:
     return out
 
 
-def mismatch_message(name: str, want: dict, got: dict, table_env: dict) -> str:
-    lines = [f"{name} at seed {SEED}: outputs differ from {TABLE.name}"]
+def mismatch_message(name: str, seed: int, want: dict, got: dict, table_env: dict) -> str:
+    lines = [f"{name} at seed {seed}: outputs differ from {TABLE.name}"]
     for path in sorted(set(want) | set(got)):
         if want.get(path) != got.get(path):
             lines.append(f"  {path}: table {want.get(path)}, here {got.get(path)}")
@@ -79,27 +80,29 @@ def mismatch_message(name: str, want: dict, got: dict, table_env: dict) -> str:
 
 def test_table_names_the_environment_and_every_workload():
     table = json.loads(TABLE.read_text(encoding="utf-8"))
-    assert table["seed"] == SEED
     assert set(table["environment"]) == set(environment())
-    assert set(table["workloads"]) == {"dense_cloud", "sparse_fused", "sequential_pose"}
+    assert table["seeds"].keys() == {str(seed) for seed in SEEDS}
+    assert all(set(by_name) == set(WORKLOADS) for by_name in table["seeds"].values())
 
 
-@pytest.mark.parametrize("name", ["dense_cloud", "sparse_fused", "sequential_pose"])
-def test_workload_outputs_match_the_golden_table(monkeypatch, tmp_path, capsys, name):
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_outputs_match_the_golden_table(monkeypatch, tmp_path, capsys, name, seed):
     workloads, gate = perfbench_modules(monkeypatch)
-    got = gate.output_digests(run_path(workloads, name, SEED, tmp_path))
+    got = gate.output_digests(run_path(workloads, name, seed, tmp_path))
     capsys.readouterr()  # eval prints its report
     table = json.loads(TABLE.read_text(encoding="utf-8"))
-    want = table["workloads"][name]
-    assert got == want, mismatch_message(name, want, got, table["environment"])
+    want = table["seeds"][str(seed)][name]
+    assert got == want, mismatch_message(name, seed, want, got, table["environment"])
 
 
 def test_mismatch_message_names_the_files_and_fields_that_differ():
     here = environment()
-    message = mismatch_message("w", {"a": "1", "b": "2"}, {"a": "1", "b": "3", "c": "4"},
+    message = mismatch_message("w", 7, {"a": "1", "b": "2"}, {"a": "1", "b": "3", "c": "4"},
                                dict(here, numpy="0.0"))
+    assert message.startswith("w at seed 7: ")
     assert "  b: table 2, here 3" in message and "  c: table None, here 4" in message
     assert "  a:" not in message
     assert f"  numpy: table '0.0', here {here['numpy']!r}" in message
     assert "  python:" not in message
-    assert "matches" in mismatch_message("w", {"a": "1"}, {}, here)
+    assert "matches" in mismatch_message("w", 1, {"a": "1"}, {}, here)
