@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import os
 import re
 import sys
 import time
@@ -158,14 +159,20 @@ def _encoded_records(graphs_dir, params):
         yield encoded
 
 
+def _check_out(path, what: str) -> None:
+    """Refuse ``path`` as a command's output ``what`` before any work: it
+    must not be a directory, and its parent must be one."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path}: a directory, not a {what}")
+    if not os.path.isdir(parent):
+        raise NotADirectoryError(f"{path}: {parent} is not a directory")
+
+
 def cmd_infer(args) -> int:
     if not Path(args.graphs).is_dir():
         raise NotADirectoryError(f"{args.graphs}: not a directory of graph records")
-    out = Path(args.out)
-    if out.is_dir():
-        raise IsADirectoryError(f"{args.out}: a directory, not a predictions file")
-    if not out.parent.is_dir():
-        raise NotADirectoryError(f"{args.out}: {out.parent} is not a directory")
+    _check_out(args.out, "predictions file")
     pipeline_cfg, shape = load_config(args.config)
     params = load_params(args.weights, shape, pipeline_cfg)
     graphs = _encoded_records(args.graphs, params)
@@ -182,6 +189,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_out(args.out, "report file")
     _, shape = load_config(args.config) if args.config else (None, None)
     mid_hip = shape.mid_hip_index if shape else args.mid_hip_index
     if args.task == "pose":
@@ -224,11 +233,13 @@ def cmd_gen_synthetic(args) -> int:
         noise=args.noise,
         seed=args.seed if args.seed is not None else 0,
     )
-    frames, poses = generate(spec)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    formats.write_frames(frames, out)
     gt_path = out.with_name(out.stem + "_gt.csv")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _check_out(out, "frames file")
+    _check_out(gt_path, "skeletons file")
+    frames, poses = generate(spec)
+    formats.write_frames(frames, out)
     formats.write_skeletons(
         [(f.sequence_id, f.frame_id, pose) for f, pose in zip(frames, poses)], gt_path
     )
@@ -238,6 +249,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_init_weights(args) -> int:
     """Convenience: seeded random weights for the configured model shape."""
+    _check_out(args.out, "weights file")
     pipeline_cfg, shape = load_config(args.config)
     if args.seed is not None:
         pipeline_cfg = replace(pipeline_cfg, seed=args.seed)

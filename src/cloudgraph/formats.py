@@ -1,12 +1,14 @@
 """File codecs: frames, graph records, predictions, manifests.
 
 Text inputs follow two grammars, each read in one place.  Comma-separated
-files (frames, skeletons, scores, labels) go through ``_CsvRows``: a
-stripped header, then each non-blank stripped row with the header's field
-count, a (sequence, frame) id of two integers in [0, 2^64), and finite
-reals.  Configs and manifests go through ``key_values``: ``key = value``
-lines, ``#`` starting a comment.  Every malformed line is a ParseError
-naming the file and the line.
+files (frames, skeletons, scores, labels) go through ``_CsvRows``: ASCII
+lines that end at ``\n``, a stripped header, then each non-blank stripped
+row with the header's field count, a (sequence, frame) id of an optional
+``+`` and digits below 2^64, and finite reals; no number holds a ``_``.
+numpy's C reader, which parses the frames file in chunks, accepts
+exactly this grammar.  Configs and manifests go through ``key_values``:
+UTF-8 ``key = value`` lines, ``#`` starting a comment.  Every malformed
+line is a ParseError naming the file and the line.
 
 Text files carry round-trip-exact decimal floats (``repr``); the binary
 graph records (little-endian 64-bit floats, row-major, dimension header)
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from itertools import count, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -40,6 +42,9 @@ GRAPH_FORMAT_VERSION = 2
 # magic, version, sequence id, frame id, nodes, k, node/edge/frame widths
 _GRAPH_HEADER = struct.Struct("<4sIQQQQQQQ")
 _ID_LIMIT = 1 << 64  # sequence and frame ids are u8 in the record header
+_CHUNK_LINES = 1024  # frames lines parsed per np.loadtxt call
+# one frames row as np.loadtxt parses it: the two ids, then x, y, z, v, I
+_FRAME_ROW = np.dtype([("sequence", "<u8"), ("frame", "<u8"), ("values", "<f8", 5)])
 MANIFEST_FORMAT_VERSION = 1
 
 
@@ -60,49 +65,72 @@ class _CsvRows:
     ``header``, or with ``open_ended`` begins with its fields and may add
     more.  Iterating yields each non-blank data row, stripped and split, as
     its (sequence, frame) id and its other fields, with ``lineno`` set to
-    the row's line; a row needs the header's field count and ids that are
-    integers in [0, 2^64), and a header of the two ids alone suits only a
-    file with no rows."""
+    the row's line.
+
+    This is the one CSV grammar, which numpy's reader in ``read_frames``
+    accepts alike: a line ends at ``\n``, is ASCII and holds no CR inside
+    it; a row has the header's field count; an id is an optional ``+`` and
+    digits, below 2^64; a number holds no ``_``; whitespace may pad any
+    field.  Fields are stripped with ``str.strip`` before ``int`` and
+    ``float`` read them, because those two, unlike numpy, refuse padding
+    of ``\x1c``-``\x1f``.  A header of the two ids alone suits only a file
+    with no rows."""
 
     def __init__(self, path, header: str, open_ended: bool = False):
         self.path, self.lineno = path, 1
-        self.lines = read_text(path).splitlines()
-        names = self.lines[0].strip() if self.lines else ""
+        with open(path, "rb") as fh:
+            names = self.text(fh.readline())
         if not (names == header or open_ended and names.startswith(header + ",")):
             expected = header + ",..." if open_ended else header
             raise self.error(f"expected header {expected!r}")
         self.width = names.count(",") + 1
 
     def __iter__(self) -> Iterator[Tuple[Tuple[int, int], List[str]]]:
-        for self.lineno, raw in enumerate(self.lines[1:], start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            if self.width == 2:
-                raise ParseError(1, "the header names no value column", self.path)
-            fields = line.split(",")
-            if len(fields) != self.width:
-                raise self.error(f"expected {self.width} fields, got {len(fields)}")
-            try:
-                seq, fid = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise self.error("bad sequence or frame id") from None
-            if not (0 <= seq < _ID_LIMIT and 0 <= fid < _ID_LIMIT):
-                raise self.error("sequence or frame id outside [0, 2^64)")
-            yield (seq, fid), fields[2:]
+        with open(self.path, "rb") as fh:
+            fh.readline()
+            for self.lineno, raw in enumerate(fh, start=2):
+                line = self.text(raw)
+                if not line:
+                    continue
+                if self.width == 2:
+                    raise ParseError(1, "the header names no value column", self.path)
+                if "\r" in line:
+                    raise self.error("carriage return inside the line")
+                if "_" in line:  # Python's int and float read "1_0", numpy does not
+                    raise self.error("'_' in a number")
+                fields = line.split(",")
+                if len(fields) != self.width:
+                    raise self.error(f"expected {self.width} fields, got {len(fields)}")
+                try:
+                    seq, fid = int(fields[0].strip()), int(fields[1].strip())
+                except ValueError:
+                    raise self.error("bad sequence or frame id") from None
+                if not (0 <= seq < _ID_LIMIT and 0 <= fid < _ID_LIMIT):
+                    raise self.error("sequence or frame id outside [0, 2^64)")
+                if "-" in fields[0] or "-" in fields[1]:  # "-0", which numpy refuses
+                    raise self.error("bad sequence or frame id")
+                yield (seq, fid), fields[2:]
+
+    def text(self, raw: bytes) -> str:
+        """One line of the file, stripped; a byte that is not ASCII is a
+        ParseError."""
+        try:
+            return raw.decode("ascii").strip()
+        except UnicodeDecodeError as err:
+            raise self.error(f"not ASCII (byte {raw[err.start]:#04x})") from None
 
     def error(self, message: str) -> ParseError:
         return ParseError(self.lineno, message, self.path)
 
     def integer(self, text: str, kind: str) -> int:
         try:
-            return int(text)
+            return int(text.strip())
         except ValueError:
             raise self.error(f"bad {kind} value") from None
 
     def reals(self, fields: List[str], kind: str, key: Tuple[int, int]) -> List[float]:
         try:
-            values = list(map(float, fields))
+            values = list(map(float, map(str.strip, fields)))
         except ValueError:
             raise self.error(f"bad {kind} value") from None
         if not all(map(math.isfinite, values)):
@@ -133,54 +161,58 @@ def write_frames(frames: Sequence[RadarFrame], path) -> None:
 def read_frames(path) -> List[RadarFrame]:
     """Parse a frames file into frames in the order their ids first occur.
 
-    The body is parsed column by column: one split of all rows into fields,
-    ``int`` and ``float`` mapped over whole columns, and one stable sort of
-    the rows by frame.  Blank lines are skipped and each line is stripped;
-    rows of one id need not be contiguous.  A row whose five values are all
-    empty marks an empty frame.  A malformed line, or a NaN or infinite
-    point value, is a ParseError naming the first such line."""
+    The body is read ``_CHUNK_LINES`` lines at a time, and numpy's C reader
+    parses each chunk's stripped non-blank rows, so only one chunk's text is
+    held at once.  Rows of one id need not be contiguous.  A row whose five
+    values are all empty marks an empty frame.  A malformed line, or a NaN
+    or infinite point value, is a ParseError naming the first such line."""
     table = _CsvRows(path, FRAMES_HEADER)
-    rows = list(filter(None, map(str.strip, table.lines[1:])))
-    if not rows:
-        return []
-    if set(map(str.count, rows, repeat(","))) != {6}:
-        raise _first_bad_frame_line(table)
-    fields = ",".join(rows).split(",")
-    del rows
+    blocks: Dict[Tuple[int, int], List[np.ndarray]] = {}  # by first occurrence
     try:
-        seqs, fids = list(map(int, fields[0::7])), list(map(int, fields[1::7]))
-    except ValueError:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            fh.readline()
+            while lines := list(islice(fh, _CHUNK_LINES)):
+                if not "".join(lines).isascii():
+                    raise ValueError("not ASCII")
+                rows = list(filter(None, map(str.strip, lines)))
+                if rows:
+                    _add_frame_rows(rows, blocks)
+    except ValueError:  # a UnicodeDecodeError too
         raise _first_bad_frame_line(table) from None
-    del fields[0::7]
-    del fields[0::6]  # left: the x, y, z, v, I fields, row-major
-    marker = None
-    if "" in fields:
-        # drop the empty-frame markers; an empty field left fails ``float``
-        values = np.array(fields, dtype=object).reshape(-1, 5)
-        marker = (values == "").all(axis=1)
-        fields = values[~marker].ravel().tolist()
-        del values
+    # popped as built, so each chunk's points are freed with its last frame
+    return [RadarFrame(frame_id=fid, sequence_id=seq, points=np.concatenate(blocks.pop((seq, fid))))
+            for seq, fid in list(blocks)]
+
+
+def _add_frame_rows(rows: List[str], blocks: Dict[Tuple[int, int], List[np.ndarray]]) -> None:
+    """Parse one chunk of stripped frames rows and append each run of rows
+    of one id, as an n x 5 block of its points, to that id's blocks.  A
+    malformed row or a non-finite point value is a ValueError."""
     try:
-        points = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 5)
+        table, marker = _load_frame_rows(rows), np.zeros(len(rows), bool)
     except ValueError:
-        raise _first_bad_frame_line(table) from None
-    del fields
+        # the empty-frame markers, ``s,f,,,,,``, parse as NaN and are dropped
+        marker = np.array([row.endswith(",,,,,") for row in rows])
+        if not marker.any():
+            raise
+        table = _load_frame_rows([row[:-5] + ",nan" * 5 if empty else row
+                                  for row, empty in zip(rows, marker.tolist())])
+    points = table["values"][~marker]
     if not np.isfinite(points).all():
-        raise _first_bad_frame_line(table)
-    # the (sequence, frame) pairs are zipped on the fly, never held as a
-    # list, so they leave no thousands of tuples in the interpreter's free list
-    rank = dict(zip(dict.fromkeys(zip(seqs, fids)), count()))
-    if not all(0 <= seq < _ID_LIMIT and 0 <= fid < _ID_LIMIT for seq, fid in rank):
-        raise _first_bad_frame_line(table)
-    ranks = np.fromiter(map(rank.__getitem__, zip(seqs, fids)), np.intp, len(seqs))
-    if marker is not None:
-        ranks = ranks[~marker]
-    ends = np.cumsum(np.bincount(ranks, minlength=len(rank)))[:-1]
-    groups = np.split(points[np.argsort(ranks, kind="stable")], ends)
-    return [
-        RadarFrame(frame_id=fid, sequence_id=seq, points=pts)
-        for (seq, fid), pts in zip(rank, groups)
-    ]
+        raise ValueError("non-finite point value")
+    seqs, fids = table["sequence"], table["frame"]
+    cuts = np.flatnonzero(np.diff(seqs) | np.diff(fids)) + 1  # the rows that start a run
+    starts = np.append(0, cuts)
+    # each run's id is zipped on the fly: a list of tuples would leave them
+    # in the interpreter's free list
+    ids = zip(seqs[starts].tolist(), fids[starts].tolist())
+    point_cuts = np.cumsum(~marker)[cuts - 1]  # the cuts counted in point rows
+    for key, block in zip(ids, np.split(points, point_cuts)):
+        blocks.setdefault(key, []).append(block)
+
+
+def _load_frame_rows(rows: List[str]) -> np.ndarray:
+    return np.loadtxt(rows, _FRAME_ROW, delimiter=",", comments=None, quotechar=None, ndmin=1)
 
 
 def _first_bad_frame_line(table: _CsvRows) -> ParseError:

@@ -151,6 +151,17 @@ def test_frames_rows_of_one_id_merge_in_first_occurrence_order(tmp_path):
     assert [f.points[:, 0].tolist() for f in frames] == [[1.0, 3.0, 5.0], [2.0, 4.0], []]
 
 
+def test_frames_reader_holds_one_chunk_at_a_time(tmp_path, np_rng):
+    """On 50,000 rows the reader's traced peak stays within the points it
+    returns plus 1 KiB for each line of one chunk: no copy of the file's
+    text, fields or values is held whole."""
+    path = tmp_path / "frames.csv"
+    formats.write_frames([random_frame(np_rng, 125, 0, i) for i in range(400)], path)
+    frames, peak = traced_peak(formats.read_frames, path)
+    assert sum(map(len, frames)) == 50_000
+    assert peak <= sum(f.points.nbytes for f in frames) + 1024 * formats._CHUNK_LINES
+
+
 @pytest.mark.parametrize("row, message", [
     ("0,1,1.0,2.0,3.0,0.0", "expected 7 fields, got 6"),
     ("0,1,1.0,2.0,3.0,0.0,1.0,2.0", "expected 7 fields, got 8"),
@@ -160,6 +171,13 @@ def test_frames_rows_of_one_id_merge_in_first_occurrence_order(tmp_path):
     ("0,1,,,,0.0,", "bad point value"),  # a marker row with some values set
     ("0,1,1.0,nan,3.0,0.0,1.0", "non-finite point value in sequence 0 frame 1"),
     ("0,1,1.0,2.0,3.0,0.0,-inf", "non-finite point value in sequence 0 frame 1"),
+    # spellings that Python's int or float reads and numpy's reader does not
+    ("-0,1,1.0,2.0,3.0,0.0,1.0", "bad sequence or frame id"),
+    ("0,1,3_0,2.0,3.0,0.0,1.0", "'_' in a number"),
+    ("0,1,1.0,\u0665,3.0,0.0,1.0", "not ASCII (byte 0xd9)"),
+    ("0,1,1.0,2.0,3.0,0.0,1.0\x0c0,1,1.0,2.0,3.0,0.0,1.0", "expected 7 fields, got 13"),
+    ("0,1,1.0\r,2.0,3.0,0.0,1.0", "carriage return inside the line"),
+    ("0,1,1.0,2.0,3.0,0.0,1.0\u00a0", "not ASCII (byte 0xc2)"),  # a space strip() removes
 ])
 def test_frames_malformed_row_names_its_line(tmp_path, row, message):
     # the bad row is the fifth line, after a blank line and a marker row;
@@ -209,6 +227,56 @@ def test_csv_readers_share_one_row_grammar(tmp_path, kind, seq, fid, value, mess
     with pytest.raises(ParseError) as exc:
         read(path)
     assert str(exc.value) == f"{path}: line 3: {message}"
+
+
+# (sequence id, frame id, value) spellings that Python's int or float
+# reads and numpy's reader does not; a label row has no value to fill in
+DIVERGENT_SPELLINGS = {
+    "minus_zero_id": ("-0", "1", "2.0", "bad sequence or frame id"),
+    "grouped_id": ("0", "1_0", "2.0", "'_' in a number"),
+    "arabic_digit_id": ("\u0665", "1", "2.0", "not ASCII (byte 0xd9)"),
+    "grouped_value": ("0", "1", "3_0", "'_' in a number"),
+    "arabic_digit_value": ("0", "1", "\u0665", "not ASCII (byte 0xd9)"),
+    "form_feed_join": None,  # two rows joined by a form feed, not a line break
+}
+
+
+def csv_command(tmp_path, kind, path):
+    """The argv of a command whose first CSV read is ``path`` as ``kind``."""
+    if kind == "frames":
+        write_config(tmp_path / "run.cfg")
+        return ["extract", str(path), "--config", str(tmp_path / "run.cfg"),
+                "--out", str(tmp_path / "out")]
+    if kind == "skeletons":
+        return ["eval", str(path), str(path), "--task", "pose"]
+    scores, labels = tmp_path / "s.csv", tmp_path / "l.csv"
+    formats.write_scores([(0, 0, np.array([0.5, 0.5]))], scores)
+    formats.write_labels([(0, 0, 1)], labels)
+    return ["eval", str(path if kind == "scores" else scores),
+            str(path if kind == "labels" else labels), "--task", "activity"]
+
+
+@pytest.mark.parametrize("kind, spelling", [
+    (kind, spelling) for kind in CSV_READERS for spelling in DIVERGENT_SPELLINGS
+    if not (kind == "labels" and spelling.endswith("_value"))])
+def test_csv_readers_refuse_what_numpy_reads_differently(tmp_path, caplog, kind, spelling):
+    """Every CSV reader refuses each spelling on which Python's parsers and
+    numpy's differ, naming the third line, and its command exits 2."""
+    read, header, row = CSV_READERS[kind]
+    width = header.count(",") + 1
+    if DIVERGENT_SPELLINGS[spelling] is None:
+        bad = row.format(0, 1, 2.0) + "\x0c" + row.format(0, 2, 2.0)
+        message = f"expected {width} fields, got {2 * width - 1}"
+    else:
+        seq, fid, value, message = DIVERGENT_SPELLINGS[spelling]
+        bad = row.format(seq, fid, value)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{row.format(0, 0, 1.0)}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: line 3: {message}"
+    assert main(csv_command(tmp_path, kind, path)) == 2
+    assert f"{path}: line 3: {message}" in caplog.text
 
 
 @pytest.mark.parametrize("kind", ["skeletons", "scores", "labels"])
@@ -742,6 +810,50 @@ def test_cli_infer_refuses_an_unusable_out_before_predicting(infer_inputs, tmp_p
     assert sorted(tmp_path.iterdir()) == ([parent] if kind == "file_parent" else [])
 
 
+# each command that writes one file named by --out: the output it names
+# and the call that does its work
+OUT_COMMANDS = {
+    "eval": ("report file", "pose_report"),
+    "init-weights": ("weights file", "init_params"),
+    "gen-synthetic": ("frames file", "generate"),
+}
+
+
+@pytest.mark.parametrize("command, kind", [
+    (command, kind) for command in OUT_COMMANDS
+    for kind in ["missing_parent", "file_parent", "directory"]
+    if not (command == "gen-synthetic" and kind == "missing_parent")  # it makes parents
+])
+def test_cli_refuses_an_unusable_out_before_any_work(tmp_path, caplog, monkeypatch, command, kind):
+    what, work = OUT_COMMANDS[command]
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    parent = tmp_path / "nodir"
+    if kind == "file_parent":
+        parent.write_text("", encoding="utf-8")
+    if kind == "directory":
+        out, message = inputs, f"{inputs}: a directory, not a {what}"
+    else:
+        out, message = parent / "out.bin", f"{parent / 'out.bin'}: {parent} is not a directory"
+    if command == "eval":
+        formats.write_skeletons([(0, 0, np.eye(2, 3))], inputs / "p.csv")
+        argv = ["eval", str(inputs / "p.csv"), str(inputs / "p.csv"), "--task", "pose"]
+    elif command == "init-weights":
+        write_config(inputs / "run.cfg")
+        argv = ["init-weights", "--config", str(inputs / "run.cfg")]
+    else:
+        argv = ["gen-synthetic", "--frames", "2", "--points", "3"]
+        if kind == "file_parent":  # making the parent directory fails first
+            message = f"File exists: '{parent}'"
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(out)]) == 3
+    assert message in caplog.text
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_cli_infer_on_an_empty_graphs_directory_writes_no_predictions(infer_inputs, tmp_path,
                                                                       caplog):
     # extract on frames that are all empty writes a manifest and no records
@@ -1113,10 +1225,12 @@ def test_cli_help_text_unchanged(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("kind, code", [("frames", 2), ("config", 6), ("skeletons", 2)])
 def test_cli_non_utf8_input_names_file_and_line(tmp_path, caplog, kind, code):
-    """A byte that is not UTF-8, here 0xff on line 3, ends in a ParseError
-    (exit 2), or a ConfigError (exit 6) for the config, naming the file and
-    the line; the lines before it count CR and CR LF breaks as the
-    readers do."""
+    """A byte that is not UTF-8, here 0xff, ends in a ParseError (exit 2),
+    or a ConfigError (exit 6) for the config, naming the file and the line.
+    The lines before it count CR and CR LF breaks as the readers do: a
+    config's lines split as ``splitlines`` splits, so 0xff is on line 3; a
+    CSV line ends only at LF, so it is on line 2, and any byte outside ASCII
+    is refused there."""
     frames_path, gt_path = gen_inputs(tmp_path, frames=2, points=6)
     cfg_path = tmp_path / "run.cfg"
     write_config(cfg_path)
@@ -1129,7 +1243,10 @@ def test_cli_non_utf8_input_names_file_and_line(tmp_path, caplog, kind, code):
         rc = main(["extract", str(frames_path), "--config", str(cfg_path),
                    "--out", str(tmp_path / "out")])
     assert rc == code
-    assert f"{bad}: line 3: not UTF-8 (byte 0xff)" in caplog.text
+    if kind == "config":
+        assert f"{bad}: line 3: not UTF-8 (byte 0xff)" in caplog.text
+    else:
+        assert f"{bad}: line 2: not ASCII (byte 0xff)" in caplog.text
     assert not (tmp_path / "out").exists()
 
 
@@ -1490,8 +1607,10 @@ def text_inputs(tmp_path_factory):
 
 
 # bytes a mutation writes: the CSV and config syntax, a non-UTF-8 byte,
-# NUL, and the CR and CR LF line breaks
-MUTATION_BYTES = [bytes([b]) for b in b"0123456789-+.,=eEinaf \n\r\x00\xff"] + [b"\r\n"]
+# NUL, the CR and CR LF line breaks, the digit separator and whitespace that
+# Python's and numpy's number parsers read differently, and a non-ASCII digit
+MUTATION_BYTES = [bytes([b]) for b in b"0123456789-+.,=eEinaf_ \t\x0b\x0c\x1c\n\r\x00\xff"] + [
+    b"\r\n", "\u0665".encode()]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing features
