@@ -50,10 +50,6 @@ from .pipeline import (
 )
 from .rng import SplitMix64, derive_seed
 from .statbox import statbox_array, statbox_columns
-from .types import (
-    PointGraph,
-    RadarFrame,
-    validate_frame,
-)
+from .types import PointGraph, RadarFrame
 
 __version__ = "0.1.0"

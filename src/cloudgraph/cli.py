@@ -30,7 +30,6 @@ from .errors import (
     IdMismatch,
     LabelOutOfRange,
     ManifestMismatch,
-    NumericOverflow,
     ParseError,
     ShapeMismatch,
 )
@@ -104,13 +103,6 @@ def cmd_extract(args) -> int:
             )
             entries["frames_skipped_empty"] += 1
             continue
-        section = formats.non_finite_section(
-            graph.node_features, graph.edge_features, graph.frame_features
-        )
-        if section:
-            raise NumericOverflow(
-                graph.sequence_id, graph.frame_id, f"non-finite {section} features"
-            )
         name = formats.graph_record_name(graph)
         formats.write_graph_record(graph, out_dir / name)
         entries["graphs_out"] += 1
@@ -161,10 +153,12 @@ def _encoded_records(graphs_dir, params):
 
 def _check_out(path, what: str) -> None:
     """Refuse ``path`` as a command's output ``what`` before any work: it
-    must not be a directory, and its parent must be one."""
+    must name a file, not a directory, and its parent must be a directory."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise IsADirectoryError(f"{path}: a directory, not a {what}")
+    if not os.path.basename(path):  # "", or a path ending in a separator
+        raise IsADirectoryError(f"{str(path)!r} names no {what}")
     if not os.path.isdir(parent):
         raise NotADirectoryError(f"{path}: {parent} is not a directory")
 
@@ -189,7 +183,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.out:
+    if args.out is not None:
         _check_out(args.out, "report file")
     _, shape = load_config(args.config) if args.config else (None, None)
     mid_hip = shape.mid_hip_index if shape else args.mid_hip_index
@@ -219,7 +213,7 @@ def cmd_eval(args) -> int:
                                      [gts[k] for k in keys], coverage=coverage)
         except LabelOutOfRange as exc:
             raise LabelOutOfRange(f"{args.ground_truth}: (sequence, frame) {keys[exc.row]}: {exc}") from None
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(report, encoding="utf-8")
     sys.stdout.write(report)
     return 0
@@ -234,9 +228,9 @@ def cmd_gen_synthetic(args) -> int:
         seed=args.seed if args.seed is not None else 0,
     )
     out = Path(args.out)
-    gt_path = out.with_name(out.stem + "_gt.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    _check_out(out, "frames file")
+    _check_out(args.out, "frames file")
+    gt_path = out.with_name(out.stem + "_gt.csv")
     _check_out(gt_path, "skeletons file")
     frames, poses = generate(spec)
     formats.write_frames(frames, out)

@@ -6,7 +6,8 @@ class CloudGraphError(Exception):
 
 
 class NonFiniteValue(CloudGraphError):
-    """A radar point carries NaN or Inf in one of its fields."""
+    """A radar point carries NaN or Inf in one of its fields; raised when a
+    RadarFrame is built."""
 
     def __init__(self, point_index: int, field: str):
         self.point_index = point_index
@@ -15,8 +16,8 @@ class NonFiniteValue(CloudGraphError):
 
 
 class NumericOverflow(CloudGraphError):
-    """Finite input overflows a computed value: a non-finite feature, or a
-    grid cell index beyond int64."""
+    """Finite input overflows a computed value: a non-finite feature,
+    refused when a PointGraph is built, or a grid cell index beyond int64."""
 
     def __init__(self, sequence_id: int, frame_id: int, what: str):
         self.sequence_id = sequence_id

@@ -25,11 +25,11 @@ import os
 import struct
 from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatVersionError, ParseError, ShapeMismatch
+from .errors import FormatVersionError, NumericOverflow, ParseError, ShapeMismatch
 from .types import PointGraph, RadarFrame
 
 FRAMES_HEADER = "sequence_id,frame_id,x,y,z,v,I"
@@ -343,21 +343,11 @@ def write_graph_record(graph: PointGraph, path) -> None:
         fh.write(np.ascontiguousarray(graph.frame_features, "<f8"))
 
 
-def non_finite_section(node_features, edge_features, frame_features) -> Optional[str]:
-    """The name of the first feature section holding a NaN or an infinity
-    ("node", "edge" or "frame"), or None when every value is finite."""
-    for section, values in (("node", node_features), ("edge", edge_features),
-                            ("frame", frame_features)):
-        if not np.isfinite(values).all():
-            return section
-    return None
-
-
 def read_graph_record(path) -> PointGraph:
     """Read one record.  The file must hold exactly the bytes its header
-    implies, every feature value must be finite, and every neighbour must
-    be another node of the graph; otherwise FormatVersionError names the
-    file."""
+    implies, and its sections must make a PointGraph: finite features, and
+    every neighbour another node of the graph.  Otherwise
+    FormatVersionError names the file."""
     with open(path, "rb") as fh:
         header = fh.read(_GRAPH_HEADER.size)
         if header[:4] != GRAPH_MAGIC:
@@ -376,9 +366,6 @@ def read_graph_record(path) -> PointGraph:
         table = np.frombuffer(fh.read(4 * e), dtype="<u4").reshape(n, k).astype(np.int64)
         efeat = np.frombuffer(fh.read(8 * e * de), dtype="<f8").reshape(e, de)
         ffeat = np.frombuffer(fh.read(8 * df), dtype="<f8")
-    section = non_finite_section(nodes, efeat, ffeat)
-    if section:
-        raise FormatVersionError(f"{path}: non-finite value in the {section} features")
     try:
         return PointGraph(
             sequence_id=seq,
@@ -388,7 +375,7 @@ def read_graph_record(path) -> PointGraph:
             edge_features=efeat.astype(np.float64, copy=False),
             frame_features=ffeat.astype(np.float64, copy=False),
         )
-    except ValueError as err:
+    except (ValueError, NumericOverflow) as err:
         raise FormatVersionError(f"{path}: {err}") from None
 
 

@@ -34,7 +34,7 @@ from .config import PipelineConfig
 from .errors import EmptyInput, NonConsecutiveFrames, NumericOverflow, SequenceMismatch
 from .rng import SplitMix64, derive_seed
 from .statbox import statbox_array, statbox_columns
-from .types import PointGraph, RadarFrame, validate_frame
+from .types import PointGraph, RadarFrame
 # re-exported: the benchmark's spans wrap ``pipeline.edges_from_table``
 from .types import edges_from_table  # noqa: F401
 
@@ -361,11 +361,9 @@ def frame_features(node_feature_matrix: np.ndarray, epsilon: float = 1e-12) -> n
 
 
 def _fuse_window(frames: Sequence[RadarFrame], config: PipelineConfig) -> RadarFrame:
-    """One fusion window's frames validated and fused, then grid
-    downsampled when enabled, with the stream derived from the seed and the
-    fused frame's ids."""
-    for f in frames:
-        validate_frame(f)
+    """One fusion window's frames fused, then grid downsampled when
+    enabled, with the stream derived from the seed and the fused frame's
+    ids."""
     fused = fuse_frames(frames)
     if config.downsample_enabled and len(fused) > 0:
         rng = SplitMix64(derive_seed(config.seed, fused.sequence_id, fused.frame_id))

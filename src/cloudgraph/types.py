@@ -3,7 +3,9 @@ radar frames and point graphs.  Poses and the metrics take plain arrays.
 
 All coordinates are held in meters internally; conversion to mm or cm
 happens only at the reporting edge.  Every type is immutable after
-construction and safe to share across threads.
+construction and safe to share across threads, and finite by
+construction: a frame's points and a graph's features are checked once,
+when the object is built, so no later stage checks them again.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteValue
+from .errors import NonFiniteValue, NumericOverflow
 
 # the columns of a frame's n x 5 point array: 3D position, Doppler velocity,
 # signal intensity
@@ -26,7 +28,9 @@ class RadarFrame:
 
     ``points`` is a read-only float64 n x 5 array of (x, y, z, v, I) rows,
     (0, 5) when empty.  Any n x 5 array-like is accepted, such as a
-    sequence of 5-tuples; the frame keeps its own copy.
+    sequence of 5-tuples; the frame keeps its own copy.  A NaN or infinite
+    value is a NonFiniteValue naming the first such point and field, in
+    row-major order.
     """
 
     frame_id: int
@@ -41,6 +45,9 @@ class RadarFrame:
             pts = pts.reshape(0, len(POINT_FIELDS))
         if pts.ndim != 2 or pts.shape[1] != len(POINT_FIELDS):
             raise ValueError("points must be an n x 5 array")
+        if not np.isfinite(pts).all():
+            i, j = np.argwhere(~np.isfinite(pts))[0]
+            raise NonFiniteValue(int(i), POINT_FIELDS[j])
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -72,7 +79,9 @@ class PointGraph:
     is n x 19 when node feature extraction is enabled, n x 5 otherwise.
     edge_features is E x 6 when enabled, E x 0 otherwise, E = n * k, in
     edge order.  frame_features has length 10 * 2 * D_node when enabled
-    (380 for the 19D node features), length 0 otherwise.
+    (380 for the 19D node features), length 0 otherwise.  A NaN or
+    infinite feature is a NumericOverflow naming the first such section:
+    node, then edge, then frame.
     """
 
     sequence_id: int
@@ -96,6 +105,10 @@ class PointGraph:
             raise ValueError("explicit self-edges are not stored")
         if ef.shape[0] != nb.size:
             raise ValueError("edge_features row count must match edge count")
+        for section, values in (("node", nf), ("edge", ef), ("frame", ff)):
+            if not np.isfinite(values).all():
+                raise NumericOverflow(self.sequence_id, self.frame_id,
+                                      f"non-finite {section} features")
         for a in (nf, nb, ef, ff):
             a.setflags(write=False)
         object.__setattr__(self, "node_features", nf)
@@ -115,20 +128,6 @@ class PointGraph:
     def edges(self) -> np.ndarray:
         """E x 2 (target, source) pairs in edge order, built on each call."""
         return edges_from_table(self.neighbours)
-
-
-def validate_frame(frame: RadarFrame) -> RadarFrame:
-    """Return the frame unchanged if every point is finite.
-
-    Raises NonFiniteValue naming the first offending point index and field.
-    Empty frames are valid; downstream stages define their own empty
-    behavior.
-    """
-    bad = np.argwhere(~np.isfinite(frame.points))
-    if bad.size:
-        i, j = bad[0]
-        raise NonFiniteValue(int(i), POINT_FIELDS[j])
-    return frame
 
 
 def frame_from_matrix(sequence_id: int, frame_id: int, mat: Sequence) -> RadarFrame:

@@ -279,6 +279,56 @@ def test_csv_readers_refuse_what_numpy_reads_differently(tmp_path, caplog, kind,
     assert f"{path}: line 3: {message}" in caplog.text
 
 
+# two frames of points and an empty-frame marker between them
+SMALL_FRAMES = (formats.FRAMES_HEADER + "\n0,0,1.5,-2,3e-1,+0.25,7.5\n0,0,-0.5,2.0,1E2,0,4.5\n"
+                "0,1,,,,,\n0,2,0.125,4,-6,1.5e+1,3.0625\n").encode()
+# the spellings on which the chunked reader and the line grammar could part
+READER_ALPHABET = ["_", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1f", "\x00", "\xa0", "\u0665",
+                   "-", "+", ".", "e", ",", "#", '"', "5", " ", "\n", "n", "i"]
+
+
+def frames_by_line(path):
+    """The frames file as ``_CsvRows`` reads it, one line at a time: the
+    reference the chunked reader must agree with."""
+    table = formats._CsvRows(path, formats.FRAMES_HEADER)
+    points = {}
+    for key, values in table:
+        rows = points.setdefault(key, [])
+        if any(values):  # not an empty-frame marker
+            rows.append(table.reals(values, "point", key))
+    return [RadarFrame(frame_id=fid, sequence_id=seq, points=rows)
+            for (seq, fid), rows in points.items()]
+
+
+def reader_outcome(read, path):
+    """The frames ``read`` returns, as ids and point bytes, or the text of
+    the exception it raises."""
+    try:
+        return [(f.sequence_id, f.frame_id, f.points.tobytes()) for f in read(path)]
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_frames_reader_agrees_with_the_line_grammar_on_every_one_byte_edit(tmp_path):
+    """Each symbol of ``READER_ALPHABET``, put in place of each byte of a
+    small frames file and, separately, inserted at each position: the
+    chunked reader accepts exactly the files the line grammar accepts, with
+    the same points bit for bit, and refuses the others with the same
+    message."""
+    assert len(SMALL_FRAMES) == 118
+    path = tmp_path / "frames.csv"
+    edits = [(at, at + cut, symbol.encode()) for symbol in READER_ALPHABET
+             for cut in (1, 0) for at in range(len(SMALL_FRAMES) + 1 - cut)]
+    disagree = []
+    for start, stop, symbol in edits:
+        path.write_bytes(SMALL_FRAMES[:start] + symbol + SMALL_FRAMES[stop:])
+        got, want = reader_outcome(formats.read_frames, path), reader_outcome(frames_by_line, path)
+        if got != want:
+            disagree.append((start, stop, symbol, got, want))
+    assert len(edits) == 5214
+    assert disagree == [], f"{len(disagree)} edits disagree, the first: {disagree[0]}"
+
+
 @pytest.mark.parametrize("kind", ["skeletons", "scores", "labels"])
 @pytest.mark.parametrize("seq, fid, message", BAD_IDS)
 def test_cli_eval_bad_id_exit_2_naming_the_file(tmp_path, caplog, kind, seq, fid, message):
@@ -464,8 +514,8 @@ def test_graph_debug_dump_reads_back_bit_exact(tmp_path, np_rng, n):
 
 
 def test_graph_debug_dump_extreme_values_and_empty_widths():
-    # signed zero, subnormals, huge and non-finite values, zero-width sections
-    values = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, np.inf, -np.inf, np.nan]
+    # signed zero, subnormals, huge values, zero-width sections
+    values = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1]
     g = PointGraph(sequence_id=0, frame_id=1, node_features=np.array([values, values[::-1]]),
                    neighbours=[[1], [0]], edge_features=np.zeros((2, 0)), frame_features=[])
     fh = io.StringIO()
@@ -790,17 +840,22 @@ def test_cli_infer_without_a_graphs_directory_exit_3(infer_inputs, tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["missing_parent", "file_parent", "directory"])
+@pytest.mark.parametrize("kind", ["missing_parent", "file_parent", "directory", "empty", "dot"])
 def test_cli_infer_refuses_an_unusable_out_before_predicting(infer_inputs, tmp_path, caplog,
                                                              monkeypatch, kind):
     graphs, weights, cfg_path = infer_inputs["pose"]
     calls = []
     monkeypatch.setattr(cli, "predict_framewise", lambda *a: calls.append(a))
+    monkeypatch.chdir(tmp_path)
     parent = tmp_path / "nodir"
     if kind == "file_parent":
         parent.write_text("", encoding="utf-8")
     if kind == "directory":
         out, message = tmp_path, f"{tmp_path}: a directory, not a predictions file"
+    elif kind == "empty":
+        out, message = "", "'' names no predictions file"
+    elif kind == "dot":
+        out, message = ".", ".: a directory, not a predictions file"
     else:
         out = parent / "p.csv"
         message = f"{out}: {parent} is not a directory"
@@ -821,13 +876,14 @@ OUT_COMMANDS = {
 
 @pytest.mark.parametrize("command, kind", [
     (command, kind) for command in OUT_COMMANDS
-    for kind in ["missing_parent", "file_parent", "directory"]
+    for kind in ["missing_parent", "file_parent", "directory", "empty", "dot"]
     if not (command == "gen-synthetic" and kind == "missing_parent")  # it makes parents
 ])
 def test_cli_refuses_an_unusable_out_before_any_work(tmp_path, caplog, monkeypatch, command, kind):
     what, work = OUT_COMMANDS[command]
     calls = []
     monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     parent = tmp_path / "nodir"
@@ -835,6 +891,10 @@ def test_cli_refuses_an_unusable_out_before_any_work(tmp_path, caplog, monkeypat
         parent.write_text("", encoding="utf-8")
     if kind == "directory":
         out, message = inputs, f"{inputs}: a directory, not a {what}"
+    elif kind == "empty":
+        out, message = "", f"'' names no {what}"
+    elif kind == "dot":
+        out, message = ".", f".: a directory, not a {what}"
     else:
         out, message = parent / "out.bin", f"{parent / 'out.bin'}: {parent} is not a directory"
     if command == "eval":
@@ -1071,6 +1131,23 @@ def test_cli_extract_rejects_finite_points_whose_features_overflow_exit_7(
                "--out", str(out)])
     assert rc == 7
     assert f"non-finite {section} features in sequence 0 frame 1" in caplog.text
+    assert [p.name for p in out.glob("graph_*.bin")] == ["graph_00000_000000.bin"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_cli_extract_on_points_at_plus_minus_1e308_exit_7(tmp_path, caplog, np_rng):
+    """build_graph itself refuses the overflowing graph; extract logs its
+    error, after writing the records before it."""
+    pts = np_rng.normal(size=(8, 5))
+    pts[2, 0], pts[5, 0] = 1e308, -1e308
+    frames = [frame_from_matrix(0, 0, np_rng.normal(size=(8, 5))), frame_from_matrix(0, 1, pts)]
+    formats.write_frames(frames, tmp_path / "frames.csv")
+    write_config(tmp_path / "run.cfg")
+    out = tmp_path / "out"
+    rc = main(["extract", str(tmp_path / "frames.csv"), "--config", str(tmp_path / "run.cfg"),
+               "--out", str(out)])
+    assert rc == 7
+    assert "non-finite node features in sequence 0 frame 1" in caplog.text
     assert [p.name for p in out.glob("graph_*.bin")] == ["graph_00000_000000.bin"]
 
 
@@ -1735,9 +1812,9 @@ def test_cli_eval_pose_report_with_a_non_finite_metric_exit_7(tmp_path, caplog, 
 
 @pytest.mark.parametrize("head", sorted(SMALL_MODELS))
 @pytest.mark.parametrize("section, message", [
-    ("node", "non-finite value in the node features"),
-    ("edge_features", "non-finite value in the edge features"),
-    ("frame", "non-finite value in the frame features"),
+    ("node", "non-finite node features in sequence 0 frame 1"),
+    ("edge_features", "non-finite edge features in sequence 0 frame 1"),
+    ("frame", "non-finite frame features in sequence 0 frame 1"),
     ("edge_index", "edge index out of range"),
     ("self_edge", "explicit self-edges are not stored"),
     ("weights", "has a non-finite value"),

@@ -141,6 +141,17 @@ def test_downsample_rejects_a_span_whose_cell_index_overflows_int64():
     assert len(downsample(near, (0.1,) * 3, 1, SplitMix64(0))) == 4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("build", [build_graph, naive_build_graph], ids=["shared", "naive"])
+def test_build_graph_refuses_a_finite_cloud_whose_features_overflow(np_rng, build):
+    """Points at +-1e308 are finite, but their squared distances are not:
+    the graph the features would make is refused when it is built."""
+    mat = np_rng.normal(size=(8, 5))
+    mat[2, 0], mat[5, 0] = 1e308, -1e308
+    with pytest.raises(NumericOverflow, match="^non-finite node features in sequence 3 frame 7$"):
+        build([frame_from_matrix(3, 7, mat)], PipelineConfig(K=4))
+
+
 @pytest.mark.parametrize("width", [(0.1, 0.0, 0.1), (-0.1, 0.1, 0.1), (0.1, np.nan, 0.1),
                                    (np.inf, 0.1, 0.1), (0.1, 0.1, -np.inf), (0.1, 0.1)])
 def test_downsample_rejects_a_cell_width_that_is_not_three_positive_reals(np_rng, width):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudgraph.config import (
     ModelShape,
@@ -9,28 +11,64 @@ from cloudgraph.config import (
     parse_config,
     serialize_config,
 )
-from cloudgraph.errors import ConfigError, NonFiniteValue
+from cloudgraph.errors import ConfigError, NonFiniteValue, NumericOverflow
 from cloudgraph.types import (
+    POINT_FIELDS,
+    PointGraph,
     RadarFrame,
     frame_from_matrix,
-    validate_frame,
 )
 
-
-def test_validate_frame_passthrough():
-    frame = frame_from_matrix(0, 0, np.arange(15.0).reshape(3, 5))
-    assert validate_frame(frame) is frame
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
-def test_validate_frame_names_offending_point_and_field():
+def test_frame_of_finite_points_is_built():
+    mat = np.arange(15.0).reshape(3, 5)
+    assert np.array_equal(frame_from_matrix(0, 0, mat).points, mat)
+
+
+def test_frame_refuses_a_non_finite_point_naming_it():
     pts = (
         (0, 0, 0, 0, 0),
         (1, 1, 1, math.nan, 1),
     )
     with pytest.raises(NonFiniteValue) as exc:
-        validate_frame(RadarFrame(frame_id=0, sequence_id=0, points=pts))
+        RadarFrame(frame_id=0, sequence_id=0, points=pts)
     assert exc.value.point_index == 1
     assert exc.value.field == "v"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_frame_refuses_any_non_finite_value_naming_the_first(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    pts = np.arange(n * 5.0).reshape(n, 5)
+    cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 4)),
+                               min_size=1, max_size=4, unique=True), label="cells")
+    for cell in cells:
+        pts[cell] = data.draw(NON_FINITE)
+    with pytest.raises(NonFiniteValue) as exc:
+        RadarFrame(frame_id=0, sequence_id=0, points=pts)
+    i, j = min(cells)  # row-major order
+    assert str(exc.value) == f"non-finite value in point {i}, field '{POINT_FIELDS[j]}'"
+    assert (exc.value.point_index, exc.value.field) == (i, POINT_FIELDS[j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_graph_refuses_any_non_finite_feature_naming_the_first_section(data):
+    order = ["node", "edge", "frame"]
+    sections = {"node": np.ones((3, 19)), "edge": np.ones((6, 6)), "frame": np.ones(380)}
+    bad = data.draw(st.lists(st.sampled_from(order), min_size=1, unique=True), label="sections")
+    for name in bad:
+        values = sections[name]
+        at = data.draw(st.tuples(*(st.integers(0, d - 1) for d in values.shape)), label=name)
+        values[at] = data.draw(NON_FINITE)
+    first = min(bad, key=order.index)
+    with pytest.raises(NumericOverflow, match=f"^non-finite {first} features in sequence 4 frame 9$"):
+        PointGraph(sequence_id=4, frame_id=9, node_features=sections["node"],
+                   neighbours=[[1, 2], [0, 2], [0, 1]], edge_features=sections["edge"],
+                   frame_features=sections["frame"])
 
 
 def test_frame_points_are_a_read_only_n_by_5_copy():
@@ -50,9 +88,8 @@ def test_frame_points_are_a_read_only_n_by_5_copy():
         RadarFrame(frame_id=0, sequence_id=0, points=np.zeros((3, 4)))
 
 
-def test_validate_empty_frame_is_valid():
-    frame = RadarFrame(frame_id=0, sequence_id=0, points=())
-    assert validate_frame(frame) is frame
+def test_empty_frame_is_valid():
+    assert len(RadarFrame(frame_id=0, sequence_id=0, points=())) == 0
 
 
 def test_config_defaults_match_radar_conventions():
