@@ -14,10 +14,10 @@ from cloudgraph.config import ModelShape, PipelineConfig
 from cloudgraph.gnn import grad_check, init_params
 from cloudgraph.pipeline import build_graph
 from cloudgraph.rng import SplitMix64
-from cloudgraph.types import frame_from_matrix
+from cloudgraph.types import RadarFrame
 
 rng = np.random.default_rng(0)
-frame = frame_from_matrix(0, 0, rng.normal(size=(8, 5)))
+frame = RadarFrame(0, 0, rng.normal(size=(8, 5)))
 cfg = PipelineConfig(K=4)
 graph = build_graph([frame], cfg)
 

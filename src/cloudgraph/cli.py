@@ -67,7 +67,22 @@ def _windows(items, size, stride=1):
     return kept, dropped
 
 
+def _check_out_dir(path) -> None:
+    """Refuse ``path`` as extract's output directory before any work: it
+    must be a directory, or be made under one, and hold no graph records
+    yet, so that the records in it are this run's alone."""
+    if not path:
+        raise NotADirectoryError("'' names no output directory")
+    out = Path(path)
+    nearest = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"{path}: {nearest} is not a directory")
+    if next(out.glob("graph_*.bin"), None) is not None:
+        raise FileExistsError(f"{path}: already holds graph records")
+
+
 def cmd_extract(args) -> int:
+    _check_out_dir(args.out)
     pipeline_cfg, _ = load_config(args.config)
     if args.seed is not None:
         pipeline_cfg = replace(pipeline_cfg, seed=args.seed)
@@ -227,9 +242,8 @@ def cmd_gen_synthetic(args) -> int:
         noise=args.noise,
         seed=args.seed if args.seed is not None else 0,
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _check_out(args.out, "frames file")
+    out = Path(args.out)
     gt_path = out.with_name(out.stem + "_gt.csv")
     _check_out(gt_path, "skeletons file")
     frames, poses = generate(spec)
@@ -319,7 +333,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        # a value that overflows is refused by a finiteness check, with its
+        # own error, so numpy's warnings about it would only repeat that
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return command(args)
     except tuple(exc for exc, _ in _EXIT_CODES) as err:
         log.error("%s", err)
         return next(code for exc_type, code in _EXIT_CODES if isinstance(err, exc_type))

@@ -272,12 +272,8 @@ def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], np.ndarray
 
 
 def write_scores(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
-    if not rows:
-        Path(path).write_text(SCORES_HEADER_PREFIX + "\n", encoding="utf-8")
-        return
-    width = len(rows[0][2])
-    header = SCORES_HEADER_PREFIX + "," + ",".join(f"score_{i}" for i in range(width))
-    lines = [header]
+    width = len(rows[0][2]) if rows else 0
+    lines = [SCORES_HEADER_PREFIX + "".join(f",score_{i}" for i in range(width))]
     for seq, fid, scores in rows:
         values = np.asarray(scores, dtype=np.float64).tolist()
         lines.append(f"{seq},{fid}," + ",".join(map(repr, values)))
@@ -363,17 +359,17 @@ def read_graph_record(path) -> PointGraph:
         if size != expected:
             raise FormatVersionError(f"{path}: {size} bytes, but its header implies {expected}")
         nodes = np.frombuffer(fh.read(8 * n * dn), dtype="<f8").reshape(n, dn)
-        table = np.frombuffer(fh.read(4 * e), dtype="<u4").reshape(n, k).astype(np.int64)
+        table = np.frombuffer(fh.read(4 * e), dtype="<u4").reshape(n, k)
         efeat = np.frombuffer(fh.read(8 * e * de), dtype="<f8").reshape(e, de)
         ffeat = np.frombuffer(fh.read(8 * df), dtype="<f8")
     try:
         return PointGraph(
             sequence_id=seq,
             frame_id=fid,
-            node_features=nodes.astype(np.float64, copy=False),
+            node_features=nodes,
             neighbours=table,
-            edge_features=efeat.astype(np.float64, copy=False),
-            frame_features=ffeat.astype(np.float64, copy=False),
+            edge_features=efeat,
+            frame_features=ffeat,
         )
     except (ValueError, NumericOverflow) as err:
         raise FormatVersionError(f"{path}: {err}") from None

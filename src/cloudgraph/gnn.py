@@ -385,22 +385,6 @@ def _edge_directions(gat_layers: Sequence[GatLayer]) -> np.ndarray:
     return np.column_stack([g.theta_e @ g.attn[2 * g.theta.shape[1] :] for g in gat_layers])
 
 
-def _edge_logits(params: ModelParams, edge_feats: np.ndarray, cache=None) -> np.ndarray:
-    """Every attention layer's edge logit term as an L x E array, row l for
-    layer l: the edge block with the L edge directions as its ``head``, so
-    ``_fcn_forward`` packs and folds the block once per graph and streams
-    the edges feature-major, projecting each row block inside the call.
-    Without a cache no E x d array is held; with one, the edges are one
-    block and ``cache["h_edge"]`` keeps each layer's input and output, the
-    last output being the processed edge features the backward pass reads.
-    Both round every edge alike."""
-    ec = [] if cache is not None else None
-    logits = _fcn_forward(params.h_edge, edge_feats, ec, head=_edge_directions(params.gat_layers))
-    if cache is not None:
-        cache["h_edge"] = ec
-    return logits
-
-
 def _gat_forward(
     layer: GatLayer,
     X: np.ndarray,
@@ -432,14 +416,15 @@ def _gat_forward(
     if e_logit is not None:
         z_e += e_logit.reshape(z_e.shape)
     slope = layer.leaky_slope
-    l_self = np.where(z_self > 0, z_self, slope * z_self)
-    # the logits turn into the weights in place; the backward pass reads both
-    a_e = z_e if cache is None else z_e.copy()
     # the leaky step, z for z > 0 and slope * z otherwise, is the larger of
     # the two for slope <= 1 and the smaller above: two branch-free passes.
     # A mask from the signs, through np.where or a masked multiply, took
     # 1.3-10x as long at 130-1,024 nodes, k = 20 (2-vCPU x86_64)
-    (np.maximum if slope <= 1 else np.minimum)(a_e, a_e * slope, out=a_e)
+    leaky = np.maximum if slope <= 1 else np.minimum
+    l_self = leaky(z_self, z_self * slope)
+    # the logits turn into the weights in place; the backward pass reads both
+    a_e = z_e if cache is None else z_e.copy()
+    leaky(a_e, a_e * slope, out=a_e)
     # softmax per target over {self} + neighbors, max-subtracted
     mx = np.maximum(l_self, a_e.max(axis=1, initial=-np.inf))
     exp_self = np.exp(l_self - mx)
@@ -566,13 +551,26 @@ def edge_pass(params: ModelParams, graph: PointGraph, cache=None) -> LogitGraph:
     """Check a graph against the model and run its edge block: the only
     code that reads ``graph.edge_features``.  The result holds none of the
     graph's edge section, so a caller that drops the graph frees it before
-    the node path runs."""
+    the node path runs.
+
+    The edge logits are every attention layer's edge term as an L x E
+    array, row l for layer l: the edge block with the L edge directions as
+    its ``head``, so ``_fcn_forward`` packs and folds the block once per
+    graph and streams the edges feature-major, projecting each row block
+    inside the call.  Without a cache no E x d array is held; with one, the
+    edges are one block and ``cache["h_edge"]`` keeps each layer's input
+    and output, the last output being the processed edge features the
+    backward pass reads.  Both round every edge alike."""
     if graph.num_nodes == 0:
         raise EmptyGraph("cannot represent a graph with zero nodes")
     _check_graph_matches(params, graph)
     e_logits = None
     if params.h_edge is not None and params.gat_layers:
-        e_logits = _edge_logits(params, graph.edge_features, cache)
+        ec = [] if cache is not None else None
+        e_logits = _fcn_forward(params.h_edge, graph.edge_features, ec,
+                                head=_edge_directions(params.gat_layers))
+        if cache is not None:
+            cache["h_edge"] = ec
     return LogitGraph(graph.sequence_id, graph.frame_id, graph.node_features, graph.neighbours,
                       e_logits, graph.frame_features)
 
@@ -825,7 +823,7 @@ def grad_check(
         flat = tensor.reshape(-1)
         size = flat.size
         if max_entries_per_tensor is not None and size > max_entries_per_tensor:
-            idx = sampler.partial_shuffle_pick(size, max_entries_per_tensor)
+            idx = sorted(sampler.partial_shuffle_picks([size], max_entries_per_tensor)[0].tolist())
         else:
             idx = range(size)
         gflat = grads[name].reshape(-1)

@@ -170,17 +170,6 @@ class SplitMix64:
             slots[a], slots[b] = slots[b], slots[a]
         return slots[starts[:, None] + steps]
 
-    def partial_shuffle_pick(self, m: int, q: int) -> list[int]:
-        """Pick min(q, m) distinct indices from range(m) by a partial
-        Fisher-Yates shuffle: ``partial_shuffle_picks`` on one group.
-
-        Returned indices are sorted ascending so callers can preserve the
-        original relative order of the selected items.
-        """
-        if m < 0 or q < 0:
-            raise ValueError("m and q must be >= 0")
-        return sorted(self.partial_shuffle_picks([m], min(q, m))[0].tolist())
-
 
 def derive_seed(seed: int, *keys: int) -> int:
     """Hash-combine a base seed with integer keys (e.g. sequence and frame ids).

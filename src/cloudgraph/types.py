@@ -11,7 +11,6 @@ when the object is built, so no later stage checks them again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +32,8 @@ class RadarFrame:
     row-major order.
     """
 
-    frame_id: int
     sequence_id: int
+    frame_id: int
     points: np.ndarray
 
     def __post_init__(self):
@@ -129,8 +128,3 @@ class PointGraph:
         """E x 2 (target, source) pairs in edge order, built on each call."""
         return edges_from_table(self.neighbours)
 
-
-def frame_from_matrix(sequence_id: int, frame_id: int, mat: Sequence) -> RadarFrame:
-    """Build a RadarFrame from an n x 5 array of (x, y, z, v, I) rows."""
-    arr = np.asarray(mat, dtype=np.float64).reshape(-1, len(POINT_FIELDS))
-    return RadarFrame(frame_id=frame_id, sequence_id=sequence_id, points=arr)

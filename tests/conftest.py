@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cloudgraph.types import RadarFrame, frame_from_matrix
+from cloudgraph.types import RadarFrame
 
 
 def random_frame(rng: np.random.Generator, n: int, sequence_id=0, frame_id=0,
@@ -12,7 +12,7 @@ def random_frame(rng: np.random.Generator, n: int, sequence_id=0, frame_id=0,
     """Random frame with continuous coordinates (distinct pairwise distances
     almost surely)."""
     mat = rng.normal(size=(n, 5)) * scale
-    return frame_from_matrix(sequence_id, frame_id, mat)
+    return RadarFrame(sequence_id, frame_id, mat)
 
 
 def random_table(rng: np.random.Generator, n: int, k: int) -> np.ndarray:

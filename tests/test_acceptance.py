@@ -36,7 +36,7 @@ from cloudgraph.pipeline import (
 from cloudgraph.reference import gat_forward_reference, naive_build_graph, naive_knn
 from cloudgraph.rng import SplitMix64
 from cloudgraph.statbox import statbox_array
-from cloudgraph.types import edges_from_table, frame_from_matrix
+from cloudgraph.types import RadarFrame, edges_from_table
 
 from conftest import random_frame, random_table
 from test_statbox import oracle_stats
@@ -194,7 +194,7 @@ def test_acceptance_07_permutation_invariance():
         frame = random_frame(rng, n)
         perm = rng.permutation(n)
         g = build_graph([frame], cfg)
-        gp = build_graph([frame_from_matrix(0, 0, frame.as_matrix()[perm])], cfg)
+        gp = build_graph([RadarFrame(0, 0, frame.as_matrix()[perm])], cfg)
         assert np.allclose(g.frame_features, gp.frame_features, atol=1e-9, rtol=0)
         ra = frame_representation(params, g)
         rb = frame_representation(params, gp)
@@ -237,7 +237,7 @@ def test_acceptance_09_downsampling_contract():
     # dense cloud in a 20 cm cube, far more points than 3.5 cm cells
     mat = np.zeros((400, 5))
     mat[:, :3] = rng.uniform(0.0, 0.2, size=(400, 3))
-    frame = frame_from_matrix(0, 0, mat)
+    frame = RadarFrame(0, 0, mat)
     cell = (0.035, 0.035, 0.035)
     down = downsample(frame, cell, 1, SplitMix64(42))
     pts = down.as_matrix()[:, :3]

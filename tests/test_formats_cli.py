@@ -36,7 +36,7 @@ from cloudgraph.synthetic import (
     generate,
     joint_positions,
 )
-from cloudgraph.types import PointGraph, RadarFrame, frame_from_matrix
+from cloudgraph.types import PointGraph, RadarFrame
 
 from conftest import append_tensor, random_frame, traced_peak
 
@@ -116,7 +116,7 @@ def test_frames_round_trip_any_values_and_empty_frames(ids, data):
     # several sequences, empty frames, signed zeros, subnormals and
     # extremes all come back bit for bit, in the order written
     frames = [
-        frame_from_matrix(seq, fid, data.draw(
+        RadarFrame(seq, fid, data.draw(
             st.lists(st.lists(_POINT_VALUES, min_size=5, max_size=5), max_size=4)
         ))
         for seq, fid in ids
@@ -721,7 +721,7 @@ def test_cli_extract_counts_points_dropped_by_downsampling(tmp_path):
 
 @pytest.mark.parametrize("sizes", [(3, 12), (5, 6)])  # K nodes is below K, K + 1 is not
 def test_cli_extract_counts_graphs_below_k(tmp_path, np_rng, sizes):
-    frames = [frame_from_matrix(0, i, np_rng.normal(size=(n, 5))) for i, n in enumerate(sizes)]
+    frames = [RadarFrame(0, i, np_rng.normal(size=(n, 5))) for i, n in enumerate(sizes)]
     frames_path = tmp_path / "frames.csv"
     formats.write_frames(frames, frames_path)
     cfg_path = tmp_path / "run.cfg"
@@ -751,7 +751,7 @@ def test_cli_extract_counts_edges_between_coincident_points(tmp_path, np_rng):
     # each is the other's nearest neighbour: two edges of zero direction
     pts = np_rng.normal(size=(8, 5))
     pts[4, :3] = pts[1, :3]
-    frames = [frame_from_matrix(0, 0, pts), frame_from_matrix(0, 1, np_rng.normal(size=(8, 5)))]
+    frames = [RadarFrame(0, 0, pts), RadarFrame(0, 1, np_rng.normal(size=(8, 5)))]
     manifest = extract_manifest(tmp_path, frames, PipelineConfig(K=3))
     assert manifest["edges_coincident"] == "2"
     assert manifest["nodes_at_centroid"] == "0"
@@ -763,8 +763,8 @@ def test_cli_extract_counts_nodes_at_the_centroid(tmp_path, np_rng):
     # a cloud symmetric about its last point, which is then its centroid
     # up to rounding, so within epsilon of it
     half = np_rng.normal(size=(4, 5))
-    frames = [frame_from_matrix(0, 0, np.vstack([half, -half, np.zeros((1, 5))])),
-              frame_from_matrix(0, 1, np_rng.normal(size=(9, 5)))]
+    frames = [RadarFrame(0, 0, np.vstack([half, -half, np.zeros((1, 5))])),
+              RadarFrame(0, 1, np_rng.normal(size=(9, 5)))]
     manifest = extract_manifest(tmp_path, frames, PipelineConfig(K=4))
     assert manifest["nodes_at_centroid"] == "1"
     assert manifest["edges_coincident"] == "0"
@@ -774,7 +774,7 @@ def test_cli_extract_counts_nodes_at_the_centroid(tmp_path, np_rng):
 
 def test_cli_extract_skips_empty_frames(tmp_path):
     frames = [
-        frame_from_matrix(0, 0, np.random.default_rng(0).normal(size=(5, 5))),
+        RadarFrame(0, 0, np.random.default_rng(0).normal(size=(5, 5))),
         RadarFrame(frame_id=1, sequence_id=0, points=()),
     ]
     frames_path = tmp_path / "frames.csv"
@@ -874,11 +874,8 @@ OUT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command, kind", [
-    (command, kind) for command in OUT_COMMANDS
-    for kind in ["missing_parent", "file_parent", "directory", "empty", "dot"]
-    if not (command == "gen-synthetic" and kind == "missing_parent")  # it makes parents
-])
+@pytest.mark.parametrize("kind", ["missing_parent", "file_parent", "directory", "empty", "dot"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
 def test_cli_refuses_an_unusable_out_before_any_work(tmp_path, caplog, monkeypatch, command, kind):
     what, work = OUT_COMMANDS[command]
     calls = []
@@ -905,10 +902,40 @@ def test_cli_refuses_an_unusable_out_before_any_work(tmp_path, caplog, monkeypat
         argv = ["init-weights", "--config", str(inputs / "run.cfg")]
     else:
         argv = ["gen-synthetic", "--frames", "2", "--points", "3"]
-        if kind == "file_parent":  # making the parent directory fails first
-            message = f"File exists: '{parent}'"
     before = sorted(tmp_path.rglob("*"))
     assert main(argv + ["--out", str(out)]) == 3
+    assert message in caplog.text
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("kind", ["records", "empty", "file", "file_parent", "dangling_link"])
+def test_cli_extract_refuses_an_unusable_out_before_reading_frames(tmp_path, caplog, monkeypatch,
+                                                                   kind):
+    """An earlier run's records left in --out would be read by infer as this
+    run's, and --out "" would put the records in the working directory."""
+    frames_path, _ = gen_inputs(tmp_path, frames=3, points=12)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path)
+    monkeypatch.chdir(tmp_path)
+    graphs = tmp_path / "graphs"
+    if kind == "records":
+        assert main(["extract", str(frames_path), "--config", str(cfg_path), "--out", str(graphs)]) == 0
+        out, message = graphs, f"{graphs}: already holds graph records"
+    elif kind == "empty":
+        out, message = "", "'' names no output directory"
+    elif kind == "file":
+        out, message = frames_path, f"{frames_path}: {frames_path} is not a directory"
+    elif kind == "dangling_link":
+        graphs.symlink_to(tmp_path / "nowhere")
+        out, message = graphs, f"{graphs}: {graphs} is not a directory"
+    else:
+        out = frames_path / "graphs"
+        message = f"{out}: {frames_path} is not a directory"
+    calls = []
+    monkeypatch.setattr(formats, "read_frames", lambda *a: calls.append(a))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["extract", str(frames_path), "--config", str(cfg_path), "--out", str(out)]) == 3
     assert message in caplog.text
     assert calls == []
     assert sorted(tmp_path.rglob("*")) == before
@@ -918,7 +945,7 @@ def test_cli_infer_on_an_empty_graphs_directory_writes_no_predictions(infer_inpu
                                                                       caplog):
     # extract on frames that are all empty writes a manifest and no records
     _, weights, cfg_path = infer_inputs["pose"]
-    formats.write_frames([frame_from_matrix(0, i, np.zeros((0, 5))) for i in range(2)],
+    formats.write_frames([RadarFrame(0, i, np.zeros((0, 5))) for i in range(2)],
                          tmp_path / "f.csv")
     graphs = tmp_path / "graphs"
     assert main(["extract", str(tmp_path / "f.csv"), "--config", str(cfg_path),
@@ -1114,7 +1141,6 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 @pytest.mark.parametrize("field, section", [(0, "node"), (3, "frame")], ids=["x", "v"])
 def test_cli_extract_rejects_finite_points_whose_features_overflow_exit_7(
     tmp_path, caplog, np_rng, field, section
@@ -1123,7 +1149,7 @@ def test_cli_extract_rejects_finite_points_whose_features_overflow_exit_7(
     features' squared deviations; the record would hold inf or NaN."""
     pts = np_rng.normal(size=(8, 5))
     pts[5, field] = 1e200
-    frames = [frame_from_matrix(0, 0, np_rng.normal(size=(8, 5))), frame_from_matrix(0, 1, pts)]
+    frames = [RadarFrame(0, 0, np_rng.normal(size=(8, 5))), RadarFrame(0, 1, pts)]
     formats.write_frames(frames, tmp_path / "frames.csv")
     write_config(tmp_path / "run.cfg")
     out = tmp_path / "out"
@@ -1134,13 +1160,12 @@ def test_cli_extract_rejects_finite_points_whose_features_overflow_exit_7(
     assert [p.name for p in out.glob("graph_*.bin")] == ["graph_00000_000000.bin"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 def test_cli_extract_on_points_at_plus_minus_1e308_exit_7(tmp_path, caplog, np_rng):
     """build_graph itself refuses the overflowing graph; extract logs its
     error, after writing the records before it."""
     pts = np_rng.normal(size=(8, 5))
     pts[2, 0], pts[5, 0] = 1e308, -1e308
-    frames = [frame_from_matrix(0, 0, np_rng.normal(size=(8, 5))), frame_from_matrix(0, 1, pts)]
+    frames = [RadarFrame(0, 0, np_rng.normal(size=(8, 5))), RadarFrame(0, 1, pts)]
     formats.write_frames(frames, tmp_path / "frames.csv")
     write_config(tmp_path / "run.cfg")
     out = tmp_path / "out"
@@ -1149,6 +1174,23 @@ def test_cli_extract_on_points_at_plus_minus_1e308_exit_7(tmp_path, caplog, np_r
     assert rc == 7
     assert "non-finite node features in sequence 0 frame 1" in caplog.text
     assert [p.name for p in out.glob("graph_*.bin")] == ["graph_00000_000000.bin"]
+
+
+def test_cli_overflow_writes_only_its_error_line(tmp_path):
+    """numpy warns of each overflow on the way to the non-finite features;
+    the command's one ERROR line says all of it."""
+    pts = np.random.default_rng(5).normal(size=(8, 5))
+    pts[2, 0], pts[5, 0] = 1e308, -1e308
+    formats.write_frames([RadarFrame(0, 0, pts)], tmp_path / "frames.csv")
+    write_config(tmp_path / "run.cfg", pipe=PipelineConfig(K=2))
+    src = str(Path(cloudgraph.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "cloudgraph.cli", "extract", str(tmp_path / "frames.csv"),
+         "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 7
+    assert run.stderr.splitlines() == ["ERROR non-finite node features in sequence 0 frame 0"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -1202,7 +1244,7 @@ def seed_command(tmp_path, command, seed):
                     "--config", str(cfg_path), "--out", str(tmp_path / "graphs")],
         "init-weights": ["init-weights", "--config", str(cfg_path), "--out", str(tmp_path / "w.bin")],
         "gen-synthetic": ["gen-synthetic", "--frames", "2", "--points", "3",
-                          "--out", str(tmp_path / "made" / "frames.csv")],
+                          "--out", str(tmp_path / "synthetic.csv")],
     }[command]
     return argv + (["--seed", str(seed)] if seed is not None else []), Path(argv[argv.index("--out") + 1])
 
@@ -1268,6 +1310,8 @@ def test_importing_cloudgraph_builds_no_parser():
                                   ["eval", "p.csv", "t.csv", "--task", "height"]],
                          ids=["none", "unknown", "missing", "partial", "bad-choice"])
 def test_cli_usage_error_exit_2_leaves_the_next_call_working(tmp_path, capsys, argv):
+    (tmp_path / "before").mkdir()
+    (tmp_path / "after").mkdir()
     before, _ = gen_inputs(tmp_path / "before")
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -1652,7 +1696,6 @@ def infer_with_one_file_mutated(inputs, data, mutate):
             assert values.size and np.isfinite(values).all()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass
 @pytest.mark.parametrize("head", sorted(SMALL_MODELS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -1690,7 +1733,6 @@ MUTATION_BYTES = [bytes([b]) for b in b"0123456789-+.,=eEinaf_ \t\x0b\x0c\x1c\n\
     b"\r\n", "\u0665".encode()]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing features
 @pytest.mark.parametrize("kind", ["frames", "config", "skeletons", "scores", "labels"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -1724,7 +1766,6 @@ def test_cli_survives_any_byte_mutation_of_a_text_input(text_inputs, kind, data)
                 formats.read_graph_record(record)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass
 @pytest.mark.parametrize("head", sorted(SMALL_MODELS))
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
@@ -1762,7 +1803,6 @@ def scaled_eval_inputs(tmp, task, exponent):
     return p_path, t_path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing metrics
 @pytest.mark.parametrize("task", ["pose", "activity"])
 @settings(max_examples=60, deadline=None)
 @given(exponent=st.integers(-1074, 1023))
@@ -1786,7 +1826,6 @@ def test_cli_eval_of_scaled_predictions_exits_7_or_reports_finite_values(task, e
             assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_eval_pose_predictions_far_from_the_truth_exit_7(tmp_path, caplog, capsys):
     # predictions = truth x 2**665 (about 1e200) used to exit 0 with
     # "mpjpe_mm inf" and a PA-MPJPE of about 1,278 mm
@@ -1797,7 +1836,6 @@ def test_cli_eval_pose_predictions_far_from_the_truth_exit_7(tmp_path, caplog, c
     assert not out.exists() and capsys.readouterr().out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_eval_pose_report_with_a_non_finite_metric_exit_7(tmp_path, caplog, capsys):
     # every prediction shifted by 1e160: mpjpe and pa_mpjpe stay finite,
     # the squared errors of rmse do not
@@ -1868,7 +1906,7 @@ def test_cli_infer_peak_memory_below_1_7_records(tmp_path, np_rng):
     its edge section is freed once the edge logits exist, before attention
     runs: one 1,024-point default-shape record, 1.2 MB, peaks below 1.7x
     its size.  Holding the section through attention peaks near 2x."""
-    formats.write_frames([frame_from_matrix(0, 0, np_rng.normal(size=(1024, 5)))],
+    formats.write_frames([RadarFrame(0, 0, np_rng.normal(size=(1024, 5)))],
                          tmp_path / "frames.csv")
     cfg = tmp_path / "run.cfg"
     write_config(cfg, pipe=PipelineConfig(K=20), model=ModelShape())
@@ -1885,7 +1923,32 @@ def test_cli_infer_peak_memory_below_1_7_records(tmp_path, np_rng):
     assert peak < 1.7 * record.stat().st_size
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the forward pass
+@pytest.mark.parametrize("kind, message", [
+    ("node", "graph node width 5 does not match model"),
+    ("edge", "graph edge features do not match the edge block"),
+    ("frame", "graph frame features do not match the frame block"),
+    ("empty", "cannot represent a graph with zero nodes"),
+])
+def test_cli_infer_of_records_the_model_cannot_read_exit_7(tmp_path, caplog, kind, message):
+    """Records extracted without one feature section, or a record of no
+    nodes, under a model built for every section."""
+    graphs, weights, cfg_path = extract_and_init(tmp_path, "pose")
+    shutil.rmtree(graphs)
+    if kind == "empty":
+        graphs.mkdir()
+        graph = PointGraph(0, 0, np.zeros((0, 19)), np.zeros((0, 4)), np.zeros((0, 6)),
+                           np.zeros(380))
+        formats.write_graph_record(graph, graphs / formats.graph_record_name(graph))
+    else:
+        write_config(tmp_path / "off.cfg", pipe=PipelineConfig(K=4, **{f"enable_{kind}_features": False}))
+        assert main(["extract", str(tmp_path / "frames.csv"), "--config", str(tmp_path / "off.cfg"),
+                     "--out", str(graphs)]) == 0
+    out = tmp_path / "p.csv"
+    assert infer(graphs, weights, cfg_path, out) == 7
+    assert message in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("head", sorted(SMALL_MODELS))
 def test_cli_infer_non_finite_prediction_exit_7(tmp_path, caplog, head):
     """Finite but huge weights overflow in the prediction block."""

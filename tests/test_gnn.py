@@ -48,7 +48,7 @@ from cloudgraph.metrics import cross_entropy, softmax
 from cloudgraph.pipeline import build_graph
 from cloudgraph.reference import gat_forward_reference
 from cloudgraph.rng import SplitMix64
-from cloudgraph.types import edges_from_table
+from cloudgraph.types import RadarFrame, edges_from_table
 
 from conftest import append_tensor, random_frame, random_table, traced_peak
 
@@ -466,15 +466,15 @@ def test_attention_output_identical_across_blas_threads():
         "                            predict_sequential)\n"
         "from cloudgraph.pipeline import build_graph\n"
         "from cloudgraph.rng import SplitMix64\n"
-        "from cloudgraph.types import frame_from_matrix\n"
+        "from cloudgraph.types import RadarFrame\n"
         "cfg = PipelineConfig(K=20)\n"
         "params = init_params(mars_sequential_shape(13, 0), cfg, SplitMix64(0))\n"
         "r = np.random.default_rng(3)\n"
-        "graphs = [build_graph([frame_from_matrix(0, i, r.normal(size=(n, 5)))], cfg)\n"
+        "graphs = [build_graph([RadarFrame(0, i, r.normal(size=(n, 5)))], cfg)\n"
         "          for i, n in enumerate((96, 12, 64, 205))]\n"
         "rep = _rep_forward_batch(params, graphs)\n"
         "out = predict_sequential(params, graphs)\n"
-        "big = build_graph([frame_from_matrix(1, 0, r.normal(size=(307, 5)))], cfg)\n"
+        "big = build_graph([RadarFrame(1, 0, r.normal(size=(307, 5)))], cfg)\n"
         "default = init_params(ModelShape(), cfg, SplitMix64(1))\n"
         "rep2 = _rep_forward_batch(default, [big])\n"
         "out2 = predict_framewise(default, big)\n"
@@ -688,9 +688,7 @@ def test_representation_permutation_invariant(np_rng):
     frame = random_frame(np_rng, n)
     g = build_graph([frame], cfg)
     perm = np_rng.permutation(n)
-    from cloudgraph.types import frame_from_matrix
-
-    gp = build_graph([frame_from_matrix(0, 0, frame.as_matrix()[perm])], cfg)
+    gp = build_graph([RadarFrame(0, 0, frame.as_matrix()[perm])], cfg)
     assert np.allclose(
         frame_representation(params, g), frame_representation(params, gp), atol=1e-9
     )

@@ -16,7 +16,7 @@ from cloudgraph.formats import (read_graph_record, read_skeletons, write_frames,
 from cloudgraph.pipeline import build_graph
 from cloudgraph.reference import naive_build_graph
 from cloudgraph.synthetic import NUM_JOINTS
-from cloudgraph.types import frame_from_matrix
+from cloudgraph.types import RadarFrame
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,7 +71,7 @@ def test_gate_fingerprints_agree_for_shared_naive_and_read_back_graphs(monkeypat
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     gate = importlib.import_module("gate")
-    frames = [frame_from_matrix(3, i, np_rng.normal(size=(9, 5))) for i in range(2)]
+    frames = [RadarFrame(3, i, np_rng.normal(size=(9, 5))) for i in range(2)]
     cfg = PipelineConfig(K=4, F=2)
     shared = build_graph(frames, cfg)
     write_graph_record(shared, tmp_path / "g.bin")
@@ -85,7 +85,7 @@ def test_traced_extract_builds_no_edge_list_and_counts_statbox_calls(
     monkeypatch, tmp_path, np_rng
 ):
     spans, cg = load_perfbench(monkeypatch)
-    frames = [frame_from_matrix(0, i, np_rng.normal(size=(12, 5))) for i in range(4)]
+    frames = [RadarFrame(0, i, np_rng.normal(size=(12, 5))) for i in range(4)]
     write_frames(frames, tmp_path / "frames.csv")
     (tmp_path / "run.cfg").write_text(serialize_config(PipelineConfig(K=5, F=2)), encoding="utf-8")
     tracer = spans.Tracer()
@@ -119,7 +119,7 @@ def test_traced_fused_extract_spans_one_downsample_per_window(monkeypatch, tmp_p
     """``_fuse_window`` calls the module-level ``pipeline.downsample``, the
     binding the benchmark wraps, once per fused window."""
     spans, cg = load_perfbench(monkeypatch)
-    frames = [frame_from_matrix(0, i, np_rng.normal(size=(30, 5)) * 0.05) for i in range(5)]
+    frames = [RadarFrame(0, i, np_rng.normal(size=(30, 5)) * 0.05) for i in range(5)]
     write_frames(frames, tmp_path / "frames.csv")
     cfg = PipelineConfig(K=4, F=3, downsample_enabled=True, Q=1)
     (tmp_path / "run.cfg").write_text(serialize_config(cfg), encoding="utf-8")
@@ -149,7 +149,7 @@ def test_traced_extract_of_a_multi_block_frame_spans_every_block(monkeypatch, tm
     n = 600
     blocks = -(-n // (cg.pipeline._D2_BLOCK_BYTES // (8 * n)))
     assert blocks > 1
-    write_frames([frame_from_matrix(0, 0, np_rng.normal(size=(n, 5)))], tmp_path / "frames.csv")
+    write_frames([RadarFrame(0, 0, np_rng.normal(size=(n, 5)))], tmp_path / "frames.csv")
     (tmp_path / "run.cfg").write_text(serialize_config(PipelineConfig(K=20)), encoding="utf-8")
     tracer = spans.Tracer()
     spans.install(tracer, cg)
@@ -173,7 +173,7 @@ def test_traced_sequential_infer_names_every_block_span(monkeypatch, tmp_path, n
     onto the edge logits included, and attention is one ``gnn.gat`` span
     per layer and graph."""
     spans, cg = load_perfbench(monkeypatch)
-    frames = [frame_from_matrix(0, i, np_rng.normal(size=(12, 5))) for i in range(3)]
+    frames = [RadarFrame(0, i, np_rng.normal(size=(12, 5))) for i in range(3)]
     write_frames(frames, tmp_path / "frames.csv")
     shape = ModelShape(head="pose", output_size=4, edge_units=(6, 5), node_units=(7,),
                        gat_units=(5, 5, 5), frame_units=(6,), pred_units=(6,), sequential=True,
@@ -210,7 +210,7 @@ def test_traced_framewise_infer_names_every_block_span(monkeypatch, tmp_path, np
     """The frame-wise twin of the sequential test above: one prediction,
     one representation and one attention span per layer for each record."""
     spans, cg = load_perfbench(monkeypatch)
-    frames = [frame_from_matrix(0, i, np_rng.normal(size=(12, 5))) for i in range(4)]
+    frames = [RadarFrame(0, i, np_rng.normal(size=(12, 5))) for i in range(4)]
     write_frames(frames, tmp_path / "frames.csv")
     shape = ModelShape(head="pose", output_size=4, edge_units=(6, 5), node_units=(7,),
                        gat_units=(5, 5), frame_units=(6,), pred_units=(6,))

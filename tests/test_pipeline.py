@@ -27,7 +27,7 @@ from cloudgraph.reference import (
 from cloudgraph.rng import SplitMix64
 from cloudgraph.statbox import statbox_array
 from cloudgraph.synthetic import SyntheticSpec, generate
-from cloudgraph.types import RadarFrame, frame_from_matrix
+from cloudgraph.types import RadarFrame
 
 from conftest import random_frame, traced_peak
 
@@ -43,7 +43,7 @@ def row_indices(rows, full):
 def frame_of(coords, sequence_id=0, frame_id=0):
     mat = np.zeros((len(coords), 5))
     mat[:, :3] = coords
-    return frame_from_matrix(sequence_id, frame_id, mat)
+    return RadarFrame(sequence_id, frame_id, mat)
 
 
 # -- fusion ------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_build_graph_refuses_a_finite_cloud_whose_features_overflow(np_rng, buil
     mat = np_rng.normal(size=(8, 5))
     mat[2, 0], mat[5, 0] = 1e308, -1e308
     with pytest.raises(NumericOverflow, match="^non-finite node features in sequence 3 frame 7$"):
-        build([frame_from_matrix(3, 7, mat)], PipelineConfig(K=4))
+        build([RadarFrame(3, 7, mat)], PipelineConfig(K=4))
 
 
 @pytest.mark.parametrize("width", [(0.1, 0.0, 0.1), (-0.1, 0.1, 0.1), (0.1, np.nan, 0.1),
@@ -200,7 +200,7 @@ def test_downsample_matches_a_per_cell_loop(kind, Q):
         width = (0.035,) * 3 if trial % 2 else tuple(rng.uniform(0.01, 0.1, size=3))
         seed = int(rng.integers(0, 2**63))
         ours, theirs = SplitMix64(seed), SplitMix64(seed)
-        out = downsample(frame_from_matrix(0, 0, mat), width, Q, ours)
+        out = downsample(RadarFrame(0, 0, mat), width, Q, ours)
         assert np.array_equal(out.points, loop_downsample(mat, width, Q, theirs))
         assert ours.next_u64() == theirs.next_u64()  # the same draws were taken
 
@@ -208,7 +208,7 @@ def test_downsample_matches_a_per_cell_loop(kind, Q):
 def test_downsample_known_answer():
     # pinned from the per-point dict loop this function replaced
     mat = np.random.default_rng(15).uniform(-0.05, 0.05, size=(40, 5))
-    frame = frame_from_matrix(0, 0, mat)
+    frame = RadarFrame(0, 0, mat)
     rng = SplitMix64(15)
     out = downsample(frame, (0.04,) * 3, 1, rng)
     assert row_indices(out.points, mat).tolist() == [
@@ -494,7 +494,7 @@ def node_features_of(frame, K):
 
 
 def test_node_features_single_point():
-    frame = frame_from_matrix(0, 0, [[1, 2, 3, 4, 5]])
+    frame = RadarFrame(0, 0, [[1, 2, 3, 4, 5]])
     nf = node_features_of(frame, 20)
     assert nf.shape == (1, 19)
     assert np.array_equal(nf[0, :5], [1, 2, 3, 4, 5])
@@ -502,7 +502,7 @@ def test_node_features_single_point():
 
 
 def test_node_features_two_points_hand_case():
-    frame = frame_from_matrix(0, 0, [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]])
+    frame = RadarFrame(0, 0, [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]])
     nf = node_features_of(frame, 1)
     # each point's single neighbor distance is 1 -> constant-vector stats
     assert np.allclose(nf[0, 5:15], statbox_array([1.0]))
@@ -531,7 +531,7 @@ def test_node_features_direction_zero_at_centroid():
 
 
 def test_edge_features_unit_displacement():
-    frame = frame_from_matrix(0, 0, [[0, 0, 0, 0, 0], [1, 0, 0, 2, 3]])
+    frame = RadarFrame(0, 0, [[0, 0, 0, 0, 0], [1, 0, 0, 2, 3]])
     table = knn_edges(squared_distance_matrix(frame), 1)
     ef = edge_features(frame, table)
     # edge 0: target 0 -> source 1
@@ -539,7 +539,7 @@ def test_edge_features_unit_displacement():
 
 
 def test_edge_features_coincident_points_zero_direction():
-    frame = frame_from_matrix(0, 0, [[0, 0, 0, 1, 4], [0, 0, 0, 3, 5]])
+    frame = RadarFrame(0, 0, [[0, 0, 0, 1, 4], [0, 0, 0, 3, 5]])
     table = knn_edges(squared_distance_matrix(frame), 1)
     ef = edge_features(frame, table)
     assert np.allclose(ef[0], [0, 0, 0, 0, 2, 1])
@@ -665,7 +665,7 @@ def test_permutation_equivariance(np_rng):
     cfg = PipelineConfig(K=4)
     g = build_graph([frame], cfg)
     perm = np_rng.permutation(n)
-    permuted = frame_from_matrix(0, 0, frame.as_matrix()[perm])
+    permuted = RadarFrame(0, 0, frame.as_matrix()[perm])
     gp = build_graph([permuted], cfg)
     # node rows move with the permutation
     assert np.allclose(gp.node_features, g.node_features[perm], atol=1e-12, rtol=0)
@@ -686,7 +686,7 @@ def test_rigid_motion_behavior(np_rng):
     # global translation
     mat = frame.as_matrix().copy()
     mat[:, :3] += np.array([1.5, -2.0, 0.7])
-    gt = build_graph([frame_from_matrix(0, 0, mat)], cfg)
+    gt = build_graph([RadarFrame(0, 0, mat)], cfg)
     assert np.allclose(gt.node_features[:, 5:19], g.node_features[:, 5:19], atol=1e-9)
     assert np.allclose(gt.edge_features[:, 0], g.edge_features[:, 0], atol=1e-9)
     assert np.allclose(gt.node_features[:, :3], g.node_features[:, :3] + [1.5, -2.0, 0.7])
@@ -699,7 +699,7 @@ def test_rigid_motion_behavior(np_rng):
     mat = frame.as_matrix().copy()
     c = mat[:, :3].mean(axis=0)
     mat[:, :3] = (mat[:, :3] - c) @ rot.T + c
-    gr = build_graph([frame_from_matrix(0, 0, mat)], cfg)
+    gr = build_graph([RadarFrame(0, 0, mat)], cfg)
     assert np.allclose(gr.node_features[:, 5:15], g.node_features[:, 5:15], atol=1e-9)
     assert np.allclose(gr.node_features[:, 15], g.node_features[:, 15], atol=1e-9)
 

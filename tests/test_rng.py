@@ -47,17 +47,16 @@ def test_randbelow_bounds_and_coverage():
     assert seen == {0, 1, 2}
 
 
-def test_partial_shuffle_pick_sorted_distinct():
+def test_partial_shuffle_picks_one_group_distinct():
     rng = SplitMix64(3)
-    picked = rng.partial_shuffle_pick(10, 4)
-    assert picked == sorted(picked)
+    picked = rng.partial_shuffle_picks([10], 4)[0].tolist()
     assert len(set(picked)) == 4
     assert all(0 <= i < 10 for i in picked)
-    # q >= m returns everything
-    assert SplitMix64(3).partial_shuffle_pick(4, 9) == [0, 1, 2, 3]
+    # q = m picks everything
+    assert sorted(SplitMix64(3).partial_shuffle_picks([4], 4)[0].tolist()) == [0, 1, 2, 3]
     # the entries grad_check samples, pinned from the scalar shuffle loop
     rng = SplitMix64(0)
-    assert rng.partial_shuffle_pick(4096, 5) == [857, 1171, 1758, 2519, 3503]
+    assert sorted(rng.partial_shuffle_picks([4096], 5)[0].tolist()) == [857, 1171, 1758, 2519, 3503]
     assert rng.next_u64() == 6038094601263162090
 
 
@@ -179,13 +178,6 @@ def test_randbelow_rejects_bounds_past_two_pow_64():
             rng.randbelow(n)
     # 2**64 itself is the raw draw, never rejected
     assert rng.randbelow(2**64) == SplitMix64(4).next_u64()
-
-
-def test_partial_shuffle_pick_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        SplitMix64(0).partial_shuffle_pick(5, -2)
-    with pytest.raises(ValueError):
-        SplitMix64(0).partial_shuffle_pick(-1, 2)
 
 
 def test_partial_shuffle_picks_match_a_scalar_fisher_yates_per_group():

@@ -3,8 +3,8 @@ the package is read somewhere in its module, and every private
 module-level name somewhere in the package.
 
 An import kept on purpose for other modules, such as a re-export, carries
-``# noqa: F401`` on one of its lines.  ``__init__.py`` is left out, since
-it consists of re-exports.
+``# noqa: F401`` on one of its lines.  ``__init__.py`` binds only
+``__version__``: every public name lives in its module alone.
 """
 
 import ast
@@ -14,7 +14,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cloudgraph"
 PACKAGE = sorted(SRC.glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unread_imports(source: str) -> list:
@@ -50,10 +49,10 @@ def test_unread_imports_finds_an_unused_import():
 
 
 def test_modules_are_found():
-    assert len(MODULES) >= 10
+    assert len(PACKAGE) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_every_module_level_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 
@@ -110,3 +109,11 @@ def test_unread_private_names_finds_a_leftover():
 def test_every_private_module_level_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def test_package_init_binds_only_the_version():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    bound = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    defs = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    assert (imports, bound, defs) == ([], ["__version__"], [])

@@ -16,7 +16,6 @@ from cloudgraph.types import (
     POINT_FIELDS,
     PointGraph,
     RadarFrame,
-    frame_from_matrix,
 )
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -24,7 +23,9 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 def test_frame_of_finite_points_is_built():
     mat = np.arange(15.0).reshape(3, 5)
-    assert np.array_equal(frame_from_matrix(0, 0, mat).points, mat)
+    frame = RadarFrame(3, 7, mat)
+    assert (frame.sequence_id, frame.frame_id) == (3, 7)
+    assert np.array_equal(frame.points, mat)
 
 
 def test_frame_refuses_a_non_finite_point_naming_it():
@@ -107,6 +108,14 @@ def test_config_invariants():
         PipelineConfig(downsample_enabled=True, Q=0)
     with pytest.raises(ConfigError):
         PipelineConfig(cell_width=(0.0, 0.1, 0.1))
+    with pytest.raises(ConfigError, match="epsilon must be positive"):
+        PipelineConfig(epsilon=0.0)
+    with pytest.raises(ConfigError, match="head must be one of"):
+        ModelShape(head="regression")
+    with pytest.raises(ConfigError, match="output_size must be >= 1"):
+        ModelShape(output_size=0)
+    with pytest.raises(ConfigError, match="lstm_hidden must be >= 1"):
+        ModelShape(sequential=True, lstm_hidden=0)
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError, match="seed must be in"):
             PipelineConfig(seed=seed)
