@@ -155,13 +155,14 @@ def _name_ids(path) -> list:
 def _encoded_records(graphs_dir, params):
     """Every record, encoded as it is read, in the order of the ids in its
     name: names pad ids to a width that larger ids outgrow, so sorted names
-    misorder them.  A record's header must hold its name's two ids.
+    misorder them.  A record's name must be the one ``graph_record_name``
+    gives its header's ids, so no record is read twice under a second name.
 
     Only the edge pass reads a record's edge section, and nothing holds the
     record past that call, so the section is freed before attention runs."""
     for path in sorted(Path(graphs_dir).glob("graph_*.bin"), key=_name_ids):
         encoded = node_path(params, edge_pass(params, formats.read_graph_record(path)))
-        if [encoded.sequence_id, encoded.frame_id] != _name_ids(path):
+        if path.name != formats.graph_record_name(encoded):
             raise FormatVersionError(f"{path}: header ids {encoded[:2]} differ from its name")
         yield encoded
 
@@ -201,7 +202,7 @@ def cmd_eval(args) -> int:
     if args.out is not None:
         _check_out(args.out, "report file")
     _, shape = load_config(args.config) if args.config else (None, None)
-    mid_hip = shape.mid_hip_index if shape else args.mid_hip_index
+    mid_hip = shape.mid_hip_index if shape else args.mid_hip_index or 0
     if args.task == "pose":
         preds = formats.read_skeletons(args.predictions, mid_hip)
         gts = formats.read_skeletons(args.ground_truth, mid_hip)
@@ -296,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("predictions")
     p.add_argument("ground_truth")
     p.add_argument("--task", choices=("pose", "activity"), required=True)
-    p.add_argument("--config")
-    p.add_argument("--mid-hip-index", type=int, default=0)
+    # a config sets the mid-hip index itself, as model_mid_hip_index
+    keypoint = p.add_mutually_exclusive_group()
+    keypoint.add_argument("--config")
+    keypoint.add_argument("--mid-hip-index", type=int)
     p.add_argument("--per-keypoint", action="store_true")
     p.add_argument("--out")
 

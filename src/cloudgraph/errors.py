@@ -49,10 +49,6 @@ class MissingRecurrentParams(CloudGraphError):
     """Sequential prediction requested but no recurrent cell parameters present."""
 
 
-class HeadShapeMismatch(CloudGraphError):
-    """Prediction head output width does not match the requested head type."""
-
-
 class NonFiniteOutput(CloudGraphError):
     """The forward pass or a metric produced a NaN or infinite value."""
 

@@ -19,7 +19,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .config import ModelShape, PipelineConfig
 from .errors import (
     DimensionMismatch,
     EmptyGraph,
-    HeadShapeMismatch,
     ManifestMismatch,
     MissingRecurrentParams,
     NonFiniteOutput,
@@ -259,13 +258,6 @@ def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None, head=None) -> np.nd
     16 x 4."""
     layers = block.layers
     total = len(layers)
-    width = X.shape[1]
-    for layer in layers:
-        if width != layer.W.shape[0]:
-            raise DimensionMismatch(
-                f"input width {width} does not match layer weight {layer.W.shape}"
-            )
-        width = layer.W.shape[1]
     steps = [(layer.W, layer.b, _act_at(block.policy, i, total)) for i, layer in enumerate(layers)]
     if total > 1 and not steps[0][2]:
         W1, b1 = layers[1].W, layers[1].b
@@ -286,7 +278,7 @@ def _fcn_forward(block: FcnBlock, X: np.ndarray, cache=None, head=None) -> np.nd
     else:
         blocks = _row_blocks(len(X), 8 * max(P.shape[0] for P in packed))
     cols = max(rows.stop - rows.start for rows in blocks)
-    bufs = [np.empty((P.shape[1], cols)) for P in packed] + [np.empty((width + 1, cols))]
+    bufs = [np.empty((P.shape[1], cols)) for P in packed] + [np.empty((len(packed[-1]) + 1, cols))]
     for buf in bufs:
         buf[-1] = 1.0
     out = np.empty((head.shape[1], len(X)))
@@ -330,14 +322,6 @@ def _fcn_backward(block: FcnBlock, cache, dY, grad: FcnBlock) -> np.ndarray:
             grad.layers[i].b += s
             dY = dZ @ layers[i].W.T
     return dY
-
-
-def fcn_forward(block: FcnBlock, x) -> np.ndarray:
-    """Row-wise shared-MLP application; accepts one vector or a matrix of rows."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return _fcn_forward(block, arr[None, :])[0]
-    return _fcn_forward(block, arr)
 
 
 # -- attention layer ---------------------------------------------------------
@@ -403,10 +387,6 @@ def _gat_forward(
     61; n = 136, d = 16: 52 -> 27; n = 160: 44 -> 35 (d = 16), 155 -> 120
     (d = 64); dense loses at n = 256, d = 16 (70 vs 103) and n = 1,024, d =
     16 (413 vs 2,095)."""
-    if X.shape[1] != layer.theta.shape[0]:
-        raise DimensionMismatch(
-            f"node state width {X.shape[1]} does not match theta {layer.theta.shape}"
-        )
     d = layer.theta.shape[1]
     Q = X @ layer.theta
     qw1 = Q @ layer.attn[:d]
@@ -490,10 +470,13 @@ def gat_forward(layer: GatLayer, node_feats, neighbours, processed_edge_feats=No
     """One attention layer on an n x k neighbour table, edge i * k + j from
     ``neighbours[i, j]`` into target i: softmax-normalized neighbor
     weighting with a self term (zero edge-feature vector) included in the
-    softmax.  The table needs one row per node and sources in [0, n), and
-    ``processed_edge_feats`` one row per edge, or DimensionMismatch is raised."""
+    softmax.  The node states need ``layer.theta``'s input width, the table
+    one row per node and sources in [0, n), and ``processed_edge_feats`` one
+    row per edge, or DimensionMismatch is raised."""
     X = np.asarray(node_feats, dtype=np.float64)
     table = np.asarray(neighbours, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != layer.theta.shape[0]:
+        raise DimensionMismatch(f"node states of shape {X.shape} for theta {layer.theta.shape}")
     n = X.shape[0]
     if table.ndim != 2 or table.shape[0] != n:
         raise DimensionMismatch(f"neighbour table of shape {table.shape} for {n} nodes")
@@ -604,23 +587,21 @@ def encode_graph(params: ModelParams, graph: PointGraph, cache=None) -> EncodedG
     return node_path(params, edge_pass(params, graph, cache), cache)
 
 
-def _rep_forward_batch(params: ModelParams, graphs: Sequence, cache=None) -> np.ndarray:
-    """Representations of a window of graphs, encoded or not, one row per
-    graph.  A graph's node path runs on its own neighbour table, so its
+def _rep_forward_batch(
+    params: ModelParams, graphs: Sequence[EncodedGraph], cache=None
+) -> np.ndarray:
+    """Representations of a non-empty window of graphs encoded by
+    ``encode_graph`` (or ``node_path``), one row per graph.  ``edge_pass``
+    checked each graph's widths against the model, so nothing is checked
+    here.  A graph's node path runs on its own neighbour table, so its
     pooled vector does not depend on the other graphs; the frame branch is
     one product over the window's stacked frame features.  A gradient cache
-    describes one graph: it receives the frame branch here and the node
-    path from ``encode_graph``, and a window of more graphs raises
-    ValueError."""
-    if not graphs:
-        raise EmptyGraph("no graphs to represent")
-    if cache is not None and len(graphs) > 1:
-        raise ValueError(f"a gradient cache describes one graph, not {len(graphs)}")
-    encoded = [g if isinstance(g, EncodedGraph) else encode_graph(params, g) for g in graphs]
-    rep = np.concatenate([e.pooled for e in encoded])
+    describes one graph, ``network_loss``'s: it receives the frame branch
+    here and the node path from ``encode_graph``."""
+    rep = np.concatenate([g.pooled for g in graphs])
     if params.h_frame is not None:
         fc = [] if cache is not None else None
-        Xf = _fcn_forward(params.h_frame, np.stack([e.frame_features for e in encoded]), fc)
+        Xf = _fcn_forward(params.h_frame, np.stack([g.frame_features for g in graphs]), fc)
         if cache is not None:
             cache["h_frame"] = fc
         rep = np.concatenate([rep, Xf], axis=1)
@@ -655,23 +636,19 @@ def _rep_backward_batch(params: ModelParams, cache, dRep, grads: ModelParams):
 
 
 def frame_representation(params: ModelParams, graph: PointGraph) -> np.ndarray:
-    """Single-frame representation: pooled node states, concatenated with
-    the processed frame-feature vector when the frame branch exists."""
-    return _rep_forward_batch(params, [graph])[0]
+    """Single-frame representation of a graph as extracted, encoded here:
+    pooled node states, concatenated with the processed frame-feature
+    vector when the frame branch exists."""
+    return _rep_forward_batch(params, [encode_graph(params, graph)])[0]
 
 
 # -- prediction heads --------------------------------------------------------
 
 
-def _head_output(
-    params: ModelParams, vec: np.ndarray, graph: Union[PointGraph, EncodedGraph]
-) -> np.ndarray:
+def _head_output(params: ModelParams, vec: np.ndarray, graph: EncodedGraph) -> np.ndarray:
     """Shape the h_pred output for the head: M x 3 for pose, C scores for
     activity; ``graph`` is the frame the prediction is reported under."""
     shape = params.shape
-    expected = head_output_dim(shape)
-    if vec.shape[-1] != expected:
-        raise HeadShapeMismatch(f"prediction width {vec.shape[-1]}, head expects {expected}")
     if not np.isfinite(vec).all():
         raise NonFiniteOutput(
             f"non-finite prediction for sequence {graph.sequence_id} frame {graph.frame_id}"
@@ -681,7 +658,7 @@ def _head_output(
     return vec
 
 
-def _predict(params: ModelParams, graphs: Sequence, lstm: Optional[LstmParams]):
+def _predict(params: ModelParams, graphs: Sequence[EncodedGraph], lstm: Optional[LstmParams]):
     """Both heads: the window's last representation through h_pred, or
     with ``lstm`` the bidirectional LSTM's output at the last time index,
     where the backward recursion has read only the last frame."""
@@ -693,10 +670,11 @@ def _predict(params: ModelParams, graphs: Sequence, lstm: Optional[LstmParams]):
     return _head_output(params, out, graphs[-1])
 
 
-def predict_framewise(params: ModelParams, graph) -> np.ndarray:
-    """Frame-wise head: the representation vector of a graph, encoded or
-    not, through h_pred.  Pose output is an M x 3 array of keypoints;
-    activity output is raw class scores."""
+def predict_framewise(params: ModelParams, graph: EncodedGraph) -> np.ndarray:
+    """Frame-wise head: the representation vector of a graph encoded by
+    ``encode_graph`` (or ``node_path``), through h_pred.  ``edge_pass``
+    checked the graph's widths against the model.  Pose output is an M x 3
+    array of keypoints; activity output is raw class scores."""
     return _predict(params, [graph], None)
 
 
@@ -720,10 +698,12 @@ def _lstm_direction(d: LstmDirection, xs: np.ndarray) -> np.ndarray:
     return h
 
 
-def predict_sequential(params: ModelParams, graphs: Sequence) -> np.ndarray:
-    """Sequential head: a window of graphs, encoded or not, through a
+def predict_sequential(params: ModelParams, graphs: Sequence[EncodedGraph]) -> np.ndarray:
+    """Sequential head: a window of graphs encoded by ``encode_graph`` (or
+    ``node_path``), whose widths ``edge_pass`` checked, through a
     bidirectional LSTM; the concatenated output at the last time index
-    feeds h_pred.  The output is shaped as in ``predict_framewise``."""
+    feeds h_pred.  An empty window raises EmptyGraph.  The output is shaped
+    as in ``predict_framewise``."""
     if params.lstm is None:
         raise MissingRecurrentParams("model has no recurrent cell parameters")
     if not graphs:

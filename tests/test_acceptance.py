@@ -194,7 +194,7 @@ def test_acceptance_07_permutation_invariance():
         frame = random_frame(rng, n)
         perm = rng.permutation(n)
         g = build_graph([frame], cfg)
-        gp = build_graph([RadarFrame(0, 0, frame.as_matrix()[perm])], cfg)
+        gp = build_graph([RadarFrame(0, 0, frame.points[perm])], cfg)
         assert np.allclose(g.frame_features, gp.frame_features, atol=1e-9, rtol=0)
         ra = frame_representation(params, g)
         rb = frame_representation(params, gp)
@@ -240,13 +240,13 @@ def test_acceptance_09_downsampling_contract():
     frame = RadarFrame(0, 0, mat)
     cell = (0.035, 0.035, 0.035)
     down = downsample(frame, cell, 1, SplitMix64(42))
-    pts = down.as_matrix()[:, :3]
-    mins = frame.as_matrix()[:, :3].min(axis=0)
+    pts = down.points[:, :3]
+    mins = frame.points[:, :3].min(axis=0)
     cells_kept = {tuple(c) for c in np.floor((pts - mins) / 0.035).astype(int)}
     assert len(cells_kept) == len(down)  # exactly one survivor per cell
     all_cells = {
         tuple(c)
-        for c in np.floor((frame.as_matrix()[:, :3] - mins) / 0.035).astype(int)
+        for c in np.floor((frame.points[:, :3] - mins) / 0.035).astype(int)
     }
     assert cells_kept == all_cells  # every occupied cell retains a point
 

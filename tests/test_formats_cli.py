@@ -22,6 +22,7 @@ from cloudgraph.cli import build_parser, main
 from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
 from cloudgraph.errors import FormatVersionError, ParseError
 from cloudgraph.gnn import (
+    encode_graph,
     init_params,
     predict_framewise,
     predict_sequential,
@@ -1076,6 +1077,22 @@ def test_cli_eval_mid_hip_index_outside_keypoints_exit_7(tmp_path, caplog, np_rn
     assert f"{p_path}: mid-hip index {index} outside its 3 keypoints" in caplog.text
 
 
+@pytest.mark.parametrize("index", ["7", "0"])
+def test_cli_eval_config_with_mid_hip_index_exit_2(tmp_path, capsys, index):
+    # the config's model_mid_hip_index would win over the option unseen; an
+    # explicit 0, the index eval takes without either, is refused as well
+    _, gt_path = gen_inputs(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(gt_path), str(gt_path), "--task", "pose", "--config", str(cfg_path),
+              "--mid-hip-index", index])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cloudgraph eval")
+    assert "argument --mid-hip-index: not allowed with argument --config" in err
+
+
 def test_cli_eval_no_predictions_exit_7(tmp_path, caplog):
     p_path, g_path = tmp_path / "s.csv", tmp_path / "l.csv"
     formats.write_scores([], p_path)
@@ -1557,7 +1574,7 @@ def test_cli_streamed_sequential_infer_equals_a_loop_over_loaded_windows(tmp_pat
     for seq, end in ends:
         window = [formats.read_graph_record(graphs / f"graph_{seq:05d}_{f:06d}.bin")
                   for f in range(end - 2, end + 1)]
-        want = predict_sequential(params, window)
+        want = predict_sequential(params, [encode_graph(params, g) for g in window])
         assert np.array_equal(got[seq, end], want), (seq, end)
 
 
@@ -1583,7 +1600,7 @@ def test_cli_streamed_framewise_infer_equals_each_loaded_record(tmp_path, np_rng
     assert sorted(got) == sorted(STREAM_IDS)
     for path in graphs.glob("graph_*.bin"):
         graph = formats.read_graph_record(path)
-        want = predict_framewise(params, graph)
+        want = predict_framewise(params, encode_graph(params, graph))
         assert np.array_equal(got[graph.sequence_id, graph.frame_id], want), path.name
 
 
@@ -1598,10 +1615,20 @@ def test_cli_infer_orders_records_by_their_ids_past_six_digits(tmp_path, np_rng)
     assert sorted(f for _, f in formats.read_skeletons(out, 0)) == list(range(999_997, 1_000_005))
 
 
-@pytest.mark.parametrize("name", ["graph_00000_000007.bin", "graph_copy.bin", "graph_0_0_0.bin"])
-def test_cli_infer_record_whose_name_disagrees_with_its_header_exit_4(tmp_path, caplog, name):
+@pytest.mark.parametrize("name, move", [
+    ("graph_00000_000007.bin", shutil.move),
+    ("graph_copy.bin", shutil.move),
+    ("graph_0_0_0.bin", shutil.move),
+    # the name's ids are the header's, unpadded
+    ("graph_0_0.bin", shutil.move),
+    # a second name for a record would have it predicted twice
+    ("graph_0_0.bin", shutil.copyfile),
+], ids=["graph_00000_000007.bin", "graph_copy.bin", "graph_0_0_0.bin", "graph_0_0.bin",
+        "graph_0_0.bin-copy"])
+def test_cli_infer_record_whose_name_disagrees_with_its_header_exit_4(tmp_path, caplog, name,
+                                                                       move):
     graphs, weights, cfg_path = extract_and_init(tmp_path, "pose")
-    (graphs / "graph_00000_000000.bin").rename(graphs / name)
+    move(graphs / "graph_00000_000000.bin", graphs / name)
     assert infer(graphs, weights, cfg_path, tmp_path / "p.csv") == 4
     assert f"{graphs / name}: header ids (0, 0) differ from its name" in caplog.text
 

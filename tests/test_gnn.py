@@ -32,7 +32,6 @@ from cloudgraph.gnn import (
     _row_blocks,
     edge_pass,
     encode_graph,
-    fcn_forward,
     frame_representation,
     gat_forward,
     grad_check,
@@ -82,28 +81,28 @@ def small_params(rng_seed=11, shape=SMALL_SHAPE, cfg=None):
 
 def test_fcn_identity_weights_pass_through():
     block = FcnBlock([AffineLayer(np.eye(3), np.zeros(3))], policy="all_but_last")
-    x = np.array([-1.0, 2.0, 0.5])
-    assert np.array_equal(fcn_forward(block, x), x)
+    x = np.array([[-1.0, 2.0, 0.5]])
+    assert np.array_equal(_fcn_forward(block, x), x)
 
 
 def test_fcn_relu_placement_policies():
     w = np.eye(2)
-    neg = np.array([-1.0, -2.0])
+    neg = np.array([[-1.0, -2.0]])
     two = FcnBlock(
         [AffineLayer(w, np.zeros(2)), AffineLayer(w, np.zeros(2))], policy="all"
     )
-    assert np.array_equal(fcn_forward(two, neg), [0.0, 0.0])
+    assert np.array_equal(_fcn_forward(two, neg), [[0.0, 0.0]])
     two.policy = "all_but_first"
     # first layer keeps the sign, second rectifies
-    assert np.array_equal(fcn_forward(two, neg), [0.0, 0.0])
+    assert np.array_equal(_fcn_forward(two, neg), [[0.0, 0.0]])
     two.policy = "all_but_last"
     # first rectifies (-> zeros), second affine leaves zeros
-    assert np.array_equal(fcn_forward(two, neg), [0.0, 0.0])
-    pos = np.array([1.0, -2.0])
+    assert np.array_equal(_fcn_forward(two, neg), [[0.0, 0.0]])
+    pos = np.array([[1.0, -2.0]])
     two.policy = "all_but_last"
-    assert np.array_equal(fcn_forward(two, pos), [1.0, 0.0])
+    assert np.array_equal(_fcn_forward(two, pos), [[1.0, 0.0]])
     two.policy = "all_but_first"
-    assert np.array_equal(fcn_forward(two, pos), [1.0, 0.0])
+    assert np.array_equal(_fcn_forward(two, pos), [[1.0, 0.0]])
 
 
 def test_fcn_hand_example():
@@ -111,8 +110,9 @@ def test_fcn_hand_example():
         [AffineLayer(np.array([[2.0], [1.0]]), np.array([-1.0]))], policy="all"
     )
     # [1, 3] @ [[2],[1]] - 1 = 4, relu -> 4
-    assert fcn_forward(block, [1.0, 3.0])[0] == 4.0
-    assert fcn_forward(block, [-1.0, 0.0])[0] == 0.0  # -3 rectified
+    out = _fcn_forward(block, np.array([[1.0, 3.0], [-1.0, 0.0]]))
+    assert out[0, 0] == 4.0
+    assert out[1, 0] == 0.0  # -3 rectified
 
 
 def test_fcn_rows_equal_vector_calls(np_rng):
@@ -120,16 +120,10 @@ def test_fcn_rows_equal_vector_calls(np_rng):
         [AffineLayer(np_rng.normal(size=(4, 3)), np_rng.normal(size=3))], policy="all"
     )
     X = np_rng.normal(size=(6, 4))
-    batch = fcn_forward(blk, X)
+    batch = _fcn_forward(blk, X)
     for i in range(6):
         # matrix and single-row products may differ by summation order only
-        assert np.allclose(batch[i], fcn_forward(blk, X[i]), rtol=1e-13, atol=1e-15)
-
-
-def test_fcn_width_mismatch(np_rng):
-    blk = FcnBlock([AffineLayer(np.eye(3), np.zeros(3))], policy="all")
-    with pytest.raises(DimensionMismatch):
-        fcn_forward(blk, np.zeros(4))
+        assert np.allclose(batch[i], _fcn_forward(blk, X[i : i + 1])[0], rtol=1e-13, atol=1e-15)
 
 
 def rectified(policy, i, total):
@@ -161,17 +155,14 @@ def random_block(rng, policy, n_layers):
 def test_fcn_forward_matches_plain_layer_loop(np_rng, policy, n_layers, rows):
     block = random_block(np_rng, policy, n_layers)
     X = np_rng.normal(size=(rows, 6))
-    pairs = [(fcn_forward(block, X), plain_fcn(block, X)[0])]
-    if rows:  # the one-vector path
-        pairs.append((fcn_forward(block, X[0]), plain_fcn(block, X[:1])[0][0]))
-    for got, want in pairs:
-        assert got.shape == want.shape
-        if policy == "all_but_first" and n_layers > 1:
-            # layers 0 and 1 run as one folded affine map: rounding differs
-            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
-        else:
-            # in-place bias and rectifier round exactly as the plain expressions
-            assert np.array_equal(got, want)
+    got, want = _fcn_forward(block, X), plain_fcn(block, X)[0]
+    assert got.shape == want.shape
+    if policy == "all_but_first" and n_layers > 1:
+        # layers 0 and 1 run as one folded affine map: rounding differs
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+    else:
+        # in-place bias and rectifier round exactly as the plain expressions
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 37, 9001])
@@ -183,7 +174,7 @@ def test_fcn_forward_with_a_head_matches_projected_rows(np_rng, policy, n_layers
     block = random_block(np_rng, policy, n_layers)
     X = np_rng.normal(size=(rows, 6))
     V = np_rng.normal(size=(block.layers[-1].W.shape[1], 3))
-    want = V.T @ fcn_forward(block, X).T
+    want = V.T @ _fcn_forward(block, X).T
     streamed = _fcn_forward(block, X, head=V)
     cache = []
     assert np.array_equal(_fcn_forward(block, X, cache, head=V), streamed)
@@ -244,7 +235,10 @@ def test_gat_forward_rejects_mismatched_inputs(np_rng):
     table = np.array([[1], [2], [0]])
     # edge features of 1 row would broadcast over all three edges
     bad_edges = [(x, np.zeros((rows, 2))) for rows in (1, 2, 4)]
-    for bad_x, ef in [(x, None), (x, np.zeros((3, 5))), (x[:, :3], np.zeros((3, 2)))] + bad_edges:
+    # node states of the wrong width, and 1-D and 3-D ones with a row per node
+    bad_states = [(x[:, :3], np.zeros((3, 2))), (x[:, 0], np.zeros((3, 2))),
+                  (x[:, :, None], np.zeros((3, 2)))]
+    for bad_x, ef in [(x, None), (x, np.zeros((3, 5)))] + bad_states + bad_edges:
         with pytest.raises(DimensionMismatch):
             gat_forward(layer, bad_x, table, ef)
     for bad_table in (table[:2], np.vstack([table, table[:1]]), table.reshape(-1)):
@@ -462,8 +456,8 @@ def test_attention_output_identical_across_blas_threads():
     script = (
         "import hashlib, numpy as np\n"
         "from cloudgraph.config import ModelShape, PipelineConfig, mars_sequential_shape\n"
-        "from cloudgraph.gnn import (init_params, _rep_forward_batch, predict_framewise,\n"
-        "                            predict_sequential)\n"
+        "from cloudgraph.gnn import (encode_graph, init_params, _rep_forward_batch,\n"
+        "                            predict_framewise, predict_sequential)\n"
         "from cloudgraph.pipeline import build_graph\n"
         "from cloudgraph.rng import SplitMix64\n"
         "from cloudgraph.types import RadarFrame\n"
@@ -472,10 +466,12 @@ def test_attention_output_identical_across_blas_threads():
         "r = np.random.default_rng(3)\n"
         "graphs = [build_graph([RadarFrame(0, i, r.normal(size=(n, 5)))], cfg)\n"
         "          for i, n in enumerate((96, 12, 64, 205))]\n"
+        "graphs = [encode_graph(params, g) for g in graphs]\n"
         "rep = _rep_forward_batch(params, graphs)\n"
         "out = predict_sequential(params, graphs)\n"
         "big = build_graph([RadarFrame(1, 0, r.normal(size=(307, 5)))], cfg)\n"
         "default = init_params(ModelShape(), cfg, SplitMix64(1))\n"
+        "big = encode_graph(default, big)\n"
         "rep2 = _rep_forward_batch(default, [big])\n"
         "out2 = predict_framewise(default, big)\n"
         "print(hashlib.sha256(b''.join(a.tobytes() for a in (rep, out, rep2, out2))).hexdigest())\n"
@@ -495,6 +491,11 @@ def test_attention_output_identical_across_blas_threads():
 # -- frame representation ----------------------------------------------------
 
 
+def represent(params, graphs):
+    """The window's representations, each graph encoded first."""
+    return _rep_forward_batch(params, [encode_graph(params, g) for g in graphs])
+
+
 def test_representation_single_node_graph(np_rng):
     params, cfg = small_params()
     g = build_graph([random_frame(np_rng, 1)], cfg)
@@ -506,7 +507,7 @@ def test_representation_single_node_graph(np_rng):
 def test_representation_batched_equals_unbatched(np_rng):
     params, cfg = small_params()
     graphs = [random_graph(np_rng, cfg=cfg) for _ in range(5)]
-    batch = _rep_forward_batch(params, graphs)
+    batch = represent(params, graphs)
     for i, g in enumerate(graphs):
         single = frame_representation(params, g)
         assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
@@ -517,7 +518,7 @@ def test_window_pools_each_graph_as_if_alone(np_rng):
     # not depend on the sizes of the other graphs in its window
     params, graphs = random_batch(np_rng, mars_sequential_shape(13, 0), (96, 12, 64))
     d = params.shape.gat_units[-1]
-    window = _rep_forward_batch(params, graphs)
+    window = represent(params, graphs)
     for i, g in enumerate(graphs):
         assert np.array_equal(window[i, :d], frame_representation(params, g)[:d]), i
 
@@ -526,28 +527,17 @@ def test_representation_batch_mixes_degrees(np_rng):
     params, cfg = small_params()
     sizes = (3, 12, 1, 7)
     graphs = [random_graph(np_rng, n=n, cfg=cfg) for n in sizes]
-    batch = _rep_forward_batch(params, graphs)
+    batch = represent(params, graphs)
     for i, g in enumerate(graphs):
         assert np.allclose(batch[i], frame_representation(params, g), atol=1e-12, rtol=0)
 
 
-def test_representation_rejects_empty(np_rng):
-    params, cfg = small_params()
-    with pytest.raises(EmptyGraph):
-        _rep_forward_batch(params, [])
-
-
 def test_a_gradient_cache_takes_one_graph(np_rng):
-    # a cache over a window would hold the last graph's node path beside
-    # every graph's frame branch, which no backward pass can read
-    params, cfg = small_params()
-    graphs = [random_graph(np_rng, n=n, cfg=cfg) for n in (6, 9)]
-    cache: dict = {}
-    with pytest.raises(ValueError, match="^a gradient cache describes one graph, not 2$"):
-        _rep_forward_batch(params, graphs, cache)
-    assert cache == {}
     # one graph, encoded with the cache, fills every key the backward pass reads
-    _rep_forward_batch(params, [encode_graph(params, graphs[1], cache)], cache)
+    params, cfg = small_params()
+    cache: dict = {}
+    encoded = encode_graph(params, random_graph(np_rng, n=9, cfg=cfg), cache)
+    _rep_forward_batch(params, [encoded], cache)
     assert cache["pooled_shape"][0] == 9 and len(cache["h_frame"]) == len(params.h_frame.layers)
 
 
@@ -604,12 +594,12 @@ def test_representation_does_not_depend_on_the_block_size(np_rng, monkeypatch, b
     row_bytes = 8 * max(shape.edge_units)
     default_rows = gnn._BLOCK_BYTES // row_bytes
     assert 0 < E % gnn._MIN_BLOCK_ROWS == E % default_rows < gnn._MIN_BLOCK_ROWS
-    want = _rep_forward_batch(params, graphs)
+    want = represent(params, graphs)
     # the cached path runs the edge block as one block; a cache takes one graph
     pooled = np.concatenate([encode_graph(params, g, {}).pooled for g in graphs])
     assert np.array_equal(pooled, want[:, : pooled.shape[1]])
     monkeypatch.setattr(gnn, "_BLOCK_BYTES", block_rows * row_bytes)
-    assert np.array_equal(_rep_forward_batch(params, graphs), want)
+    assert np.array_equal(represent(params, graphs), want)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
@@ -634,7 +624,7 @@ def test_representation_peak_memory_below_one_edge_state_array(np_rng):
     params, graphs = random_batch(np_rng, mars_sequential_shape(13, 0), (128,) * 16)
     E = sum(g.num_edges for g in graphs)
     assert E >= 40960
-    _, peak = traced_peak(_rep_forward_batch, params, graphs)
+    _, peak = traced_peak(represent, params, graphs)
     assert peak < E * 64 * 8
 
 
@@ -688,7 +678,7 @@ def test_representation_permutation_invariant(np_rng):
     frame = random_frame(np_rng, n)
     g = build_graph([frame], cfg)
     perm = np_rng.permutation(n)
-    gp = build_graph([RadarFrame(0, 0, frame.as_matrix()[perm])], cfg)
+    gp = build_graph([RadarFrame(0, 0, frame.points[perm])], cfg)
     assert np.allclose(
         frame_representation(params, g), frame_representation(params, gp), atol=1e-9
     )
@@ -708,10 +698,10 @@ def test_shared_mlp_locality_without_attention(np_rng):
     cfg = PipelineConfig(K=3, enable_edge_features=False, enable_frame_features=False)
     params = init_params(shape, cfg, SplitMix64(5))
     X = np_rng.normal(size=(7, 19))
-    a = fcn_forward(params.h_node, X)
+    a = _fcn_forward(params.h_node, X)
     X2 = X.copy()
     X2[3] += 1.0
-    b = fcn_forward(params.h_node, X2)
+    b = _fcn_forward(params.h_node, X2)
     rows = np.arange(7) != 3
     assert np.array_equal(a[rows], b[rows])
     assert not np.array_equal(a[3], b[3])
@@ -731,7 +721,7 @@ def test_framewise_pose_shape_and_zero_weights(np_rng):
     cfg = PipelineConfig(K=4)
     params = zero_all(init_params(shape, cfg, SplitMix64(0)))
     g = random_graph(np_rng, cfg=cfg)
-    out = predict_framewise(params, g)
+    out = predict_framewise(params, encode_graph(params, g))
     assert out.dtype == np.float64 and out.shape == (17, 3)
     assert np.array_equal(out, np.zeros((17, 3)))
 
@@ -741,14 +731,14 @@ def test_framewise_activity_scores(np_rng):
     cfg = PipelineConfig(K=4)
     params = init_params(shape, cfg, SplitMix64(2))
     g = random_graph(np_rng, cfg=cfg)
-    out = predict_framewise(params, g)
+    out = predict_framewise(params, encode_graph(params, g))
     assert out.shape == (6,)
     assert np.all(np.isfinite(out))
 
 
 def test_framewise_deterministic_rerun(np_rng):
     params, cfg = small_params()
-    g = random_graph(np_rng, cfg=cfg)
+    g = encode_graph(params, random_graph(np_rng, cfg=cfg))
     a = predict_framewise(params, g)
     b = predict_framewise(params, g)
     assert np.array_equal(a, b)
@@ -756,7 +746,7 @@ def test_framewise_deterministic_rerun(np_rng):
 
 def test_sequential_requires_lstm(np_rng):
     params, cfg = small_params()
-    g = random_graph(np_rng, cfg=cfg)
+    g = encode_graph(params, random_graph(np_rng, cfg=cfg))
     with pytest.raises(MissingRecurrentParams):
         predict_sequential(params, [g])
 
@@ -769,9 +759,11 @@ def test_sequential_single_frame_and_zero_weights(np_rng):
     )
     cfg = PipelineConfig(K=3)
     params = init_params(shape, cfg, SplitMix64(4))
-    g = random_graph(np_rng, cfg=cfg)
+    g = encode_graph(params, random_graph(np_rng, cfg=cfg))
     out = predict_sequential(params, [g])
     assert out.dtype == np.float64 and out.shape == (4, 3)
+    with pytest.raises(EmptyGraph):
+        predict_sequential(params, [])
     zero_all(params)
     out0 = predict_sequential(params, [g])
     assert np.array_equal(out0, np.zeros((4, 3)))
@@ -785,7 +777,7 @@ def test_sequential_is_order_sensitive(np_rng):
     )
     cfg = PipelineConfig(K=3)
     params = init_params(shape, cfg, SplitMix64(4))
-    graphs = [random_graph(np_rng, cfg=cfg) for _ in range(4)]
+    graphs = [encode_graph(params, random_graph(np_rng, cfg=cfg)) for _ in range(4)]
     a = predict_sequential(params, graphs)
     b = predict_sequential(params, graphs[::-1])
     assert not np.allclose(a, b)
@@ -807,6 +799,7 @@ def test_sequential_equals_the_full_length_recursion(np_rng, frames):
     # only the forward state at t = L-1 and the backward state at position
     # L-1, its recursion's first step, reach h_pred
     params, graphs = random_batch(np_rng, mars_sequential_shape(13, 0), (24,) * frames)
+    graphs = [encode_graph(params, g) for g in graphs]
     reps = _rep_forward_batch(params, graphs)
     hf = full_lstm_states(params.lstm.fwd, reps)
     hb = full_lstm_states(params.lstm.bwd, reps[::-1])
@@ -917,7 +910,7 @@ def test_grad_check_with_nonzero_biases(np_rng, policy, edge_units):
 def test_network_loss_values(np_rng):
     params, cfg = small_params()
     g = random_graph(np_rng, cfg=cfg)
-    pred = predict_framewise(params, g).reshape(-1)
+    pred = predict_framewise(params, encode_graph(params, g)).reshape(-1)
     loss, grads, _ = network_loss(params, g, "mse", pred)
     assert loss == 0.0
     loss2, _, _ = network_loss(params, g, "mse", pred + 1.0)
@@ -933,7 +926,7 @@ def test_network_loss_cross_entropy_is_the_metric(np_rng):
                                                 node_units=(8,), gat_units=(6,),
                                                 frame_units=(8,), pred_units=(8,)))
     g = random_graph(np_rng, cfg=cfg)
-    scores = predict_framewise(params, g)
+    scores = predict_framewise(params, encode_graph(params, g))
     for label in range(5):
         loss, _, _ = network_loss(params, g, "cross_entropy", label)
         assert loss == pytest.approx(cross_entropy(scores, label), rel=1e-12)

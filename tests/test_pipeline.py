@@ -119,8 +119,8 @@ def test_downsample_every_cell_at_most_q(np_rng):
     frame = random_frame(np_rng, 200, scale=0.05)
     q = 2
     out = downsample(frame, (0.035, 0.035, 0.035), q, SplitMix64(7))
-    pts = out.as_matrix()[:, :3]
-    mins = frame.as_matrix()[:, :3].min(axis=0)
+    pts = out.points[:, :3]
+    mins = frame.points[:, :3].min(axis=0)
     cells = np.floor((pts - mins) / 0.035).astype(int)
     _, counts = np.unique(cells, axis=0, return_counts=True)
     assert counts.max() <= q
@@ -665,7 +665,7 @@ def test_permutation_equivariance(np_rng):
     cfg = PipelineConfig(K=4)
     g = build_graph([frame], cfg)
     perm = np_rng.permutation(n)
-    permuted = RadarFrame(0, 0, frame.as_matrix()[perm])
+    permuted = RadarFrame(0, 0, frame.points[perm])
     gp = build_graph([permuted], cfg)
     # node rows move with the permutation
     assert np.allclose(gp.node_features, g.node_features[perm], atol=1e-12, rtol=0)
@@ -684,7 +684,7 @@ def test_rigid_motion_behavior(np_rng):
     g = build_graph([frame], cfg)
 
     # global translation
-    mat = frame.as_matrix().copy()
+    mat = frame.points.copy()
     mat[:, :3] += np.array([1.5, -2.0, 0.7])
     gt = build_graph([RadarFrame(0, 0, mat)], cfg)
     assert np.allclose(gt.node_features[:, 5:19], g.node_features[:, 5:19], atol=1e-9)
@@ -696,7 +696,7 @@ def test_rigid_motion_behavior(np_rng):
     rot = np.array(
         [[np.cos(theta), -np.sin(theta), 0], [np.sin(theta), np.cos(theta), 0], [0, 0, 1]]
     )
-    mat = frame.as_matrix().copy()
+    mat = frame.points.copy()
     c = mat[:, :3].mean(axis=0)
     mat[:, :3] = (mat[:, :3] - c) @ rot.T + c
     gr = build_graph([RadarFrame(0, 0, mat)], cfg)
