@@ -199,6 +199,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.task == "activity" and (args.per_keypoint or args.mid_hip_index is not None):
+        args.usage_error("--per-keypoint and --mid-hip-index apply to --task pose only")
     if args.out is not None:
         _check_out(args.out, "report file")
     _, shape = load_config(args.config) if args.config else (None, None)
@@ -303,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     keypoint.add_argument("--mid-hip-index", type=int)
     p.add_argument("--per-keypoint", action="store_true")
     p.add_argument("--out")
+    p.set_defaults(usage_error=p.error)  # exits 2, printing eval's usage
 
     p = sub.add_parser("gen-synthetic", help="generate synthetic frames + ground truth")
     p.add_argument("--frames", type=int, default=30)

@@ -58,7 +58,8 @@ class ManifestMismatch(CloudGraphError):
 
 
 class ShapeMismatch(CloudGraphError):
-    """Prediction / ground-truth shapes disagree in a metric computation."""
+    """Prediction / ground-truth shapes disagree in a metric computation,
+    or prediction rows of different shapes meet in one file."""
 
 
 class DegenerateConfiguration(CloudGraphError):

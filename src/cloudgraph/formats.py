@@ -10,6 +10,12 @@ exactly this grammar.  Configs and manifests go through ``key_values``:
 UTF-8 ``key = value`` lines, ``#`` starting a comment.  Every malformed
 line is a ParseError naming the file and the line.
 
+Predictions of either head take one layout, read and written in one
+place: one row per (sequence, frame) id, holding the head's output vector.
+A scores file's header names ``score_0`` on; a skeletons file's names
+``x0,y0,z0,x1,...`` through keypoint M-1, the M x 3 pose in row-major
+order.
+
 Text files carry round-trip-exact decimal floats (``repr``); the binary
 graph records (little-endian 64-bit floats, row-major, dimension header)
 are the source of truth and every reader checks the format version.  The
@@ -30,18 +36,16 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .errors import FormatVersionError, NumericOverflow, ParseError, ShapeMismatch
-from .types import PointGraph, RadarFrame
+from .types import ID_LIMIT, PointGraph, RadarFrame
 
 FRAMES_HEADER = "sequence_id,frame_id,x,y,z,v,I"
-SKELETON_HEADER = "sequence_id,frame_id,keypoint,x,y,z"
-SCORES_HEADER_PREFIX = "sequence_id,frame_id"
+IDS_HEADER = "sequence_id,frame_id"  # the columns before a prediction's values
 LABELS_HEADER = "sequence_id,frame_id,class_index"
 
 GRAPH_MAGIC = b"PCGR"
 GRAPH_FORMAT_VERSION = 2
 # magic, version, sequence id, frame id, nodes, k, node/edge/frame widths
 _GRAPH_HEADER = struct.Struct("<4sIQQQQQQQ")
-_ID_LIMIT = 1 << 64  # sequence and frame ids are u8 in the record header
 _CHUNK_LINES = 1024  # frames lines parsed per np.loadtxt call
 # one frames row as np.loadtxt parses it: the two ids, then x, y, z, v, I
 _FRAME_ROW = np.dtype([("sequence", "<u8"), ("frame", "<u8"), ("values", "<f8", 5)])
@@ -83,7 +87,7 @@ class _CsvRows:
         if not (names == header or open_ended and names.startswith(header + ",")):
             expected = header + ",..." if open_ended else header
             raise self.error(f"expected header {expected!r}")
-        self.width = names.count(",") + 1
+        self.names, self.width = names, names.count(",") + 1
 
     def __iter__(self) -> Iterator[Tuple[Tuple[int, int], List[str]]]:
         with open(self.path, "rb") as fh:
@@ -105,7 +109,7 @@ class _CsvRows:
                     seq, fid = int(fields[0].strip()), int(fields[1].strip())
                 except ValueError:
                     raise self.error("bad sequence or frame id") from None
-                if not (0 <= seq < _ID_LIMIT and 0 <= fid < _ID_LIMIT):
+                if not (0 <= seq < ID_LIMIT and 0 <= fid < ID_LIMIT):
                     raise self.error("sequence or frame id outside [0, 2^64)")
                 if "-" in fields[0] or "-" in fields[1]:  # "-0", which numpy refuses
                     raise self.error("bad sequence or frame id")
@@ -121,12 +125,6 @@ class _CsvRows:
 
     def error(self, message: str) -> ParseError:
         return ParseError(self.lineno, message, self.path)
-
-    def integer(self, text: str, kind: str) -> int:
-        try:
-            return int(text.strip())
-        except ValueError:
-            raise self.error(f"bad {kind} value") from None
 
     def reals(self, fields: List[str], kind: str, key: Tuple[int, int]) -> List[float]:
         try:
@@ -230,64 +228,70 @@ def _first_bad_frame_line(table: _CsvRows) -> ParseError:
 
 
 def write_skeletons(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
-    """Write (sequence_id, frame_id, M x 3 array-like) rows as a skeletons CSV."""
-    lines = [SKELETON_HEADER]
-    for seq, fid, pose in rows:
-        for k, (x, y, z) in enumerate(np.asarray(pose, dtype=np.float64).tolist()):
-            lines.append(f"{seq},{fid},{k},{x!r},{y!r},{z!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write (sequence_id, frame_id, M x 3 array-like) rows as a skeletons
+    CSV, one pose per row, its keypoints' x, y, z in keypoint order."""
+    m = len(rows[0][2]) if rows else 0
+    _write_vectors(rows, path, (m, 3), _pose_columns(m))
+
+
+def _pose_columns(m: int) -> List[str]:
+    return [f"{axis}{k}" for k in range(m) for axis in "xyz"]
 
 
 def read_skeletons(path, mid_hip_index: int) -> Dict[Tuple[int, int], np.ndarray]:
     """Poses by (sequence, frame) id, each a float64 M x 3 array of
-    keypoints in meters.  Every id must list keypoint indices 0..M-1, each
-    once and in any order, with one M for the whole file; otherwise
-    ParseError names the id.  A NaN or infinite coordinate is a ParseError
-    naming its line, and a mid-hip index outside the M keypoints a
-    ShapeMismatch naming the file."""
-    table = _CsvRows(path, SKELETON_HEADER)
-    acc: Dict[Tuple[int, int], List[Tuple[int, List[float]]]] = {}
-    first_line: Dict[Tuple[int, int], int] = {}
-    for key, fields in table:
-        k = table.integer(fields[0], "skeleton")
-        acc.setdefault(key, []).append((k, table.reals(fields[1:], "skeleton", key)))
-        first_line.setdefault(key, table.lineno)
-    out: Dict[Tuple[int, int], np.ndarray] = {}
-    width = None
-    for key, rows in acc.items():
-        rows.sort(key=lambda row: row[0])
-        m = len(rows)
-        name = f"sequence {key[0]} frame {key[1]}"
-        if [k for k, _ in rows] != list(range(m)):
-            raise ParseError(first_line[key],
-                             f"{name}: keypoint indices are not 0..{m - 1}, each once", path)
-        if width is None:
-            width = m
-            if not 0 <= mid_hip_index < m:
-                raise ShapeMismatch(f"{path}: mid-hip index {mid_hip_index} outside its {m} keypoints")
-        elif m != width:
-            raise ParseError(first_line[key], f"{name}: {m} keypoints, expected {width}", path)
-        out[key] = np.array([xyz for _, xyz in rows])
-    return out
+    keypoints in meters, its rows read as ``read_scores`` reads them.  A
+    header other than ``sequence_id,frame_id,x0,y0,z0,...`` through
+    keypoint M-1 is a ParseError at line 1, and a mid-hip index outside
+    the M keypoints a ShapeMismatch naming the file."""
+    table = _CsvRows(path, IDS_HEADER, open_ended=True)
+    m = (table.width - 2) // 3
+    header = ",".join([IDS_HEADER] + _pose_columns(m))
+    if table.names != header:
+        raise table.error(f"expected header {header!r}")
+    poses = _read_vectors(table, "skeleton", (m, 3))
+    if poses and not 0 <= mid_hip_index < m:
+        raise ShapeMismatch(f"{path}: mid-hip index {mid_hip_index} outside its {m} keypoints")
+    return poses
 
 
 def write_scores(rows: Sequence[Tuple[int, int, np.ndarray]], path) -> None:
+    """Write (sequence_id, frame_id, score vector) rows as a scores CSV."""
     width = len(rows[0][2]) if rows else 0
-    lines = [SCORES_HEADER_PREFIX + "".join(f",score_{i}" for i in range(width))]
-    for seq, fid, scores in rows:
-        values = np.asarray(scores, dtype=np.float64).tolist()
-        lines.append(f"{seq},{fid}," + ",".join(map(repr, values)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_vectors(rows, path, (width,), [f"score_{i}" for i in range(width)])
 
 
 def read_scores(path) -> Dict[Tuple[int, int], np.ndarray]:
     """Score vectors by (sequence, frame) id, each id on one row; every row
     must have as many fields as the header, all of them finite.  A header
     with no score column suits only a file with no rows."""
-    table = _CsvRows(path, SCORES_HEADER_PREFIX, open_ended=True)
+    return _read_vectors(_CsvRows(path, IDS_HEADER, open_ended=True), "score", (-1,))
+
+
+def _write_vectors(rows, path, shape: Tuple[int, ...], columns: List[str]) -> None:
+    """One line per (sequence_id, frame_id, array) row: the ids, then the
+    array's values in row-major order, under the header of the ids and
+    ``columns``.  The readers would refuse a file of arrays that hold no
+    value or whose shapes differ, so an array whose shape is not ``shape``
+    is a ShapeMismatch naming its id, and so are rows of no value."""
+    if rows and not columns:
+        raise ShapeMismatch(f"{path}: the predictions hold no value")
+    lines = [",".join([IDS_HEADER] + columns)]
+    for seq, fid, array in rows:
+        values = np.asarray(array, dtype=np.float64)
+        if values.shape != shape:
+            raise ShapeMismatch(f"{path}: sequence {seq} frame {fid}: a prediction of shape "
+                                f"{values.shape}, expected {shape}")
+        lines.append(f"{seq},{fid}," + ",".join(map(repr, values.ravel().tolist())))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_vectors(table: _CsvRows, kind: str, shape: Tuple[int, ...]) -> Dict[Tuple[int, int], np.ndarray]:
+    """Each row's ``kind`` values, as a float64 array of ``shape``, by the
+    row's id, which no other row may hold."""
     out: Dict[Tuple[int, int], np.ndarray] = {}
     for key, fields in table:
-        out[table.unique(key, out)] = np.array(table.reals(fields, "score", key))
+        out[table.unique(key, out)] = np.array(table.reals(fields, kind, key)).reshape(shape)
     return out
 
 
@@ -295,8 +299,11 @@ def read_labels(path) -> Dict[Tuple[int, int], int]:
     """Ground-truth activity labels: sequence_id,frame_id,class_index rows, one per id."""
     table = _CsvRows(path, LABELS_HEADER)
     out: Dict[Tuple[int, int], int] = {}
-    for key, fields in table:
-        out[table.unique(key, out)] = table.integer(fields[0], "label")
+    for key, (label,) in table:
+        try:
+            out[table.unique(key, out)] = int(label.strip())
+        except ValueError:
+            raise table.error("bad label value") from None
     return out
 
 

@@ -27,6 +27,8 @@ bounded integers through one ``randbelows`` call, by way of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -137,8 +139,6 @@ class SplitMix64:
 
     def normal(self) -> float:
         """Standard normal draw (Box-Muller, cosine branch)."""
-        import math
-
         u1 = self.next_double()
         u2 = self.next_double()
         while u1 == 0.0:

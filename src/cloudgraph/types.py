@@ -19,6 +19,13 @@ from .errors import NonFiniteValue, NumericOverflow
 # the columns of a frame's n x 5 point array: 3D position, Doppler velocity,
 # signal intensity
 POINT_FIELDS = ("x", "y", "z", "v", "I")
+# sequence and frame ids lie in [0, ID_LIMIT): graph records store them as u8
+ID_LIMIT = 1 << 64
+
+
+def _check_ids(sequence_id: int, frame_id: int) -> None:
+    if not (0 <= sequence_id < ID_LIMIT and 0 <= frame_id < ID_LIMIT):
+        raise ValueError(f"sequence_id {sequence_id} or frame_id {frame_id} outside [0, 2^64)")
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,7 @@ class RadarFrame:
     (0, 5) when empty.  Any n x 5 array-like is accepted, such as a
     sequence of 5-tuples; the frame keeps its own copy.  A NaN or infinite
     value is a NonFiniteValue naming the first such point and field, in
-    row-major order.
+    row-major order.  An id outside [0, 2^64) is a ValueError.
     """
 
     sequence_id: int
@@ -37,8 +44,7 @@ class RadarFrame:
     points: np.ndarray
 
     def __post_init__(self):
-        if self.frame_id < 0 or self.sequence_id < 0:
-            raise ValueError("frame_id and sequence_id must be non-negative")
+        _check_ids(self.sequence_id, self.frame_id)
         pts = np.array(self.points, dtype=np.float64)
         if pts.size == 0:
             pts = pts.reshape(0, len(POINT_FIELDS))
@@ -80,7 +86,7 @@ class PointGraph:
     edge order.  frame_features has length 10 * 2 * D_node when enabled
     (380 for the 19D node features), length 0 otherwise.  A NaN or
     infinite feature is a NumericOverflow naming the first such section:
-    node, then edge, then frame.
+    node, then edge, then frame.  An id outside [0, 2^64) is a ValueError.
     """
 
     sequence_id: int
@@ -91,6 +97,7 @@ class PointGraph:
     frame_features: np.ndarray
 
     def __post_init__(self):
+        _check_ids(self.sequence_id, self.frame_id)
         nf = np.asarray(self.node_features, dtype=np.float64)
         nb = np.asarray(self.neighbours, dtype=np.int64)
         ef = np.asarray(self.edge_features, dtype=np.float64)

@@ -20,7 +20,7 @@ import cloudgraph
 from cloudgraph import cli, formats
 from cloudgraph.cli import build_parser, main
 from cloudgraph.config import ModelShape, PipelineConfig, serialize_config
-from cloudgraph.errors import FormatVersionError, ParseError
+from cloudgraph.errors import FormatVersionError, ParseError, ShapeMismatch
 from cloudgraph.gnn import (
     encode_graph,
     init_params,
@@ -200,8 +200,8 @@ def test_frames_malformed_row_names_its_line(tmp_path, row, message):
 # in; a label row holds no real value
 CSV_READERS = {
     "frames": (formats.read_frames, formats.FRAMES_HEADER, "{},{},1.0,{},3.0,0.0,1.0"),
-    "skeletons": (lambda path: formats.read_skeletons(path, 0), formats.SKELETON_HEADER,
-                  "{},{},0,{},2.0,3.0"),
+    "skeletons": (lambda path: formats.read_skeletons(path, 0), "sequence_id,frame_id,x0,y0,z0",
+                  "{},{},{},2.0,3.0"),
     "scores": (formats.read_scores, "sequence_id,frame_id,score_0,score_1", "{},{},{},0.5"),
     "labels": (formats.read_labels, formats.LABELS_HEADER, "{},{},1"),
 }
@@ -403,18 +403,39 @@ def test_prediction_writers_render_each_value_as_its_repr(tmp_path, np_rng):
     kp = np.concatenate([np.array(special).reshape(2, 3), np_rng.normal(size=(2, 3))])
     rows = [(0, 4, kp), (2, 9, kp[::-1])]
     formats.write_skeletons(rows, tmp_path / "sk.csv")
-    want = [formats.SKELETON_HEADER] + [
-        f"{seq},{fid},{k}," + ",".join(repr(float(v)) for v in point)
-        for seq, fid, pose in rows for k, point in enumerate(pose)
+    want = ["sequence_id,frame_id,x0,y0,z0,x1,y1,z1,x2,y2,z2,x3,y3,z3"] + [
+        f"{seq},{fid}," + ",".join(repr(float(v)) for v in pose.ravel()) for seq, fid, pose in rows
     ]
     assert (tmp_path / "sk.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
     scores = [(0, 4, np.array(special)), (1, 5, np_rng.normal(size=6))]
     formats.write_scores(scores, tmp_path / "scores.csv")
-    want = [formats.SCORES_HEADER_PREFIX + "," + ",".join(f"score_{i}" for i in range(6))] + [
+    want = [formats.IDS_HEADER + "," + ",".join(f"score_{i}" for i in range(6))] + [
         f"{seq},{fid}," + ",".join(repr(float(v)) for v in s) for seq, fid, s in scores
     ]
     assert (tmp_path / "scores.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+@pytest.mark.parametrize("write, rows, message", [
+    (formats.write_scores, [(0, 0, np.zeros(2)), (0, 1, np.zeros(3))],
+     "sequence 0 frame 1: a prediction of shape (3,), expected (2,)"),
+    (formats.write_scores, [(0, 0, np.zeros(0))], "the predictions hold no value"),
+    (formats.write_skeletons, [(3, 8, np.zeros((4, 2)))],
+     "sequence 3 frame 8: a prediction of shape (4, 2), expected (4, 3)"),
+    (formats.write_skeletons, [(0, 0, np.zeros((4, 3))), (2, 5, np.zeros((3, 3)))],
+     "sequence 2 frame 5: a prediction of shape (3, 3), expected (4, 3)"),
+    (formats.write_skeletons, [(0, 0, np.zeros(3))],
+     "sequence 0 frame 0: a prediction of shape (3,), expected (3, 3)"),
+    (formats.write_skeletons, [(0, 0, np.zeros((0, 3)))], "the predictions hold no value"),
+], ids=["ragged_scores", "no_scores", "pose_of_2d_points", "ragged_poses", "flat_pose", "no_keypoints"])
+def test_prediction_writers_refuse_what_their_readers_refuse(tmp_path, write, rows, message):
+    """A row of another shape than the first, or no value at all, would
+    make a file that ``read_scores`` or ``read_skeletons`` refuses."""
+    path = tmp_path / "p.csv"
+    with pytest.raises(ShapeMismatch) as exc:
+        write(rows, path)
+    assert str(exc.value) == f"{path}: {message}"
+    assert not path.exists()
 
 
 def test_labels_round_trip(tmp_path):
@@ -1093,6 +1114,23 @@ def test_cli_eval_config_with_mid_hip_index_exit_2(tmp_path, capsys, index):
     assert "argument --mid-hip-index: not allowed with argument --config" in err
 
 
+@pytest.mark.parametrize("options", [["--per-keypoint"], ["--mid-hip-index", "5"],
+                                     ["--per-keypoint", "--mid-hip-index", "0"]],
+                         ids=["per_keypoint", "mid_hip_index", "both"])
+def test_cli_eval_activity_with_pose_options_exit_2(tmp_path, capsys, options):
+    # both options shape only a pose report; activity used to ignore them
+    p_path, g_path = tmp_path / "s.csv", tmp_path / "l.csv"
+    formats.write_scores([(0, 0, np.array([0.5, 0.5]))], p_path)
+    formats.write_labels([(0, 0, 1)], g_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(p_path), str(g_path), "--task", "activity", *options])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cloudgraph eval")
+    assert "--per-keypoint and --mid-hip-index apply to --task pose only" in err
+    assert main(["eval", str(p_path), str(g_path), "--task", "activity"]) == 0
+
+
 def test_cli_eval_no_predictions_exit_7(tmp_path, caplog):
     p_path, g_path = tmp_path / "s.csv", tmp_path / "l.csv"
     formats.write_scores([], p_path)
@@ -1123,29 +1161,21 @@ def test_cli_eval_repeated_id_exit_2(tmp_path, caplog, repeat):
     assert "line 4: sequence 0 frame 1 repeats an earlier row" in caplog.text
 
 
-@pytest.mark.parametrize(
-    "keypoints, message",
-    [
-        ((0, 1, 1), "line 5: sequence 0 frame 1: keypoint indices are not 0..2, each once"),
-        ((0, 2, 3), "line 5: sequence 0 frame 1: keypoint indices are not 0..2, each once"),
-        ((1, 2, 0), None),
-        ((0, 1), "line 5: sequence 0 frame 1: 2 keypoints, expected 3"),
-        ((0, 1, 2, 3), "line 5: sequence 0 frame 1: 4 keypoints, expected 3"),
-    ],
-)
-def test_cli_eval_skeleton_keypoint_indices_exit_2(tmp_path, caplog, keypoints, message):
-    rows = [(0, 0, k) for k in range(3)] + [(0, 1, k) for k in keypoints]
-    text = "".join(f"{s},{f},{k},{k}.0,{k * k}.0,{k % 2}.0\n" for s, f, k in rows)
+@pytest.mark.parametrize("header, want", [
+    # one row per keypoint, the layout before this one
+    ("sequence_id,frame_id,keypoint,x,y,z", "sequence_id,frame_id,x0,y0,z0"),
+    ("sequence_id,frame_id,x0,y0,z0,x2,y2,z2", "sequence_id,frame_id,x0,y0,z0,x1,y1,z1"),
+    ("sequence_id,frame_id,x0,y0,z0,x1", "sequence_id,frame_id,x0,y0,z0"),
+    ("sequence_id,frame_id,score_0,score_1,score_2", "sequence_id,frame_id,x0,y0,z0"),
+], ids=["keypoint_rows", "skipped_keypoint", "partial_keypoint", "scores"])
+def test_cli_eval_skeleton_header_other_than_the_pose_columns_exit_2(tmp_path, caplog, header, want):
+    """The header fixes M, so each row holds M keypoints by construction."""
     p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
-    p_path.write_text(formats.SKELETON_HEADER + "\n" + text, encoding="utf-8")
-    g_path.write_text(formats.SKELETON_HEADER + "\n" + text, encoding="utf-8")
-    rc = main(["eval", str(p_path), str(g_path), "--task", "pose"])
-    if message is None:  # any order of 0..M-1 is accepted
-        assert rc == 0
-        assert np.array_equal(formats.read_skeletons(p_path, 0)[(0, 1)][:, 0], [0, 1, 2])
-    else:
-        assert rc == 2
-        assert message in caplog.text
+    p_path.write_text(header + "\n" + ",".join(["0"] * (header.count(",") + 1)) + "\n",
+                      encoding="utf-8")
+    formats.write_skeletons([(0, 0, np.eye(2, 3))], g_path)
+    assert main(["eval", str(p_path), str(g_path), "--task", "pose"]) == 2
+    assert f"{p_path}: line 1: expected header {want!r}" in caplog.text
 
 
 def test_cli_parse_error_exit_2(tmp_path):
@@ -1840,7 +1870,8 @@ def test_cli_eval_of_scaled_predictions_exits_7_or_reports_finite_values(task, e
         tmp = Path(tmp)
         p_path, t_path = scaled_eval_inputs(tmp, task, exponent)
         out = tmp / "report.txt"
-        rc = main(["eval", str(p_path), str(t_path), "--task", task, "--per-keypoint",
+        per_keypoint = ["--per-keypoint"] if task == "pose" else []
+        rc = main(["eval", str(p_path), str(t_path), "--task", task, *per_keypoint,
                    "--out", str(out)])
         assert rc in (0, 7)
         if rc == 0:
@@ -1996,11 +2027,11 @@ def test_cli_infer_non_finite_prediction_exit_7(tmp_path, caplog, head):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cli_eval_non_finite_text_values_exit_2(tmp_path, caplog, value):
     p_path, g_path = tmp_path / "p.csv", tmp_path / "g.csv"
-    p_path.write_text(f"{formats.SKELETON_HEADER}\n0,0,0,0.0,0.0,0.0\n0,0,1,1.0,{value},0.0\n",
+    p_path.write_text(f"sequence_id,frame_id,x0,y0,z0,x1,y1,z1\n0,0,0.0,0.0,0.0,1.0,{value},0.0\n",
                       encoding="utf-8")
     formats.write_skeletons([(0, 0, np.eye(2, 3))], g_path)
     assert main(["eval", str(p_path), str(g_path), "--task", "pose"]) == 2
-    assert "line 3: non-finite skeleton value" in caplog.text
+    assert "line 2: non-finite skeleton value" in caplog.text
 
     # a NaN used to win the argmax and score a hit
     p_path.write_text(f"sequence_id,frame_id,score_0,score_1\n0,0,{value},1.0\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every module-level import in
-the package is read somewhere in its module, and every private
-module-level name somewhere in the package.
+the package is read somewhere in its module, no import sits inside a
+function, and every private module-level name is read somewhere in the
+package.
 
 An import kept on purpose for other modules, such as a re-export, carries
 ``# noqa: F401`` on one of its lines.  ``__init__.py`` binds only
@@ -55,6 +56,39 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_every_module_level_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_level_imports(source: str) -> list:
+    """The line of each import statement inside a function of ``source``,
+    in order: every import of a package module sits at its top, where a
+    reader sees the module's dependencies at once."""
+    lines = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(n.lineno for n in ast.walk(func) if isinstance(n, (ast.Import, ast.ImportFrom)))
+    return sorted(lines)
+
+
+def test_function_level_imports_finds_a_nested_import():
+    source = (
+        "import math\n"
+        "def f():\n"
+        "    import os\n"
+        "    def g():\n"
+        "        from typing import List\n"
+        "    return os\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        import math\n"
+        "    if True:\n"
+        "        import sys\n"
+    )
+    assert function_level_imports(source) == [3, 5, 9]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_inside_a_function(path):
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unread_private_names(sources: dict) -> list:

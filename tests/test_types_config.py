@@ -12,6 +12,7 @@ from cloudgraph.config import (
     serialize_config,
 )
 from cloudgraph.errors import ConfigError, NonFiniteValue, NumericOverflow
+from cloudgraph.formats import read_graph_record, write_graph_record
 from cloudgraph.types import (
     POINT_FIELDS,
     PointGraph,
@@ -91,6 +92,27 @@ def test_frame_points_are_a_read_only_n_by_5_copy():
 
 def test_empty_frame_is_valid():
     assert len(RadarFrame(frame_id=0, sequence_id=0, points=())) == 0
+
+
+@pytest.mark.parametrize("seq, fid", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+def test_frame_and_graph_refuse_ids_no_record_can_hold(seq, fid):
+    """Graph records store both ids as u8, so each type refuses an id
+    outside [0, 2^64) where it is built, not in the record writer."""
+    with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+        RadarFrame(seq, fid, ())
+    with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+        PointGraph(sequence_id=seq, frame_id=fid, node_features=np.ones((2, 5)),
+                   neighbours=[[1], [0]], edge_features=np.ones((2, 0)), frame_features=())
+
+
+def test_frame_and_graph_take_the_largest_ids_a_record_holds(tmp_path):
+    top = 2**64 - 1
+    graph = PointGraph(sequence_id=top, frame_id=top, node_features=np.ones((2, 5)),
+                       neighbours=[[1], [0]], edge_features=np.ones((2, 0)), frame_features=())
+    write_graph_record(graph, tmp_path / "g.bin")
+    back = read_graph_record(tmp_path / "g.bin")
+    assert (back.sequence_id, back.frame_id) == (top, top)
+    assert (RadarFrame(top, top, ()).sequence_id, RadarFrame(0, top, ()).frame_id) == (top, top)
 
 
 def test_config_defaults_match_radar_conventions():
